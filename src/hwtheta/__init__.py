@@ -14,9 +14,6 @@ The error of the leading term is certified two ways: measured directly as
 t/70 and :func:`vartheta_max`, and traced at the source by following
 steepest-descent paths (:mod:`hwtheta.descent_path`) and measuring the
 deviation function delta(tau, rho) behind those bounds.
-
-``DESCENT_BACKEND`` reports whether the compiled path-continuation kernel or
-its pure-Python twin is in use.
 """
 
 from .approximation_and_bounds import (
@@ -25,14 +22,12 @@ from .approximation_and_bounds import (
     ThetaApprox,
     check_bound,
     ei_half,
-    erfc,
     measure_vartheta,
     theta_approx,
     theta_leading,
     vartheta_max,
 )
 from .descent_path import (
-    BACKEND as DESCENT_BACKEND,
     PathSample,
     PathTrace,
     SweepRow,
@@ -88,7 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "DESCENT_BACKEND",
     "DEFAULT_BITS_CEILING",
     "EPS_CRIT",
     # saddle geometry
@@ -137,7 +131,6 @@ __all__ = [
     "measure_vartheta",
     "vartheta_max",
     "ei_half",
-    "erfc",
     "check_bound",
     # errors
     "HwThetaError",

@@ -1,9 +1,8 @@
-"""Pure-Python descent-path continuation kernel.
+"""Descent-path continuation kernel.
 
 This is the hot loop of the package: Newton continuation of the level curve
 h(xi) - h(X) = tau (tau real, increasing) away from a saddle X, entirely in
-double precision.  A compiled twin (_descent_cy) implements the same
-interface; descent_path picks whichever is importable.
+double precision.
 
 Everything is computed in the offset d = xi - X, never in xi itself, using
 difference forms that stay accurate when |d| is tiny:
@@ -20,9 +19,8 @@ leading behaviour is quartic, handled by the seed choice alone; no separate
 local-expansion branch is needed anywhere because the difference forms are
 cancellation-free at every tau.
 
-The kernel holds no package imports so the compiled twin can be generated
-from near-identical source.  Failures raise RuntimeError with
-args = (message, last_good_tau); the caller rewraps.
+The kernel holds no package imports.  Failures raise RuntimeError with
+args = (message, last_good_tau); descent_path rewraps them as PathError.
 """
 
 import cmath
@@ -31,6 +29,13 @@ import math
 __all__ = ["trace"]
 
 _QUARTER_TURN = cmath.exp(-0.25j * math.pi)
+
+#: Largest accepted continuation step |d_{k+1} - d_k|.
+_MAX_DXI = 0.1
+#: Newton stops once |Dh(d) - tau| <= _RTOL * tau.
+_RTOL = 1e-12
+#: Newton iterations allowed per step before the trace stalls.
+_MAX_NEWTON = 40
 
 
 def _sinhm(d):
@@ -69,8 +74,7 @@ def _coshm1q(d):
     return cmath.cosh(d) - 1.0 - 0.5 * d * d
 
 
-def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False,
-          max_dxi=0.1, rtol=1e-12, max_newton=40):
+def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False):
     """Continue the path Dh(d) = tau through the given tau targets.
 
     Parameters
@@ -136,13 +140,13 @@ def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False,
             else:
                 hp = dhp(d)
                 step = min(tau_target - tau_cur,
-                           abs(hp) * min(max_dxi, 0.5 * abs(d)))
+                           abs(hp) * min(_MAX_DXI, 0.5 * abs(d)))
                 tau_try = tau_cur + step
                 dn = d + step / hp
             converged = False
-            for _ in range(max_newton):
+            for _ in range(_MAX_NEWTON):
                 resid = dh(dn) - tau_try
-                if abs(resid) <= rtol * tau_try:
+                if abs(resid) <= _RTOL * tau_try:
                     converged = True
                     break
                 dn = dn - resid / dhp(dn)

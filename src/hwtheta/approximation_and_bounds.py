@@ -16,14 +16,14 @@ with equality structure captured by
 
 This module evaluates the leading term, measures vartheta against the
 extended-precision oracle, evaluates vartheta_max in closed form through the
-half-order exponential integral and the complementary error function, and
-runs grid certifications of the bounds.
+half-order exponential integral and math.erfc, and runs grid certifications
+of the bounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 from . import reference_quadrature as rq
@@ -40,7 +40,6 @@ __all__ = [
     "measure_vartheta",
     "vartheta_max",
     "ei_half",
-    "erfc",
     "check_bound",
 ]
 
@@ -63,13 +62,12 @@ def _check_t(t: float) -> float:
 def theta_leading(rho: float, t: float) -> float:
     """Leading-order approximation 1/(2 pi t) e^(-(F - pi^2/2)/t) G."""
     t = _check_t(t)
-    f_val = sg.F(rho)
-    g_val = sg.G(rho)
+    sd = sg.saddle_data(rho)
     try:
-        damp = math.exp(-(f_val - _HALF_PI_SQ) / t)
+        damp = math.exp(-(sd.F - _HALF_PI_SQ) / t)
     except OverflowError:
         damp = math.inf
-    return g_val / (2.0 * math.pi * t) * damp
+    return sd.G / (2.0 * math.pi * t) * damp
 
 
 def measure_vartheta(rho: float, t: float, cfg: rq.PrecisionConfig | None = None) -> float:
@@ -91,77 +89,9 @@ def measure_vartheta(rho: float, t: float, cfg: rq.PrecisionConfig | None = None
         f_val = sg.F(rho)
         cancel = (_HALF_PI_SQ + max(0.0, f_val - _HALF_PI_SQ)) / t * math.log2(math.e)
         bits = 2 * (int(math.ceil(cancel)) + 32)
-        cfg = rq.PrecisionConfig(
-            working_bits=max(64, bits),
-            panel_points=cfg.panel_points,
-            tail_tolerance=cfg.tail_tolerance,
-            xi_max_override=cfg.xi_max_override,
-        )
+        cfg = replace(cfg, working_bits=max(64, bits))
     result = rq.theta_direct(rho / t, t, cfg)
     return result.theta / lead - 1.0
-
-
-def _erf_series(x: float) -> float:
-    """erf(x) by its alternating Maclaurin series; accurate for |x| <= 1."""
-    acc = 0.0
-    term = x
-    k = 0
-    x2 = x * x
-    while True:
-        acc += term / (2 * k + 1)
-        k += 1
-        term *= -x2 / k
-        if abs(term) < 1e-18 * (abs(acc) + 1e-300) or k > 80:
-            break
-    return 2.0 / _SQRT_PI * acc
-
-
-def _erfc_cf(x: float) -> float:
-    """erfc(x) for x >= 1 by the descending continued fraction
-
-        erfc(x) = e^(-x^2)/sqrt(pi) / (x + (1/2)/(x + (2/2)/(x + (3/2)/(x + ...))))
-
-    evaluated with the modified Lentz algorithm.  Convergence is geometric,
-    slowest near x = 1 (a few dozen terms)."""
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for n in range(1, 300):
-        a = 0.5 * n
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        ratio = c * d
-        f *= ratio
-        if abs(ratio - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / _SQRT_PI / f
-
-
-def erfc(x: float) -> float:
-    """Complementary error function 2/sqrt(pi) * Int_x^inf e^(-s^2) ds.
-
-    Alternating series below the crossover, continued fraction above,
-    reflection for negative arguments.  The crossover sits at x = 1: there
-    the series route 1 - erf(x) still has erfc(x) ~ 0.157, so the
-    cancellation costs under one decimal digit, while the fraction already
-    converges geometrically; this keeps the relative error within ~1e-15
-    across [0, 10] (pushing the series to x = 2 would lose ~5e-13 near the
-    joint through 1 - erf cancellation).
-    """
-    x = float(x)
-    if x != x:
-        raise DomainError("erfc is undefined for NaN")
-    if x < 0.0:
-        return 2.0 - erfc(-x)
-    if x < 1.0:
-        return 1.0 - _erf_series(x)
-    return _erfc_cf(x)
 
 
 def _erf_minus_gauss(x: float) -> float:
@@ -192,13 +122,13 @@ def ei_half(z: float) -> float:
     Computed through the upper incomplete gamma identity
     ei_half(z) = z^(-3/2) * Gamma(3/2, z) with
     Gamma(3/2, z) = sqrt(pi)/2 * erfc(sqrt z) + sqrt(z) e^(-z),
-    which reduces everything to erfc plus elementary functions.
+    which reduces everything to math.erfc plus elementary functions.
     """
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError(f"ei_half requires z > 0, got {z!r}")
     sz = math.sqrt(z)
-    gamma_upper = 0.5 * _SQRT_PI * erfc(sz) + sz * math.exp(-z)
+    gamma_upper = 0.5 * _SQRT_PI * math.erfc(sz) + sz * math.exp(-z)
     return z ** (-1.5) * gamma_upper
 
 
@@ -219,8 +149,8 @@ def vartheta_max(t: float) -> float:
     z = 35.0 / t
     sz = math.sqrt(z)
     if sz >= 2.0:
-        return t / 70.0 - sz * ei_half(z) / _SQRT_PI + erfc(sz)
-    return _erf_minus_gauss(sz) / z + erfc(sz)
+        return t / 70.0 - sz * ei_half(z) / _SQRT_PI + math.erfc(sz)
+    return _erf_minus_gauss(sz) / z + math.erfc(sz)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ series        exact coefficients of the critical-point expansions
 verify-bound  grid certification of the error bounds, CSV plus summary
 
 Exit codes: 0 success, 2 usage or domain error, 3 numerical or precision
-failure.  verify-bound additionally exits 1 when every cell evaluated but
-some cell violates the strong bound (a certification negative, not an
-error).  All CSV output is UTF-8 with LF line endings, a header row, and
-numbers at 17 significant digits; identical invocations produce byte
-identical output.
+failure, including any failed cell of sweep-delta, delta-prime or
+verify-bound (the CSV still lists every cell that evaluated).  verify-bound
+additionally exits 1 when every cell evaluated but some cell violates the
+strong bound (a certification negative, not an error).  All CSV output is
+UTF-8 with LF line endings, a header row, and numbers at 17 significant
+digits; identical invocations produce byte identical output.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ def _cmd_sweep_delta(args) -> int:
     tau_grid = [tau_max * i / args.points for i in range(1, args.points + 1)]
     table = dp.sweep_delta(rho_grid, tau_grid)
     for rho, tau, message in table.failures:
-        print(f"cell (rho={rho:g}, tau={tau:g}) failed: {message}", file=sys.stderr)
+        print(f"cell (rho={rho:.17g}, tau={tau:.17g}) failed: {message}", file=sys.stderr)
     _write_output(table.to_csv(), args.out)
-    return 0
+    return 3 if table.failures else 0
 
 
 def _cmd_delta_prime(args) -> int:
@@ -133,16 +134,18 @@ def _cmd_delta_prime(args) -> int:
     log_lo = math.log(rho_min)
     log_hi = math.log(rho_max)
     lines = ["rho,delta_prime0"]
+    failed = False
     for i in range(points):
         rho = math.exp(log_lo + (log_hi - log_lo) * i / (points - 1))
         try:
             slope = dp.delta_prime_at_zero(rho)
         except HwThetaError as exc:
-            print(f"cell rho={rho:g} failed: {exc}", file=sys.stderr)
+            print(f"cell rho={rho:.17g} failed: {exc}", file=sys.stderr)
+            failed = True
             continue
         lines.append(f"{rho:.17g},{slope:.17g}")
     _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return 3 if failed else 0
 
 
 def _series_line(exponent, coeff: rs.Q6, decimals: int | None) -> str:
@@ -204,7 +207,7 @@ def _cmd_verify_bound(args) -> int:
     report = ab.check_bound(rho_grid, t_grid)
     _write_output(report.to_csv(), args.out)
     for rho, t, message in report.failures:
-        print(f"cell (rho={rho:g}, t={t:g}) failed: {message}", file=sys.stderr)
+        print(f"cell (rho={rho:.17g}, t={t:.17g}) failed: {message}", file=sys.stderr)
     print(
         f"max |vartheta|*70/t = {report.max_ratio_simple:.17g} "
         f"over {len(report.rows)} cells",

@@ -15,9 +15,7 @@ error estimate of the leading-order approximation.  This module traces the
 path, evaluates delta on grids, extracts the small-tau slope delta'(0, rho)
 by Richardson extrapolation, and serializes sweep tables.
 
-The continuation arithmetic lives in a kernel module with two
-implementations: a compiled extension (_descent_cy) and a pure-Python twin
-(_descent_py).  Whichever imports first wins; BACKEND records the choice.
+The continuation arithmetic lives in the kernel module _descent_py.
 """
 
 from __future__ import annotations
@@ -27,20 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from . import _descent_py as _kernel
 from . import saddle_geometry as sg
 from .errors import DomainError, ExtrapolationError, PathError, PoleError
 
-try:
-    from . import _descent_cy as _kernel
-
-    BACKEND = "compiled"
-except ImportError:  # no extension built; the pure twin is contract-identical
-    from . import _descent_py as _kernel
-
-    BACKEND = "python"
-
 __all__ = [
-    "BACKEND",
     "PathSample",
     "PathTrace",
     "SweepRow",
@@ -55,8 +44,8 @@ __all__ = [
 
 _PI = math.pi
 
-#: tau values used for the small-tau Richardson extrapolations.
-_RICHARDSON_TAUS = (1e-2, 1e-3, 1e-4)
+#: tau values used for the small-tau Richardson extrapolations, ascending.
+_RICHARDSON_TAUS = (1e-4, 1e-3, 1e-2)
 
 
 @dataclass(frozen=True)
@@ -188,18 +177,14 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
-def trace_path(rho: float, tau_max: float, step_control=None) -> PathTrace:
+def trace_path(rho: float, tau_max: float) -> PathTrace:
     """Trace the descent path from the saddle out to tau_max.
 
     Every accepted continuation step is reported, so the samples cover
     (0, tau_max] from the seeding scale upward with |xi_{k+1} - xi_k| <= 0.1.
-    The final sample sits exactly at tau_max.
-
-    step_control is accepted for interface uniformity with the
-    extended-precision oracle configuration, but the tracer's tolerances are
-    fixed internal constants (relative residual 1e-12, below the documented
-    1e-10 sample invariants); loosening them per call could silently break
-    the invariants, so no knob is wired through.
+    The final sample sits exactly at tau_max.  The tracer's tolerances are
+    fixed kernel constants (relative residual 1e-12, below the documented
+    1e-10 sample invariants).
     """
     rho = float(rho)
     tau_max = _check_tau(tau_max)
@@ -222,20 +207,15 @@ def _delta_on_grid(sd: sg.SaddleData, taus: Sequence[float]) -> list[float]:
     return [g.imag * math.sqrt(t) / sd.g0 - 1.0 for t, _, g in points]
 
 
-def delta_prime_at_zero(rho: float) -> float:
-    """Small-tau slope delta'(0, rho) by Richardson extrapolation.
-
-    delta/tau is sampled at tau = 1e-2, 1e-3, 1e-4 (one continuation run)
-    and extrapolated twice with step ratio 10.  The gap between the last two
-    extrapolants must fall below 1e-6, else ExtrapolationError carries the
-    best estimate and the observed gap.
-    """
+def _richardson_slope(rho: float) -> tuple[float, float, float]:
+    """(f2, f3, slope): delta/tau at tau = 1e-3 and 1e-4, and the converged
+    slope delta'(0, rho); see delta_prime_at_zero."""
     sd = sg.saddle_data(float(rho))
-    taus = sorted(_RICHARDSON_TAUS)
-    d_small, d_mid, d_large = _delta_on_grid(sd, taus)
-    f1 = d_large / taus[2]
-    f2 = d_mid / taus[1]
-    f3 = d_small / taus[0]
+    d_small, d_mid, d_large = _delta_on_grid(sd, _RICHARDSON_TAUS)
+    tau_small, tau_mid, tau_large = _RICHARDSON_TAUS
+    f1 = d_large / tau_large
+    f2 = d_mid / tau_mid
+    f3 = d_small / tau_small
     r1 = (10.0 * f2 - f1) / 9.0
     r2 = (10.0 * f3 - f2) / 9.0
     rr = (100.0 * r2 - r1) / 99.0
@@ -247,35 +227,34 @@ def delta_prime_at_zero(rho: float) -> float:
             estimate=rr,
             convergence=gap,
         )
-    return rr
+    return f2, f3, rr
+
+
+def delta_prime_at_zero(rho: float) -> float:
+    """Small-tau slope delta'(0, rho) by Richardson extrapolation.
+
+    delta/tau is sampled at tau = 1e-2, 1e-3, 1e-4 (one continuation run)
+    and extrapolated twice with step ratio 10.  The gap between the last two
+    extrapolants must fall below 1e-6, else ExtrapolationError carries the
+    best estimate and the observed gap.
+    """
+    return _richardson_slope(rho)[2]
 
 
 def delta_double_prime_at_zero(rho: float) -> float:
     """Small-tau curvature delta''(0, rho), extrapolated from traced values.
 
-    Uses the converged slope from delta_prime_at_zero, forms
+    Uses the converged slope from delta_prime_at_zero (and raises its
+    ExtrapolationError when that does not converge), forms
     (delta/tau - slope)/tau at tau = 1e-3 and 1e-4, and Richardson-steps
     once; twice that limit is the second derivative.  Accurate to roughly
     1e-6 near rho = 1: the slope error enters amplified by 1/tau, so most
     of the budget is spent re-subtracting the first-order term.
     """
-    sd = sg.saddle_data(float(rho))
-    taus = sorted(_RICHARDSON_TAUS)
-    d_small, d_mid, d_large = _delta_on_grid(sd, taus)
-    f1 = d_large / taus[2]
-    f2 = d_mid / taus[1]
-    f3 = d_small / taus[0]
-    r1 = (10.0 * f2 - f1) / 9.0
-    r2 = (10.0 * f3 - f2) / 9.0
-    rr = (100.0 * r2 - r1) / 99.0
-    if not (abs(rr - r2) < 1e-6):
-        raise ExtrapolationError(
-            f"slope extrapolation did not converge for rho={rho!r}",
-            estimate=rr,
-            convergence=abs(rr - r2),
-        )
-    g_mid = (f2 - rr) / taus[1]
-    g_small = (f3 - rr) / taus[0]
+    f2, f3, slope = _richardson_slope(rho)
+    tau_small, tau_mid, _ = _RICHARDSON_TAUS
+    g_mid = (f2 - slope) / tau_mid
+    g_small = (f3 - slope) / tau_small
     return 2.0 * (10.0 * g_small - g_mid) / 9.0
 
 

@@ -181,14 +181,7 @@ def g0(rho: float, eps_crit: float = EPS_CRIT) -> float:
     The denominators vanish like sqrt(|rho - 1|) as the saddles coalesce,
     which is why the critical band routes through the exact rho = 1 value.
     """
-    regime = classify(rho, eps_crit)
-    if regime is Regime.CRITICAL:
-        return math.sqrt(1.5)
-    if regime is Regime.SUB_CRITICAL:
-        x1 = solve_x1(rho)
-        return math.sinh(x1) / math.sqrt(2.0 * (rho * math.cosh(x1) - 1.0))
-    y1 = solve_y1(rho)
-    return math.sin(y1) / math.sqrt(2.0 * (rho * math.cos(y1) + 1.0))
+    return saddle_data(rho, eps_crit).g0
 
 
 def F(rho: float, eps_crit: float = EPS_CRIT) -> float:
@@ -200,19 +193,12 @@ def F(rho: float, eps_crit: float = EPS_CRIT) -> float:
     * critical:       pi^2/2 - 1
     * super-critical: -y1^2/2 + rho*cos(y1) + pi*y1
     """
-    regime = classify(rho, eps_crit)
-    if regime is Regime.CRITICAL:
-        return _HALF_PI_SQ - 1.0
-    if regime is Regime.SUB_CRITICAL:
-        x1 = solve_x1(rho)
-        return 0.5 * x1 * x1 - rho * math.cosh(x1) + _HALF_PI_SQ
-    y1 = solve_y1(rho)
-    return -0.5 * y1 * y1 + rho * math.cos(y1) + _PI * y1
+    return saddle_data(rho, eps_crit).F
 
 
 def G(rho: float, eps_crit: float = EPS_CRIT) -> float:
     """Exponential-prefactor coefficient G(rho) = sqrt(2)*rho*g0(rho)."""
-    return math.sqrt(2.0) * float(rho) * g0(rho, eps_crit)
+    return saddle_data(rho, eps_crit).G
 
 
 @dataclass(frozen=True)
@@ -251,7 +237,11 @@ class SaddleData:
 
 
 def saddle_data(rho: float, eps_crit: float = EPS_CRIT) -> SaddleData:
-    """Solve the saddle equation for rho and bundle the derived quantities."""
+    """Solve the saddle equation for rho and bundle the derived quantities.
+
+    This is the one place the closed forms for g0, F and G are evaluated;
+    the scalar functions g0, F and G read their field from it.
+    """
     rho = _check_rho(rho)
     regime = classify(rho, eps_crit)
     if regime is Regime.CRITICAL:

@@ -14,7 +14,6 @@ EI_HALF_REF = {
     1.0: 0.5072822338117733,
     5.0: 0.0014716734298346054,
 }
-ERFC_ONE = 0.15729920705028513
 VARTHETA_MAX_REF = {
     0.1: 0.0014285714285714286,
     1.0: 0.014285714285714284,
@@ -25,26 +24,6 @@ VARTHETA_MAX_REF = {
 
 C2 = 7.0 / 11000.0
 C3 = 44081.0 / 1051050000.0
-
-
-def test_erfc_basics():
-    assert ab.erfc(0.0) == 1.0
-    for x in (0.3, 1.0, 2.5, 7.0):
-        assert ab.erfc(-x) == pytest.approx(2.0 - ab.erfc(x), rel=1e-14)
-    assert ab.erfc(1.0) == pytest.approx(ERFC_ONE, rel=1e-12)
-
-
-def test_erfc_matches_stdlib_on_dense_grid():
-    n = 400
-    for i in range(n + 1):
-        x = 10.0 * i / n
-        ref = math.erfc(x)
-        assert abs(ab.erfc(x) - ref) <= 1e-14 * ref, x
-
-
-def test_erfc_rejects_nan():
-    with pytest.raises(DomainError):
-        ab.erfc(math.nan)
 
 
 def test_ei_half_reference_values():

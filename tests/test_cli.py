@@ -2,13 +2,18 @@
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import hwtheta.approximation_and_bounds as ab
 import hwtheta.cli as cli
+import hwtheta.descent_path as dp
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +143,27 @@ def test_sweep_delta_validation(capsys):
         assert err
 
 
+def test_sweep_delta_exit_3_on_failed_cells(capsys, monkeypatch):
+    real_trace = dp._kernel.trace
+
+    def stall_above_one(rho, *args):
+        if rho > 1.0:
+            raise RuntimeError("synthetic stall", 0.0)
+        return real_trace(rho, *args)
+
+    monkeypatch.setattr(dp._kernel, "trace", stall_above_one)
+    code, out, err = run_cli(
+        capsys, "sweep-delta", "--rho", "0.5,2", "--tau-max", "1", "--points", "3"
+    )
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0] == "rho,tau,delta,bound_ratio"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.5"] * 3
+    # failed cells print at the CSV's 17 significant digits
+    assert "cell (rho=2, tau=0.33333333333333331) failed: synthetic stall" in err
+    assert err.count("failed") == 3
+
+
 def test_delta_prime_output(capsys):
     code, out, _ = run_cli(
         capsys, "delta-prime", "--rho-min", "0.5", "--rho-max", "2", "--points", "3"
@@ -149,6 +175,19 @@ def test_delta_prime_output(capsys):
     mid = lines[2].split(",")
     assert float(mid[0]) == pytest.approx(1.0, rel=1e-12)
     assert float(mid[1]) == pytest.approx(-1.0 / 35.0, abs=1e-6)
+
+
+def test_delta_prime_exit_3_on_failed_cell(capsys):
+    # just outside the critical band the slope extrapolation does not converge
+    code, out, err = run_cli(
+        capsys, "delta-prime", "--rho-min", "1.000002", "--rho-max", "1.0001",
+        "--points", "2",
+    )
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0] == "rho,delta_prime0"
+    assert len(lines) == 2 and lines[1].startswith("1.0001,")
+    assert "cell rho=1.0000020000000001 failed: " in err
 
 
 def test_delta_prime_validation(capsys):
@@ -223,6 +262,18 @@ def test_verify_bound_exit_3_on_oracle_failure(capsys, monkeypatch):
 def test_verify_bound_empty_grid(capsys):
     code, _, _ = run_cli(capsys, "verify-bound", "--rho-grid", "", "--t-grid", "0.1")
     assert code == 2
+
+
+def test_readme_examples_match_pinned_outputs(capsys):
+    # the README's command-line examples print byte-identical output; the
+    # pins are shared with the benchmark's cli check and read, never written
+    pinned = json.loads((REPO / "perfbench" / "pinned.json").read_text())["cli"]
+    readme = (REPO / "README.md").read_text()
+    assert len(pinned) == 7
+    for line, expected in pinned.items():
+        assert line in readme, line
+        code, out, _ = run_cli(capsys, *shlex.split(line)[1:])
+        assert (code, out) == (expected["exit"], expected["stdout"]), line
 
 
 def test_sweep_delta_deterministic_across_processes():

@@ -8,13 +8,13 @@ import pytest
 import hwtheta.descent_path as dp
 import hwtheta.rho_one_series as rs
 import hwtheta.saddle_geometry as sg
-from hwtheta.errors import DomainError, PathError, PoleError
+from hwtheta.errors import DomainError, ExtrapolationError, PathError, PoleError
 
 HALF_PI_SQ = 0.5 * math.pi * math.pi
 
 # regression anchors from the current tracer, cross-validated against the
 # exact critical-point series (rho = 1) and the sample residual invariants;
-# loose tolerance absorbs step-history differences between kernel builds
+# loose tolerance absorbs step-history differences
 DELTA_ANCHORS = [
     (1.0, 1.0, -0.027744838338219946),
     (0.5, 0.5, None),  # value asserted via bound and series only
@@ -23,31 +23,6 @@ DPRIME_ANCHORS = {
     0.5: -0.027740755694264794,
     10.0: -0.015320588904117676,
 }
-
-
-def test_backend_is_declared():
-    assert dp.BACKEND in ("compiled", "python")
-
-
-def test_backends_agree_when_both_present():
-    from hwtheta import _descent_py
-
-    try:
-        from hwtheta import _descent_cy
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    for rho in (0.7, 1.0, 1.3):
-        sd = sg.saddle_data(rho)
-        rho_eff, sx, cx, h2, h3, mode = dp._expansion_data(sd)
-        targets = [1e-4, 1e-2, 1.0, 10.0]
-        a = _descent_py.trace(rho_eff, sx, cx, h2, h3, mode, targets, False)
-        b = _descent_cy.trace(rho_eff, sx, cx, h2, h3, mode, targets, False)
-        assert len(a) == len(b) == len(targets)
-        # rows are (tau, displacement from saddle, g)
-        for (tau_a, disp_a, g_a), (tau_b, disp_b, g_b) in zip(a, b):
-            assert tau_a == tau_b
-            assert abs(disp_a - disp_b) <= 1e-9 * max(1.0, abs(disp_a))
-            assert abs(g_a - g_b) <= 1e-9 * abs(g_a)
 
 
 def test_samples_satisfy_defining_equation():
@@ -143,6 +118,21 @@ def test_delta_prime_is_smallest_at_the_critical_point():
 def test_delta_double_prime_at_zero():
     got = dp.delta_double_prime_at_zero(1.0)
     assert got == pytest.approx(7.0 / 4125.0, abs=1e-5)
+
+
+def test_slope_and_curvature_share_one_extrapolation_gate():
+    # just outside the critical band the slope extrapolation does not
+    # converge; the curvature, which needs that slope, refuses identically
+    rho = 1.0 + 2e-6
+    with pytest.raises(ExtrapolationError) as slope_err:
+        dp.delta_prime_at_zero(rho)
+    with pytest.raises(ExtrapolationError) as curvature_err:
+        dp.delta_double_prime_at_zero(rho)
+    assert str(curvature_err.value) == str(slope_err.value)
+    assert curvature_err.value.estimate == slope_err.value.estimate
+    assert curvature_err.value.convergence == slope_err.value.convergence
+    assert slope_err.value.estimate == pytest.approx(-0.028433383778137564, abs=1e-12)
+    assert slope_err.value.convergence > 1e-6
 
 
 def test_derivatives_continuous_at_band_edge():
