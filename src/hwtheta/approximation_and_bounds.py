@@ -62,7 +62,10 @@ def _check_t(t: float) -> float:
 def theta_leading(rho: float, t: float) -> float:
     """Leading-order approximation 1/(2 pi t) e^(-(F - pi^2/2)/t) G."""
     t = _check_t(t)
-    sd = sg.saddle_data(rho)
+    return _theta_leading(sg.saddle_data(rho), t)
+
+
+def _theta_leading(sd: sg.SaddleData, t: float) -> float:
     try:
         damp = math.exp(-(sd.F - _HALF_PI_SQ) / t)
     except OverflowError:
@@ -82,12 +85,12 @@ def measure_vartheta(rho: float, t: float, cfg: rq.PrecisionConfig | None = None
     """
     t = _check_t(t)
     rho = float(rho)
-    lead = theta_leading(rho, t)
+    sd = sg.saddle_data(rho)
+    lead = _theta_leading(sd, t)
     if cfg is None:
         cfg = rq.PrecisionConfig()
     if cfg.working_bits is None:
-        f_val = sg.F(rho)
-        cancel = (_HALF_PI_SQ + max(0.0, f_val - _HALF_PI_SQ)) / t * math.log2(math.e)
+        cancel = (_HALF_PI_SQ + max(0.0, sd.F - _HALF_PI_SQ)) / t * math.log2(math.e)
         bits = 2 * (int(math.ceil(cancel)) + 32)
         cfg = replace(cfg, working_bits=max(64, bits))
     result = rq.theta_direct(rho / t, t, cfg)

@@ -117,7 +117,7 @@ def g_of_xi(xi: complex, rho: float) -> complex:
     """
     rho = float(rho)
     if not math.isfinite(rho) or rho <= 0.0:
-        raise DomainError(f"rho must be a positive finite real, got {rho!r}")
+        raise DomainError(f"rho must be a positive finite real, got {rho:.17g}")
     xi = complex(xi)
     s = cmath.sinh(xi)
     den = xi + rho * s - 1j * _PI
@@ -210,7 +210,8 @@ def _delta_on_grid(sd: sg.SaddleData, taus: Sequence[float]) -> list[float]:
 def _richardson_slope(rho: float) -> tuple[float, float, float]:
     """(f2, f3, slope): delta/tau at tau = 1e-3 and 1e-4, and the converged
     slope delta'(0, rho); see delta_prime_at_zero."""
-    sd = sg.saddle_data(float(rho))
+    rho = float(rho)
+    sd = sg.saddle_data(rho)
     d_small, d_mid, d_large = _delta_on_grid(sd, _RICHARDSON_TAUS)
     tau_small, tau_mid, tau_large = _RICHARDSON_TAUS
     f1 = d_large / tau_large
@@ -222,7 +223,7 @@ def _richardson_slope(rho: float) -> tuple[float, float, float]:
     gap = abs(rr - r2)
     if not (gap < 1e-6):
         raise ExtrapolationError(
-            f"delta'(0, rho={rho!r}) extrapolation gap {gap:.3e} exceeds 1e-6 "
+            f"delta'(0, rho={rho:.17g}) extrapolation gap {gap:.3e} exceeds 1e-6 "
             f"(extrapolants {r1!r}, {r2!r}, {rr!r})",
             estimate=rr,
             convergence=gap,

@@ -21,6 +21,18 @@ Within panel k the phase is evaluated locally, sin(pi xi/t) =
 
 Results surface as doubles; the error_estimate field reports the relative
 difference against a half-precision rerun.
+
+The node and panel loops run on mpmath's raw libmp values rather than mpf
+objects: each step is the libmp call that the equivalent mpf expression makes
+under mp.workprec, with the same precision, round-to-nearest and evaluation
+order, so every panel is the mpf result to the bit.  That matters because
+error_estimate sits in the last bits of the half-precision rerun and so moves
+with any change of rounding.  At (r, t) = (2, 0.5) it is 7.138e-19; mp.exp in place of
+mp.e ** y makes it 1.357e-18 and folding sin into the weights 2.850e-19, and
+the published output would change.  What the libmp loop saves is mpf's
+per-operation object and dispatch overhead, the log(e) that mp.e ** y
+recomputes at every node (taken once per call here), and the second cosh/sinh
+evaluation (mpf_cosh_sinh gives both).
 """
 
 from __future__ import annotations
@@ -31,6 +43,32 @@ import os
 from dataclasses import dataclass
 
 import mpmath as mp
+from mpmath.libmp import (
+    fone,
+    from_float,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_cosh_sinh,
+    mpf_div,
+    mpf_e,
+    mpf_exp,
+    mpf_log,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pi,
+    mpf_pow,
+    mpf_rdiv_int,
+    mpf_shift,
+    mpf_sin,
+    mpf_sub,
+    round_nearest,
+    to_float,
+)
 
 from .errors import DomainError, PrecisionOverflowError
 
@@ -140,36 +178,67 @@ def _bits_ceiling() -> int:
 
 _gl_cache: dict = {}
 
+_RND = round_nearest  # the rounding mode of mp, and so of every mpf operator
+
+
+def _legendre(n: int, x: tuple, wp: int):
+    """(P_n(x), P_n'(x)) for a raw libmp x, each step rounded to wp bits as the
+    mpf expressions ((2k-1)*x*p1 - (k-1)*p0)/k and n*(x*p1 - p0)/(x*x - 1) are."""
+    p0, p1 = fone, x
+    for k in range(2, n + 1):
+        p0, p1 = p1, mpf_div(
+            mpf_sub(
+                mpf_mul(mpf_mul_int(x, 2 * k - 1, wp, _RND), p1, wp, _RND),
+                mpf_mul_int(p0, k - 1, wp, _RND),
+                wp,
+                _RND,
+            ),
+            from_int(k),
+            wp,
+            _RND,
+        )
+    dp = mpf_div(
+        mpf_mul_int(mpf_sub(mpf_mul(x, p1, wp, _RND), p0, wp, _RND), n, wp, _RND),
+        mpf_sub(mpf_mul(x, x, wp, _RND), fone, wp, _RND),
+        wp,
+        _RND,
+    )
+    return p1, dp
+
 
 def _gl_nodes(n: int, prec: int):
     """Gauss-Legendre nodes and weights on [-1, 1] at `prec` bits, cached.
 
     Newton iteration on the Legendre three-term recurrence from Chebyshev
-    initial guesses; standard and stable for the modest n used here.
+    initial guesses; standard and stable for the modest n used here.  The
+    arithmetic runs on raw libmp values at prec + 30 bits, rounded as the
+    equivalent mpf expressions would be; nodes and weights come back as mpf.
     """
     key = (n, prec)
     cached = _gl_cache.get(key)
     if cached is not None:
         return cached
-    with mp.workprec(prec + 30):
-        xs, ws = [], []
-        for i in range(n):
-            x = mp.mpf(math.cos(math.pi * (i + 0.75) / (n + 0.5)))
-            for _ in range(100):
-                p0, p1 = mp.mpf(1), x
-                for k in range(2, n + 1):
-                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dp = n * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < mp.mpf(2) ** (-prec - 10):
-                    break
-            p0, p1 = mp.mpf(1), x
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            xs.append(x)
-            ws.append(2 / ((1 - x * x) * dp * dp))
+    wp = prec + 30
+    tol = from_man_exp(1, -prec - 10)  # mpf(2) ** (-prec - 10), exact
+    xs, ws = [], []
+    for i in range(n):
+        x = from_float(math.cos(math.pi * (i + 0.75) / (n + 0.5)), wp, _RND)
+        for _ in range(100):
+            p1, dp = _legendre(n, x, wp)
+            dx = mpf_div(p1, dp, wp, _RND)
+            x = mpf_sub(x, dx, wp, _RND)
+            if mpf_lt(mpf_abs(dx), tol):
+                break
+        _, dp = _legendre(n, x, wp)
+        # 2 / ((1 - x*x) * dp * dp)
+        denom = mpf_mul(
+            mpf_mul(mpf_sub(fone, mpf_mul(x, x, wp, _RND), wp, _RND), dp, wp, _RND),
+            dp,
+            wp,
+            _RND,
+        )
+        xs.append(mp.make_mpf(x))
+        ws.append(mp.make_mpf(mpf_rdiv_int(2, denom, wp, _RND)))
     _gl_cache[key] = (xs, ws)
     return xs, ws
 
@@ -193,43 +262,88 @@ def _integrate_panels(r: float, t: float, bits: int, cfg: PrecisionConfig):
     """Panel-by-panel quadrature; returns (theta as mpf, signed panel list).
 
     Exposed separately so tests can inspect the alternation of consecutive
-    half-period contributions.
+    half-period contributions.  The panel sums run on raw libmp values at
+    `bits` with round-to-nearest; each step is the libmp call, in the same
+    order, that the corresponding mpf expression (noted in the comments)
+    makes under mp.workprec(bits), so the panels are the mpf results to the
+    bit.
     """
+    prec = bits
+    rr = from_float(r, prec, _RND)
+    tt = from_float(t, prec, _RND)
+    xs, ws = _gl_nodes(cfg.panel_points, bits)
+    nodes = [(x._mpf_, w._mpf_) for x, w in zip(xs, ws)]
+    cap = _truncation_cap(r, t, bits)
+    if cfg.xi_max_override is not None:
+        cap = min(cap, cfg.xi_max_override)
+    kmax = int(math.ceil(cap / t)) + 1
+    # envelope maximum: cap of the Gaussian-free stationary points
+    peak = max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
+    # mpf(2) ** -(bits // 2) * mpf(tail_tolerance), exact
+    thresh_scale = mpf_shift(from_float(cfg.tail_tolerance), -(bits // 2))
+    pi = mpf_pi(prec, _RND)
+    e = mpf_e(prec, _RND)
+    # mp.e ** y is mpf_pow, i.e. exp(y * log(e)) with log(e) at prec + 10 bits;
+    # that log is the same for every y, so it is taken once here
+    log_e = mpf_log(e, prec + 10, _RND)
+    two_t = mpf_mul_int(tt, 2, prec, _RND)
+
+    def damped(xi, cosh):
+        """mp.e ** (-xi * xi / (2 * tt) - rr * cosh(xi))"""
+        y = mpf_sub(
+            mpf_div(mpf_mul(mpf_neg(xi), xi, prec, _RND), two_t, prec, _RND),
+            mpf_mul(rr, cosh, prec, _RND),
+            prec,
+            _RND,
+        )
+        if y[2] >= -1:  # integer or half-integer y: mpf_pow's exact-power route
+            return mpf_pow(e, y, prec, _RND)
+        return mpf_exp(mpf_mul(y, log_e), prec, _RND)
+
+    total = fzero
+    panels = []
+    half = mpf_div(tt, from_int(2), prec, _RND)
+    k = 0
+    while k < kmax:
+        a = mpf_mul_int(tt, k, prec, _RND)
+        mid = mpf_add(a, half, prec, _RND)
+        acc = fzero
+        for x, w in nodes:
+            # xi = mid + half * x
+            xi = mpf_add(mid, mpf_mul(half, x, prec, _RND), prec, _RND)
+            # sin(pi * (xi - a) / tt): local phase, exact zeros
+            osc = mpf_sin(
+                mpf_div(mpf_mul(pi, mpf_sub(xi, a, prec, _RND), prec, _RND), tt, prec, _RND),
+                prec,
+                _RND,
+            )
+            cosh, sinh = mpf_cosh_sinh(xi, prec, _RND)
+            # acc += w * damped * sinh(xi) * osc
+            term = mpf_mul(
+                mpf_mul(mpf_mul(w, damped(xi, cosh), prec, _RND), sinh, prec, _RND),
+                osc,
+                prec,
+                _RND,
+            )
+            acc = mpf_add(acc, term, prec, _RND)
+        sign = -1 if (k % 2) else 1
+        # sign * half * acc
+        contribution = mpf_mul(mpf_mul_int(half, sign, prec, _RND), acc, prec, _RND)
+        panels.append(contribution)
+        total = mpf_add(total, contribution, prec, _RND)
+        k += 1
+        edge = mpf_mul_int(tt, k, prec, _RND)
+        if to_float(edge, rnd=_RND) > peak + t:
+            # envelope = mp.e ** (...) * mp.sinh(edge), as at the nodes
+            cosh, sinh = mpf_cosh_sinh(edge, prec, _RND)
+            envelope = mpf_mul(damped(edge, cosh), sinh, prec, _RND)
+            if mpf_lt(envelope, mpf_mul(thresh_scale, mpf_abs(total), prec, _RND)):
+                break
     with mp.workprec(bits):
         rr = mp.mpf(r)
         tt = mp.mpf(t)
-        xs, ws = _gl_nodes(cfg.panel_points, bits)
-        cap = _truncation_cap(r, t, bits)
-        if cfg.xi_max_override is not None:
-            cap = min(cap, cfg.xi_max_override)
-        kmax = int(math.ceil(cap / t)) + 1
-        # envelope maximum: cap of the Gaussian-free stationary points
-        peak = max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
-        thresh_scale = mp.mpf(2) ** (-(bits // 2)) * mp.mpf(cfg.tail_tolerance)
-        total = mp.mpf(0)
-        panels = []
-        half = tt / 2
-        k = 0
-        while k < kmax:
-            a = k * tt
-            mid = a + half
-            sign = -1 if (k % 2) else 1
-            acc = mp.mpf(0)
-            for x, w in zip(xs, ws):
-                xi = mid + half * x
-                osc = mp.sin(mp.pi * (xi - a) / tt)  # local phase, exact zeros
-                acc += w * mp.e ** (-xi * xi / (2 * tt) - rr * mp.cosh(xi)) * mp.sinh(xi) * osc
-            contribution = sign * half * acc
-            panels.append(contribution)
-            total += contribution
-            k += 1
-            edge = k * tt
-            if float(edge) > peak + float(tt):
-                envelope = mp.e ** (-edge * edge / (2 * tt) - rr * mp.cosh(edge)) * mp.sinh(edge)
-                if envelope < thresh_scale * abs(total):
-                    break
         prefactor = rr / mp.sqrt(2 * mp.pi**3 * tt) * mp.e ** (mp.pi**2 / (2 * tt))
-        return prefactor * total, panels
+        return prefactor * mp.make_mpf(total), [mp.make_mpf(p) for p in panels]
 
 
 def theta_direct(r: float, t: float, cfg: PrecisionConfig | None = None) -> EvalResult:

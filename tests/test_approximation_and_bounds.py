@@ -6,6 +6,7 @@ import pytest
 
 import hwtheta.approximation_and_bounds as ab
 import hwtheta.reference_quadrature as rq
+import hwtheta.saddle_geometry as sg
 from hwtheta.errors import DomainError
 
 # tabulated reference values, 50-digit independent quadrature rounded to double
@@ -86,6 +87,21 @@ def test_measured_correction_matches_critical_series_tail():
         v = ab.measure_vartheta(1.0, t)
         assert v < 0.0
         assert abs(v + t / 70.0 - C2 * t * t) <= 2.0 * C3 * t**3, (t, v)
+
+
+def test_measure_vartheta_solves_the_saddle_once(monkeypatch):
+    calls = []
+    solve = sg.saddle_data
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(sg, "saddle_data", counting)
+    for rho in (0.5, 1.0, 2.0):
+        calls.clear()
+        ab.measure_vartheta(rho, 0.5)
+        assert len(calls) == 1, (rho, calls)
 
 
 def test_measured_correction_respects_uniform_bound():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -188,6 +189,9 @@ def test_delta_prime_exit_3_on_failed_cell(capsys):
     assert lines[0] == "rho,delta_prime0"
     assert len(lines) == 2 and lines[1].startswith("1.0001,")
     assert "cell rho=1.0000020000000001 failed: " in err
+    # the CLI prefix and the embedded ExtrapolationError spell rho alike
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("cell rho=")]
+    assert re.findall(r"rho=([^,) ]+)", line) == ["1.0000020000000001"] * 2
 
 
 def test_delta_prime_validation(capsys):

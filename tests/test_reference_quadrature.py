@@ -2,8 +2,12 @@
 
 import math
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hwtheta.approximation_and_bounds as ab
 import hwtheta.reference_quadrature as rq
 from hwtheta.errors import DomainError, PrecisionOverflowError
 from hwtheta.reference_quadrature import Method, PrecisionConfig
@@ -118,3 +122,150 @@ def test_argument_validation():
     for r, t in ((0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (1.0, 0.0), (1.0, -0.5), (1.0, math.nan)):
         with pytest.raises(DomainError):
             rq.theta_direct(r, t)
+
+
+# The mpf-level loops that _gl_nodes and _integrate_panels replaced, kept
+# verbatim as the reference: the libmp loops must give the same bits.
+_gl_cache_mpf: dict = {}
+
+
+def _gl_nodes_mpf(n: int, prec: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] at `prec` bits, cached.
+
+    Newton iteration on the Legendre three-term recurrence from Chebyshev
+    initial guesses; standard and stable for the modest n used here.
+    """
+    key = (n, prec)
+    cached = _gl_cache_mpf.get(key)
+    if cached is not None:
+        return cached
+    with mp.workprec(prec + 30):
+        xs, ws = [], []
+        for i in range(n):
+            x = mp.mpf(math.cos(math.pi * (i + 0.75) / (n + 0.5)))
+            for _ in range(100):
+                p0, p1 = mp.mpf(1), x
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                dx = p1 / dp
+                x -= dx
+                if abs(dx) < mp.mpf(2) ** (-prec - 10):
+                    break
+            p0, p1 = mp.mpf(1), x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1)
+            xs.append(x)
+            ws.append(2 / ((1 - x * x) * dp * dp))
+    _gl_cache_mpf[key] = (xs, ws)
+    return xs, ws
+
+
+def _integrate_panels_mpf(r: float, t: float, bits: int, cfg: PrecisionConfig):
+    """Panel-by-panel quadrature; returns (theta as mpf, signed panel list).
+
+    Exposed separately so tests can inspect the alternation of consecutive
+    half-period contributions.
+    """
+    with mp.workprec(bits):
+        rr = mp.mpf(r)
+        tt = mp.mpf(t)
+        xs, ws = _gl_nodes_mpf(cfg.panel_points, bits)
+        cap = rq._truncation_cap(r, t, bits)
+        if cfg.xi_max_override is not None:
+            cap = min(cap, cfg.xi_max_override)
+        kmax = int(math.ceil(cap / t)) + 1
+        # envelope maximum: cap of the Gaussian-free stationary points
+        peak = max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
+        thresh_scale = mp.mpf(2) ** (-(bits // 2)) * mp.mpf(cfg.tail_tolerance)
+        total = mp.mpf(0)
+        panels = []
+        half = tt / 2
+        k = 0
+        while k < kmax:
+            a = k * tt
+            mid = a + half
+            sign = -1 if (k % 2) else 1
+            acc = mp.mpf(0)
+            for x, w in zip(xs, ws):
+                xi = mid + half * x
+                osc = mp.sin(mp.pi * (xi - a) / tt)  # local phase, exact zeros
+                acc += w * mp.e ** (-xi * xi / (2 * tt) - rr * mp.cosh(xi)) * mp.sinh(xi) * osc
+            contribution = sign * half * acc
+            panels.append(contribution)
+            total += contribution
+            k += 1
+            edge = k * tt
+            if float(edge) > peak + float(tt):
+                envelope = mp.e ** (-edge * edge / (2 * tt) - rr * mp.cosh(edge)) * mp.sinh(edge)
+                if envelope < thresh_scale * abs(total):
+                    break
+        prefactor = rr / mp.sqrt(2 * mp.pi**3 * tt) * mp.e ** (mp.pi**2 / (2 * tt))
+        return prefactor * total, panels
+
+
+DEFAULT_RHO = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0)
+
+
+def _assert_same_panels(r, t, bits, cfg):
+    value, panels = rq._integrate_panels(r, t, bits, cfg)
+    ref_value, ref_panels = _integrate_panels_mpf(r, t, bits, cfg)
+    assert isinstance(value, mp.mpf)
+    assert all(isinstance(p, mp.mpf) for p in panels)
+    assert value._mpf_ == ref_value._mpf_, (r, t, bits)
+    assert [p._mpf_ for p in panels] == [p._mpf_ for p in ref_panels], (r, t, bits)
+
+
+def _oracle_args(rho, t, monkeypatch):
+    """(r, t, bits) that measure_vartheta hands to theta_direct."""
+    seen = []
+
+    def record(r, t, cfg):
+        seen.append((r, t, cfg.working_bits))
+        return rq.EvalResult(1.0, Method.DIRECT, cfg.working_bits, 0.0)
+
+    with monkeypatch.context() as m:
+        m.setattr(rq, "theta_direct", record)
+        ab.measure_vartheta(rho, t)
+    (args,) = seen
+    return args
+
+
+def test_panels_match_mpf_loop_on_default_rho_at_measured_bits(monkeypatch):
+    cfg = PrecisionConfig()
+    for rho in DEFAULT_RHO:
+        r, t, bits = _oracle_args(rho, 0.1, monkeypatch)
+        _assert_same_panels(r, t, bits, cfg)
+
+
+def test_panels_match_mpf_loop_on_readme_cells_and_config_variants():
+    for r in (2.0, 1.0):
+        _assert_same_panels(r, 0.5, 79, PrecisionConfig())
+    for cfg in (
+        PrecisionConfig(panel_points=8),
+        PrecisionConfig(panel_points=48),
+        PrecisionConfig(xi_max_override=6.0),
+    ):
+        _assert_same_panels(2.0, 0.5, 79, cfg)
+        _assert_same_panels(10.0, 0.1, 136, cfg)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    r=st.floats(min_value=0.1, max_value=200.0),
+    t=st.floats(min_value=0.1, max_value=1.0),
+    bits=st.integers(min_value=64, max_value=300),
+)
+def test_panels_match_mpf_loop_on_random_cells(r, t, bits):
+    _assert_same_panels(r, t, bits, PrecisionConfig())
+
+
+def test_gl_nodes_match_mpf_loop():
+    for n in (8, 24, 48):
+        for prec in (64, 79, 136, 257, 512, 1000):
+            xs, ws = rq._gl_nodes(n, prec)
+            ref_xs, ref_ws = _gl_nodes_mpf(n, prec)
+            assert all(isinstance(v, mp.mpf) for v in xs + ws)
+            assert [x._mpf_ for x in xs] == [x._mpf_ for x in ref_xs], (n, prec)
+            assert [w._mpf_ for w in ws] == [w._mpf_ for w in ref_ws], (n, prec)
