@@ -87,6 +87,11 @@ def measure_vartheta(rho: float, t: float, cfg: rq.PrecisionConfig | None = None
     rho = float(rho)
     sd = sg.saddle_data(rho)
     lead = _theta_leading(sd, t)
+    if not 0.0 < lead < math.inf:
+        raise DomainError(
+            f"leading term at rho={rho:.17g}, t={t!r} is {lead!r}, outside the "
+            f"range of a double; vartheta cannot be measured against it"
+        )
     if cfg is None:
         cfg = rq.PrecisionConfig()
     if cfg.working_bits is None:

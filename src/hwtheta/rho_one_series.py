@@ -13,9 +13,12 @@ in zeta, so with w = zeta^2 and u = sqrt(-tau) it reads
     sum_{k>=2} w^k / (2k)!  =  u^2.
 
 Substituting w = W(v) with v = sqrt(6)*u makes every coefficient of W a plain
-rational (the leading balance w^2/4! = u^2 gives w ~ 2*sqrt(6)*u = 2v); the
-constraint becomes sum_{k>=2} W^k/(2k)! = v^2/6 and is solved order by order,
-each new coefficient entering linearly with constant slope 2*c_1/4! = 1/6.
+rational (the leading balance w^2/4! = u^2 gives w ~ 2*sqrt(6)*u = 2v).  The
+constraint sum_{k>=2} W^k/(2k)! = v^2/6 has the Lagrange form v = W/phi(W),
+so each coefficient of W is one coefficient of a power of phi, with no
+series solved order by order.  Im g needs no second series: along the path
+g = d cosh(xi(tau))/dtau, and at rho = 1 cosh(xi) = -(zeta^2/2 + 1 - tau),
+so Im g is read off the derivative of the same reversion.
 
 Branch convention: for tau > 0 the path leaves the saddle into the fourth
 quadrant, which fixes sqrt(-tau) = -i*sqrt(tau).  Under that choice odd
@@ -26,6 +29,7 @@ delta/theta series come out with real exact coefficients.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,6 +48,7 @@ __all__ = [
 ]
 
 _SQRT6 = math.sqrt(6.0)
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -208,7 +213,13 @@ class ThetaSeries:
         t = float(t)
         if t <= 0.0:
             raise DomainError(f"theta series requires t > 0, got {t!r}")
-        pref = math.sqrt(3.0) / (2.0 * math.pi * t) * math.exp(1.0 / t)
+        scale = math.sqrt(3.0) / (2.0 * math.pi * t)
+        if 1.0 / t + math.log(scale) >= _LOG_DBL_MAX:
+            raise DomainError(
+                f"theta series requires t >= 1.4195e-3, where the prefactor "
+                f"{self.PREFACTOR_TEXT} still fits in a double; got {t!r}"
+            )
+        pref = scale * math.exp(1.0 / t)
         return pref * self.bracket(t, nterms)
 
     def term_magnitude(self, t: float, k: int) -> float:
@@ -216,114 +227,43 @@ class ThetaSeries:
         return abs(float(self.coeffs[k])) * float(t) ** k
 
 
-def _fact(n: int) -> int:
-    return math.factorial(n)
-
-
-def _series_mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    """Product of two truncated power series, keeping n coefficients."""
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        if i >= n:
-            break
-        for j, bj in enumerate(b):
-            if i + j >= n:
-                break
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _constraint_series(c: list[Fraction], n: int) -> list[Fraction]:
-    """Coefficients (length n) of sum_{k>=2} W(v)^k / (2k)! for W given by c."""
-    out = [Fraction(0)] * n
-    base = (list(c) + [Fraction(0)] * n)[:n]
-    wk = _series_mul(base, base, n)  # W^2; W^k is O(v^k)
-    k = 2
-    while any(wk):
-        f = Fraction(1, _fact(2 * k))
-        for i, x in enumerate(wk):
-            if x:
-                out[i] += f * x
-        k += 1
-        if k >= n:
-            break
-        wk = _series_mul(wk, base, n)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _w_coefficients(nv: int) -> tuple[Fraction, ...]:
     """Coefficients c_0..c_nv of W(v) solving sum_{k>=2} W^k/(2k)! = v^2/6.
 
-    W(v) = 2v - v^2/15 + v^3/315 - ...; each c_{m-1} is fixed by the order-m
-    coefficient of the constraint, in which it appears linearly with slope
-    2*c_1/4! = 1/6 (only the W^2 term can pair c_{m-1} with c_1 at that
-    order; higher powers of W enter at v^(m+1) or beyond).
+    The left side is W^2 A(W)/24 with A(W) = 24*sum_{j>=0} W^j/(2j+4)!
+    (A_0 = 1), so v = W/phi(W) with phi = 2*A^(-1/2) and Lagrange inversion
+    reads c_n = (1/n) [W^(n-1)] phi^n = (2^n/n) [W^(n-1)] A^(-n/2).  The power
+    P = A^alpha comes from J.C.P. Miller's recurrence
+    P_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) A_j P_(k-j), P_0 = 1.
     """
-    n = nv + 1
-    c = [Fraction(0)] * n
-    if nv >= 1:
-        c[1] = Fraction(2)
-    for m in range(3, n + 1):
-        resid = _constraint_series(c, m + 1)[m]
-        c[m - 1] = -6 * resid
+    a = [Fraction(24, math.factorial(2 * j + 4)) for j in range(nv)]
+    c = [Fraction(0)] * (nv + 1)
+    for n in range(1, nv + 1):
+        alpha1 = Fraction(2 - n, 2)  # alpha + 1 with alpha = -n/2
+        p = [Fraction(1)]
+        for k in range(1, n):
+            acc = sum((alpha1 * j - k) * a[j] * p[k - j] for j in range(1, k + 1))
+            p.append(acc / k)
+        c[n] = 2**n * p[n - 1] / n
     return tuple(c)
-
-
-@lru_cache(maxsize=None)
-def _g_laurent(nterms: int) -> tuple[Fraction, ...]:
-    """Laurent coefficients of g = S/(S - 1) along the path at rho = 1.
-
-    Here S = sinh(zeta)/zeta = sum_{m>=0} w^m/(2m+1)! composed with
-    w = W(v).  Since S - 1 = v/3 * (1 + ...), g is a Laurent series starting
-    at v^-1; the returned tuple g[k] holds the coefficient of v^(k-1),
-    k = 0..nterms-1.
-    """
-    n = nterms + 1
-    c = (list(_w_coefficients(n)) + [Fraction(0)] * n)[:n]
-    S = [Fraction(0)] * n
-    S[0] = Fraction(1)
-    wpow = list(c)
-    m = 1
-    while any(wpow):
-        f = Fraction(1, _fact(2 * m + 1))
-        for i, x in enumerate(wpow):
-            if x:
-                S[i] += f * x
-        m += 1
-        if m >= n:
-            break
-        wpow = _series_mul(wpow, c, n)
-    sm1 = list(S)
-    sm1[0] -= 1  # S - 1, vanishes linearly: sm1[1] = c_1/3! = 1/3
-    assert sm1[0] == 0 and sm1[1] != 0
-    lead = sm1[1]
-    rest = [x / lead for x in sm1[1:]]  # 1 + r_1 v + ...
-    inv = [Fraction(0)] * n
-    inv[0] = Fraction(1)
-    for i in range(1, n):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            if j < len(rest):
-                acc += rest[j] * inv[i - j]
-        inv[i] = -acc
-    quotient = _series_mul(S, inv, n)
-    return tuple(x / lead for x in quotient[:nterms])
 
 
 @lru_cache(maxsize=None)
 def _im_g_rationals(nterms: int) -> tuple[Fraction, ...]:
     """Rationals r_j with Im g(tau, 1) = sum_j (r_j/sqrt(6)) tau^(j-1/2).
 
-    Odd powers of v are imaginary under the branch choice; collecting them
-    gives r_j = (-1)^j * g_(2j) * 6^j with g_k the v^(k-1) Laurent
-    coefficient of g.
+    Along the path dxi/dtau = 1/h'(xi), so g = sinh(xi)/h'(xi) is
+    d cosh(xi(tau))/dtau.  At rho = 1, cosh(i*pi + zeta) = -(zeta^2/2 + 1 - tau)
+    on the path, hence g = 1 - (1/2) d(zeta^2)/dtau.  With zeta^2 = W(v) and
+    tau = -v^2/6 this is g = 1 + (3/2) sum_m m c_m v^(m-2); the odd powers of
+    v are the imaginary ones, giving r_j = (-1)^j (2j+1)/4 c_(2j+1) 6^(j+1).
     """
-    g = _g_laurent(2 * nterms)
-    return tuple((-1) ** j * g[2 * j] * Fraction(6) ** j for j in range(nterms))
+    c = _w_coefficients(2 * nterms - 1)
+    return tuple(
+        (-1) ** j * Fraction(2 * j + 1, 4) * c[2 * j + 1] * 6 ** (j + 1)
+        for j in range(nterms)
+    )
 
 
 def _require_order(order: int, minimum: int) -> int:

@@ -43,7 +43,7 @@ __all__ = [
     "saddle_data",
 ]
 
-#: Default half-width of the critical band around rho = 1.  Inside the band
+#: Half-width of the critical band around rho = 1.  Inside the band
 #: the degenerate (rho = 1) formulas are used: the regular-saddle expressions
 #: lose accuracy like 1/sqrt(|rho - 1|) as the saddles coalesce.
 EPS_CRIT = 1e-6
@@ -67,16 +67,14 @@ def _check_rho(rho: float) -> float:
     return rho
 
 
-def classify(rho: float, eps_crit: float = EPS_CRIT) -> Regime:
+def classify(rho: float) -> Regime:
     """Classify rho into its saddle regime.
 
-    Critical means |rho - 1| <= eps_crit; below that band is sub-critical,
+    Critical means |rho - 1| <= EPS_CRIT; below that band is sub-critical,
     above it super-critical.
     """
     rho = _check_rho(rho)
-    if eps_crit < 0.0 or not math.isfinite(eps_crit):
-        raise DomainError(f"eps_crit must be a nonnegative real, got {eps_crit!r}")
-    if abs(rho - 1.0) <= eps_crit:
+    if abs(rho - 1.0) <= EPS_CRIT:
         return Regime.CRITICAL
     if rho < 1.0:
         return Regime.SUB_CRITICAL
@@ -169,7 +167,7 @@ def h(xi: complex, rho: float) -> complex:
     return 0.5 * xi * xi + rho * cmath.cosh(xi) - 1j * _PI * xi
 
 
-def g0(rho: float, eps_crit: float = EPS_CRIT) -> float:
+def g0(rho: float) -> float:
     """Leading local amplitude coefficient g0(rho).
 
     Piecewise in the regime:
@@ -181,10 +179,10 @@ def g0(rho: float, eps_crit: float = EPS_CRIT) -> float:
     The denominators vanish like sqrt(|rho - 1|) as the saddles coalesce,
     which is why the critical band routes through the exact rho = 1 value.
     """
-    return saddle_data(rho, eps_crit).g0
+    return saddle_data(rho).g0
 
 
-def F(rho: float, eps_crit: float = EPS_CRIT) -> float:
+def F(rho: float) -> float:
     """Exponent F(rho) = h(saddle), real in every regime.
 
     Closed forms (exactly real, no complex round-off):
@@ -193,12 +191,12 @@ def F(rho: float, eps_crit: float = EPS_CRIT) -> float:
     * critical:       pi^2/2 - 1
     * super-critical: -y1^2/2 + rho*cos(y1) + pi*y1
     """
-    return saddle_data(rho, eps_crit).F
+    return saddle_data(rho).F
 
 
-def G(rho: float, eps_crit: float = EPS_CRIT) -> float:
+def G(rho: float) -> float:
     """Exponential-prefactor coefficient G(rho) = sqrt(2)*rho*g0(rho)."""
-    return saddle_data(rho, eps_crit).G
+    return saddle_data(rho).G
 
 
 @dataclass(frozen=True)
@@ -236,14 +234,14 @@ class SaddleData:
     G: float
 
 
-def saddle_data(rho: float, eps_crit: float = EPS_CRIT) -> SaddleData:
+def saddle_data(rho: float) -> SaddleData:
     """Solve the saddle equation for rho and bundle the derived quantities.
 
     This is the one place the closed forms for g0, F and G are evaluated;
     the scalar functions g0, F and G read their field from it.
     """
     rho = _check_rho(rho)
-    regime = classify(rho, eps_crit)
+    regime = classify(rho)
     if regime is Regime.CRITICAL:
         g0_val = math.sqrt(1.5)
         return SaddleData(

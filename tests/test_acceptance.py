@@ -26,9 +26,10 @@ import hwtheta.saddle_geometry as sg
 # were first tabulated as (-96439937879/5734608285656250000)/sqrt(6) and
 # -96439937879/582563381400000000; both are wrong.  The corrected values
 # below are confirmed by
-#   * an exact-rational Lagrange inversion of v = W*h(W) with
-#     4*h^2 = 24*sum_{k>=2} W^(k-2)/(2k)!, independent of the module's
-#     order-by-order solve, which reproduces all six Im g coefficients;
+#   * the order-by-order solve of the reversion and the S/(S-1) Laurent
+#     route to Im g, kept in tests/test_rho_one_series.py as the route
+#     independent of the module's Lagrange inversion, which reproduce all
+#     six Im g coefficients;
 #   * quadrature of the defining integral at rho = 1 (the t^5 coefficient
 #     recovered from theta_direct(1/t, t) at t in {0.05, 0.08, 0.1} is
 #     -1.7887e-7, within 1e-4 of the exact -1.78862e-7 and 8% from the old

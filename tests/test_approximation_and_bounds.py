@@ -198,6 +198,25 @@ def test_check_bound_records_precision_failures(monkeypatch):
     assert not report.all_pass_strong
 
 
+@pytest.mark.parametrize(
+    "rho, t, lead",
+    [(0.01, 0.025, 0.0), (1.0, 1e-3, math.inf)],
+    ids=["underflow", "overflow"],
+)
+def test_check_bound_refuses_leading_term_outside_double_range(monkeypatch, rho, t, lead):
+    def oracle_must_not_run(*args, **kwargs):
+        raise AssertionError("theta_direct called for an unusable leading term")
+
+    monkeypatch.setattr(rq, "theta_direct", oracle_must_not_run)
+    assert ab.theta_leading(rho, t) == lead
+    with pytest.raises(DomainError):
+        ab.measure_vartheta(rho, t)
+    report = ab.check_bound([rho], [t])
+    assert report.rows == ()
+    assert len(report.failures) == 1
+    assert report.failures[0][:2] == (rho, t)
+
+
 def test_check_bound_grid_validation():
     with pytest.raises(DomainError):
         ab.check_bound([], [0.1])

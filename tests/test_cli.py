@@ -73,6 +73,15 @@ def test_eval_series_at_critical_rho(capsys):
     assert payload["method"] == "series-rho1"
 
 
+def test_eval_series_below_double_range_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--rho", "1", "--t", "0.001", "--method", "series"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "1.4195e-3" in err
+
+
 def test_eval_rejects_bad_domain(capsys):
     code, _, err = run_cli(capsys, "eval", "--rho", "1", "--t", "-1", "--method", "direct")
     assert code == 2
@@ -261,6 +270,15 @@ def test_verify_bound_exit_3_on_oracle_failure(capsys, monkeypatch):
         capsys, "verify-bound", "--rho-grid", "1", "--t-grid", "0.05,0.2"
     )
     assert code == 3
+
+
+def test_verify_bound_exit_3_on_underflowing_leading_term(capsys):
+    code, out, err = run_cli(
+        capsys, "verify-bound", "--rho-grid", "0.01", "--t-grid", "0.025"
+    )
+    assert code == 3
+    assert "cell" in err and "failed" in err
+    assert out.splitlines()[0].startswith("rho,t,vartheta")
 
 
 def test_verify_bound_empty_grid(capsys):

@@ -8,6 +8,7 @@ d_j = r_j/3 and c_k = (r_k/3) (2k-1)!!/2^k.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -108,7 +109,7 @@ def test_reversion_satisfies_defining_constraint_exactly():
     functional equation is verified term by term with exact arithmetic
     through v^order.
     """
-    order = 10
+    order = 33
     series = rs.invert_zeta_equation(order)
     c = [F(0)] * (order + 1)
     for m, coeff in enumerate(series.coeffs, start=1):
@@ -144,6 +145,141 @@ def test_reversion_satisfies_defining_constraint_exactly():
     assert target == expected, (
         f"constraint residual {[str(x) for x in target]}"
     )
+
+
+# The order-by-order solve and the S/(S-1) Laurent route that Lagrange
+# inversion and g = d cosh(xi)/dtau replaced, kept verbatim as the
+# independent reference: both routes must give the same exact rationals.
+
+
+def _fact(n: int) -> int:
+    return math.factorial(n)
+
+
+def _series_mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
+    """Product of two truncated power series, keeping n coefficients."""
+    out = [Fraction(0)] * n
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        if i >= n:
+            break
+        for j, bj in enumerate(b):
+            if i + j >= n:
+                break
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def _constraint_series(c: list[Fraction], n: int) -> list[Fraction]:
+    """Coefficients (length n) of sum_{k>=2} W(v)^k / (2k)! for W given by c."""
+    out = [Fraction(0)] * n
+    base = (list(c) + [Fraction(0)] * n)[:n]
+    wk = _series_mul(base, base, n)  # W^2; W^k is O(v^k)
+    k = 2
+    while any(wk):
+        f = Fraction(1, _fact(2 * k))
+        for i, x in enumerate(wk):
+            if x:
+                out[i] += f * x
+        k += 1
+        if k >= n:
+            break
+        wk = _series_mul(wk, base, n)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _w_coefficients_solve(nv: int) -> tuple[Fraction, ...]:
+    """Coefficients c_0..c_nv of W(v) solving sum_{k>=2} W^k/(2k)! = v^2/6.
+
+    W(v) = 2v - v^2/15 + v^3/315 - ...; each c_{m-1} is fixed by the order-m
+    coefficient of the constraint, in which it appears linearly with slope
+    2*c_1/4! = 1/6 (only the W^2 term can pair c_{m-1} with c_1 at that
+    order; higher powers of W enter at v^(m+1) or beyond).
+    """
+    n = nv + 1
+    c = [Fraction(0)] * n
+    if nv >= 1:
+        c[1] = Fraction(2)
+    for m in range(3, n + 1):
+        resid = _constraint_series(c, m + 1)[m]
+        c[m - 1] = -6 * resid
+    return tuple(c)
+
+
+@lru_cache(maxsize=None)
+def _g_laurent(nterms: int) -> tuple[Fraction, ...]:
+    """Laurent coefficients of g = S/(S - 1) along the path at rho = 1.
+
+    Here S = sinh(zeta)/zeta = sum_{m>=0} w^m/(2m+1)! composed with
+    w = W(v).  Since S - 1 = v/3 * (1 + ...), g is a Laurent series starting
+    at v^-1; the returned tuple g[k] holds the coefficient of v^(k-1),
+    k = 0..nterms-1.
+    """
+    n = nterms + 1
+    c = (list(_w_coefficients_solve(n)) + [Fraction(0)] * n)[:n]
+    S = [Fraction(0)] * n
+    S[0] = Fraction(1)
+    wpow = list(c)
+    m = 1
+    while any(wpow):
+        f = Fraction(1, _fact(2 * m + 1))
+        for i, x in enumerate(wpow):
+            if x:
+                S[i] += f * x
+        m += 1
+        if m >= n:
+            break
+        wpow = _series_mul(wpow, c, n)
+    sm1 = list(S)
+    sm1[0] -= 1  # S - 1, vanishes linearly: sm1[1] = c_1/3! = 1/3
+    assert sm1[0] == 0 and sm1[1] != 0
+    lead = sm1[1]
+    rest = [x / lead for x in sm1[1:]]  # 1 + r_1 v + ...
+    inv = [Fraction(0)] * n
+    inv[0] = Fraction(1)
+    for i in range(1, n):
+        acc = Fraction(0)
+        for j in range(1, i + 1):
+            if j < len(rest):
+                acc += rest[j] * inv[i - j]
+        inv[i] = -acc
+    quotient = _series_mul(S, inv, n)
+    return tuple(x / lead for x in quotient[:nterms])
+
+
+@lru_cache(maxsize=None)
+def _im_g_rationals_laurent(nterms: int) -> tuple[Fraction, ...]:
+    """Rationals r_j with Im g(tau, 1) = sum_j (r_j/sqrt(6)) tau^(j-1/2).
+
+    Odd powers of v are imaginary under the branch choice; collecting them
+    gives r_j = (-1)^j * g_(2j) * 6^j with g_k the v^(k-1) Laurent
+    coefficient of g.
+    """
+    g = _g_laurent(2 * nterms)
+    return tuple((-1) ** j * g[2 * j] * Fraction(6) ** j for j in range(nterms))
+
+
+# delta_series(16), the largest order the benchmark requests, asks for
+# _im_g_rationals(17), which reads W through v^33.
+W_MAX = 33
+IM_G_MAX = 17
+
+
+def test_lagrange_reversion_equals_order_by_order_solve():
+    # coefficient c_m of the solve does not depend on the requested size,
+    # so the largest solve is the reference for every prefix
+    ref = _w_coefficients_solve(W_MAX)
+    for n in range(W_MAX + 1):
+        assert rs._w_coefficients(n) == ref[: n + 1], n
+
+
+def test_im_g_from_reversion_derivative_equals_laurent_route():
+    ref = _im_g_rationals_laurent(IM_G_MAX)
+    for n in range(1, IM_G_MAX + 1):
+        assert rs._im_g_rationals(n) == ref[:n], n
 
 
 def test_sign_alternation_breaks_at_seventh_term():
@@ -210,6 +346,13 @@ def test_partial_sums_differ_by_one_term():
         gap = abs(theta.bracket(t, nterms=n + 1) - theta.bracket(t, nterms=n))
         assert gap == pytest.approx(theta.term_magnitude(t, n), rel=1e-12)
 
+
+def test_theta_series_refuses_prefactor_beyond_double_range():
+    theta = rs.theta_series_rho1(7)
+    assert math.isfinite(theta.evaluate(1.4195e-3))
+    for t in (1.4193e-3, 1e-3, 1e-300):
+        with pytest.raises(DomainError, match="1.4195e-3"):
+            theta.evaluate(t)
 
 def test_delta_large_tau_formula_and_guard():
     for tau in (100.0, 1e4):

@@ -87,14 +87,12 @@ def test_classify_regimes_and_band_edges():
     assert sg.classify(0.5) is sg.Regime.SUB_CRITICAL
     assert sg.classify(2.0) is sg.Regime.SUPER_CRITICAL
     assert sg.classify(1.0) is sg.Regime.CRITICAL
-    # probes clearly inside/outside; the exact edge |rho-1| == eps_crit is
+    # probes clearly inside/outside; the exact edge |rho-1| == EPS_CRIT is
     # one ulp away from representable for 1 - 1e-6
     assert sg.classify(1.0 + 9e-7) is sg.Regime.CRITICAL
     assert sg.classify(1.0 - 9e-7) is sg.Regime.CRITICAL
     assert sg.classify(1.0 + 2e-6) is sg.Regime.SUPER_CRITICAL
     assert sg.classify(1.0 - 2e-6) is sg.Regime.SUB_CRITICAL
-    # the band is a knob
-    assert sg.classify(1.05, eps_crit=0.1) is sg.Regime.CRITICAL
 
 
 def test_saddle_is_stationary_and_on_level_set():
