@@ -23,6 +23,7 @@ of the bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -60,7 +61,11 @@ def _check_t(t: float) -> float:
 
 
 def theta_leading(rho: float, t: float) -> float:
-    """Leading-order approximation 1/(2 pi t) e^(-(F - pi^2/2)/t) G."""
+    """Leading-order approximation 1/(2 pi t) e^(-(F - pi^2/2)/t) G.
+
+    Raises DomainError where the value is not a normal double: it would
+    overflow to inf, or underflow to 0.0 or a subnormal with lost digits.
+    """
     t = _check_t(t)
     return _theta_leading(sg.saddle_data(rho), t)
 
@@ -70,7 +75,13 @@ def _theta_leading(sd: sg.SaddleData, t: float) -> float:
         damp = math.exp(-(sd.F - _HALF_PI_SQ) / t)
     except OverflowError:
         damp = math.inf
-    return sd.G / (2.0 * math.pi * t) * damp
+    lead = sd.G / (2.0 * math.pi * t) * damp
+    if not sys.float_info.min <= lead < math.inf:
+        raise DomainError(
+            f"leading term at rho={sd.rho:.17g}, t={t!r} is {lead!r}, outside the "
+            f"range of a double"
+        )
+    return lead
 
 
 def measure_vartheta(rho: float, t: float, cfg: rq.PrecisionConfig | None = None) -> float:
@@ -87,11 +98,6 @@ def measure_vartheta(rho: float, t: float, cfg: rq.PrecisionConfig | None = None
     rho = float(rho)
     sd = sg.saddle_data(rho)
     lead = _theta_leading(sd, t)
-    if not 0.0 < lead < math.inf:
-        raise DomainError(
-            f"leading term at rho={rho:.17g}, t={t!r} is {lead!r}, outside the "
-            f"range of a double; vartheta cannot be measured against it"
-        )
     if cfg is None:
         cfg = rq.PrecisionConfig()
     if cfg.working_bits is None:

@@ -208,11 +208,14 @@ def _cmd_verify_bound(args) -> int:
     _write_output(report.to_csv(), args.out)
     for rho, t, message in report.failures:
         print(f"cell (rho={rho:.17g}, t={t:.17g}) failed: {message}", file=sys.stderr)
-    print(
-        f"max |vartheta|*70/t = {report.max_ratio_simple:.17g} "
-        f"over {len(report.rows)} cells",
-        file=sys.stderr if args.out is None else sys.stdout,
-    )
+    if report.rows:
+        summary = (
+            f"max |vartheta|*70/t = {report.max_ratio_simple:.17g} "
+            f"over {len(report.rows)} cells"
+        )
+    else:
+        summary = "max |vartheta|*70/t: no cell was measured"
+    print(summary, file=sys.stderr if args.out is None else sys.stdout)
     if report.failures:
         return 3
     return 0 if report.all_pass_strong else 1
@@ -237,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["direct", "asymptotic", "series"],
         required=True,
         help="direct extended-precision quadrature, leading-order saddle-point "
-        "approximation, or the critical-point series (needs |rho - 1| <= 1e-6)",
+        f"approximation, or the critical-point series (needs |rho - 1| <= {EPS_CRIT:g})",
     )
     p_eval.add_argument(
         "--bits",

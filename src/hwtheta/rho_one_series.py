@@ -16,7 +16,9 @@ Substituting w = W(v) with v = sqrt(6)*u makes every coefficient of W a plain
 rational (the leading balance w^2/4! = u^2 gives w ~ 2*sqrt(6)*u = 2v).  The
 constraint sum_{k>=2} W^k/(2k)! = v^2/6 has the Lagrange form v = W/phi(W),
 so each coefficient of W is one coefficient of a power of phi, with no
-series solved order by order.  Im g needs no second series: along the path
+series solved order by order.  That power comes from Miller's recurrence
+run on Python ints, and each coefficient is computed once per process and
+shared by every series and order.  Im g needs no second series: along the path
 g = d cosh(xi(tau))/dtau, and at rho = 1 cosh(xi) = -(zeta^2/2 + 1 - tau),
 so Im g is read off the derivative of the same reversion.
 
@@ -228,25 +230,33 @@ class ThetaSeries:
 
 
 @lru_cache(maxsize=None)
-def _w_coefficients(nv: int) -> tuple[Fraction, ...]:
-    """Coefficients c_0..c_nv of W(v) solving sum_{k>=2} W^k/(2k)! = v^2/6.
+def _w_coefficient(n: int) -> Fraction:
+    """Coefficient c_n (n >= 1) of W(v) solving sum_{k>=2} W^k/(2k)! = v^2/6.
 
     The left side is W^2 A(W)/24 with A(W) = 24*sum_{j>=0} W^j/(2j+4)!
     (A_0 = 1), so v = W/phi(W) with phi = 2*A^(-1/2) and Lagrange inversion
     reads c_n = (1/n) [W^(n-1)] phi^n = (2^n/n) [W^(n-1)] A^(-n/2).  The power
     P = A^alpha comes from J.C.P. Miller's recurrence
-    P_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) A_j P_(k-j), P_0 = 1.
+    P_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) A_j P_(k-j), P_0 = 1, kept as
+    ints num/den in lowest terms: the k terms (with alpha = -n/2, term j is
+    ((2 - n) j - 2k)/2 * P_(k-j)/a_j) go over one common denominator and
+    the sum is reduced by one gcd.  c_n depends on n alone, hence the cache.
     """
-    a = [Fraction(24, math.factorial(2 * j + 4)) for j in range(nv)]
-    c = [Fraction(0)] * (nv + 1)
-    for n in range(1, nv + 1):
-        alpha1 = Fraction(2 - n, 2)  # alpha + 1 with alpha = -n/2
-        p = [Fraction(1)]
-        for k in range(1, n):
-            acc = sum((alpha1 * j - k) * a[j] * p[k - j] for j in range(1, k + 1))
-            p.append(acc / k)
-        c[n] = 2**n * p[n - 1] / n
-    return tuple(c)
+    a = [math.factorial(2 * j + 4) // 24 for j in range(n)]  # A_j = 1/a[j]
+    num, den = [1], [1]
+    for k in range(1, n):
+        dens = [2 * a[j] * den[k - j] for j in range(1, k + 1)]
+        lcm = math.lcm(*dens)
+        total = sum(((2 - n) * j - 2 * k) * num[k - j] * (lcm // d) for j, d in enumerate(dens, 1))
+        g = math.gcd(total, k * lcm)
+        num.append(total // g)
+        den.append(k * lcm // g)
+    return Fraction(2**n * num[n - 1], n * den[n - 1])
+
+
+def _w_coefficients(nv: int) -> tuple[Fraction, ...]:
+    """Coefficients c_0..c_nv of W(v), c_0 = 0, from the per-n cache."""
+    return (Fraction(0),) + tuple(_w_coefficient(n) for n in range(1, nv + 1))
 
 
 @lru_cache(maxsize=None)

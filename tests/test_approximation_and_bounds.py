@@ -1,6 +1,7 @@
 """Leading-order approximation, measured correction, and the uniform bound."""
 
 import math
+import re
 
 import pytest
 
@@ -208,7 +209,8 @@ def test_check_bound_refuses_leading_term_outside_double_range(monkeypatch, rho,
         raise AssertionError("theta_direct called for an unusable leading term")
 
     monkeypatch.setattr(rq, "theta_direct", oracle_must_not_run)
-    assert ab.theta_leading(rho, t) == lead
+    with pytest.raises(DomainError, match=re.escape(f"is {lead!r}, outside the range of a double")):
+        ab.theta_leading(rho, t)
     with pytest.raises(DomainError):
         ab.measure_vartheta(rho, t)
     report = ab.check_bound([rho], [t])

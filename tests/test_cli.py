@@ -82,6 +82,22 @@ def test_eval_series_below_double_range_exits_2(capsys):
     assert err.startswith("error:") and "1.4195e-3" in err
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "rho, t, lead",
+    [("1", "0.001", "inf"), ("0.01", "0.001", "0.0"), ("0.02", "0.02", "e-313")],
+    ids=["overflow", "underflow", "subnormal"],
+)
+def test_eval_asymptotic_outside_double_range_exits_2(capsys, rho, t, lead, json_flag):
+    code, out, err = run_cli(
+        capsys, "eval", "--rho", rho, "--t", t, "--method", "asymptotic", *json_flag
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: leading term at ")
+    assert f"{lead}, outside the range of a double" in err
+
+
 def test_eval_rejects_bad_domain(capsys):
     code, _, err = run_cli(capsys, "eval", "--rho", "1", "--t", "-1", "--method", "direct")
     assert code == 2
@@ -279,6 +295,19 @@ def test_verify_bound_exit_3_on_underflowing_leading_term(capsys):
     assert code == 3
     assert "cell" in err and "failed" in err
     assert out.splitlines()[0].startswith("rho,t,vartheta")
+
+
+def test_verify_bound_summary_without_measured_cells(capsys, tmp_path):
+    argv = ("verify-bound", "--rho-grid", "0.01", "--t-grid", "0.025")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.splitlines()[-1] == "max |vartheta|*70/t: no cell was measured"
+    assert "over 0 cells" not in err
+    out_file = tmp_path / "bound.csv"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 3
+    assert out == "max |vartheta|*70/t: no cell was measured\n"
+    assert out_file.read_text() == ab.BoundReport.CSV_HEADER + "\n"
 
 
 def test_verify_bound_empty_grid(capsys):

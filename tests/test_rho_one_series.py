@@ -7,10 +7,14 @@ d_j = r_j/3 and c_k = (r_k/3) (2k-1)!!/2^k.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hwtheta.rho_one_series as rs
 from hwtheta.errors import DomainError
@@ -280,6 +284,92 @@ def test_im_g_from_reversion_derivative_equals_laurent_route():
     ref = _im_g_rationals_laurent(IM_G_MAX)
     for n in range(1, IM_G_MAX + 1):
         assert rs._im_g_rationals(n) == ref[:n], n
+
+
+def _w_coefficients_fraction(nv: int) -> tuple[Fraction, ...]:
+    """Coefficients c_0..c_nv of W(v) solving sum_{k>=2} W^k/(2k)! = v^2/6.
+
+    The left side is W^2 A(W)/24 with A(W) = 24*sum_{j>=0} W^j/(2j+4)!
+    (A_0 = 1), so v = W/phi(W) with phi = 2*A^(-1/2) and Lagrange inversion
+    reads c_n = (1/n) [W^(n-1)] phi^n = (2^n/n) [W^(n-1)] A^(-n/2).  The power
+    P = A^alpha comes from J.C.P. Miller's recurrence
+    P_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) A_j P_(k-j), P_0 = 1.
+    """
+    a = [Fraction(24, math.factorial(2 * j + 4)) for j in range(nv)]
+    c = [Fraction(0)] * (nv + 1)
+    for n in range(1, nv + 1):
+        alpha1 = Fraction(2 - n, 2)  # alpha + 1 with alpha = -n/2
+        p = [Fraction(1)]
+        for k in range(1, n):
+            acc = sum((alpha1 * j - k) * a[j] * p[k - j] for j in range(1, k + 1))
+            p.append(acc / k)
+        c[n] = 2**n * p[n - 1] / n
+    return tuple(c)
+
+
+def test_integer_miller_step_equals_fraction_loop():
+    # the per-length Fraction loop that the per-n integer step replaced;
+    # delta_series(32) reads W through v^65
+    assert rs._w_coefficients(65) == _w_coefficients_fraction(65)
+
+
+def _clear_series_caches():
+    rs._w_coefficient.cache_clear()
+    rs._im_g_rationals.cache_clear()
+
+
+def _four_series(order: int):
+    return (
+        rs.theta_series_rho1(order).coeffs,
+        rs.im_g_series(order).coeffs,
+        rs.delta_series(order).coeffs,
+        rs.invert_zeta_equation(order).coeffs,
+    )
+
+
+def test_four_series_share_one_reversion():
+    # delta_series(16) reads W through v^33, the longest of the four; each
+    # c_n is computed once however many series and lengths ask for it
+    _clear_series_caches()
+    _four_series(16)
+    info = rs._w_coefficient.cache_info()
+    assert info.misses == info.currsize == 33
+    _four_series(16)
+    assert rs._w_coefficient.cache_info().misses == 33
+
+
+def test_shared_reversion_under_concurrent_callers():
+    expected = _four_series(12)
+    _clear_series_caches()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_four_series, 12) for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == expected for r in results)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    n=st.integers(min_value=2, max_value=40),
+    m=st.integers(min_value=2, max_value=40),
+    longer_first=st.booleans(),
+    cold=st.booleans(),
+)
+def test_series_at_lower_order_is_prefix(n, m, longer_first, cold):
+    n, m = min(n, m), max(n, m)
+    if cold:
+        _clear_series_caches()
+    if longer_first:
+        longer, shorter = _four_series(m), _four_series(n)
+    else:
+        shorter, longer = _four_series(n), _four_series(m)
+    for short, long in zip(shorter, longer):
+        assert len(short) == n and len(long) == m
+        assert short == long[:n]
 
 
 def test_sign_alternation_breaks_at_seventh_term():
