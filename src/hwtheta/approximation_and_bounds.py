@@ -243,8 +243,13 @@ class BoundReport:
 
     @property
     def max_ratio_simple(self) -> float:
-        """Largest observed |vartheta| * 70/t, the margin against the t/70 bound."""
-        return max((abs(r.vartheta) * 70.0 / r.t for r in self.rows), default=0.0)
+        """Largest observed |vartheta| * 70/t, the margin against the t/70 bound.
+
+        Raises DomainError when no cell was measured (every cell failed).
+        """
+        if not self.rows:
+            raise DomainError("max |vartheta|*70/t: no cell was measured")
+        return max(abs(r.vartheta) * 70.0 / r.t for r in self.rows)
 
 
 def check_bound(

@@ -22,10 +22,10 @@ Within panel k the phase is evaluated locally, sin(pi xi/t) =
 Results surface as doubles; the error_estimate field reports the relative
 difference against a half-precision rerun.
 
-The node and panel loops run on mpmath's raw libmp values rather than mpf
-objects: each step is the libmp call that the equivalent mpf expression makes
-under mp.workprec, with the same precision, round-to-nearest and evaluation
-order, so every panel is the mpf result to the bit.  That matters because
+The panel loop runs on mpmath's raw libmp values rather than mpf objects:
+each step is the libmp call that the equivalent mpf expression makes under
+mp.workprec, with the same precision, round-to-nearest and evaluation order,
+so every panel is the mpf result to the bit.  That matters because
 error_estimate sits in the last bits of the half-precision rerun and so moves
 with any change of rounding.  At (r, t) = (2, 0.5) it is 7.138e-19; mp.exp in place of
 mp.e ** y makes it 1.357e-18 and folding sin into the weights 2.850e-19, and
@@ -33,6 +33,18 @@ the published output would change.  What the libmp loop saves is mpf's
 per-operation object and dispatch overhead, the log(e) that mp.e ** y
 recomputes at every node (taken once per call here), and the second cosh/sinh
 evaluation (mpf_cosh_sinh gives both).
+
+The Gauss-Legendre nodes and weights are held at 30 guard bits above the
+panel precision, and the panel loop rounds every product with them back to
+that precision, so the nodes need only be right in those guard bits, not
+equal to any particular Newton iterate.  Each panel order is therefore solved
+once per process, at the highest precision yet requested, and rounded to
+each lower one (libmp mpf_pos); only the nonnegative roots are solved, from
+double-precision Newton seeds at doubling precision, and mirrored exactly.
+Against a Newton solve per (order, precision) the nodes differ in the last
+guard bits, and the panels of the tests' mpf reference loop, which still
+solves per (order, precision), come out the same to the bit.  A process that
+sees many t pays for one solve per order instead of one per bit count.
 """
 
 from __future__ import annotations
@@ -61,6 +73,7 @@ from mpmath.libmp import (
     mpf_mul_int,
     mpf_neg,
     mpf_pi,
+    mpf_pos,
     mpf_pow,
     mpf_rdiv_int,
     mpf_shift,
@@ -176,7 +189,8 @@ def _bits_ceiling() -> int:
     return ceiling
 
 
-_gl_cache: dict = {}
+_gl_cache: dict = {}  # (n, prec) -> (nodes, weights) as mpf
+_gl_held: dict = {}  # n -> _gl_solve's (wp, xs, ws) at the highest wp yet
 
 _RND = round_nearest  # the rounding mode of mp, and so of every mpf operator
 
@@ -206,29 +220,64 @@ def _legendre(n: int, x: tuple, wp: int):
     return p1, dp
 
 
-def _gl_nodes(n: int, prec: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] at `prec` bits, cached.
+def _float_root(n: int, i: int) -> float:
+    """The i-th largest root of P_n by Newton in double precision.
 
-    Newton iteration on the Legendre three-term recurrence from Chebyshev
-    initial guesses; standard and stable for the modest n used here.  The
-    arithmetic runs on raw libmp values at prec + 30 bits, rounded as the
-    equivalent mpf expressions would be; nodes and weights come back as mpf.
+    The same recurrence as _legendre, from the Chebyshev guess; for odd n the
+    middle root is 0, which the recurrence holds exactly.
     """
-    key = (n, prec)
-    cached = _gl_cache.get(key)
-    if cached is not None:
-        return cached
-    wp = prec + 30
-    tol = from_man_exp(1, -prec - 10)  # mpf(2) ** (-prec - 10), exact
+    if 2 * i + 1 == n:
+        return 0.0
+    x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dx = p1 / (n * (x * p1 - p0) / (x * x - 1.0))
+        x -= dx
+        if abs(dx) < 1e-12:  # the error left is about n^2 dx^2: rounding only
+            break
+    return x
+
+
+def _newton_root(n: int, x: tuple, x_prec: int, wp: int) -> tuple:
+    """Root of P_n at wp bits by Newton from x, a raw libmp root solved at
+    x_prec bits.
+
+    A step about doubles the correct bits, less log2 |P''/(2P')| < 2 log2 n
+    and the recurrence's rounding; a guard of 2 log2 n + 8 bits covers both.
+    So the steps run at rising precisions, each twice the last less the
+    guard, and end at wp.  Steps at wp repeat until the correction is below
+    2^-(wp/2 + log2 n), so that its square times |P''/(2P')| is below wp's
+    rounding; after the rising steps that is the first step at wp.
+    """
+    guard = 2 * n.bit_length() + 8
+    precs = [wp]
+    while precs[-1] > 2 * max(x_prec - guard, guard):
+        precs.append(precs[-1] // 2 + guard)
+    tol = from_man_exp(1, -(wp // 2 + n.bit_length()))
+    for p in precs[:0:-1] + [wp] * 100:
+        p1, dp = _legendre(n, x, p)
+        dx = mpf_div(p1, dp, p, _RND)
+        x = mpf_sub(x, dx, p, _RND)
+        if p == wp and mpf_lt(mpf_abs(dx), tol):
+            break
+    return x
+
+
+def _gl_solve(n: int, wp: int, held: tuple | None) -> tuple:
+    """(wp, xs, ws): the ceil(n/2) nonnegative roots of P_n, largest first,
+    and their Gauss-Legendre weights, as raw libmp values at wp bits.
+
+    The roots start from `held`, an earlier solve at fewer bits, when there
+    is one, and from _float_root otherwise.
+    """
     xs, ws = [], []
-    for i in range(n):
-        x = from_float(math.cos(math.pi * (i + 0.75) / (n + 0.5)), wp, _RND)
-        for _ in range(100):
-            p1, dp = _legendre(n, x, wp)
-            dx = mpf_div(p1, dp, wp, _RND)
-            x = mpf_sub(x, dx, wp, _RND)
-            if mpf_lt(mpf_abs(dx), tol):
-                break
+    for i in range((n + 1) // 2):
+        if held is None:
+            x = _newton_root(n, from_float(_float_root(n, i)), 53, wp)
+        else:
+            x = _newton_root(n, held[1][i], held[0], wp)
         _, dp = _legendre(n, x, wp)
         # 2 / ((1 - x*x) * dp * dp)
         denom = mpf_mul(
@@ -237,10 +286,41 @@ def _gl_nodes(n: int, prec: int):
             wp,
             _RND,
         )
-        xs.append(mp.make_mpf(x))
-        ws.append(mp.make_mpf(mpf_rdiv_int(2, denom, wp, _RND)))
-    _gl_cache[key] = (xs, ws)
-    return xs, ws
+        xs.append(x)
+        ws.append(mpf_rdiv_int(2, denom, wp, _RND))
+    return wp, xs, ws
+
+
+def _gl_nodes(n: int, prec: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] at `prec` bits, cached.
+
+    Nodes and weights are held at prec + 30 bits.  Each panel order n is
+    solved once per process, at the highest prec + 30 yet requested: Newton
+    on the Legendre three-term recurrence for the ceil(n/2) nonnegative
+    roots only, seeded by a double-precision Newton and run at doubling
+    precision (_newton_root).  A request at no more bits rounds that solve
+    to prec + 30 bits; one above it refines the held roots, normally with a
+    single Newton step.  The negative half is the exact mirror (mpf_neg, no
+    rounding) and the middle node of odd n is 0.  Every (n, prec) keeps its
+    own entry, so a repeated request is one lookup; nodes and weights come
+    back as mpf, in decreasing order of node.
+    """
+    key = (n, prec)
+    cached = _gl_cache.get(key)
+    if cached is not None:
+        return cached
+    wp = prec + 30
+    held = _gl_held.get(n)
+    if held is None or held[0] < wp:
+        held = _gl_held[n] = _gl_solve(n, wp, held)
+    _, xs, ws = held
+    xs = [mpf_pos(x, wp, _RND) for x in xs]
+    ws = [mpf_pos(w, wp, _RND) for w in ws]
+    m = n // 2  # positive roots; xs[m] is the middle node 0 when n is odd
+    xs += [mpf_neg(x) for x in reversed(xs[:m])]
+    ws += ws[:m][::-1]
+    _gl_cache[key] = ([mp.make_mpf(x) for x in xs], [mp.make_mpf(w) for w in ws])
+    return _gl_cache[key]
 
 
 def _truncation_cap(r: float, t: float, bits: int) -> float:

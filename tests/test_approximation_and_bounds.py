@@ -217,6 +217,8 @@ def test_check_bound_refuses_leading_term_outside_double_range(monkeypatch, rho,
     assert report.rows == ()
     assert len(report.failures) == 1
     assert report.failures[0][:2] == (rho, t)
+    with pytest.raises(DomainError, match="no cell was measured"):
+        report.max_ratio_simple
 
 
 def test_check_bound_grid_validation():

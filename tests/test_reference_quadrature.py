@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import mpf_neg
 
 import hwtheta.approximation_and_bounds as ab
 import hwtheta.reference_quadrature as rq
@@ -125,7 +126,7 @@ def test_argument_validation():
 
 
 # The mpf-level loops that _gl_nodes and _integrate_panels replaced, kept
-# verbatim as the reference: the libmp loops must give the same bits.
+# verbatim as the reference: the libmp panel loop must give the same bits.
 _gl_cache_mpf: dict = {}
 
 
@@ -244,6 +245,8 @@ def test_panels_match_mpf_loop_on_readme_cells_and_config_variants():
         _assert_same_panels(r, 0.5, 79, PrecisionConfig())
     for cfg in (
         PrecisionConfig(panel_points=8),
+        PrecisionConfig(panel_points=9),
+        PrecisionConfig(panel_points=25),
         PrecisionConfig(panel_points=48),
         PrecisionConfig(xi_max_override=6.0),
     ):
@@ -261,11 +264,58 @@ def test_panels_match_mpf_loop_on_random_cells(r, t, bits):
     _assert_same_panels(r, t, bits, PrecisionConfig())
 
 
-def test_gl_nodes_match_mpf_loop():
-    for n in (8, 24, 48):
-        for prec in (64, 79, 136, 257, 512, 1000):
-            xs, ws = rq._gl_nodes(n, prec)
-            ref_xs, ref_ws = _gl_nodes_mpf(n, prec)
-            assert all(isinstance(v, mp.mpf) for v in xs + ws)
-            assert [x._mpf_ for x in xs] == [x._mpf_ for x in ref_xs], (n, prec)
-            assert [w._mpf_ for w in ws] == [w._mpf_ for w in ref_ws], (n, prec)
+@pytest.fixture
+def cold_nodes(monkeypatch):
+    """Empty node caches for one test; the process's own come back after it."""
+    monkeypatch.setattr(rq, "_gl_cache", {})
+    monkeypatch.setattr(rq, "_gl_held", {})
+
+
+def test_panels_match_mpf_loop_with_bits_falling_then_rising(cold_nodes):
+    # each order is solved once at the highest bits yet and rounded or
+    # refined for the others; the panels must not see which came first
+    for n in (24, 9, 25):
+        for bits in (257, 136, 79, 64, 100, 200, 320):
+            _assert_same_panels(2.0, 0.5, bits, PrecisionConfig(panel_points=n))
+
+
+def test_gl_nodes_match_mpf_loop(cold_nodes):
+    # one solve per n, rounded to each prec, differs from the per-(n, prec)
+    # Newton of the mpf loop in the last guard bits, so the check is
+    # symmetry and accuracy against the mpf loop at 100 more bits
+    precs = (64, 79, 136, 257, 512, 1000)
+    for order in (precs, precs[::-1]):
+        rq._gl_cache.clear()
+        rq._gl_held.clear()
+        for n in (8, 9, 24, 25, 48):
+            for prec in order:
+                xs, ws = rq._gl_nodes(n, prec)
+                ref_xs, ref_ws = _gl_nodes_mpf(n, prec + 100)
+                assert all(isinstance(v, mp.mpf) for v in xs + ws)
+                assert len(xs) == len(ws) == n
+                for i in range(n):
+                    assert xs[n - 1 - i]._mpf_ == mpf_neg(xs[i]._mpf_), (n, prec, i)
+                    assert ws[n - 1 - i]._mpf_ == ws[i]._mpf_, (n, prec, i)
+                if n % 2:
+                    assert not xs[n // 2]
+                with mp.workprec(prec + 100):
+                    tol = mp.mpf(2) ** (-prec - 20)
+                    for v, ref in zip(xs + ws, ref_xs + ref_ws):
+                        assert abs(v - ref) <= tol, (n, prec, order[0])
+
+
+def test_larger_t_reuses_the_nodes_of_a_smaller_t(monkeypatch):
+    # no (n, prec) entry of an earlier test may answer the larger t's lookups
+    monkeypatch.setattr(rq, "_gl_cache", {})
+    rq.theta_direct(2.0, 0.05)
+    calls = []
+    legendre = rq._legendre
+
+    def counted(*args):
+        calls.append(args[1:])
+        return legendre(*args)
+
+    monkeypatch.setattr(rq, "_legendre", counted)
+    for t in (0.0613, 0.1, 0.29, 1.0, 4.0):
+        rq.theta_direct(2.0, t)
+    assert calls == []
