@@ -51,7 +51,6 @@ from .reference_quadrature import (
     DEFAULT_BITS_CEILING,
     EvalResult,
     Method,
-    PrecisionConfig,
     required_bits,
     theta_direct,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "delta_large_tau",
     # reference quadrature
     "Method",
-    "PrecisionConfig",
     "EvalResult",
     "required_bits",
     "theta_direct",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import reference_quadrature as rq
@@ -84,27 +84,23 @@ def _theta_leading(sd: sg.SaddleData, t: float) -> float:
     return lead
 
 
-def measure_vartheta(rho: float, t: float, cfg: rq.PrecisionConfig | None = None) -> float:
+def measure_vartheta(rho: float, t: float) -> float:
     """Measured relative error theta_direct/theta_leading - 1.
 
     The oracle's automatic precision covers only the e^(pi^2/(2t))
     cancellation; sub-critically the result is smaller again by
     e^(-(F - pi^2/2)/t), and the half-precision self-check rerun needs its
-    own headroom.  Unless cfg.working_bits is set explicitly, the working
-    precision is therefore doubled over the full cancellation budget:
+    own headroom.  The bits passed to theta_direct are therefore doubled
+    over the full cancellation budget:
     bits = 2*(ceil((pi^2/2 + max(0, F - pi^2/2))/t * log2 e) + 32).
     """
     t = _check_t(t)
     rho = float(rho)
     sd = sg.saddle_data(rho)
     lead = _theta_leading(sd, t)
-    if cfg is None:
-        cfg = rq.PrecisionConfig()
-    if cfg.working_bits is None:
-        cancel = (_HALF_PI_SQ + max(0.0, sd.F - _HALF_PI_SQ)) / t * math.log2(math.e)
-        bits = 2 * (int(math.ceil(cancel)) + 32)
-        cfg = replace(cfg, working_bits=max(64, bits))
-    result = rq.theta_direct(rho / t, t, cfg)
+    cancel = (_HALF_PI_SQ + max(0.0, sd.F - _HALF_PI_SQ)) / t * math.log2(math.e)
+    bits = 2 * (int(math.ceil(cancel)) + 32)
+    result = rq.theta_direct(rho / t, t, bits)
     return result.theta / lead - 1.0
 
 
@@ -183,12 +179,7 @@ class ThetaApprox:
     bound_strong: float
 
 
-def theta_approx(
-    rho: float,
-    t: float,
-    cfg: rq.PrecisionConfig | None = None,
-    measure: bool = False,
-) -> ThetaApprox:
+def theta_approx(rho: float, t: float, measure: bool = False) -> ThetaApprox:
     """Bundle the leading-order value with both bounds, optionally measured."""
     t = _check_t(t)
     rho = float(rho)
@@ -196,7 +187,7 @@ def theta_approx(
         t=t,
         rho=rho,
         theta_leading=theta_leading(rho, t),
-        vartheta_measured=measure_vartheta(rho, t, cfg) if measure else None,
+        vartheta_measured=measure_vartheta(rho, t) if measure else None,
         bound_simple=t / 70.0,
         bound_strong=vartheta_max(t),
     )
@@ -252,11 +243,7 @@ class BoundReport:
         return max(abs(r.vartheta) * 70.0 / r.t for r in self.rows)
 
 
-def check_bound(
-    rho_grid: Sequence[float],
-    t_grid: Sequence[float],
-    cfg: rq.PrecisionConfig | None = None,
-) -> BoundReport:
+def check_bound(rho_grid: Sequence[float], t_grid: Sequence[float]) -> BoundReport:
     """Measure vartheta on a grid and flag each cell against three bounds.
 
     pass_simple:   |vartheta| <= t/70
@@ -283,7 +270,7 @@ def check_bound(
     for rho in rho_grid:
         for t in t_grid:
             try:
-                vt = measure_vartheta(rho, t, cfg)
+                vt = measure_vartheta(rho, t)
             except HwThetaError as exc:
                 failures.append((rho, t, str(exc)))
                 continue

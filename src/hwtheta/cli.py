@@ -62,8 +62,7 @@ def _cmd_eval(args) -> int:
         raise DomainError(f"--t must be positive, got {args.t!r}")
 
     if args.method == "direct":
-        cfg = rq.PrecisionConfig(working_bits=args.bits)
-        result = rq.theta_direct(rho / t, t, cfg)
+        result = rq.theta_direct(rho / t, t, args.bits)
     elif args.method == "asymptotic":
         value = ab.theta_leading(rho, t)
         result = rq.EvalResult(
@@ -164,6 +163,8 @@ def _cmd_series(args) -> int:
     if order < 1:
         raise DomainError(f"--order must be >= 1, got {args.order}")
     decimals = args.decimal
+    if decimals is not None and decimals < 1:
+        raise DomainError(f"--decimal must be >= 1, got {decimals}")
     out = []
     img = rs.im_g_series(order)
     out.append(f"Im g(tau, 1): sum of a_k tau^(k - 1/2), {order} terms")

@@ -88,7 +88,6 @@ from .errors import DomainError, PrecisionOverflowError
 __all__ = [
     "DEFAULT_BITS_CEILING",
     "Method",
-    "PrecisionConfig",
     "EvalResult",
     "required_bits",
     "theta_direct",
@@ -99,6 +98,15 @@ __all__ = [
 #: precision.
 DEFAULT_BITS_CEILING = 4096
 
+#: Gauss-Legendre nodes per half-period panel.  24 holds panel truncation
+#: near the noise floor even for the sharpest envelopes exercised by the
+#: bound grids; 16 leaves ~1e-9 relative.
+_PANEL_POINTS = 24
+
+#: Scales the dynamic truncation threshold
+#: _TAIL_TOLERANCE * |partial sum| * 2^(-bits/2).
+_TAIL_TOLERANCE = 0.5
+
 
 class Method(enum.Enum):
     """How a theta value was produced."""
@@ -106,51 +114,6 @@ class Method(enum.Enum):
     DIRECT = "direct"
     ASYMPTOTIC = "asymptotic"
     SERIES_RHO1 = "series-rho1"
-
-
-@dataclass(frozen=True)
-class PrecisionConfig:
-    """Numeric knobs for the oracle.
-
-    Attributes
-    ----------
-    working_bits : int or None
-        Working precision; None selects required_bits(t) automatically.
-        Must be >= 64 when given.
-    panel_points : int
-        Gauss-Legendre nodes per half-period panel (>= 8).  The default 24
-        holds panel truncation near the noise floor even for the sharpest
-        envelopes exercised by the bound grids; 16 leaves ~1e-9 relative.
-    tail_tolerance : float
-        In (0, 1): scales the dynamic truncation threshold
-        tail_tolerance * |partial sum| * 2^(-working_bits/2).
-    xi_max_override : float or None
-        Optional hard truncation point overriding the computed cap.
-    """
-
-    working_bits: int | None = None
-    panel_points: int = 24
-    tail_tolerance: float = 0.5
-    xi_max_override: float | None = None
-
-    def __post_init__(self):
-        if self.working_bits is not None:
-            if int(self.working_bits) != self.working_bits or self.working_bits < 64:
-                raise DomainError(
-                    f"working_bits must be an integer >= 64, got {self.working_bits!r}"
-                )
-        if int(self.panel_points) != self.panel_points or self.panel_points < 8:
-            raise DomainError(
-                f"panel_points must be an integer >= 8, got {self.panel_points!r}"
-            )
-        if not (0.0 < self.tail_tolerance < 1.0):
-            raise DomainError(
-                f"tail_tolerance must lie in (0, 1), got {self.tail_tolerance!r}"
-            )
-        if self.xi_max_override is not None and not (self.xi_max_override > 0.0):
-            raise DomainError(
-                f"xi_max_override must be positive, got {self.xi_max_override!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -189,7 +152,7 @@ def _bits_ceiling() -> int:
     return ceiling
 
 
-_gl_cache: dict = {}  # (n, prec) -> (nodes, weights) as mpf
+_gl_cache: dict = {}  # (n, prec) -> [(node, weight)] as raw libmp values
 _gl_held: dict = {}  # n -> _gl_solve's (wp, xs, ws) at the highest wp yet
 
 _RND = round_nearest  # the rounding mode of mp, and so of every mpf operator
@@ -302,8 +265,8 @@ def _gl_nodes(n: int, prec: int):
     to prec + 30 bits; one above it refines the held roots, normally with a
     single Newton step.  The negative half is the exact mirror (mpf_neg, no
     rounding) and the middle node of odd n is 0.  Every (n, prec) keeps its
-    own entry, so a repeated request is one lookup; nodes and weights come
-    back as mpf, in decreasing order of node.
+    own entry, so a repeated request is one lookup.  Returns (node, weight)
+    pairs of raw libmp values, in decreasing order of node.
     """
     key = (n, prec)
     cached = _gl_cache.get(key)
@@ -319,7 +282,7 @@ def _gl_nodes(n: int, prec: int):
     m = n // 2  # positive roots; xs[m] is the middle node 0 when n is odd
     xs += [mpf_neg(x) for x in reversed(xs[:m])]
     ws += ws[:m][::-1]
-    _gl_cache[key] = ([mp.make_mpf(x) for x in xs], [mp.make_mpf(w) for w in ws])
+    _gl_cache[key] = list(zip(xs, ws))
     return _gl_cache[key]
 
 
@@ -338,7 +301,7 @@ def _truncation_cap(r: float, t: float, bits: int) -> float:
     return hi
 
 
-def _integrate_panels(r: float, t: float, bits: int, cfg: PrecisionConfig):
+def _integrate_panels(r: float, t: float, bits: int):
     """Panel-by-panel quadrature; returns (theta as mpf, signed panel list).
 
     Exposed separately so tests can inspect the alternation of consecutive
@@ -351,16 +314,12 @@ def _integrate_panels(r: float, t: float, bits: int, cfg: PrecisionConfig):
     prec = bits
     rr = from_float(r, prec, _RND)
     tt = from_float(t, prec, _RND)
-    xs, ws = _gl_nodes(cfg.panel_points, bits)
-    nodes = [(x._mpf_, w._mpf_) for x, w in zip(xs, ws)]
-    cap = _truncation_cap(r, t, bits)
-    if cfg.xi_max_override is not None:
-        cap = min(cap, cfg.xi_max_override)
-    kmax = int(math.ceil(cap / t)) + 1
+    nodes = _gl_nodes(_PANEL_POINTS, bits)
+    kmax = int(math.ceil(_truncation_cap(r, t, bits) / t)) + 1
     # envelope maximum: cap of the Gaussian-free stationary points
     peak = max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
-    # mpf(2) ** -(bits // 2) * mpf(tail_tolerance), exact
-    thresh_scale = mpf_shift(from_float(cfg.tail_tolerance), -(bits // 2))
+    # mpf(2) ** -(bits // 2) * mpf(_TAIL_TOLERANCE), exact
+    thresh_scale = mpf_shift(from_float(_TAIL_TOLERANCE), -(bits // 2))
     pi = mpf_pi(prec, _RND)
     e = mpf_e(prec, _RND)
     # mp.e ** y is mpf_pow, i.e. exp(y * log(e)) with log(e) at prec + 10 bits;
@@ -426,12 +385,12 @@ def _integrate_panels(r: float, t: float, bits: int, cfg: PrecisionConfig):
         return prefactor * mp.make_mpf(total), [mp.make_mpf(p) for p in panels]
 
 
-def theta_direct(r: float, t: float, cfg: PrecisionConfig | None = None) -> EvalResult:
+def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     """Evaluate theta(r, t) by extended-precision panel quadrature.
 
-    Working precision comes from required_bits(t) unless cfg.working_bits
-    overrides it; either way it must not exceed the ceiling (4096 bits by
-    default, HW_MAX_BITS to change).  The returned error_estimate is the
+    The working precision is `bits`, an integer >= 64, or required_bits(t)
+    when bits is None; either way it must not exceed the ceiling (4096 bits
+    by default, HW_MAX_BITS to change).  The returned error_estimate is the
     relative difference against a rerun at half the bits, a direct measure
     of whether the precision budget sufficed.
     """
@@ -441,9 +400,10 @@ def theta_direct(r: float, t: float, cfg: PrecisionConfig | None = None) -> Eval
         raise DomainError(f"r must be a positive finite real, got {r!r}")
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError(f"t must be a positive finite real, got {t!r}")
-    if cfg is None:
-        cfg = PrecisionConfig()
-    bits = cfg.working_bits if cfg.working_bits is not None else required_bits(t)
+    if bits is None:
+        bits = required_bits(t)
+    elif not (64 <= bits < math.inf and bits == int(bits)):
+        raise DomainError(f"bits must be an integer >= 64, got {bits!r}")
     bits = int(bits)
     ceiling = _bits_ceiling()
     if bits > ceiling:
@@ -453,8 +413,8 @@ def theta_direct(r: float, t: float, cfg: PrecisionConfig | None = None) -> Eval
             required_bits=bits,
             ceiling_bits=ceiling,
         )
-    value, _ = _integrate_panels(r, t, bits, cfg)
-    check, _ = _integrate_panels(r, t, max(64, bits // 2), cfg)
+    value, _ = _integrate_panels(r, t, bits)
+    check, _ = _integrate_panels(r, t, max(64, bits // 2))
     with mp.workprec(64):
         err = float(abs(value - check) / abs(value)) if value != 0 else math.inf
     return EvalResult(

@@ -166,8 +166,8 @@ class HalfPowerSeries:
         (fourth-quadrant branch).
         """
         tau = float(tau)
-        if tau <= 0.0:
-            raise DomainError(f"series evaluation requires tau > 0, got {tau!r}")
+        if not 0.0 < tau < math.inf:
+            raise DomainError(f"series evaluation requires a finite tau > 0, got {tau!r}")
         use = self.coeffs if nterms is None else self.coeffs[:nterms]
         if self.variable == "tau":
             total = 0.0
@@ -207,14 +207,16 @@ class ThetaSeries:
 
     def bracket(self, t: float, nterms: int | None = None) -> float:
         """The partial sum sum_k c_k t^k without the prefactor."""
+        t = float(t)
+        if not 0.0 < t < math.inf:
+            raise DomainError(f"theta series requires a finite t > 0, got {t!r}")
         use = self.coeffs if nterms is None else self.coeffs[:nterms]
-        return sum(float(c) * float(t) ** k for k, c in enumerate(use))
+        return sum(float(c) * t**k for k, c in enumerate(use))
 
     def evaluate(self, t: float, nterms: int | None = None) -> float:
         """Prefactor times the partial sum."""
+        bracket = self.bracket(t, nterms)
         t = float(t)
-        if t <= 0.0:
-            raise DomainError(f"theta series requires t > 0, got {t!r}")
         scale = math.sqrt(3.0) / (2.0 * math.pi * t)
         if 1.0 / t + math.log(scale) >= _LOG_DBL_MAX:
             raise DomainError(
@@ -222,7 +224,7 @@ class ThetaSeries:
                 f"{self.PREFACTOR_TEXT} still fits in a double; got {t!r}"
             )
         pref = scale * math.exp(1.0 / t)
-        return pref * self.bracket(t, nterms)
+        return pref * bracket
 
     def term_magnitude(self, t: float, k: int) -> float:
         """|c_k| * t^k (relative to the prefactor)."""

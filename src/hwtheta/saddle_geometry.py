@@ -17,7 +17,10 @@ ones), and produces the derived quantities used everywhere else: the local
 amplitude coefficient g0, the exponent F = h(saddle), and G = sqrt(2)*rho*g0.
 
 All arithmetic here is ordinary double precision; the residual targets of
-1e-12 are comfortably reachable without extended precision.
+1e-12 are comfortably reachable without extended precision.  Where a root,
+g0 or F cannot be held to that accuracy in a double (x1 beyond sinh's
+overflow for rho below about 4e-306; g0 below the normal range for rho above
+about 2e205), a DomainError is raised instead of a value.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -50,6 +54,17 @@ EPS_CRIT = 1e-6
 
 _PI = math.pi
 _HALF_PI_SQ = 0.5 * math.pi * math.pi
+
+#: Largest x with sinh(x) and cosh(x) finite doubles.
+_X_MAX = math.asinh(sys.float_info.max)
+
+#: Above this rho solve_y1 brackets the root by pi/(1+rho) and stops Newton
+#: on a relative step; up to it (y1 >= 0.289) the fixed bracket and the
+#: absolute step of 1e-15 hold y1 to 4e-15 relative.
+_Y1_SCALED_RHO = 10.0
+
+#: Relative residual a solved saddle equation must meet.
+_RESIDUAL_TOL = 1e-12
 
 
 class Regime(enum.Enum):
@@ -81,10 +96,12 @@ def classify(rho: float) -> Regime:
     return Regime.SUPER_CRITICAL
 
 
-def _bisect_then_newton(f, fprime, lo: float, hi: float) -> float:
+def _bisect_then_newton(f, fprime, lo: float, hi: float, scale: float = 1.0) -> float:
     """Root of f on a sign-changing bracket: bisection to width 1e-3, then
     Newton polished to machine accuracy, clipped to the bracket so a wild
-    step near a flat spot falls back to bisection."""
+    step near a flat spot falls back to bisection.  Newton stops on a step
+    below 1e-15 * max(scale, |x|): relative for roots above scale, absolute
+    below it."""
     flo = f(lo)
     while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
@@ -105,7 +122,7 @@ def _bisect_then_newton(f, fprime, lo: float, hi: float) -> float:
         xn = x - step
         if not (lo < xn < hi):
             xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= 1e-15 * max(1.0, abs(x)):
+        if abs(xn - x) <= 1e-15 * max(scale, abs(x)):
             return xn
         x = xn
     return x
@@ -124,19 +141,28 @@ def solve_x1(rho: float) -> float:
     -------
     float
         Root with relative residual |rho*sinh(x1)/x1 - 1| below 1e-12.
+        DomainError when the root lies beyond sinh's overflow (rho below
+        about 4e-306).
     """
     rho = _check_rho(rho)
     if rho >= 1.0:
         raise DomainError(
             f"solve_x1 requires rho < 1 (sinh(x)/x >= 1 leaves no positive root), got {rho!r}"
         )
-    hi = max(10.0, 3.0 * math.log(2.0 / rho))
-    return _bisect_then_newton(
+    hi = min(max(10.0, 3.0 * math.log(2.0 / rho)), _X_MAX)
+    if rho * math.sinh(hi) <= hi:
+        raise DomainError(
+            f"x1 at rho={rho!r} lies beyond {hi:.6g}, where sinh overflows a double"
+        )
+    x1 = _bisect_then_newton(
         lambda x: rho * math.sinh(x) - x,
         lambda x: rho * math.cosh(x) - 1.0,
         1e-8,
         hi,
     )
+    if not abs(rho * math.sinh(x1) / x1 - 1.0) <= _RESIDUAL_TOL:
+        raise DomainError(f"x1 at rho={rho!r} did not converge (x1 = {x1!r})")
+    return x1
 
 
 def solve_y1(rho: float) -> float:
@@ -146,18 +172,35 @@ def solve_y1(rho: float) -> float:
     coincides with the degenerate one at i*pi.  For rho > 1 the root is
     interior and unique: f(y) = y + rho*sin(y) - pi rises then falls on
     (0, pi) with f(0) = -pi and f(pi) = 0 approached from above.
+
+    The root is held to a residual |f(y1)| below 1e-12 * pi, and so to
+    about 1e-12 relative; DomainError when it is not a normal double (rho
+    above about 1.4e308).
     """
     rho = _check_rho(rho)
     if rho < 1.0:
         raise DomainError(f"solve_y1 requires rho >= 1, got {rho!r}")
     if rho == 1.0:
         return _PI
-    return _bisect_then_newton(
+    if rho <= _Y1_SCALED_RHO:
+        lo, hi, scale = 1e-8, _PI - 1e-12, 1.0
+    else:
+        # sin y <= y gives f(lo) <= -pi/2, and sin y >= y - y^3/6 gives
+        # f(hi) >= pi - rho hi^3/6 > 0
+        lo, hi, scale = 0.5 * _PI / (1.0 + rho), 2.0 * _PI / (1.0 + rho), 0.0
+    y1 = _bisect_then_newton(
         lambda y: y + rho * math.sin(y) - _PI,
         lambda y: 1.0 + rho * math.cos(y),
-        1e-8,
-        _PI - 1e-12,
+        lo,
+        hi,
+        scale,
     )
+    if not (
+        y1 >= sys.float_info.min
+        and abs(y1 + rho * math.sin(y1) - _PI) <= _RESIDUAL_TOL * _PI
+    ):
+        raise DomainError(f"y1 at rho={rho!r} did not converge to a normal double (y1 = {y1!r})")
+    return y1
 
 
 def h(xi: complex, rho: float) -> complex:
@@ -238,44 +281,36 @@ def saddle_data(rho: float) -> SaddleData:
     """Solve the saddle equation for rho and bundle the derived quantities.
 
     This is the one place the closed forms for g0, F and G are evaluated;
-    the scalar functions g0, F and G read their field from it.
+    the scalar functions g0, F and G read their field from it.  Raises
+    DomainError where the root or g0 leaves the normal double range.
     """
     rho = _check_rho(rho)
     regime = classify(rho)
+    x1 = y1 = None
     if regime is Regime.CRITICAL:
+        y1 = _PI
+        xi_saddle = complex(0.0, _PI)
         g0_val = math.sqrt(1.5)
-        return SaddleData(
-            rho=rho,
-            regime=regime,
-            x1=None,
-            y1=_PI,
-            xi_saddle=complex(0.0, _PI),
-            g0=g0_val,
-            F=_HALF_PI_SQ - 1.0,
-            G=math.sqrt(2.0) * rho * g0_val,
-        )
-    if regime is Regime.SUB_CRITICAL:
+        f_val = _HALF_PI_SQ - 1.0
+    elif regime is Regime.SUB_CRITICAL:
         x1 = solve_x1(rho)
+        xi_saddle = complex(x1, _PI)
         g0_val = math.sinh(x1) / math.sqrt(2.0 * (rho * math.cosh(x1) - 1.0))
-        return SaddleData(
-            rho=rho,
-            regime=regime,
-            x1=x1,
-            y1=None,
-            xi_saddle=complex(x1, _PI),
-            g0=g0_val,
-            F=0.5 * x1 * x1 - rho * math.cosh(x1) + _HALF_PI_SQ,
-            G=math.sqrt(2.0) * rho * g0_val,
-        )
-    y1 = solve_y1(rho)
-    g0_val = math.sin(y1) / math.sqrt(2.0 * (rho * math.cos(y1) + 1.0))
+        f_val = 0.5 * x1 * x1 - rho * math.cosh(x1) + _HALF_PI_SQ
+    else:
+        y1 = solve_y1(rho)
+        xi_saddle = complex(0.0, y1)
+        g0_val = math.sin(y1) / math.sqrt(2.0 * (rho * math.cos(y1) + 1.0))
+        f_val = -0.5 * y1 * y1 + rho * math.cos(y1) + _PI * y1
+    if not sys.float_info.min <= g0_val < math.inf:
+        raise DomainError(f"g0 at rho={rho!r} is {g0_val!r}, outside the range of a double")
     return SaddleData(
         rho=rho,
         regime=regime,
-        x1=None,
+        x1=x1,
         y1=y1,
-        xi_saddle=complex(0.0, y1),
+        xi_saddle=xi_saddle,
         g0=g0_val,
-        F=-0.5 * y1 * y1 + rho * math.cos(y1) + _PI * y1,
+        F=f_val,
         G=math.sqrt(2.0) * rho * g0_val,
     )

@@ -251,9 +251,7 @@ def test_residual_and_convergence_properties():
                 f"rho={rho}, tau={s.tau}: path residual {residual!r}"
             )
     base = rq.theta_direct(2.0, 0.5)
-    doubled = rq.theta_direct(
-        2.0, 0.5, rq.PrecisionConfig(working_bits=2 * base.precision_used_bits)
-    )
+    doubled = rq.theta_direct(2.0, 0.5, 2 * base.precision_used_bits)
     rel = abs(base.theta / doubled.theta - 1.0)
     assert rel < 1e-12, f"self-convergence under precision doubling: {rel!r}"
     assert time.perf_counter() - start < 300.0

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import importlib
 import json
 import math
 import re
@@ -111,6 +112,35 @@ def test_eval_precision_ceiling_maps_to_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert err
+
+
+def test_eval_bits_out_of_range(capsys):
+    argv = ("eval", "--rho", "1", "--t", "0.5", "--method", "direct", "--bits")
+    code, out, err = run_cli(capsys, *argv, "32")
+    assert (code, out) == (2, "")
+    assert "bits must be an integer >= 64" in err
+    code, out, err = run_cli(capsys, *argv, "5000")
+    assert (code, out) == (3, "")
+    assert "ceiling" in err
+
+
+@pytest.mark.parametrize("rho", ["1e300", "1e-300"])
+def test_eval_asymptotic_at_extreme_rho_exits_2(capsys, rho):
+    code, out, err = run_cli(capsys, "eval", "--rho", rho, "--t", "0.5", "--method", "asymptotic")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_extreme_rho_commands_do_not_crash(capsys):
+    # below rho = 1e-205 x1 is near sinh's overflow; each command answers
+    # or reports a failed cell
+    for argv in (
+        ("sweep-delta", "--rho-list", "1e-300", "--tau-max", "10", "--points", "4"),
+        ("delta-prime", "--rho-min", "1e-300", "--rho-max", "1e-299", "--points", "2"),
+        ("verify-bound", "--rho-grid", "1e-300,1e300", "--t-grid", "0.1"),
+    ):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code in (0, 3), argv
 
 
 def test_usage_errors_exit_2(capsys):
@@ -259,6 +289,13 @@ def test_series_order_validation(capsys):
     assert err
 
 
+@pytest.mark.parametrize("decimal", ["0", "-5"])
+def test_series_decimal_validation(capsys, decimal):
+    code, out, err = run_cli(capsys, "series", "--order", "2", "--decimal", decimal)
+    assert (code, out) == (2, "")
+    assert "--decimal must be >= 1" in err
+
+
 def test_verify_bound_small_grid(capsys):
     code, out, err = run_cli(
         capsys, "verify-bound", "--rho-grid", "0.5,1", "--t-grid", "0.1,0.2"
@@ -273,7 +310,7 @@ def test_verify_bound_small_grid(capsys):
 
 
 def test_verify_bound_exit_1_when_bound_violated(capsys, monkeypatch):
-    monkeypatch.setattr(ab, "measure_vartheta", lambda rho, t, cfg=None: 1.0)
+    monkeypatch.setattr(ab, "measure_vartheta", lambda rho, t: 1.0)
     code, _, _ = run_cli(
         capsys, "verify-bound", "--rho-grid", "1", "--t-grid", "0.2"
     )
@@ -335,6 +372,19 @@ def test_sweep_delta_deterministic_across_processes():
     first = subprocess.run(argv, capture_output=True).stdout
     second = subprocess.run(argv, capture_output=True).stdout
     assert first and first == second
+
+
+def test_console_script_target_runs_the_readme_example(capsys):
+    # the [project.scripts] target resolves without installing the package
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["scripts"]
+    module_name, _, attr = scripts["hwtheta"].partition(":")
+    entry = getattr(importlib.import_module(module_name), attr)
+    line = "hwtheta eval --rho 1 --t 0.5 --method direct --json"
+    assert line in (REPO / "README.md").read_text()
+    assert entry(shlex.split(line)[1:]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["theta"] == pytest.approx(4.045329090148301, rel=1e-13)
 
 
 def test_console_script_entry_point():

@@ -6,12 +6,12 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import mpf_neg
+from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_le, mpf_neg, mpf_sub
 
 import hwtheta.approximation_and_bounds as ab
 import hwtheta.reference_quadrature as rq
 from hwtheta.errors import DomainError, PrecisionOverflowError
-from hwtheta.reference_quadrature import Method, PrecisionConfig
+from hwtheta.reference_quadrature import Method
 
 # tabulated reference values, 50-digit independent quadrature rounded to double
 THETA_REF = [
@@ -50,34 +50,43 @@ def test_theta_direct_matches_reference_values():
 
 def test_self_convergence_under_precision_doubling():
     base = rq.theta_direct(2.0, 0.5)
-    doubled = rq.theta_direct(
-        2.0, 0.5, PrecisionConfig(working_bits=2 * base.precision_used_bits)
-    )
+    doubled = rq.theta_direct(2.0, 0.5, 2 * base.precision_used_bits)
     rel = abs(base.theta / doubled.theta - 1.0)
     assert rel < 1e-12
     assert base.error_estimate < 1e-12
     assert rel <= 10.0 * max(base.error_estimate, 1e-16)
 
 
-def test_panel_count_doubling_is_within_error_estimate():
+def test_panel_count_doubling_is_within_error_estimate(monkeypatch):
     for r, t in ((2.0, 0.5), (10.0, 0.1)):
         base = rq.theta_direct(r, t)
-        fine = rq.theta_direct(r, t, PrecisionConfig(panel_points=48))
+        with monkeypatch.context() as m:
+            m.setattr(rq, "_PANEL_POINTS", 48)
+            fine = rq.theta_direct(r, t)
         rel = abs(base.theta / fine.theta - 1.0)
         assert rel <= max(10.0 * base.error_estimate, 1e-14), (r, t, rel)
 
 
-def test_truncation_point_is_conservative():
-    short = rq.theta_direct(2.0, 0.5, PrecisionConfig(xi_max_override=6.0))
-    long = rq.theta_direct(2.0, 0.5, PrecisionConfig(xi_max_override=12.0))
-    rel = abs(short.theta / long.theta - 1.0)
-    assert rel < 1e-6
-    assert rel < PrecisionConfig().tail_tolerance
+def test_truncation_point_is_conservative(monkeypatch):
+    # at small r the envelope decays slowly and the panel loop runs to the
+    # computed cap (at (2, 0.5) it stops on the tail threshold, 7 panels of
+    # 10); with the cap doubled it sums more panels, which must not move theta
+    for r, t in ((0.01, 1.0), (0.005, 2.0), (0.002, 5.0)):
+        bits = rq.required_bits(t)
+        _, panels = rq._integrate_panels(r, t, bits)
+        base = rq.theta_direct(r, t)
+        cap = rq._truncation_cap
+        with monkeypatch.context() as m:
+            m.setattr(rq, "_truncation_cap", lambda *args: 2.0 * cap(*args))
+            _, wide_panels = rq._integrate_panels(r, t, bits)
+            wide = rq.theta_direct(r, t)
+        assert len(wide_panels) > len(panels), (r, t)
+        rel = abs(wide.theta / base.theta - 1.0)
+        assert rel <= max(10.0 * base.error_estimate, 1e-14), (r, t, rel)
 
 
 def test_panel_contributions_alternate_past_the_peak():
-    cfg = PrecisionConfig()
-    _, panels = rq._integrate_panels(2.0, 0.5, 79, cfg)
+    _, panels = rq._integrate_panels(2.0, 0.5, 79)
     # oscillation from sin(pi*xi/t) makes consecutive panels alternate in
     # sign once past the integrand peak; ignore dust below cutoff
     live = [p for p in panels[3:] if abs(p) > 1e-30]
@@ -102,21 +111,16 @@ def test_precision_ceiling_env_var(monkeypatch):
 
 
 def test_explicit_working_bits_is_respected():
-    res = rq.theta_direct(2.0, 0.5, PrecisionConfig(working_bits=256))
+    res = rq.theta_direct(2.0, 0.5, 256)
     assert res.precision_used_bits == 256
+    assert rq.theta_direct(2.0, 0.5, 256.0) == res
 
 
-def test_precision_config_validation():
-    with pytest.raises(DomainError):
-        PrecisionConfig(working_bits=32)
-    with pytest.raises(DomainError):
-        PrecisionConfig(panel_points=4)
-    with pytest.raises(DomainError):
-        PrecisionConfig(tail_tolerance=0.0)
-    with pytest.raises(DomainError):
-        PrecisionConfig(tail_tolerance=1.0)
-    with pytest.raises(DomainError):
-        PrecisionConfig(xi_max_override=-1.0)
+def test_bits_validation():
+    for bad in (32, 63, 0, -64, 100.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            rq.theta_direct(2.0, 0.5, bad)
+    assert rq.theta_direct(2.0, 0.5, 64).precision_used_bits == 64
 
 
 def test_argument_validation():
@@ -163,7 +167,7 @@ def _gl_nodes_mpf(n: int, prec: int):
     return xs, ws
 
 
-def _integrate_panels_mpf(r: float, t: float, bits: int, cfg: PrecisionConfig):
+def _integrate_panels_mpf(r: float, t: float, bits: int, panel_points: int):
     """Panel-by-panel quadrature; returns (theta as mpf, signed panel list).
 
     Exposed separately so tests can inspect the alternation of consecutive
@@ -172,14 +176,12 @@ def _integrate_panels_mpf(r: float, t: float, bits: int, cfg: PrecisionConfig):
     with mp.workprec(bits):
         rr = mp.mpf(r)
         tt = mp.mpf(t)
-        xs, ws = _gl_nodes_mpf(cfg.panel_points, bits)
+        xs, ws = _gl_nodes_mpf(panel_points, bits)
         cap = rq._truncation_cap(r, t, bits)
-        if cfg.xi_max_override is not None:
-            cap = min(cap, cfg.xi_max_override)
         kmax = int(math.ceil(cap / t)) + 1
         # envelope maximum: cap of the Gaussian-free stationary points
         peak = max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
-        thresh_scale = mp.mpf(2) ** (-(bits // 2)) * mp.mpf(cfg.tail_tolerance)
+        thresh_scale = mp.mpf(2) ** (-(bits // 2)) * mp.mpf(rq._TAIL_TOLERANCE)
         total = mp.mpf(0)
         panels = []
         half = tt / 2
@@ -209,9 +211,9 @@ def _integrate_panels_mpf(r: float, t: float, bits: int, cfg: PrecisionConfig):
 DEFAULT_RHO = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0)
 
 
-def _assert_same_panels(r, t, bits, cfg):
-    value, panels = rq._integrate_panels(r, t, bits, cfg)
-    ref_value, ref_panels = _integrate_panels_mpf(r, t, bits, cfg)
+def _assert_same_panels(r, t, bits):
+    value, panels = rq._integrate_panels(r, t, bits)
+    ref_value, ref_panels = _integrate_panels_mpf(r, t, bits, rq._PANEL_POINTS)
     assert isinstance(value, mp.mpf)
     assert all(isinstance(p, mp.mpf) for p in panels)
     assert value._mpf_ == ref_value._mpf_, (r, t, bits)
@@ -222,9 +224,9 @@ def _oracle_args(rho, t, monkeypatch):
     """(r, t, bits) that measure_vartheta hands to theta_direct."""
     seen = []
 
-    def record(r, t, cfg):
-        seen.append((r, t, cfg.working_bits))
-        return rq.EvalResult(1.0, Method.DIRECT, cfg.working_bits, 0.0)
+    def record(r, t, bits):
+        seen.append((r, t, bits))
+        return rq.EvalResult(1.0, Method.DIRECT, bits, 0.0)
 
     with monkeypatch.context() as m:
         m.setattr(rq, "theta_direct", record)
@@ -234,24 +236,25 @@ def _oracle_args(rho, t, monkeypatch):
 
 
 def test_panels_match_mpf_loop_on_default_rho_at_measured_bits(monkeypatch):
-    cfg = PrecisionConfig()
     for rho in DEFAULT_RHO:
         r, t, bits = _oracle_args(rho, 0.1, monkeypatch)
-        _assert_same_panels(r, t, bits, cfg)
+        _assert_same_panels(r, t, bits)
 
 
-def test_panels_match_mpf_loop_on_readme_cells_and_config_variants():
+def test_panels_match_mpf_loop_on_readme_cells_and_config_variants(monkeypatch):
     for r in (2.0, 1.0):
-        _assert_same_panels(r, 0.5, 79, PrecisionConfig())
-    for cfg in (
-        PrecisionConfig(panel_points=8),
-        PrecisionConfig(panel_points=9),
-        PrecisionConfig(panel_points=25),
-        PrecisionConfig(panel_points=48),
-        PrecisionConfig(xi_max_override=6.0),
-    ):
-        _assert_same_panels(2.0, 0.5, 79, cfg)
-        _assert_same_panels(10.0, 0.1, 136, cfg)
+        _assert_same_panels(r, 0.5, 79)
+    for n in (8, 9, 25, 48):
+        with monkeypatch.context() as m:
+            m.setattr(rq, "_PANEL_POINTS", n)
+            _assert_same_panels(2.0, 0.5, 79)
+            _assert_same_panels(10.0, 0.1, 136)
+    # a cap below the computed one (both loops read rq._truncation_cap)
+    cap = rq._truncation_cap
+    with monkeypatch.context() as m:
+        m.setattr(rq, "_truncation_cap", lambda *args: min(cap(*args), 2.0))
+        _assert_same_panels(2.0, 0.5, 79)
+        _assert_same_panels(10.0, 0.1, 136)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -261,7 +264,7 @@ def test_panels_match_mpf_loop_on_readme_cells_and_config_variants():
     bits=st.integers(min_value=64, max_value=300),
 )
 def test_panels_match_mpf_loop_on_random_cells(r, t, bits):
-    _assert_same_panels(r, t, bits, PrecisionConfig())
+    _assert_same_panels(r, t, bits)
 
 
 @pytest.fixture
@@ -271,12 +274,13 @@ def cold_nodes(monkeypatch):
     monkeypatch.setattr(rq, "_gl_held", {})
 
 
-def test_panels_match_mpf_loop_with_bits_falling_then_rising(cold_nodes):
+def test_panels_match_mpf_loop_with_bits_falling_then_rising(cold_nodes, monkeypatch):
     # each order is solved once at the highest bits yet and rounded or
     # refined for the others; the panels must not see which came first
     for n in (24, 9, 25):
+        monkeypatch.setattr(rq, "_PANEL_POINTS", n)
         for bits in (257, 136, 79, 64, 100, 200, 320):
-            _assert_same_panels(2.0, 0.5, bits, PrecisionConfig(panel_points=n))
+            _assert_same_panels(2.0, 0.5, bits)
 
 
 def test_gl_nodes_match_mpf_loop(cold_nodes):
@@ -289,19 +293,19 @@ def test_gl_nodes_match_mpf_loop(cold_nodes):
         rq._gl_held.clear()
         for n in (8, 9, 24, 25, 48):
             for prec in order:
-                xs, ws = rq._gl_nodes(n, prec)
+                nodes = rq._gl_nodes(n, prec)
                 ref_xs, ref_ws = _gl_nodes_mpf(n, prec + 100)
-                assert all(isinstance(v, mp.mpf) for v in xs + ws)
-                assert len(xs) == len(ws) == n
+                assert len(nodes) == n
+                xs = [x for x, _ in nodes]
+                ws = [w for _, w in nodes]
                 for i in range(n):
-                    assert xs[n - 1 - i]._mpf_ == mpf_neg(xs[i]._mpf_), (n, prec, i)
-                    assert ws[n - 1 - i]._mpf_ == ws[i]._mpf_, (n, prec, i)
+                    assert xs[n - 1 - i] == mpf_neg(xs[i]), (n, prec, i)
+                    assert ws[n - 1 - i] == ws[i], (n, prec, i)
                 if n % 2:
-                    assert not xs[n // 2]
-                with mp.workprec(prec + 100):
-                    tol = mp.mpf(2) ** (-prec - 20)
-                    for v, ref in zip(xs + ws, ref_xs + ref_ws):
-                        assert abs(v - ref) <= tol, (n, prec, order[0])
+                    assert xs[n // 2] == fzero
+                tol = from_man_exp(1, -prec - 20)
+                for v, ref in zip(xs + ws, ref_xs + ref_ws):
+                    assert mpf_le(mpf_abs(mpf_sub(v, ref._mpf_)), tol), (n, prec, order[0])
 
 
 def test_larger_t_reuses_the_nodes_of_a_smaller_t(monkeypatch):

@@ -444,6 +444,15 @@ def test_theta_series_refuses_prefactor_beyond_double_range():
         with pytest.raises(DomainError, match="1.4195e-3"):
             theta.evaluate(t)
 
+def test_series_routes_refuse_non_finite_arguments():
+    theta = rs.theta_series_rho1(7)
+    routes = (theta.evaluate, theta.bracket, rs.delta_series(4).evaluate, rs.im_g_series(4).evaluate)
+    for route in routes:
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            with pytest.raises(DomainError):
+                route(bad)
+
+
 def test_delta_large_tau_formula_and_guard():
     for tau in (100.0, 1e4):
         assert rs.delta_large_tau(tau) == -1.0 + math.pi * math.sqrt(

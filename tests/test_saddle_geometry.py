@@ -7,6 +7,7 @@ rho*sinh(x) = x and y + rho*sin(y) = pi, rounded to the nearest double.
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 import hwtheta.saddle_geometry as sg
@@ -158,3 +159,58 @@ def test_domain_errors():
         sg.solve_x1(1.2)  # no positive root of rho*sinh(x) = x
     with pytest.raises(DomainError):
         sg.solve_y1(0.8)  # root solver is for rho >= 1
+
+
+def _mp_saddle(rho):
+    """(root, g0, F) from a 40-digit mpmath root of the saddle equation."""
+    with mp.workdps(40):
+        r = mp.mpf(rho)
+        if rho < 1.0:
+            big = mp.log(2 / r)
+            guess = big + mp.log(big) if big > 2 else mp.sqrt(6 * (1 - r))
+            x = mp.findroot(lambda x: r * mp.sinh(x) - x, guess)
+            g0 = mp.sinh(x) / mp.sqrt(2 * (r * mp.cosh(x) - 1))
+            f = x * x / 2 - r * mp.cosh(x) + mp.pi**2 / 2
+        else:
+            x = mp.findroot(lambda y: y + r * mp.sin(y) - mp.pi, mp.pi / (1 + r))
+            g0 = mp.sin(x) / mp.sqrt(2 * (r * mp.cos(x) + 1))
+            f = -x * x / 2 + r * mp.cos(x) + mp.pi * x
+        return x, g0, f
+
+
+def test_saddle_data_accurate_or_refused_over_the_double_range():
+    # every quarter decade of [1e-300, 1e300]: the root within 1e-13 of a
+    # 40-digit root, g0 and F within the module's 1e-12 (g0 picks up the
+    # root's rounding times x1, up to 710), or a DomainError
+    refused = []
+    for k in range(-1200, 1201):
+        rho = 10.0 ** (k / 4)
+        if sg.classify(rho) is sg.Regime.CRITICAL:
+            continue
+        try:
+            sd = sg.saddle_data(rho)
+        except DomainError:
+            refused.append(rho)
+            continue
+        root, g0, f = _mp_saddle(rho)
+        got = sd.x1 if rho < 1.0 else sd.y1
+        assert abs(got - root) <= 1e-13 * root, rho
+        assert abs(sd.g0 - g0) <= 1e-12 * g0, rho
+        assert abs(sd.F - f) <= 1e-12 * abs(f), rho
+    # g0 ~ pi/(sqrt(2) rho^1.5) leaves the normal range near rho = 2e205
+    assert refused and min(refused) > 1e205
+    assert all(rho >= min(refused) for rho in refused)
+
+
+def test_extreme_rho_refused_not_crashed():
+    # a bracket [1e-8, 3 log(2/rho)] bisects past sinh's overflow below
+    # rho = 1e-205, and [1e-8, pi) misses y1 ~ pi/(1+rho) above 3.146e8
+    for rho in (1e300, 3e205, 1.7e308, 1e-307, 5e-324):
+        with pytest.raises(DomainError):
+            sg.saddle_data(rho)
+    with pytest.raises(DomainError):
+        sg.solve_x1(1e-307)
+    with pytest.raises(DomainError):
+        sg.solve_y1(1.7e308)
+    assert sg.solve_y1(1e100) == pytest.approx(math.pi / (1.0 + 1e100), rel=1e-15)
+    assert sg.solve_x1(1e-300) == pytest.approx(float(_mp_saddle(1e-300)[0]), rel=1e-15)
