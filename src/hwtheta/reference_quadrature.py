@@ -19,8 +19,27 @@ rigorous and fast:
 Within panel k the phase is evaluated locally, sin(pi xi/t) =
 (-1)^k sin(pi (xi - k t)/t), so it never degrades at large xi/t.
 
-Results surface as doubles; the error_estimate field reports the relative
-difference against a half-precision rerun.
+Results surface as doubles, and a theta that is not a normal double (an
+underflow to 0.0 or a subnormal, an overflow to inf) is refused with
+DomainError; the error_estimate field reports the relative difference
+against a half-precision rerun.
+
+The rerun does not depend on the full run, so theta_direct runs the two at
+once: it forks one child that computes the rerun while this process computes
+the full run, and the child sends back only its value's raw libmp tuple,
+through a pipe, and leaves through os._exit, so it flushes none of the
+buffers it inherited.  Both runs' nodes are requested here before the fork,
+full bits first as the serial code does, so the child solves no nodes and
+this process's node caches end as the serial code leaves them.  The rerun
+runs in process, after the full run, where os.fork is missing or raises
+OSError, where fewer than two CPUs are usable, where a second thread is alive
+(a fork copies only the calling thread, and any lock another thread holds
+stays held in the child), where SIGCHLD is ignored (the child could not be
+waited for), and where the child fails: a nonzero exit status or a short
+read.  If this process raises meanwhile, KeyboardInterrupt included,
+it kills and reaps the child.  Either way the same _integrate_panels makes
+the rerun's value at the same bits from the same nodes, so the EvalResult is
+bit-identical to the in-process one.
 
 The panel loop runs on mpmath's raw libmp values rather than mpf objects:
 each step is the libmp call that the equivalent mpf expression makes under
@@ -52,10 +71,14 @@ from __future__ import annotations
 import enum
 import math
 import os
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 
 import mpmath as mp
 from mpmath.libmp import (
+    MPZ,
     fone,
     from_float,
     from_int,
@@ -391,8 +414,10 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     The working precision is `bits`, an integer >= 64, or required_bits(t)
     when bits is None; either way it must not exceed the ceiling (4096 bits
     by default, HW_MAX_BITS to change).  The returned error_estimate is the
-    relative difference against a rerun at half the bits, a direct measure
-    of whether the precision budget sufficed.
+    relative difference against a rerun at half the bits (at least 64), a
+    direct measure of whether the precision budget sufficed; the rerun runs
+    in a forked child beside the full run where it can (see the module
+    docstring).  Raises DomainError where theta is not a normal double.
     """
     r = float(r)
     t = float(t)
@@ -413,13 +438,89 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
             required_bits=bits,
             ceiling_bits=ceiling,
         )
-    value, _ = _integrate_panels(r, t, bits)
-    check, _ = _integrate_panels(r, t, max(64, bits // 2))
+    check_bits = max(64, bits // 2)
+    # the serial runs' node requests, in their order, before any fork: the
+    # child then solves nothing, and the caches here end as the serial code
+    # leaves them
+    _gl_nodes(_PANEL_POINTS, bits)
+    _gl_nodes(_PANEL_POINTS, check_bits)
+    value, check = _run_beside_check(r, t, bits, check_bits)
+    if check is None:
+        check, _ = _integrate_panels(r, t, check_bits)
+    theta = float(value)
+    if not sys.float_info.min <= abs(theta) < math.inf:
+        raise DomainError(
+            f"theta(r={r!r}, t={t!r}) is {theta!r}, outside the range of a double"
+        )
     with mp.workprec(64):
-        err = float(abs(value - check) / abs(value)) if value != 0 else math.inf
+        err = float(abs(value - check) / abs(value))
     return EvalResult(
-        theta=float(value),
+        theta=theta,
         method=Method.DIRECT,
         precision_used_bits=bits,
         error_estimate=err,
     )
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_check(r: float, t: float, bits: int):
+    """Fork a child that computes _integrate_panels(r, t, bits) and writes its
+    value's raw libmp tuple to a pipe; returns (pid, the pipe's read end as a
+    file), or None where a fork is missing, fails, is unsafe (a second live
+    thread), would have no free CPU to run on, or leaves a child that cannot
+    be waited for (SIGCHLD ignored: the kernel reaps it at exit)."""
+    if (
+        not hasattr(os, "fork")
+        or _usable_cpus() < 2
+        or threading.active_count() > 1
+        or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
+    ):
+        return None
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            value, _ = _integrate_panels(r, t, bits)
+            data = b"%d %d %d %d\n" % value._mpf_
+            while data:
+                data = data[os.write(wfd, data):]
+            code = 0
+        finally:
+            os._exit(code)  # flushes nothing inherited, runs no exit handler
+    os.close(wfd)
+    return pid, open(rfd, "rb")
+
+
+def _run_beside_check(r: float, t: float, bits: int, check_bits: int):
+    """(value, check): the full run here, and the self-check's value from a
+    forked child running at the same time, or None for the check where no
+    child could run or it failed (nonzero exit, short read)."""
+    child = _fork_check(r, t, check_bits)
+    if child is None:
+        return _integrate_panels(r, t, bits)[0], None
+    pid, pipe = child
+    with pipe:
+        try:
+            value, _ = _integrate_panels(r, t, bits)
+            data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    fields = data.split()
+    if status != 0 or not data.endswith(b"\n") or len(fields) != 4:
+        return value, None
+    sign, man, exp, bc = map(int, fields)
+    return value, mp.make_mpf((sign, MPZ(man), exp, bc))

@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -97,6 +98,14 @@ def test_eval_asymptotic_outside_double_range_exits_2(capsys, rho, t, lead, json
     assert out == ""
     assert err.startswith("error: leading term at ")
     assert f"{lead}, outside the range of a double" in err
+
+
+@pytest.mark.parametrize("rho, theta", [("1e300", "0.0"), ("1e-300", "7.7e-322")])
+def test_eval_direct_outside_double_range_exits_2(capsys, rho, theta):
+    code, out, err = run_cli(capsys, "eval", "--rho", rho, "--t", "0.5", "--method", "direct")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: theta(r=")
+    assert f"is {theta}, outside the range of a double" in err
 
 
 def test_eval_rejects_bad_domain(capsys):
@@ -362,6 +371,19 @@ def test_readme_examples_match_pinned_outputs(capsys):
         assert line in readme, line
         code, out, _ = run_cli(capsys, *shlex.split(line)[1:])
         assert (code, out) == (expected["exit"], expected["stdout"]), line
+
+
+def test_eval_direct_in_subprocess_prints_pinned_bytes_once():
+    # stdout is a pipe, so block-buffered, while the oracle forks its check
+    line = "hwtheta eval --rho 1 --t 0.5 --method direct --json"
+    expected = json.loads((REPO / "perfbench" / "pinned.json").read_text())["cli"][line]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hwtheta.cli", *shlex.split(line)[1:]],
+        capture_output=True,
+        timeout=60,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    )
+    assert (proc.returncode, proc.stdout.decode()) == (expected["exit"], expected["stdout"])
 
 
 def test_sweep_delta_deterministic_across_processes():

@@ -1,6 +1,11 @@
 """Extended-precision direct evaluation of theta(r, t)."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
 
 import mpmath as mp
 import pytest
@@ -67,22 +72,37 @@ def test_panel_count_doubling_is_within_error_estimate(monkeypatch):
         assert rel <= max(10.0 * base.error_estimate, 1e-14), (r, t, rel)
 
 
-def test_truncation_point_is_conservative(monkeypatch):
+def test_truncation_point_is_conservative(monkeypatch, tmp_path):
     # at small r the envelope decays slowly and the panel loop runs to the
     # computed cap (at (2, 0.5) it stops on the tail threshold, 7 panels of
     # 10); with the cap doubled it sums more panels, which must not move theta
+    log = tmp_path / "cap_calls"
+    cap = rq._truncation_cap
+
+    def doubled_cap(r, t, bits):
+        # appended from every process that runs the patched cap
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {bits}\n")
+        return 2.0 * cap(r, t, bits)
+
     for r, t in ((0.01, 1.0), (0.005, 2.0), (0.002, 5.0)):
         bits = rq.required_bits(t)
         _, panels = rq._integrate_panels(r, t, bits)
         base = rq.theta_direct(r, t)
-        cap = rq._truncation_cap
         with monkeypatch.context() as m:
-            m.setattr(rq, "_truncation_cap", lambda *args: 2.0 * cap(*args))
+            m.setattr(rq, "_truncation_cap", doubled_cap)
             _, wide_panels = rq._integrate_panels(r, t, bits)
+            log.write_text("")
             wide = rq.theta_direct(r, t)
         assert len(wide_panels) > len(panels), (r, t)
         rel = abs(wide.theta / base.theta - 1.0)
         assert rel <= max(10.0 * base.error_estimate, 1e-14), (r, t, rel)
+        # the self-check (64 bits here) saw the patch too, in the forked
+        # child wherever one can run
+        calls = {tuple(map(int, line.split())) for line in log.read_text().splitlines()}
+        (check_pid,) = {pid for pid, b in calls if b == 64}
+        assert (os.getpid(), bits) in calls and bits > 64, (r, t)
+        assert (check_pid != os.getpid()) == (rq._usable_cpus() >= 2), (r, t)
 
 
 def test_panel_contributions_alternate_past_the_peak():
@@ -323,3 +343,188 @@ def test_larger_t_reuses_the_nodes_of_a_smaller_t(monkeypatch):
     for t in (0.0613, 0.1, 0.29, 1.0, 4.0):
         rq.theta_direct(2.0, t)
     assert calls == []
+
+
+# The self-check rerun at half the bits runs in a forked child beside the
+# full run when it can; in process otherwise.  Both must give the same bits.
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returned in this process during one test."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _fork_fails():
+    raise OSError("fork refused")
+
+
+def _both_paths(monkeypatch, cells):
+    """theta_direct on each (r, t, bits) with the worker, then with the check in process."""
+    forked = [rq.theta_direct(*cell) for cell in cells]
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", _fork_fails)
+        in_process = [rq.theta_direct(*cell) for cell in cells]
+    return forked, in_process
+
+
+def _expected_forks(calls):
+    return calls if rq._usable_cpus() >= 2 else 0
+
+
+def test_worker_and_in_process_check_agree_on_readme_cells(monkeypatch, forks):
+    cells = [(2.0, 0.5, None), _oracle_args(1.0, 0.5, monkeypatch), (2.0, 0.5, 256), (1.0, 0.5, None)]
+    forked, in_process = _both_paths(monkeypatch, cells)
+    assert forked == in_process
+    assert len(forks) == _expected_forks(len(cells))
+    assert forked[0].error_estimate == 7.138014541268517e-19
+
+
+def test_worker_and_in_process_check_agree_on_default_grid(monkeypatch, forks):
+    cells = [_oracle_args(rho, t, monkeypatch) for rho in DEFAULT_RHO for t in (0.05, 0.1, 0.2)]
+    forked, in_process = _both_paths(monkeypatch, cells)
+    assert forked == in_process
+    assert len(forks) == _expected_forks(21)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(r=st.floats(min_value=0.1, max_value=200.0), t=st.floats(min_value=0.1, max_value=1.0))
+def test_worker_and_in_process_check_agree_on_random_cells(r, t):
+    forked = rq.theta_direct(r, t)
+    fork = os.fork
+    os.fork = _fork_fails
+    try:
+        in_process = rq.theta_direct(r, t)
+    finally:
+        os.fork = fork
+    assert forked == in_process, (r, t)
+
+
+def test_node_caches_end_as_the_serial_runs_leave_them(cold_nodes, forks):
+    # both runs' nodes are requested here before the fork, full bits first
+    rq.theta_direct(2.0, 0.5)
+    assert list(rq._gl_cache) == [(24, 79), (24, 64)]
+    assert rq._gl_held[24][0] == 79 + 30
+    assert len(forks) == _expected_forks(1)
+
+
+def _recording_panels(monkeypatch, in_child):
+    """Patch _integrate_panels: record the bits of each call in this process,
+    and run in_child(bits) first in any other process."""
+    parent = os.getpid()
+    calls = []
+    integrate = rq._integrate_panels
+
+    def patched(r, t, bits):
+        if os.getpid() != parent:
+            in_child(bits)
+        else:
+            calls.append(bits)
+        return integrate(r, t, bits)
+
+    monkeypatch.setattr(rq, "_integrate_panels", patched)
+    return calls
+
+
+def _fail(bits):
+    raise RuntimeError("child failure")
+
+
+def _exit_without_writing(bits):
+    os._exit(0)
+
+
+@pytest.mark.parametrize("in_child", [_fail, _exit_without_writing], ids=["nonzero-exit", "short-read"])
+def test_failed_child_falls_back_to_the_same_result(monkeypatch, forks, in_child):
+    expected = rq.theta_direct(2.0, 0.5)
+    calls = _recording_panels(monkeypatch, in_child)
+    assert rq.theta_direct(2.0, 0.5) == expected
+    if rq._usable_cpus() >= 2:
+        assert len(forks) == 2
+        assert calls == [79, 64]  # the check reran here after the child failed
+
+
+def test_parent_exception_leaves_no_child(monkeypatch, forks):
+    def interrupt(r, t, bits):
+        raise KeyboardInterrupt
+
+    integrate = rq._integrate_panels
+    parent = os.getpid()
+    monkeypatch.setattr(
+        rq, "_integrate_panels",
+        lambda r, t, bits: interrupt(r, t, bits) if os.getpid() == parent else integrate(r, t, bits),
+    )
+    with pytest.raises(KeyboardInterrupt):
+        rq.theta_direct(0.01, 1.0)
+    assert len(forks) == _expected_forks(1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_must_not_run():
+    raise AssertionError("forked where the check must run in process")
+
+
+@pytest.mark.parametrize(
+    "condition", ["no-fork", "fork-raises", "one-cpu", "second-thread", "sigchld-ignored"]
+)
+def test_check_runs_in_process(monkeypatch, condition):
+    expected = rq.theta_direct(2.0, 0.5)
+    release = threading.Event()
+    worker = threading.Thread(target=release.wait)
+    with monkeypatch.context() as m:
+        if condition == "no-fork":
+            m.delattr(os, "fork")
+        elif condition == "fork-raises":
+            m.setattr(os, "fork", _fork_fails)
+        else:
+            m.setattr(os, "fork", _fork_must_not_run)
+        if condition == "one-cpu":
+            m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            m.setattr(os, "cpu_count", lambda: 1)
+        if condition == "second-thread":
+            worker.start()
+        if condition == "sigchld-ignored":
+            m.setattr(signal, "getsignal", lambda signum: signal.SIG_IGN)
+        try:
+            result = rq.theta_direct(2.0, 0.5)
+        finally:
+            release.set()
+            if worker.is_alive():
+                worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert result == expected
+
+
+def test_inherited_stdout_buffer_is_written_once():
+    # a block-buffered stdout holds the line when the child is forked; the
+    # child must leave without flushing its copy
+    script = (
+        "import os, hwtheta.reference_quadrature as rq\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "print('before the oracle')\n"
+        "rq.theta_direct(2.0, 0.5)\n"
+        "print('forks', len(forks))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"before the oracle\nforks {_expected_forks(1)}\n"
+
+
+@pytest.mark.parametrize("r", [2e300, 2e-300])
+def test_theta_outside_double_range_is_refused(r):
+    # theta underflows to 0.0 at rho = 1e300 and to a subnormal at 1e-300
+    with pytest.raises(DomainError, match="outside the range of a double"):
+        rq.theta_direct(r, 0.5)
