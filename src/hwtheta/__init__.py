@@ -16,125 +16,32 @@ steepest-descent paths (:mod:`hwtheta.descent_path`) and measuring the
 deviation function delta(tau, rho) behind those bounds.
 """
 
-from .approximation_and_bounds import (
-    BoundReport,
-    BoundRow,
-    ThetaApprox,
-    check_bound,
-    ei_half,
-    measure_vartheta,
-    theta_approx,
-    theta_leading,
-    vartheta_max,
+from . import (
+    approximation_and_bounds,
+    descent_path,
+    errors,
+    reference_quadrature,
+    rho_one_series,
+    saddle_geometry,
 )
-from .descent_path import (
-    PathSample,
-    PathTrace,
-    SweepRow,
-    SweepTable,
-    delta,
-    delta_double_prime_at_zero,
-    delta_prime_at_zero,
-    g_of_xi,
-    sweep_delta,
-    trace_path,
-)
-from .errors import (
-    DomainError,
-    ExtrapolationError,
-    HwThetaError,
-    PathError,
-    PoleError,
-    PrecisionOverflowError,
-)
-from .reference_quadrature import (
-    DEFAULT_BITS_CEILING,
-    EvalResult,
-    Method,
-    required_bits,
-    theta_direct,
-)
-from .rho_one_series import (
-    HalfPowerSeries,
-    Q6,
-    ThetaSeries,
-    delta_large_tau,
-    delta_series,
-    im_g_series,
-    invert_zeta_equation,
-    theta_series_rho1,
-)
-from .saddle_geometry import (
-    EPS_CRIT,
-    F,
-    G,
-    Regime,
-    SaddleData,
-    classify,
-    g0,
-    h,
-    saddle_data,
-    solve_x1,
-    solve_y1,
-)
+from .approximation_and_bounds import *
+from .descent_path import *
+from .errors import *
+from .reference_quadrature import *
+from .rho_one_series import *
+from .saddle_geometry import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DEFAULT_BITS_CEILING",
-    "EPS_CRIT",
-    # saddle geometry
-    "Regime",
-    "SaddleData",
-    "classify",
-    "solve_x1",
-    "solve_y1",
-    "h",
-    "g0",
-    "F",
-    "G",
-    "saddle_data",
-    # descent path
-    "PathSample",
-    "PathTrace",
-    "SweepRow",
-    "SweepTable",
-    "g_of_xi",
-    "trace_path",
-    "delta",
-    "delta_prime_at_zero",
-    "delta_double_prime_at_zero",
-    "sweep_delta",
-    # critical-point series
-    "Q6",
-    "HalfPowerSeries",
-    "ThetaSeries",
-    "invert_zeta_equation",
-    "im_g_series",
-    "delta_series",
-    "theta_series_rho1",
-    "delta_large_tau",
-    # reference quadrature
-    "Method",
-    "EvalResult",
-    "required_bits",
-    "theta_direct",
-    # approximation and bounds
-    "ThetaApprox",
-    "BoundRow",
-    "BoundReport",
-    "theta_leading",
-    "theta_approx",
-    "measure_vartheta",
-    "vartheta_max",
-    "ei_half",
-    "check_bound",
-    # errors
-    "HwThetaError",
-    "DomainError",
-    "PoleError",
-    "PathError",
-    "ExtrapolationError",
-    "PrecisionOverflowError",
+__all__ = ["__version__"] + [
+    name
+    for module in (
+        saddle_geometry,
+        descent_path,
+        rho_one_series,
+        reference_quadrature,
+        approximation_and_bounds,
+        errors,
+    )
+    for name in module.__all__
 ]

@@ -23,13 +23,12 @@ of the bounds.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import reference_quadrature as rq
 from . import saddle_geometry as sg
-from .errors import DomainError, HwThetaError
+from .errors import DomainError, HwThetaError, normal_double, positive_real
 from .rho_one_series import theta_series_rho1
 
 __all__ = [
@@ -53,20 +52,13 @@ _SQRT_PI = math.sqrt(math.pi)
 _C2 = abs(float(theta_series_rho1(3).coeffs[2]))
 
 
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"t must be a positive finite real, got {t!r}")
-    return t
-
-
 def theta_leading(rho: float, t: float) -> float:
     """Leading-order approximation 1/(2 pi t) e^(-(F - pi^2/2)/t) G.
 
     Raises DomainError where the value is not a normal double: it would
     overflow to inf, or underflow to 0.0 or a subnormal with lost digits.
     """
-    t = _check_t(t)
+    t = positive_real(t, "t")
     return _theta_leading(sg.saddle_data(rho), t)
 
 
@@ -76,12 +68,7 @@ def _theta_leading(sd: sg.SaddleData, t: float) -> float:
     except OverflowError:
         damp = math.inf
     lead = sd.G / (2.0 * math.pi * t) * damp
-    if not sys.float_info.min <= lead < math.inf:
-        raise DomainError(
-            f"leading term at rho={sd.rho:.17g}, t={t!r} is {lead!r}, outside the "
-            f"range of a double"
-        )
-    return lead
+    return normal_double(lead, "leading term at rho={:.17g}, t={!r}", sd.rho, t)
 
 
 def measure_vartheta(rho: float, t: float) -> float:
@@ -94,7 +81,7 @@ def measure_vartheta(rho: float, t: float) -> float:
     over the full cancellation budget:
     bits = 2*(ceil((pi^2/2 + max(0, F - pi^2/2))/t * log2 e) + 32).
     """
-    t = _check_t(t)
+    t = positive_real(t, "t")
     rho = float(rho)
     sd = sg.saddle_data(rho)
     lead = _theta_leading(sd, t)
@@ -134,9 +121,7 @@ def ei_half(z: float) -> float:
     Gamma(3/2, z) = sqrt(pi)/2 * erfc(sqrt z) + sqrt(z) e^(-z),
     which reduces everything to math.erfc plus elementary functions.
     """
-    z = float(z)
-    if not math.isfinite(z) or z <= 0.0:
-        raise DomainError(f"ei_half requires z > 0, got {z!r}")
+    z = positive_real(z, "z")
     sz = math.sqrt(z)
     gamma_upper = 0.5 * _SQRT_PI * math.erfc(sz) + sz * math.exp(-z)
     return z ** (-1.5) * gamma_upper
@@ -155,7 +140,7 @@ def vartheta_max(t: float) -> float:
     with the bracket summed termwise to dodge the residual O(z^(3/2))
     cancellation.
     """
-    t = _check_t(t)
+    t = positive_real(t, "t")
     z = 35.0 / t
     sz = math.sqrt(z)
     if sz >= 2.0:
@@ -181,7 +166,7 @@ class ThetaApprox:
 
 def theta_approx(rho: float, t: float, measure: bool = False) -> ThetaApprox:
     """Bundle the leading-order value with both bounds, optionally measured."""
-    t = _check_t(t)
+    t = positive_real(t, "t")
     rho = float(rho)
     return ThetaApprox(
         t=t,
@@ -255,15 +240,10 @@ def check_bound(rho_grid: Sequence[float], t_grid: Sequence[float]) -> BoundRepo
     Oracle failures (e.g. precision overflow for a too-small t) are recorded
     per cell, not raised.
     """
-    rho_grid = [float(r) for r in rho_grid]
-    t_grid = [float(t) for t in t_grid]
+    rho_grid = [positive_real(r, "rho grid entry") for r in rho_grid]
+    t_grid = [positive_real(t, "t grid entry") for t in t_grid]
     if not rho_grid or not t_grid:
         raise DomainError("bound grids must be non-empty")
-    for rho in rho_grid:
-        if not math.isfinite(rho) or rho <= 0.0:
-            raise DomainError(f"rho grid must be positive, got {rho!r}")
-    for t in t_grid:
-        _check_t(t)
 
     rows: list[BoundRow] = []
     failures: list[tuple[float, float, str]] = []

@@ -29,7 +29,7 @@ from . import approximation_and_bounds as ab
 from . import descent_path as dp
 from . import reference_quadrature as rq
 from . import rho_one_series as rs
-from .errors import DomainError, HwThetaError
+from .errors import DomainError, HwThetaError, positive_real
 from .saddle_geometry import EPS_CRIT
 
 __all__ = ["main"]
@@ -54,12 +54,8 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _cmd_eval(args) -> int:
-    rho = float(args.rho)
-    t = float(args.t)
-    if not math.isfinite(rho) or rho <= 0.0:
-        raise DomainError(f"--rho must be positive, got {args.rho!r}")
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"--t must be positive, got {args.t!r}")
+    rho = positive_real(args.rho, "--rho")
+    t = positive_real(args.t, "--t")
 
     if args.method == "direct":
         result = rq.theta_direct(rho / t, t, args.bits)
@@ -109,9 +105,7 @@ def _cmd_sweep_delta(args) -> int:
     rho_grid = sorted(_parse_float_list(args.rho_list, "--rho-list"))
     if args.points < 2:
         raise DomainError(f"--points must be >= 2, got {args.points}")
-    tau_max = float(args.tau_max)
-    if not math.isfinite(tau_max) or tau_max <= 0.0:
-        raise DomainError(f"--tau-max must be positive, got {args.tau_max!r}")
+    tau_max = positive_real(args.tau_max, "--tau-max")
     tau_grid = [tau_max * i / args.points for i in range(1, args.points + 1)]
     table = dp.sweep_delta(rho_grid, tau_grid)
     for rho, tau, message in table.failures:
@@ -121,14 +115,14 @@ def _cmd_sweep_delta(args) -> int:
 
 
 def _cmd_delta_prime(args) -> int:
-    rho_min = float(args.rho_min)
-    rho_max = float(args.rho_max)
+    rho_min = positive_real(args.rho_min, "--rho-min")
+    rho_max = positive_real(args.rho_max, "--rho-max")
     points = int(args.points)
     if points < 2:
         raise DomainError(f"--points must be >= 2, got {args.points}")
-    if not (0.0 < rho_min < rho_max) or not math.isfinite(rho_max):
+    if not rho_min < rho_max:
         raise DomainError(
-            f"need 0 < --rho-min < --rho-max, got {args.rho_min!r}, {args.rho_max!r}"
+            f"need --rho-min < --rho-max, got {args.rho_min!r}, {args.rho_max!r}"
         )
     log_lo = math.log(rho_min)
     log_hi = math.log(rho_max)

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 from . import _descent_py as _kernel
 from . import saddle_geometry as sg
-from .errors import DomainError, ExtrapolationError, PathError, PoleError
+from .errors import DomainError, ExtrapolationError, PathError, PoleError, positive_real
 
 __all__ = [
     "PathSample",
@@ -115,9 +115,7 @@ def g_of_xi(xi: complex, rho: float) -> complex:
     never hits this because it evaluates g in difference form around the
     saddle instead.
     """
-    rho = float(rho)
-    if not math.isfinite(rho) or rho <= 0.0:
-        raise DomainError(f"rho must be a positive finite real, got {rho:.17g}")
+    rho = positive_real(rho, "rho")
     xi = complex(xi)
     s = cmath.sinh(xi)
     den = xi + rho * s - 1j * _PI
@@ -170,13 +168,6 @@ def _to_sample(sd: sg.SaddleData, tau: float, d: complex, g: complex) -> PathSam
     )
 
 
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if not math.isfinite(tau) or tau <= 0.0:
-        raise DomainError(f"tau must be a positive finite real, got {tau!r}")
-    return tau
-
-
 def trace_path(rho: float, tau_max: float) -> PathTrace:
     """Trace the descent path from the saddle out to tau_max.
 
@@ -187,7 +178,7 @@ def trace_path(rho: float, tau_max: float) -> PathTrace:
     1e-10 sample invariants).
     """
     rho = float(rho)
-    tau_max = _check_tau(tau_max)
+    tau_max = positive_real(tau_max, "tau_max")
     sd = sg.saddle_data(rho)
     points = _run_kernel(sd, [tau_max], record_all=True)
     samples = tuple(_to_sample(sd, tau, d, g) for tau, d, g in points)
@@ -196,7 +187,7 @@ def trace_path(rho: float, tau_max: float) -> PathTrace:
 
 def delta(tau: float, rho: float) -> float:
     """delta(tau, rho) = Im g(xi(tau)) * sqrt(tau)/g0(rho) - 1 from the traced path."""
-    tau = _check_tau(tau)
+    tau = positive_real(tau, "tau")
     sd = sg.saddle_data(float(rho))
     ((_, _, g),) = _run_kernel(sd, [tau])
     return g.imag * math.sqrt(tau) / sd.g0 - 1.0
@@ -266,16 +257,12 @@ def sweep_delta(rho_grid: Sequence[float], tau_grid: Sequence[float]) -> SweepTa
     run fails, the column is retried cell by cell so that only genuinely
     unreachable cells go missing; those are recorded on ``failures``.
     """
-    rho_grid = [float(r) for r in rho_grid]
-    tau_grid = [float(t) for t in tau_grid]
+    rho_grid = [positive_real(r, "rho grid entry") for r in rho_grid]
+    tau_grid = [positive_real(t, "tau grid entry") for t in tau_grid]
     if not rho_grid or not tau_grid:
         raise DomainError("sweep grids must be non-empty")
-    if any(not math.isfinite(r) or r <= 0.0 for r in rho_grid):
-        raise DomainError("rho grid must be positive and finite")
     if sorted(rho_grid) != rho_grid or sorted(tau_grid) != tau_grid:
         raise DomainError("sweep grids must be sorted ascending")
-    for t in tau_grid:
-        _check_tau(t)
     if len(set(tau_grid)) != len(tau_grid):
         raise DomainError("tau grid must not contain duplicates")
 

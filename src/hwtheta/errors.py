@@ -1,8 +1,26 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one refusal rule.
 
 The CLI maps these onto its exit-code contract: DomainError is a usage-level
 problem (exit 2), the remaining types are numerical failures (exit 3).
+
+One refusal rule holds across the package: every argument rho, t, tau, r or
+z must be a positive finite real (an entry point may narrow that further),
+and every result must be a normal double; anything else raises DomainError.
+positive_real and normal_double hold that rule; they are package-internal,
+so __all__ lists only the exception types.
 """
+
+import math
+import sys
+
+__all__ = [
+    "HwThetaError",
+    "DomainError",
+    "PoleError",
+    "PathError",
+    "ExtrapolationError",
+    "PrecisionOverflowError",
+]
 
 
 class HwThetaError(Exception):
@@ -64,3 +82,23 @@ class PrecisionOverflowError(HwThetaError, ArithmeticError):
         super().__init__(message)
         self.required_bits = required_bits
         self.ceiling_bits = ceiling_bits
+
+
+def positive_real(x, name: str) -> float:
+    """x as a float, or DomainError naming `name` unless it is a positive
+    finite real."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be a positive finite real, got {x!r}")
+    return x
+
+
+def normal_double(value: float, what: str, *args) -> float:
+    """value, or DomainError unless |value| is a normal double: not 0.0, a
+    subnormal, inf or nan.  The message is what.format(*args) followed by
+    the value, built only on refusal."""
+    if not sys.float_info.min <= abs(value) < math.inf:
+        raise DomainError(
+            f"{what.format(*args)} is {value!r}, outside the range of a double"
+        )
+    return value

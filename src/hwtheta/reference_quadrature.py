@@ -32,14 +32,14 @@ buffers it inherited.  Both runs' nodes are requested here before the fork,
 full bits first as the serial code does, so the child solves no nodes and
 this process's node caches end as the serial code leaves them.  The rerun
 runs in process, after the full run, where os.fork is missing or raises
-OSError, where fewer than two CPUs are usable, where a second thread is alive
-(a fork copies only the calling thread, and any lock another thread holds
-stays held in the child), where SIGCHLD is ignored (the child could not be
-waited for), and where the child fails: a nonzero exit status or a short
-read.  If this process raises meanwhile, KeyboardInterrupt included,
-it kills and reaps the child.  Either way the same _integrate_panels makes
-the rerun's value at the same bits from the same nodes, so the EvalResult is
-bit-identical to the in-process one.
+OSError, where a second thread is alive (a fork copies only the calling
+thread, and any lock another thread holds stays held in the child), where
+SIGCHLD is ignored (the child could not be waited for), and where the child
+fails: a nonzero exit status or a short read.  If this process raises
+meanwhile, KeyboardInterrupt included, it kills and reaps the child.  Either
+way the same _integrate_panels makes the rerun's value at the same bits from
+the same nodes, so the EvalResult is bit-identical to the in-process one; on
+a single usable CPU the two runs share it, with the same result.
 
 The panel loop runs on mpmath's raw libmp values rather than mpf objects:
 each step is the libmp call that the equivalent mpf expression makes under
@@ -72,9 +72,9 @@ import enum
 import math
 import os
 import signal
-import sys
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import (
@@ -106,7 +106,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .errors import DomainError, PrecisionOverflowError
+from .errors import DomainError, PrecisionOverflowError, normal_double, positive_real
 
 __all__ = [
     "DEFAULT_BITS_CEILING",
@@ -154,12 +154,24 @@ def required_bits(t: float) -> int:
 
     The first term is the cancellation budget dictated by the e^(pi^2/(2t))
     prefactor; 64 guard bits cover quadrature and round-off. Monotone
-    decreasing in t.
+    decreasing in t.  Raises PrecisionOverflowError where the count is beyond
+    the double range (t below about 3.96e-308), far above any ceiling.
     """
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"t must be a positive finite real, got {t!r}")
-    return int(math.ceil(math.pi**2 / (2.0 * t) * math.log2(math.e))) + 64
+    return _required_bits(positive_real(t, "t"))
+
+
+def _required_bits(t: float) -> int:
+    budget = math.pi**2 / (2.0 * t) * math.log2(math.e)
+    if budget == math.inf:
+        exact = Fraction(math.pi**2 / 2.0 * math.log2(math.e)) / Fraction(t)
+        ceiling = _bits_ceiling()
+        raise PrecisionOverflowError(
+            f"t={t!r} needs more than 10^308 bits of working precision, above the "
+            f"ceiling of {ceiling}",
+            required_bits=math.ceil(exact) + 64,
+            ceiling_bits=ceiling,
+        )
+    return int(math.ceil(budget)) + 64
 
 
 def _bits_ceiling() -> int:
@@ -419,16 +431,17 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     in a forked child beside the full run where it can (see the module
     docstring).  Raises DomainError where theta is not a normal double.
     """
-    r = float(r)
-    t = float(t)
-    if not math.isfinite(r) or r <= 0.0:
-        raise DomainError(f"r must be a positive finite real, got {r!r}")
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"t must be a positive finite real, got {t!r}")
+    r = positive_real(r, "r")
+    t = positive_real(t, "t")
     if bits is None:
-        bits = required_bits(t)
-    elif not (64 <= bits < math.inf and bits == int(bits)):
-        raise DomainError(f"bits must be an integer >= 64, got {bits!r}")
+        bits = _required_bits(t)
+    else:
+        try:
+            integral = 64 <= bits < math.inf and bits == int(bits)
+        except TypeError:  # a str, say
+            integral = False
+        if not integral:
+            raise DomainError(f"bits must be an integer >= 64, got {bits!r}")
     bits = int(bits)
     ceiling = _bits_ceiling()
     if bits > ceiling:
@@ -445,13 +458,7 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     _gl_nodes(_PANEL_POINTS, bits)
     _gl_nodes(_PANEL_POINTS, check_bits)
     value, check = _run_beside_check(r, t, bits, check_bits)
-    if check is None:
-        check, _ = _integrate_panels(r, t, check_bits)
-    theta = float(value)
-    if not sys.float_info.min <= abs(theta) < math.inf:
-        raise DomainError(
-            f"theta(r={r!r}, t={t!r}) is {theta!r}, outside the range of a double"
-        )
+    theta = normal_double(float(value), "theta(r={!r}, t={!r})", r, t)
     with mp.workprec(64):
         err = float(abs(value - check) / abs(value))
     return EvalResult(
@@ -462,21 +469,14 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     )
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _fork_check(r: float, t: float, bits: int):
     """Fork a child that computes _integrate_panels(r, t, bits) and writes its
     value's raw libmp tuple to a pipe; returns (pid, the pipe's read end as a
     file), or None where a fork is missing, fails, is unsafe (a second live
-    thread), would have no free CPU to run on, or leaves a child that cannot
-    be waited for (SIGCHLD ignored: the kernel reaps it at exit)."""
+    thread), or leaves a child that cannot be waited for (SIGCHLD ignored:
+    the kernel reaps it at exit)."""
     if (
         not hasattr(os, "fork")
-        or _usable_cpus() < 2
         or threading.active_count() > 1
         or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
     ):
@@ -503,24 +503,27 @@ def _fork_check(r: float, t: float, bits: int):
 
 
 def _run_beside_check(r: float, t: float, bits: int, check_bits: int):
-    """(value, check): the full run here, and the self-check's value from a
-    forked child running at the same time, or None for the check where no
-    child could run or it failed (nonzero exit, short read)."""
+    """(value, check): the full run at bits and the self-check at check_bits.
+    The check comes from a forked child running at the same time, or is run
+    here after the full run where no child could run or it failed (nonzero
+    exit, short read)."""
     child = _fork_check(r, t, check_bits)
     if child is None:
-        return _integrate_panels(r, t, bits)[0], None
-    pid, pipe = child
-    with pipe:
-        try:
-            value, _ = _integrate_panels(r, t, bits)
-            data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-    fields = data.split()
-    if status != 0 or not data.endswith(b"\n") or len(fields) != 4:
-        return value, None
-    sign, man, exp, bc = map(int, fields)
-    return value, mp.make_mpf((sign, MPZ(man), exp, bc))
+        value, _ = _integrate_panels(r, t, bits)
+    else:
+        pid, pipe = child
+        with pipe:
+            try:
+                value, _ = _integrate_panels(r, t, bits)
+                data = pipe.read()
+                _, status = os.waitpid(pid, 0)
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                raise
+        fields = data.split()
+        if status == 0 and data.endswith(b"\n") and len(fields) == 4:
+            sign, man, exp, bc = map(int, fields)
+            return value, mp.make_mpf((sign, MPZ(man), exp, bc))
+    check, _ = _integrate_panels(r, t, check_bits)
+    return value, check

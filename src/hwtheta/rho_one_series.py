@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, positive_real
 
 __all__ = [
     "Q6",
@@ -165,9 +165,7 @@ class HalfPowerSeries:
         Returns a float for a series in tau, a complex for a series in -tau
         (fourth-quadrant branch).
         """
-        tau = float(tau)
-        if not 0.0 < tau < math.inf:
-            raise DomainError(f"series evaluation requires a finite tau > 0, got {tau!r}")
+        tau = positive_real(tau, "tau")
         use = self.coeffs if nterms is None else self.coeffs[:nterms]
         if self.variable == "tau":
             total = 0.0
@@ -207,9 +205,7 @@ class ThetaSeries:
 
     def bracket(self, t: float, nterms: int | None = None) -> float:
         """The partial sum sum_k c_k t^k without the prefactor."""
-        t = float(t)
-        if not 0.0 < t < math.inf:
-            raise DomainError(f"theta series requires a finite t > 0, got {t!r}")
+        t = positive_real(t, "t")
         use = self.coeffs if nterms is None else self.coeffs[:nterms]
         return sum(float(c) * t**k for k, c in enumerate(use))
 

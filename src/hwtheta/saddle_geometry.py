@@ -31,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, normal_double, positive_real
 
 __all__ = [
     "EPS_CRIT",
@@ -75,20 +75,13 @@ class Regime(enum.Enum):
     SUPER_CRITICAL = "super-critical"  # rho > 1: saddle i*y1
 
 
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not math.isfinite(rho) or rho <= 0.0:
-        raise DomainError(f"rho must be a positive finite real, got {rho!r}")
-    return rho
-
-
 def classify(rho: float) -> Regime:
     """Classify rho into its saddle regime.
 
     Critical means |rho - 1| <= EPS_CRIT; below that band is sub-critical,
     above it super-critical.
     """
-    rho = _check_rho(rho)
+    rho = positive_real(rho, "rho")
     if abs(rho - 1.0) <= EPS_CRIT:
         return Regime.CRITICAL
     if rho < 1.0:
@@ -144,7 +137,7 @@ def solve_x1(rho: float) -> float:
         DomainError when the root lies beyond sinh's overflow (rho below
         about 4e-306).
     """
-    rho = _check_rho(rho)
+    rho = positive_real(rho, "rho")
     if rho >= 1.0:
         raise DomainError(
             f"solve_x1 requires rho < 1 (sinh(x)/x >= 1 leaves no positive root), got {rho!r}"
@@ -177,7 +170,7 @@ def solve_y1(rho: float) -> float:
     about 1e-12 relative; DomainError when it is not a normal double (rho
     above about 1.4e308).
     """
-    rho = _check_rho(rho)
+    rho = positive_real(rho, "rho")
     if rho < 1.0:
         raise DomainError(f"solve_y1 requires rho >= 1, got {rho!r}")
     if rho == 1.0:
@@ -195,17 +188,15 @@ def solve_y1(rho: float) -> float:
         hi,
         scale,
     )
-    if not (
-        y1 >= sys.float_info.min
-        and abs(y1 + rho * math.sin(y1) - _PI) <= _RESIDUAL_TOL * _PI
-    ):
-        raise DomainError(f"y1 at rho={rho!r} did not converge to a normal double (y1 = {y1!r})")
+    normal_double(y1, "y1 at rho={!r}", rho)
+    if not abs(y1 + rho * math.sin(y1) - _PI) <= _RESIDUAL_TOL * _PI:
+        raise DomainError(f"y1 at rho={rho!r} did not converge (y1 = {y1!r})")
     return y1
 
 
 def h(xi: complex, rho: float) -> complex:
     """Phase function h(xi) = xi^2/2 + rho*cosh(xi) - i*pi*xi."""
-    rho = _check_rho(rho)
+    rho = positive_real(rho, "rho")
     xi = complex(xi)
     return 0.5 * xi * xi + rho * cmath.cosh(xi) - 1j * _PI * xi
 
@@ -284,7 +275,7 @@ def saddle_data(rho: float) -> SaddleData:
     the scalar functions g0, F and G read their field from it.  Raises
     DomainError where the root or g0 leaves the normal double range.
     """
-    rho = _check_rho(rho)
+    rho = positive_real(rho, "rho")
     regime = classify(rho)
     x1 = y1 = None
     if regime is Regime.CRITICAL:
@@ -302,8 +293,7 @@ def saddle_data(rho: float) -> SaddleData:
         xi_saddle = complex(0.0, y1)
         g0_val = math.sin(y1) / math.sqrt(2.0 * (rho * math.cos(y1) + 1.0))
         f_val = -0.5 * y1 * y1 + rho * math.cos(y1) + _PI * y1
-    if not sys.float_info.min <= g0_val < math.inf:
-        raise DomainError(f"g0 at rho={rho!r} is {g0_val!r}, outside the range of a double")
+    normal_double(g0_val, "g0 at rho={!r}", rho)
     return SaddleData(
         rho=rho,
         regime=regime,

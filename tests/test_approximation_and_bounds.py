@@ -230,13 +230,3 @@ def test_check_bound_grid_validation():
         ab.check_bound([-1.0], [0.1])
     with pytest.raises(DomainError):
         ab.check_bound([1.0], [0.0])
-
-
-def test_scalar_validation():
-    for rho, t in ((0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, -1.0), (math.nan, 0.5), (1.0, math.nan)):
-        with pytest.raises(DomainError):
-            ab.theta_leading(rho, t)
-        with pytest.raises(DomainError):
-            ab.measure_vartheta(rho, t)
-        with pytest.raises(DomainError):
-            ab.theta_approx(rho, t)

@@ -123,6 +123,14 @@ def test_eval_precision_ceiling_maps_to_exit_3(capsys, monkeypatch):
     assert err
 
 
+def test_eval_direct_bit_count_beyond_double_range_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--rho", "1e-300", "--t", "1e-320", "--method", "direct"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: t=1e-320 needs more than 10^308 bits")
+
+
 def test_eval_bits_out_of_range(capsys):
     argv = ("eval", "--rho", "1", "--t", "0.5", "--method", "direct", "--bits")
     code, out, err = run_cli(capsys, *argv, "32")

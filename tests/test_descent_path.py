@@ -201,14 +201,6 @@ def test_sweep_grid_validation():
         dp.sweep_delta([1.0], [0.0, 1.0])
 
 
-def test_tau_validation():
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(DomainError):
-            dp.delta(bad, 1.0)
-        with pytest.raises(DomainError):
-            dp.trace_path(1.0, bad)
-
-
 def test_kernel_failures_surface_as_path_errors(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic stall", 0.123)
