@@ -76,17 +76,17 @@ def measure_vartheta(rho: float, t: float) -> float:
 
     The oracle's automatic precision covers only the e^(pi^2/(2t))
     cancellation; sub-critically the result is smaller again by
-    e^(-(F - pi^2/2)/t), and the half-precision self-check rerun needs its
-    own headroom.  The bits passed to theta_direct are therefore doubled
-    over the full cancellation budget:
-    bits = 2*(ceil((pi^2/2 + max(0, F - pi^2/2))/t * log2 e) + 32).
+    e^(-(F - pi^2/2)/t).  The bits passed to theta_direct therefore cover the
+    full cancellation budget with 64 guard bits,
+    bits = ceil((pi^2/2 + max(0, F - pi^2/2))/t * log2 e) + 64,
+    so the oracle's self-check, 32 bits below, keeps 32 above it.
     """
     t = positive_real(t, "t")
     rho = float(rho)
     sd = sg.saddle_data(rho)
     lead = _theta_leading(sd, t)
     cancel = (_HALF_PI_SQ + max(0.0, sd.F - _HALF_PI_SQ)) / t * math.log2(math.e)
-    bits = 2 * (int(math.ceil(cancel)) + 32)
+    bits = int(math.ceil(cancel)) + 64
     result = rq.theta_direct(rho / t, t, bits)
     return result.theta / lead - 1.0
 

@@ -21,8 +21,19 @@ Within panel k the phase is evaluated locally, sin(pi xi/t) =
 
 Results surface as doubles, and a theta that is not a normal double (an
 underflow to 0.0 or a subnormal, an overflow to inf) is refused with
-DomainError; the error_estimate field reports the relative difference
-against a half-precision rerun.
+DomainError, as is a run that would sum more than _MAX_PANELS panels (an
+explicit bits with a tiny t); the error_estimate field reports the relative
+difference against a rerun 32 bits below the full run (at least 64 bits).
+
+The rerun's 32 bits below keep it above the integral's cancellation wherever
+the full run holds 64 guard bits over it, as required_bits sizes it for the
+pi^2/(2t) prefactor and measure_vartheta for the saddle exponent too.  A
+rerun at half the bits would keep fewer than 32 guard bits over pi^2/(2t)
+at default bits for t under about 0.22, and none under 0.11.  Both runs sum
+the same 24-point panels, so the estimate measures rounding only: not the
+panel rule's error, not a tail the loop stopped short of, and not a
+cancellation beyond what the bits cover (at (200, 0.05) both runs agree on
+a wrong, negative theta).
 
 The rerun does not depend on the full run, so theta_direct runs the two at
 once: it forks one child that computes the rerun while this process computes
@@ -45,8 +56,8 @@ The panel loop runs on mpmath's raw libmp values rather than mpf objects:
 each step is the libmp call that the equivalent mpf expression makes under
 mp.workprec, with the same precision, round-to-nearest and evaluation order,
 so every panel is the mpf result to the bit.  That matters because
-error_estimate sits in the last bits of the half-precision rerun and so moves
-with any change of rounding.  At (r, t) = (2, 0.5) it is 7.138e-19; mp.exp in place of
+error_estimate sits in the last bits of the rerun and so moves with any
+change of rounding.  At (r, t) = (2, 0.5) it is 7.138e-19; mp.exp in place of
 mp.e ** y makes it 1.357e-18 and folding sin into the weights 2.850e-19, and
 the published output would change.  What the libmp loop saves is mpf's
 per-operation object and dispatch overhead, the log(e) that mp.e ** y
@@ -129,6 +140,11 @@ _PANEL_POINTS = 24
 #: Scales the dynamic truncation threshold
 #: _TAIL_TOLERANCE * |partial sum| * 2^(-bits/2).
 _TAIL_TOLERANCE = 0.5
+
+#: Most panels of width t that one run may sum.  Default bits keep t above
+#: about 1.7e-3, where no run needs more than about 1,900; an explicit
+#: bits with a tiny t can ask for astronomically many, and is refused.
+_MAX_PANELS = 10**6
 
 
 class Method(enum.Enum):
@@ -336,6 +352,18 @@ def _truncation_cap(r: float, t: float, bits: int) -> float:
     return hi
 
 
+def _panel_count(r: float, t: float, bits: int) -> int:
+    """Panels of width t up to the truncation cap, ceil(xi_cap/t) + 1, or
+    DomainError when that is above _MAX_PANELS."""
+    widths = _truncation_cap(r, t, bits) / t
+    if widths + 1.0 > _MAX_PANELS:
+        raise DomainError(
+            f"theta(r={r!r}, t={t!r}) at {bits} bits needs about {widths + 1.0:.3g} "
+            f"quadrature panels, above the cap of {_MAX_PANELS}"
+        )
+    return int(math.ceil(widths)) + 1
+
+
 def _integrate_panels(r: float, t: float, bits: int):
     """Panel-by-panel quadrature; returns (theta as mpf, signed panel list).
 
@@ -350,7 +378,7 @@ def _integrate_panels(r: float, t: float, bits: int):
     rr = from_float(r, prec, _RND)
     tt = from_float(t, prec, _RND)
     nodes = _gl_nodes(_PANEL_POINTS, bits)
-    kmax = int(math.ceil(_truncation_cap(r, t, bits) / t)) + 1
+    kmax = _panel_count(r, t, bits)
     # envelope maximum: cap of the Gaussian-free stationary points
     peak = max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
     # mpf(2) ** -(bits // 2) * mpf(_TAIL_TOLERANCE), exact
@@ -426,10 +454,12 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     The working precision is `bits`, an integer >= 64, or required_bits(t)
     when bits is None; either way it must not exceed the ceiling (4096 bits
     by default, HW_MAX_BITS to change).  The returned error_estimate is the
-    relative difference against a rerun at half the bits (at least 64), a
-    direct measure of whether the precision budget sufficed; the rerun runs
-    in a forked child beside the full run where it can (see the module
-    docstring).  Raises DomainError where theta is not a normal double.
+    relative difference against a rerun at bits - 32 (at least 64), a direct
+    measure of whether the precision budget sufficed for the rounding; the
+    rerun runs in a forked child beside the full run where it can (see the
+    module docstring).  Raises DomainError where theta is not a normal double,
+    and, before any quadrature, where the run would need more than
+    _MAX_PANELS panels of width t.
     """
     r = positive_real(r, "r")
     t = positive_real(t, "t")
@@ -451,7 +481,8 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
             required_bits=bits,
             ceiling_bits=ceiling,
         )
-    check_bits = max(64, bits // 2)
+    _panel_count(r, t, bits)  # refuse before any quadrature or fork
+    check_bits = max(64, bits - 32)
     # the serial runs' node requests, in their order, before any fork: the
     # child then solves nothing, and the caches here end as the serial code
     # leaves them

@@ -184,7 +184,8 @@ class HalfPowerSeries:
 
     def term_magnitude(self, tau: float, k: int) -> float:
         """|coeffs[k]| * tau^exponent(k), the standard truncation yardstick."""
-        return abs(float(self.coeffs[k])) * float(tau) ** float(self.exponent(k))
+        tau = positive_real(tau, "tau")
+        return abs(float(self.coeffs[k])) * tau ** float(self.exponent(k))
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,8 @@ class ThetaSeries:
 
     def term_magnitude(self, t: float, k: int) -> float:
         """|c_k| * t^k (relative to the prefactor)."""
-        return abs(float(self.coeffs[k])) * float(t) ** k
+        t = positive_real(t, "t")
+        return abs(float(self.coeffs[k])) * t**k
 
 
 @lru_cache(maxsize=None)

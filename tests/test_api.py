@@ -19,8 +19,8 @@ BAD = (0.0, -1.0, math.nan, math.inf, -math.inf)
 
 # every public entry point that takes rho, t, tau, r or z, with the name its
 # refusal gives the argument, called with that argument bad and the rest good.
-# Left out: term_magnitude, which checks nothing, and delta_large_tau, whose
-# domain is tau >= 100 with tau = inf as its limit -1.
+# Left out: delta_large_tau, whose domain is tau >= 100 with tau = inf as its
+# limit -1.
 ENTRY_POINTS = {
     "classify": ("rho", sg.classify),
     "solve_x1": ("rho", sg.solve_x1),
@@ -44,6 +44,8 @@ ENTRY_POINTS = {
     "invert_zeta_equation": ("tau", rs.invert_zeta_equation(4).evaluate),
     "theta_series.bracket": ("t", rs.theta_series_rho1(4).bracket),
     "theta_series.evaluate": ("t", rs.theta_series_rho1(4).evaluate),
+    "im_g_series.term_magnitude": ("tau", lambda x: rs.im_g_series(4).term_magnitude(x, 1)),
+    "theta_series.term_magnitude": ("t", lambda x: rs.theta_series_rho1(4).term_magnitude(x, 1)),
     "required_bits": ("t", rq.required_bits),
     "theta_direct-r": ("r", lambda x: rq.theta_direct(x, 0.5)),
     "theta_direct-t": ("t", lambda x: rq.theta_direct(2.0, x)),

@@ -4,6 +4,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hwtheta.approximation_and_bounds as ab
 import hwtheta.reference_quadrature as rq
@@ -103,6 +105,58 @@ def test_measure_vartheta_solves_the_saddle_once(monkeypatch):
         calls.clear()
         ab.measure_vartheta(rho, 0.5)
         assert len(calls) == 1, (rho, calls)
+
+
+DEFAULT_RHO = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0)
+DEFAULT_T = (0.05, 0.1, 0.2)
+
+
+def _cancel(rho, t):
+    """The bits the theta integral cancels: the pi^2/(2t) prefactor plus the
+    sub-critical suppression e^(-(F - pi^2/2)/t)."""
+    excess = max(0.0, sg.saddle_data(rho).F - ab._HALF_PI_SQ)
+    return (ab._HALF_PI_SQ + excess) / t * math.log2(math.e)
+
+
+def _vartheta_at_doubled_bits(rho, t):
+    """vartheta from the oracle at 2*(ceil(cancel) + 32) bits, where even a
+    check at half the bits stays above the cancellation."""
+    bits = 2 * (math.ceil(_cancel(rho, t)) + 32)
+    return rq.theta_direct(rho / t, t, bits).theta / ab.theta_leading(rho, t) - 1.0
+
+
+def test_measure_vartheta_hands_the_oracle_cancel_plus_64_bits(monkeypatch):
+    seen = []
+
+    def record(r, t, bits):
+        seen.append((r, t, bits))
+        return rq.EvalResult(1.0, rq.Method.DIRECT, bits, 0.0)
+
+    monkeypatch.setattr(rq, "theta_direct", record)
+    for rho in DEFAULT_RHO:
+        for t in DEFAULT_T:
+            seen.clear()
+            ab.measure_vartheta(rho, t)
+            assert seen == [(rho / t, t, math.ceil(_cancel(rho, t)) + 64)], (rho, t)
+
+
+def test_measure_vartheta_equals_the_doubled_bits_on_the_default_grid():
+    # verify-bound's default grid: the same doubles, so the same CSV bytes
+    for rho in DEFAULT_RHO:
+        for t in DEFAULT_T:
+            assert ab.measure_vartheta(rho, t) == _vartheta_at_doubled_bits(rho, t), (rho, t)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(rho=st.floats(min_value=0.25, max_value=4.0), t=st.floats(min_value=0.05, max_value=0.5))
+def test_measure_vartheta_agrees_with_the_doubled_bits(rho, t):
+    # off the default grid the two sizings may round theta differently: the
+    # panel loop stops on a tail below 2^-(bits/2) of the partial sum, which
+    # at cancel + 64 bits can leave a few 1e-15 of theta near t = 0.5 (up to
+    # 3.2e-15 on 40 random cells; the doubled run is good to 1e-22 there)
+    new = ab.measure_vartheta(rho, t)
+    old = _vartheta_at_doubled_bits(rho, t)
+    assert abs(new - old) <= 1e-14 * (1.0 + old), (rho, t, new, old)
 
 
 def test_measured_correction_respects_uniform_bound():

@@ -141,6 +141,14 @@ def test_eval_bits_out_of_range(capsys):
     assert "ceiling" in err
 
 
+def test_eval_bits_with_too_many_panels_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "eval", "--rho", "1e-300", "--t", "1e-320", "--method", "direct", "--bits", "100"
+    )
+    assert (code, out) == (2, "")
+    assert "quadrature panels, above the cap" in err
+
+
 @pytest.mark.parametrize("rho", ["1e300", "1e-300"])
 def test_eval_asymptotic_at_extreme_rho_exits_2(capsys, rho):
     code, out, err = run_cli(capsys, "eval", "--rho", rho, "--t", "0.5", "--method", "asymptotic")

@@ -155,6 +155,29 @@ def test_bits_validation():
     assert rq.theta_direct(2.0, 0.5, 64).precision_used_bits == 64
 
 
+def test_panel_count_above_the_cap_is_refused_before_any_work(monkeypatch, forks):
+    # the truncation cap at (1e20, 1e-320, 100 bits) is 6.2e-61: 6.2e259 panels
+    def must_not_run(*args):
+        raise AssertionError("quadrature started for a refused panel count")
+
+    monkeypatch.setattr(rq, "_integrate_panels", must_not_run)
+    monkeypatch.setattr(rq, "_gl_nodes", must_not_run)
+    with pytest.raises(DomainError, match="quadrature panels, above the cap of 1000000"):
+        rq.theta_direct(1e20, 1e-320, 100)
+    assert forks == []
+
+
+def test_default_bits_stay_far_below_the_panel_cap():
+    # r in [1e-3, 1e3], t in [1.7e-3, 100] on log grids: at most 1,876 panels
+    most = 0
+    for i in range(25):
+        r = 10.0 ** (-3.0 + 6.0 * i / 24)
+        for j in range(25):
+            t = 1.7e-3 * (100.0 / 1.7e-3) ** (j / 24)
+            most = max(most, rq._panel_count(r, t, rq.required_bits(t)))
+    assert 1000 < most < rq._MAX_PANELS / 100
+
+
 # The mpf-level loops that _gl_nodes and _integrate_panels replaced, kept
 # verbatim as the reference: the libmp panel loop must give the same bits.
 _gl_cache_mpf: dict = {}
@@ -351,8 +374,9 @@ def test_larger_t_reuses_the_nodes_of_a_smaller_t(monkeypatch):
     assert calls == []
 
 
-# The self-check rerun at half the bits runs in a forked child beside the
-# full run when it can; in process otherwise.  Both must give the same bits.
+# The self-check rerun 32 bits below the full run runs in a forked child
+# beside the full run when it can; in process otherwise.  Both must give the
+# same bits.
 @pytest.fixture
 def forks(monkeypatch):
     """The pids os.fork returned in this process during one test."""
@@ -380,6 +404,38 @@ def _both_paths(monkeypatch, cells):
         m.setattr(os, "fork", _fork_fails)
         in_process = [rq.theta_direct(*cell) for cell in cells]
     return forked, in_process
+
+
+def test_check_runs_32_bits_below_the_full_run(monkeypatch):
+    seen = []
+    run = rq._run_beside_check
+
+    def record(r, t, bits, check_bits):
+        seen.append((bits, check_bits))
+        return run(r, t, bits, check_bits)
+
+    monkeypatch.setattr(rq, "_run_beside_check", record)
+    rq.theta_direct(2.0, 0.5)  # default bits
+    rq.theta_direct(10.0, 0.05)
+    rq.theta_direct(2.0, 0.5, 64)  # explicit bits
+    rq.theta_direct(2.0, 0.5, 97)
+    rq.theta_direct(2.0, 0.5, 256)
+    ab.measure_vartheta(0.25, 0.1)
+    ab.measure_vartheta(2.0, 0.05)
+    assert [bits for bits, _ in seen[:5]] == [79, 207, 64, 97, 256]
+    assert len(seen) == 7
+    for bits, check_bits in seen:
+        assert check_bits == max(64, bits - 32), (bits, check_bits)
+
+
+@pytest.mark.parametrize("r, t", [(10.0, 0.05), (20.0, 0.05)])
+def test_default_check_stays_above_the_cancellation(r, t):
+    # at t = 0.05 the pi^2/(2t) cancellation is 143 bits: a check at half of
+    # the default 207 bits fell below it and reported 1.6e7 at r = 10 (rho =
+    # 0.5) and 9.3e-8 at r = 20 for a correct theta; 32 bits below runs at 175
+    result = rq.theta_direct(r, t)
+    assert result.precision_used_bits == 207
+    assert result.error_estimate < 1e-12, result
 
 
 def test_worker_and_in_process_check_agree_on_readme_cells(monkeypatch, forks):
