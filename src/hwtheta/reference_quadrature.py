@@ -59,10 +59,21 @@ so every panel is the mpf result to the bit.  That matters because
 error_estimate sits in the last bits of the rerun and so moves with any
 change of rounding.  At (r, t) = (2, 0.5) it is 7.138e-19; mp.exp in place of
 mp.e ** y makes it 1.357e-18 and folding sin into the weights 2.850e-19, and
-the published output would change.  What the libmp loop saves is mpf's
-per-operation object and dispatch overhead, the log(e) that mp.e ** y
-recomputes at every node (taken once per call here), and the second cosh/sinh
-evaluation (mpf_cosh_sinh gives both).
+the published output would change, so sin is not folded.  What the libmp loop
+saves is mpf's per-operation object and dispatch overhead, the log(e) that
+mp.e ** y recomputes at every node (taken once per call here), the second
+cosh/sinh evaluation (mpf_cosh_sinh gives both), the product half * x, taken
+once per node instead of once per node and panel, and most of the sines.  The
+phase sin(pi (xi - a)/t) depends on the panel only through the roundings of
+a = k t, mid = a + t/2 and xi = mid + (t/2) x_j, so the offsets xi - a take a
+handful of values per node over all panels.  Each call keeps a table from the
+raw offset to its sine and evaluates the sine, exactly as before, only for an
+offset it has not seen: 57 sines for 144 nodes at (4, 0.5, 79 bits), 90 for
+1,776 at (5, 0.05, 266 bits).  The key is the offset and not the node because
+the offset's rounding differs between panels; a table keyed on the node would
+reuse one panel's sine where the offset has moved by an ulp, and the panels
+would no longer be the mpf loop's.  The table lives for one call, so it
+grows with no t beyond the one it serves.
 
 The Gauss-Legendre nodes and weights are held at 30 guard bits above the
 panel precision, and the panel loop rounds every product with them back to
@@ -372,7 +383,8 @@ def _integrate_panels(r: float, t: float, bits: int):
     `bits` with round-to-nearest; each step is the libmp call, in the same
     order, that the corresponding mpf expression (noted in the comments)
     makes under mp.workprec(bits), so the panels are the mpf results to the
-    bit.
+    bit.  The sine of a phase offset xi - a that this call has already met
+    is looked up, not recomputed (module docstring).
     """
     prec = bits
     rr = from_float(r, prec, _RND)
@@ -405,20 +417,26 @@ def _integrate_panels(r: float, t: float, bits: int):
     total = fzero
     panels = []
     half = mpf_div(tt, from_int(2), prec, _RND)
+    # half * x does not depend on the panel
+    nodes = [(mpf_mul(half, x, prec, _RND), w) for x, w in nodes]
+    # sin(pi * off / tt) by the raw offset off = xi - a, for this call only:
+    # the offsets repeat across panels, each a rounding of one of a few values
+    phase = {}
     k = 0
     while k < kmax:
         a = mpf_mul_int(tt, k, prec, _RND)
         mid = mpf_add(a, half, prec, _RND)
         acc = fzero
-        for x, w in nodes:
+        for hx, w in nodes:
             # xi = mid + half * x
-            xi = mpf_add(mid, mpf_mul(half, x, prec, _RND), prec, _RND)
+            xi = mpf_add(mid, hx, prec, _RND)
             # sin(pi * (xi - a) / tt): local phase, exact zeros
-            osc = mpf_sin(
-                mpf_div(mpf_mul(pi, mpf_sub(xi, a, prec, _RND), prec, _RND), tt, prec, _RND),
-                prec,
-                _RND,
-            )
+            off = mpf_sub(xi, a, prec, _RND)
+            osc = phase.get(off)
+            if osc is None:
+                osc = phase[off] = mpf_sin(
+                    mpf_div(mpf_mul(pi, off, prec, _RND), tt, prec, _RND), prec, _RND
+                )
             cosh, sinh = mpf_cosh_sinh(xi, prec, _RND)
             # acc += w * damped * sinh(xi) * osc
             term = mpf_mul(

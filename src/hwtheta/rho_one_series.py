@@ -31,6 +31,7 @@ delta/theta series come out with real exact coefficients.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,6 +124,17 @@ class Q6:
             return str(+val)
 
 
+def _term_index(k, count: int) -> int:
+    """k as an int, or DomainError unless it is an integer in [0, count)."""
+    try:
+        index = operator.index(k)
+    except TypeError:
+        index = None
+    if index is None or not 0 <= index < count:
+        raise DomainError(f"term index k must be an integer in [0, {count}), got {k!r}")
+    return index
+
+
 @dataclass(frozen=True)
 class HalfPowerSeries:
     """Formal series sum_k coeffs[k] * X^(offset + k*step) with exact coefficients.
@@ -183,8 +195,10 @@ class HalfPowerSeries:
         return total
 
     def term_magnitude(self, tau: float, k: int) -> float:
-        """|coeffs[k]| * tau^exponent(k), the standard truncation yardstick."""
+        """|coeffs[k]| * tau^exponent(k), the standard truncation yardstick.
+        DomainError unless k is an integer in [0, order)."""
         tau = positive_real(tau, "tau")
+        k = _term_index(k, self.order)
         return abs(float(self.coeffs[k])) * tau ** float(self.exponent(k))
 
 
@@ -224,8 +238,10 @@ class ThetaSeries:
         return pref * bracket
 
     def term_magnitude(self, t: float, k: int) -> float:
-        """|c_k| * t^k (relative to the prefactor)."""
+        """|c_k| * t^k (relative to the prefactor).  DomainError unless k is
+        an integer in [0, order)."""
         t = positive_real(t, "t")
+        k = _term_index(k, self.order)
         return abs(float(self.coeffs[k])) * t**k
 
 
@@ -366,7 +382,9 @@ def delta_large_tau(tau: float) -> float:
 
     Guarded to tau >= 100 where the omitted remainder (of order
     tau^(-3/2) log^2(2 tau)) is small; below the guard the asymptote is
-    unreliable and a DomainError is raised.
+    unreliable and a DomainError is raised, as it is for nan.  tau = inf is
+    accepted on purpose and returns the limit -1.0, the one place where the
+    package's positive-finite-real rule does not apply.
     """
     tau = float(tau)
     if not tau >= 100.0:

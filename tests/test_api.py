@@ -84,3 +84,22 @@ def test_package_exports_each_module_list_once():
         for name, value in vars(errors).items()
         if isinstance(value, type) and issubclass(value, Exception)
     ]
+
+
+@pytest.mark.parametrize("series", [rs.im_g_series(4), rs.theta_series_rho1(4)], ids=["im_g", "theta"])
+def test_term_magnitude_index_must_be_a_coefficient_index(series):
+    assert series.term_magnitude(0.1, 0) > 0.0
+    assert series.term_magnitude(0.1, 3) > 0.0
+    for bad in (-1, -5, 4, 9, 1.5, 2.0, "1", None):
+        with pytest.raises(DomainError) as excinfo:
+            series.term_magnitude(0.1, bad)
+        assert str(excinfo.value) == f"term index k must be an integer in [0, 4), got {bad!r}"
+
+
+def test_delta_large_tau_takes_inf_as_its_limit():
+    # the one entry point outside the positive-finite-real rule, on purpose
+    assert rs.delta_large_tau(math.inf) == -1.0
+    assert rs.delta_large_tau(100.0) == -1.0 + math.pi * math.sqrt(2.0 / 300.0)
+    for bad in (math.nan, 99.9, 0.0, -1.0, -math.inf):
+        with pytest.raises(DomainError, match="requires tau >= 100"):
+            rs.delta_large_tau(bad)

@@ -316,6 +316,33 @@ def test_panels_match_mpf_loop_on_random_cells(r, t, bits):
     _assert_same_panels(r, t, bits)
 
 
+@pytest.mark.parametrize(
+    "r, t, bits, nodes_summed, sines",
+    [(4.0, 0.5, 79, 144, 57), (5.0, 0.05, 266, 1776, 90)],
+)
+def test_one_sine_per_distinct_phase_offset(monkeypatch, r, t, bits, nodes_summed, sines):
+    # the phase depends on the panel only through the rounding of xi - k*t,
+    # so a run takes one sine per distinct offset, not one per node
+    calls = []
+    sin = rq.mpf_sin
+
+    def counted(*args):
+        calls.append(args)
+        return sin(*args)
+
+    monkeypatch.setattr(rq, "mpf_sin", counted)
+    _, panels = rq._integrate_panels(r, t, bits)
+    with mp.workprec(bits):
+        tt = mp.mpf(t)
+        half = tt / 2
+        xs = [mp.make_mpf(x) for x, _ in rq._gl_nodes(rq._PANEL_POINTS, bits)]
+        offsets = {k * tt + half + half * x - k * tt for k in range(len(panels)) for x in xs}
+    assert len(panels) * len(xs) == nodes_summed
+    # two offsets can still round to one argument pi*off/t (88 distinct
+    # arguments at t = 0.05), so the count is of offsets, not of arguments
+    assert len(calls) == len(offsets) == sines
+
+
 @pytest.fixture
 def cold_nodes(monkeypatch):
     """Empty node caches for one test; the process's own come back after it."""
