@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from . import reference_quadrature as rq
 from . import saddle_geometry as sg
 from .errors import DomainError, HwThetaError, normal_double, positive_real
 from .rho_one_series import theta_series_rho1
@@ -87,6 +86,8 @@ def measure_vartheta(rho: float, t: float) -> float:
     lead = _theta_leading(sd, t)
     cancel = (_HALF_PI_SQ + max(0.0, sd.F - _HALF_PI_SQ)) / t * math.log2(math.e)
     bits = int(math.ceil(cancel)) + 64
+    from . import reference_quadrature as rq  # the oracle loads mpmath: import on first use
+
     result = rq.theta_direct(rho / t, t, bits)
     return result.theta / lead - 1.0
 

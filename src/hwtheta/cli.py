@@ -27,8 +27,8 @@ import sys
 
 from . import approximation_and_bounds as ab
 from . import descent_path as dp
-from . import reference_quadrature as rq
 from . import rho_one_series as rs
+from ._result import EvalResult, Method
 from .errors import DomainError, HwThetaError, positive_real
 from .saddle_geometry import EPS_CRIT
 
@@ -58,12 +58,14 @@ def _cmd_eval(args) -> int:
     t = positive_real(args.t, "--t")
 
     if args.method == "direct":
+        from . import reference_quadrature as rq  # the oracle loads mpmath: import on first use
+
         result = rq.theta_direct(rho / t, t, args.bits)
     elif args.method == "asymptotic":
         value = ab.theta_leading(rho, t)
-        result = rq.EvalResult(
+        result = EvalResult(
             theta=value,
-            method=rq.Method.ASYMPTOTIC,
+            method=Method.ASYMPTOTIC,
             precision_used_bits=53,
             error_estimate=min(ab.vartheta_max(t), 1.0),
         )
@@ -76,9 +78,9 @@ def _cmd_eval(args) -> int:
         series = rs.theta_series_rho1(7)
         value = series.evaluate(t, nterms=6)
         bracket = series.bracket(t, nterms=6)
-        result = rq.EvalResult(
+        result = EvalResult(
             theta=value,
-            method=rq.Method.SERIES_RHO1,
+            method=Method.SERIES_RHO1,
             precision_used_bits=53,
             error_estimate=series.term_magnitude(t, 6) / abs(bracket),
         )

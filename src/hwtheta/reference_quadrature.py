@@ -90,12 +90,10 @@ sees many t pays for one solve per order instead of one per bit count.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 import signal
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -128,6 +126,7 @@ from mpmath.libmp import (
     to_float,
 )
 
+from ._result import EvalResult, Method
 from .errors import DomainError, PrecisionOverflowError, normal_double, positive_real
 
 __all__ = [
@@ -156,24 +155,6 @@ _TAIL_TOLERANCE = 0.5
 #: about 1.7e-3, where no run needs more than about 1,900; an explicit
 #: bits with a tiny t can ask for astronomically many, and is refused.
 _MAX_PANELS = 10**6
-
-
-class Method(enum.Enum):
-    """How a theta value was produced."""
-
-    DIRECT = "direct"
-    ASYMPTOTIC = "asymptotic"
-    SERIES_RHO1 = "series-rho1"
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """A theta value plus provenance: method, precision, self-consistency."""
-
-    theta: float
-    method: Method
-    precision_used_bits: int
-    error_estimate: float
 
 
 def required_bits(t: float) -> int:

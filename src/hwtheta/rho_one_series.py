@@ -124,12 +124,17 @@ class Q6:
             return str(+val)
 
 
+def _integer(value) -> int | None:
+    """value as an int by operator.index (a float is refused, not truncated), else None."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 def _term_index(k, count: int) -> int:
     """k as an int, or DomainError unless it is an integer in [0, count)."""
-    try:
-        index = operator.index(k)
-    except TypeError:
-        index = None
+    index = _integer(k)
     if index is None or not 0 <= index < count:
         raise DomainError(f"term index k must be an integer in [0, {count}), got {k!r}")
     return index
@@ -293,10 +298,11 @@ def _im_g_rationals(nterms: int) -> tuple[Fraction, ...]:
 
 
 def _require_order(order: int, minimum: int) -> int:
-    order = int(order)
-    if order < minimum:
-        raise DomainError(f"order must be >= {minimum}, got {order!r}")
-    return order
+    """order as an int, or DomainError unless it is an integer >= minimum."""
+    index = _integer(order)
+    if index is None or index < minimum:
+        raise DomainError(f"order must be an integer >= {minimum}, got {order!r}")
+    return index
 
 
 def invert_zeta_equation(order: int) -> HalfPowerSeries:

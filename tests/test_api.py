@@ -78,6 +78,16 @@ def test_package_exports_each_module_list_once():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(hwtheta, name) is getattr(module, name), name
+    # the oracle's names load on first access, yet are listed, star-imported
+    # and refused like eager ones
+    assert hwtheta.reference_quadrature is rq
+    assert {"reference_quadrature", *rq.__all__} <= set(dir(hwtheta))
+    namespace = {}
+    exec("from hwtheta import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(hwtheta.__all__)
+    assert namespace["EvalResult"] is rq.EvalResult
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        hwtheta.no_such_name
     # errors.py exports its exception types and not the refusal helpers
     assert errors.__all__ == [
         name

@@ -402,6 +402,33 @@ def test_eval_direct_in_subprocess_prints_pinned_bytes_once():
     assert (proc.returncode, proc.stdout.decode()) == (expected["exit"], expected["stdout"])
 
 
+def test_only_oracle_routes_import_mpmath():
+    # every subcommand but eval --method direct and verify-bound runs without
+    # the oracle, whose module and mpmath then load on first use
+    line = "hwtheta eval --rho 1 --t 0.5 --method direct --json"
+    expected = json.loads((REPO / "perfbench" / "pinned.json").read_text())["cli"][line]
+    script = """
+import io, shlex, sys
+from contextlib import redirect_stdout
+from hwtheta.cli import main
+for argv in (
+    "sweep-delta --rho-list 0.5,1 --tau-max 2 --points 4",
+    "delta-prime --rho-min 0.5 --rho-max 2 --points 3",
+    "series --order 4",
+    "eval --rho 2 --t 0.25 --method asymptotic",
+    "eval --rho 1 --t 0.25 --method series",
+):
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(argv.split()) == 0, argv
+    assert out.getvalue(), argv
+    loaded = {"mpmath", "hwtheta.reference_quadrature"} & set(sys.modules)
+    assert not loaded, (argv, loaded)
+sys.exit(main(shlex.split(sys.argv[1])[1:]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, line], capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout.decode()) == (expected["exit"], expected["stdout"]), proc.stderr
+
+
 def test_sweep_delta_deterministic_across_processes():
     argv = [
         sys.executable, "-m", "hwtheta.cli",

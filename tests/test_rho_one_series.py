@@ -465,14 +465,18 @@ def test_delta_large_tau_formula_and_guard():
 
 
 def test_order_validation():
-    with pytest.raises(DomainError):
-        rs.invert_zeta_equation(1)
-    with pytest.raises(DomainError):
-        rs.im_g_series(0)
-    with pytest.raises(DomainError):
-        rs.delta_series(0)
-    with pytest.raises(DomainError):
-        rs.theta_series_rho1(-1)
+    constructors = (
+        (rs.invert_zeta_equation, 2),
+        (rs.im_g_series, 1),
+        (rs.delta_series, 1),
+        (rs.theta_series_rho1, 0),
+    )
+    for build, minimum in constructors:
+        # an order is an integer, never truncated from a float
+        for bad in (minimum - 1, 4.7, 3.9, 4.0, math.nan, math.inf, "4", None):
+            with pytest.raises(DomainError) as excinfo:
+                build(bad)
+            assert str(excinfo.value) == f"order must be an integer >= {minimum}, got {bad!r}"
 
 
 def test_q6_arithmetic_and_rendering():
