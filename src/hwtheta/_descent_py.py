@@ -19,12 +19,13 @@ leading behaviour is quartic, handled by the seed choice alone; no separate
 local-expansion branch is needed anywhere because the difference forms are
 cancellation-free at every tau.
 
-The kernel holds no package imports.  Failures raise RuntimeError with
-args = (message, last_good_tau); descent_path rewraps them as PathError.
+A Newton stall raises PathError carrying the last tau reached.
 """
 
 import cmath
 import math
+
+from .errors import PathError
 
 __all__ = ["trace"]
 
@@ -99,8 +100,8 @@ def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False):
 
     Raises
     ------
-    RuntimeError
-        args = (message, last_good_tau) when Newton fails to converge.
+    PathError
+        last_good_tau = the last tau reached, when Newton fails to converge.
     """
     rho_cx = rho * cx
     rho_sx = rho * sx
@@ -151,9 +152,9 @@ def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False):
                     break
                 dn = dn - resid / dhp(dn)
             if not converged:
-                raise RuntimeError(
+                raise PathError(
                     f"path continuation stalled at tau={tau_try!r} (rho={rho!r})",
-                    tau_cur,
+                    last_good_tau=tau_cur,
                 )
             d = dn
             tau_cur = tau_try

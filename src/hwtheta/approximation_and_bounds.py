@@ -84,10 +84,9 @@ def measure_vartheta(rho: float, t: float) -> float:
     rho = float(rho)
     sd = sg.saddle_data(rho)
     lead = _theta_leading(sd, t)
-    cancel = (_HALF_PI_SQ + max(0.0, sd.F - _HALF_PI_SQ)) / t * math.log2(math.e)
-    bits = int(math.ceil(cancel)) + 64
     from . import reference_quadrature as rq  # the oracle loads mpmath: import on first use
 
+    bits = rq._required_bits(t, max(0.0, sd.F - _HALF_PI_SQ))
     result = rq.theta_direct(rho / t, t, bits)
     return result.theta / lead - 1.0
 

@@ -75,14 +75,13 @@ def _cmd_eval(args) -> int:
                 f"--method series is valid only within |rho - 1| <= {EPS_CRIT:g}, "
                 f"got rho={rho!r}"
             )
-        series = rs.theta_series_rho1(7)
-        value = series.evaluate(t, nterms=6)
-        bracket = series.bracket(t, nterms=6)
+        series = rs.theta_series_rho1(6)
+        value = series.evaluate(t)  # refuses a partial sum <= 0
         result = EvalResult(
             theta=value,
             method=Method.SERIES_RHO1,
             precision_used_bits=53,
-            error_estimate=series.term_magnitude(t, 6) / abs(bracket),
+            error_estimate=rs.theta_series_rho1(7).term_magnitude(t, 6) / series.bracket(t),
         )
 
     if args.json:

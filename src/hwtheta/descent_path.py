@@ -149,13 +149,13 @@ def _expansion_data(sd: sg.SaddleData):
 
 
 def _run_kernel(sd: sg.SaddleData, targets: Sequence[float], record_all: bool = False):
-    rho_eff, sx, cx, h2, h3, mode = _expansion_data(sd)
-    try:
-        return _kernel.trace(rho_eff, sx, cx, h2, h3, mode, list(targets),
-                             record_all)
-    except RuntimeError as exc:
-        last_good = exc.args[1] if len(exc.args) > 1 else 0.0
-        raise PathError(str(exc.args[0]), last_good_tau=last_good) from exc
+    """The kernel's (tau, d, g) points; a stall raises PathError."""
+    return _kernel.trace(*_expansion_data(sd), list(targets), record_all)
+
+
+def _delta_of(sd: sg.SaddleData, tau: float, g: complex) -> float:
+    """delta = Im g * sqrt(tau)/g0 - 1."""
+    return g.imag * math.sqrt(tau) / sd.g0 - 1.0
 
 
 def _to_sample(sd: sg.SaddleData, tau: float, d: complex, g: complex) -> PathSample:
@@ -164,7 +164,7 @@ def _to_sample(sd: sg.SaddleData, tau: float, d: complex, g: complex) -> PathSam
         xi=sd.xi_saddle + d,
         g=g,
         im_g=g.imag,
-        delta=g.imag * math.sqrt(tau) / sd.g0 - 1.0,
+        delta=_delta_of(sd, tau, g),
     )
 
 
@@ -190,12 +190,11 @@ def delta(tau: float, rho: float) -> float:
     tau = positive_real(tau, "tau")
     sd = sg.saddle_data(float(rho))
     ((_, _, g),) = _run_kernel(sd, [tau])
-    return g.imag * math.sqrt(tau) / sd.g0 - 1.0
+    return _delta_of(sd, tau, g)
 
 
 def _delta_on_grid(sd: sg.SaddleData, taus: Sequence[float]) -> list[float]:
-    points = _run_kernel(sd, taus)
-    return [g.imag * math.sqrt(t) / sd.g0 - 1.0 for t, _, g in points]
+    return [_delta_of(sd, t, g) for t, _, g in _run_kernel(sd, taus)]
 
 
 def _richardson_slope(rho: float) -> tuple[float, float, float]:

@@ -5,12 +5,15 @@ problem (exit 2), the remaining types are numerical failures (exit 3).
 
 One refusal rule holds across the package: every argument rho, t, tau, r or
 z must be a positive finite real (an entry point may narrow that further),
-and every result must be a normal double; anything else raises DomainError.
-positive_real and normal_double hold that rule; they are package-internal,
-so __all__ lists only the exception types.
+every count (a series order, a term index, bits) must be a Python integer in
+its range, never truncated from a float, and every result must be a normal
+double; anything else raises DomainError.  positive_real, whole_number and
+normal_double hold that rule; they are package-internal, so __all__ lists
+only the exception types.
 """
 
 import math
+import operator
 import sys
 
 __all__ = [
@@ -91,6 +94,20 @@ def positive_real(x, name: str) -> float:
     if not 0.0 < x < math.inf:
         raise DomainError(f"{name} must be a positive finite real, got {x!r}")
     return x
+
+
+def whole_number(value, name: str, lo: int, hi: int | None = None) -> int:
+    """value as an int by operator.index (so 4.0 is refused, not truncated),
+    or DomainError naming `name` unless it is an integer >= lo, and < hi
+    when hi is given."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < lo or (hi is not None and n >= hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+    return n
 
 
 def normal_double(value: float, what: str, *args) -> float:

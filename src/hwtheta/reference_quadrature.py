@@ -127,7 +127,7 @@ from mpmath.libmp import (
 )
 
 from ._result import EvalResult, Method
-from .errors import DomainError, PrecisionOverflowError, normal_double, positive_real
+from .errors import DomainError, PrecisionOverflowError, normal_double, positive_real, whole_number
 
 __all__ = [
     "DEFAULT_BITS_CEILING",
@@ -168,10 +168,13 @@ def required_bits(t: float) -> int:
     return _required_bits(positive_real(t, "t"))
 
 
-def _required_bits(t: float) -> int:
-    budget = math.pi**2 / (2.0 * t) * math.log2(math.e)
+def _required_bits(t: float, excess: float = 0.0) -> int:
+    """ceil((pi^2/2 + excess)/t * log2 e) + 64: required_bits(t) for a
+    prefactor cancelling excess/t more in its exponent."""
+    # (pi^2 + 2 excess)/(2t) rounds as (pi^2/2 + excess)/t wherever 2t is finite
+    budget = (math.pi**2 + 2.0 * excess) / (2.0 * t) * math.log2(math.e)
     if budget == math.inf:
-        exact = Fraction(math.pi**2 / 2.0 * math.log2(math.e)) / Fraction(t)
+        exact = Fraction((math.pi**2 / 2.0 + excess) * math.log2(math.e)) / Fraction(t)
         ceiling = _bits_ceiling()
         raise PrecisionOverflowError(
             f"t={t!r} needs more than 10^308 bits of working precision, above the "
@@ -462,16 +465,7 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     """
     r = positive_real(r, "r")
     t = positive_real(t, "t")
-    if bits is None:
-        bits = _required_bits(t)
-    else:
-        try:
-            integral = 64 <= bits < math.inf and bits == int(bits)
-        except TypeError:  # a str, say
-            integral = False
-        if not integral:
-            raise DomainError(f"bits must be an integer >= 64, got {bits!r}")
-    bits = int(bits)
+    bits = _required_bits(t) if bits is None else whole_number(bits, "bits", 64)
     ceiling = _bits_ceiling()
     if bits > ceiling:
         raise PrecisionOverflowError(

@@ -31,13 +31,12 @@ delta/theta series come out with real exact coefficients.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, positive_real
+from .errors import DomainError, positive_real, whole_number
 
 __all__ = [
     "Q6",
@@ -124,22 +123,6 @@ class Q6:
             return str(+val)
 
 
-def _integer(value) -> int | None:
-    """value as an int by operator.index (a float is refused, not truncated), else None."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
-
-
-def _term_index(k, count: int) -> int:
-    """k as an int, or DomainError unless it is an integer in [0, count)."""
-    index = _integer(k)
-    if index is None or not 0 <= index < count:
-        raise DomainError(f"term index k must be an integer in [0, {count}), got {k!r}")
-    return index
-
-
 @dataclass(frozen=True)
 class HalfPowerSeries:
     """Formal series sum_k coeffs[k] * X^(offset + k*step) with exact coefficients.
@@ -176,22 +159,22 @@ class HalfPowerSeries:
         for k, c in enumerate(self.coeffs):
             yield self.exponent(k), c
 
-    def evaluate(self, tau: float, nterms: int | None = None):
-        """Sum the first nterms terms at tau > 0 (all by default).
+    def evaluate(self, tau: float):
+        """Sum all `order` terms at tau > 0; a shorter sum is a series of
+        lower order.
 
         Returns a float for a series in tau, a complex for a series in -tau
         (fourth-quadrant branch).
         """
         tau = positive_real(tau, "tau")
-        use = self.coeffs if nterms is None else self.coeffs[:nterms]
         if self.variable == "tau":
             total = 0.0
-            for k, c in enumerate(use):
+            for k, c in enumerate(self.coeffs):
                 total += float(c) * tau ** float(self.exponent(k))
             return total
         # powers of -tau: (-tau)^e = (-i)^(2e) * tau^e under the branch choice
         total = 0j
-        for k, c in enumerate(use):
+        for k, c in enumerate(self.coeffs):
             e = self.exponent(k)
             m = 2 * e
             if m.denominator != 1:
@@ -203,7 +186,7 @@ class HalfPowerSeries:
         """|coeffs[k]| * tau^exponent(k), the standard truncation yardstick.
         DomainError unless k is an integer in [0, order)."""
         tau = positive_real(tau, "tau")
-        k = _term_index(k, self.order)
+        k = whole_number(k, "term index k", 0, self.order)
         return abs(float(self.coeffs[k])) * tau ** float(self.exponent(k))
 
 
@@ -223,21 +206,28 @@ class ThetaSeries:
     def order(self) -> int:
         return len(self.coeffs)
 
-    def bracket(self, t: float, nterms: int | None = None) -> float:
-        """The partial sum sum_k c_k t^k without the prefactor."""
+    def bracket(self, t: float) -> float:
+        """The partial sum of c_k t^k over all `order` terms, no prefactor."""
         t = positive_real(t, "t")
-        use = self.coeffs if nterms is None else self.coeffs[:nterms]
-        return sum(float(c) * t**k for k, c in enumerate(use))
+        return sum(float(c) * t**k for k, c in enumerate(self.coeffs))
 
-    def evaluate(self, t: float, nterms: int | None = None) -> float:
-        """Prefactor times the partial sum."""
-        bracket = self.bracket(t, nterms)
+    def evaluate(self, t: float) -> float:
+        """Prefactor times the partial sum.  DomainError where the prefactor
+        overflows (t below 1.4195e-3) or the partial sum is not positive
+        (order 0, or t past the truncation's useful range: 24.345 at
+        order 6), since theta itself is positive."""
+        bracket = self.bracket(t)
         t = float(t)
         scale = math.sqrt(3.0) / (2.0 * math.pi * t)
         if 1.0 / t + math.log(scale) >= _LOG_DBL_MAX:
             raise DomainError(
                 f"theta series requires t >= 1.4195e-3, where the prefactor "
                 f"{self.PREFACTOR_TEXT} still fits in a double; got {t!r}"
+            )
+        if not bracket > 0.0:
+            raise DomainError(
+                f"theta series of order {self.order} has partial sum {bracket!r} "
+                f"at t={t!r}; theta is positive"
             )
         pref = scale * math.exp(1.0 / t)
         return pref * bracket
@@ -246,7 +236,7 @@ class ThetaSeries:
         """|c_k| * t^k (relative to the prefactor).  DomainError unless k is
         an integer in [0, order)."""
         t = positive_real(t, "t")
-        k = _term_index(k, self.order)
+        k = whole_number(k, "term index k", 0, self.order)
         return abs(float(self.coeffs[k])) * t**k
 
 
@@ -281,7 +271,7 @@ def _w_coefficients(nv: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _im_g_rationals(nterms: int) -> tuple[Fraction, ...]:
+def _im_g_rationals(count: int) -> tuple[Fraction, ...]:
     """Rationals r_j with Im g(tau, 1) = sum_j (r_j/sqrt(6)) tau^(j-1/2).
 
     Along the path dxi/dtau = 1/h'(xi), so g = sinh(xi)/h'(xi) is
@@ -290,19 +280,11 @@ def _im_g_rationals(nterms: int) -> tuple[Fraction, ...]:
     tau = -v^2/6 this is g = 1 + (3/2) sum_m m c_m v^(m-2); the odd powers of
     v are the imaginary ones, giving r_j = (-1)^j (2j+1)/4 c_(2j+1) 6^(j+1).
     """
-    c = _w_coefficients(2 * nterms - 1)
+    c = _w_coefficients(2 * count - 1)
     return tuple(
         (-1) ** j * Fraction(2 * j + 1, 4) * c[2 * j + 1] * 6 ** (j + 1)
-        for j in range(nterms)
+        for j in range(count)
     )
-
-
-def _require_order(order: int, minimum: int) -> int:
-    """order as an int, or DomainError unless it is an integer >= minimum."""
-    index = _integer(order)
-    if index is None or index < minimum:
-        raise DomainError(f"order must be an integer >= {minimum}, got {order!r}")
-    return index
 
 
 def invert_zeta_equation(order: int) -> HalfPowerSeries:
@@ -315,7 +297,7 @@ def invert_zeta_equation(order: int) -> HalfPowerSeries:
     requested order (tested), which is the correctness certificate for
     everything built on top.
     """
-    order = _require_order(order, 2)
+    order = whole_number(order, "order", 2)
     c = _w_coefficients(order)
     coeffs = []
     for m in range(1, order + 1):
@@ -338,7 +320,7 @@ def im_g_series(order: int) -> HalfPowerSeries:
     Every coefficient is a pure rational multiple of 1/sqrt(6); the first two
     are 3/sqrt(6) = sqrt(3/2) and -(3/35)/sqrt(6) = -(1/35)*sqrt(3/2).
     """
-    order = _require_order(order, 1)
+    order = whole_number(order, "order", 1)
     r = _im_g_rationals(order)
     return HalfPowerSeries(
         offset=Fraction(-1, 2),
@@ -355,7 +337,7 @@ def delta_series(order: int) -> HalfPowerSeries:
     d_j = r_j/3; the constant terms cancel exactly (r_0 = 3).  The first two
     coefficients are -1/35 and 7/8250.
     """
-    order = _require_order(order, 1)
+    order = whole_number(order, "order", 1)
     r = _im_g_rationals(order + 1)
     assert r[0] == 3  # guarantees delta(0+) = 0
     return HalfPowerSeries(
@@ -374,7 +356,7 @@ def theta_series_rho1(order: int) -> ThetaSeries:
     the factor (2k-1)!!/2^k * t^k.  Hence c_k = (r_k/3) * (2k-1)!!/2^k with
     c_0 = 1, all exact rationals, starting 1, -1/70, 7/11000.
     """
-    order = _require_order(order, 0)
+    order = whole_number(order, "order", 0)
     r = _im_g_rationals(max(order, 1))
     coeffs = []
     for k in range(order):

@@ -1,6 +1,8 @@
 """The package surface: one refusal rule for arguments, and the exported names."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -96,14 +98,64 @@ def test_package_exports_each_module_list_once():
     ]
 
 
-@pytest.mark.parametrize("series", [rs.im_g_series(4), rs.theta_series_rho1(4)], ids=["im_g", "theta"])
-def test_term_magnitude_index_must_be_a_coefficient_index(series):
-    assert series.term_magnitude(0.1, 0) > 0.0
-    assert series.term_magnitude(0.1, 3) > 0.0
-    for bad in (-1, -5, 4, 9, 1.5, 2.0, "1", None):
+# every entry point that takes a count, as (call, name, lo, hi): the count
+# must be an integer in [lo, hi), or >= lo where hi is None
+INTEGER_ENTRY_POINTS = {
+    "invert_zeta_equation": (rs.invert_zeta_equation, "order", 2, None),
+    "im_g_series": (rs.im_g_series, "order", 1, None),
+    "delta_series": (rs.delta_series, "order", 1, None),
+    "theta_series_rho1": (rs.theta_series_rho1, "order", 0, None),
+    "HalfPowerSeries.term_magnitude": (lambda k: rs.im_g_series(4).term_magnitude(0.1, k), "term index k", 0, 4),
+    "ThetaSeries.term_magnitude": (lambda k: rs.theta_series_rho1(4).term_magnitude(0.1, k), "term index k", 0, 4),
+    "theta_direct": (lambda bits: rq.theta_direct(2.0, 0.5, bits), "bits", 64, None),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+def test_integer_arguments_follow_one_rule(entry):
+    call, name, lo, hi = INTEGER_ENTRY_POINTS[entry]
+    call(lo)
+    if hi is not None:
+        call(hi - 1)
+    span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+    # an integral float is refused, never truncated; bits=None asks for the
+    # default sizing, so None is a bad count everywhere else
+    bads = [lo - 1, float(lo + 2), 4.7, math.nan, math.inf, "4"]
+    bads += [] if hi is None else [hi, hi + 5]
+    bads += [] if name == "bits" else [None]
+    for bad in bads:
         with pytest.raises(DomainError) as excinfo:
-            series.term_magnitude(0.1, bad)
-        assert str(excinfo.value) == f"term index k must be an integer in [0, 4), got {bad!r}"
+            call(bad)
+        assert str(excinfo.value) == f"{name} must be an integer {span}, got {bad!r}"
+
+
+def _used_names(path):
+    """Every imported module or name, bare name and dotted attribute of a module."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            used.add(node.module or "")
+        if isinstance(node, ast.alias):
+            used.add(node.name)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(ast.unparse(node))
+    return used
+
+
+def test_integer_and_real_checks_live_in_errors_py():
+    # operator, isfinite and float_info.min are used behind errors.py alone
+    src = Path(errors.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "errors.py":
+            found = {
+                name
+                for name in _used_names(path)
+                if name.split(".")[0] == "operator" or name.endswith(("isfinite", "float_info.min"))
+            }
+            assert not found, (path.name, found)
+    assert {"operator.index", "sys.float_info.min"} <= _used_names(src / "errors.py")
 
 
 def test_delta_large_tau_takes_inf_as_its_limit():

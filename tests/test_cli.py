@@ -15,6 +15,7 @@ import pytest
 import hwtheta.approximation_and_bounds as ab
 import hwtheta.cli as cli
 import hwtheta.descent_path as dp
+from hwtheta.errors import PathError
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -70,7 +71,7 @@ def test_eval_series_at_critical_rho(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    expected = rs.theta_series_rho1(7).evaluate(0.25, nterms=6)
+    expected = rs.theta_series_rho1(6).evaluate(0.25)
     assert payload["theta"] == expected
     assert payload["method"] == "series-rho1"
 
@@ -82,6 +83,18 @@ def test_eval_series_below_double_range_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "1.4195e-3" in err
+
+
+@pytest.mark.parametrize("t", ["24.35", "30", "1e6"])
+def test_eval_series_past_the_positive_partial_sum_exits_2(capsys, t):
+    # the six-term bracket crosses zero at t = 24.3454; theta is positive
+    code, out, err = run_cli(capsys, "eval", "--rho", "1", "--t", t, "--method", "series")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: theta series of order 6 has partial sum ")
+    code, out, _ = run_cli(capsys, "eval", "--rho", "1", "--t", "24.34", "--method", "series")
+    assert code == 0
+    assert float(out.split()[2]) > 0.0
 
 
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
@@ -229,7 +242,7 @@ def test_sweep_delta_exit_3_on_failed_cells(capsys, monkeypatch):
 
     def stall_above_one(rho, *args):
         if rho > 1.0:
-            raise RuntimeError("synthetic stall", 0.0)
+            raise PathError("synthetic stall", last_good_tau=0.0)
         return real_trace(rho, *args)
 
     monkeypatch.setattr(dp._kernel, "trace", stall_above_one)

@@ -145,7 +145,10 @@ def test_precision_ceiling_env_var(monkeypatch):
 def test_explicit_working_bits_is_respected():
     res = rq.theta_direct(2.0, 0.5, 256)
     assert res.precision_used_bits == 256
-    assert rq.theta_direct(2.0, 0.5, 256.0) == res
+    # bits is an integer, never converted from a float
+    with pytest.raises(DomainError) as excinfo:
+        rq.theta_direct(2.0, 0.5, 256.0)
+    assert str(excinfo.value) == "bits must be an integer >= 64, got 256.0"
 
 
 def test_bits_validation():

@@ -433,7 +433,7 @@ def test_partial_sums_differ_by_one_term():
     theta = rs.theta_series_rho1(6)
     t = 0.3
     for n in range(1, 6):
-        gap = abs(theta.bracket(t, nterms=n + 1) - theta.bracket(t, nterms=n))
+        gap = abs(rs.theta_series_rho1(n + 1).bracket(t) - rs.theta_series_rho1(n).bracket(t))
         assert gap == pytest.approx(theta.term_magnitude(t, n), rel=1e-12)
 
 
@@ -443,6 +443,18 @@ def test_theta_series_refuses_prefactor_beyond_double_range():
     for t in (1.4193e-3, 1e-3, 1e-300):
         with pytest.raises(DomainError, match="1.4195e-3"):
             theta.evaluate(t)
+
+
+def test_theta_series_refuses_a_partial_sum_that_is_not_positive():
+    # order 0 sums nothing; order 6 crosses zero at t = 24.3454
+    cases = ((0, 0.1, "0"), (6, 24.35, "-0.00088305894710"), (6, 30.0, "-1.78559776769434"))
+    for order, t, head in cases:
+        with pytest.raises(DomainError) as excinfo:
+            rs.theta_series_rho1(order).evaluate(t)
+        message = str(excinfo.value)
+        assert message.startswith(f"theta series of order {order} has partial sum {head}")
+        assert message.endswith(f"at t={t!r}; theta is positive")
+    assert rs.theta_series_rho1(6).evaluate(24.34) > 0.0
 
 def test_series_routes_refuse_non_finite_arguments():
     theta = rs.theta_series_rho1(7)
