@@ -19,6 +19,12 @@ leading behaviour is quartic, handled by the seed choice alone; no separate
 local-expansion branch is needed anywhere because the difference forms are
 cancellation-free at every tau.
 
+Each remainder is evaluated once per Newton point and shared: sinh d - d by
+Dh and Dh' at an iterate, cosh d - 1 and Dh'(d) by g at an accepted point
+and by the next step's predictor.  Each shared value is the expression a
+separate evaluation would use, same operands in the same order, and the
+series are pure functions of d, so every (tau, d, g) is the same to the bit.
+
 A Newton stall raises PathError carrying the last tau reached.
 """
 
@@ -106,14 +112,8 @@ def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False):
     rho_cx = rho * cx
     rho_sx = rho * sx
 
-    def dh(d):
-        return 0.5 * h2 * d * d + rho_cx * _coshm1q(d) + rho_sx * _sinhm(d)
-
-    def dhp(d):
-        return h2 * d + rho_sx * _coshm1(d) + rho_cx * _sinhm(d)
-
-    def g_at(d):
-        return (sx + sx * _coshm1(d) + cx * cmath.sinh(d)) / dhp(d)
+    def g_at(d, cm1, hp):
+        return (sx + sx * cm1 + cx * cmath.sinh(d)) / hp
 
     if mode == 2:
         tau_init_cap = 1e-6
@@ -124,6 +124,9 @@ def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False):
 
     out = []
     d = 0j
+    # cosh(d) - 1 and Dh'(d) at the accepted point d, shared by g there and
+    # by the next predictor; at d = 0 both vanish (g at the saddle divides by 0)
+    cm1 = hp = 0j
     tau_cur = 0.0
     for tau_target in targets:
         while tau_cur < tau_target:
@@ -139,18 +142,18 @@ def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False):
                     elif dn.real <= 0.0:
                         dn = -dn
             else:
-                hp = dhp(d)
                 step = min(tau_target - tau_cur,
                            abs(hp) * min(_MAX_DXI, 0.5 * abs(d)))
                 tau_try = tau_cur + step
                 dn = d + step / hp
             converged = False
             for _ in range(_MAX_NEWTON):
-                resid = dh(dn) - tau_try
+                sm = _sinhm(dn)
+                resid = 0.5 * h2 * dn * dn + rho_cx * _coshm1q(dn) + rho_sx * sm - tau_try
                 if abs(resid) <= _RTOL * tau_try:
                     converged = True
                     break
-                dn = dn - resid / dhp(dn)
+                dn = dn - resid / (h2 * dn + rho_sx * _coshm1(dn) + rho_cx * sm)
             if not converged:
                 raise PathError(
                     f"path continuation stalled at tau={tau_try!r} (rho={rho!r})",
@@ -158,7 +161,9 @@ def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False):
                 )
             d = dn
             tau_cur = tau_try
+            cm1 = _coshm1(d)
+            hp = h2 * d + rho_sx * cm1 + rho_cx * sm
             if record_all and tau_cur < tau_target:
-                out.append((tau_cur, d, g_at(d)))
-        out.append((tau_cur, d, g_at(d)))
+                out.append((tau_cur, d, g_at(d, cm1, hp)))
+        out.append((tau_cur, d, g_at(d, cm1, hp)))
     return out

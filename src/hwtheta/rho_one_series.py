@@ -53,6 +53,14 @@ _SQRT6 = math.sqrt(6.0)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
+def _power(x: float, e, name: str):
+    """x ** e, or DomainError where it overflows a double."""
+    try:
+        return x ** e
+    except OverflowError:
+        raise DomainError(f"{name}^{e} overflows a double at {name}={x!r}") from None
+
+
 @dataclass(frozen=True)
 class Q6:
     """Exact element a + b*sqrt(6) of the ring Q(sqrt(6)), Fraction components.
@@ -170,7 +178,7 @@ class HalfPowerSeries:
         if self.variable == "tau":
             total = 0.0
             for k, c in enumerate(self.coeffs):
-                total += float(c) * tau ** float(self.exponent(k))
+                total += float(c) * _power(tau, float(self.exponent(k)), "tau")
             return total
         # powers of -tau: (-tau)^e = (-i)^(2e) * tau^e under the branch choice
         total = 0j
@@ -179,7 +187,7 @@ class HalfPowerSeries:
             m = 2 * e
             if m.denominator != 1:
                 raise DomainError("exponents must be half-integers")
-            total += float(c) * (-1j) ** int(m) * tau ** float(e)
+            total += float(c) * (-1j) ** int(m) * _power(tau, float(e), "tau")
         return total
 
     def term_magnitude(self, tau: float, k: int) -> float:
@@ -187,7 +195,7 @@ class HalfPowerSeries:
         DomainError unless k is an integer in [0, order)."""
         tau = positive_real(tau, "tau")
         k = whole_number(k, "term index k", 0, self.order)
-        return abs(float(self.coeffs[k])) * tau ** float(self.exponent(k))
+        return abs(float(self.coeffs[k])) * _power(tau, float(self.exponent(k)), "tau")
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,7 @@ class ThetaSeries:
     def bracket(self, t: float) -> float:
         """The partial sum of c_k t^k over all `order` terms, no prefactor."""
         t = positive_real(t, "t")
-        return sum(float(c) * t**k for k, c in enumerate(self.coeffs))
+        return sum(float(c) * _power(t, k, "t") for k, c in enumerate(self.coeffs))
 
     def evaluate(self, t: float) -> float:
         """Prefactor times the partial sum.  DomainError where the prefactor
@@ -237,7 +245,7 @@ class ThetaSeries:
         an integer in [0, order)."""
         t = positive_real(t, "t")
         k = whole_number(k, "term index k", 0, self.order)
-        return abs(float(self.coeffs[k])) * t**k
+        return abs(float(self.coeffs[k])) * _power(t, k, "t")
 
 
 @lru_cache(maxsize=None)

@@ -85,6 +85,14 @@ def test_eval_series_below_double_range_exits_2(capsys):
     assert err.startswith("error:") and "1.4195e-3" in err
 
 
+def test_eval_series_past_the_double_range_exits_2(capsys):
+    # t^k overflows a double here; before the refusal this was a traceback
+    code, out, err = run_cli(capsys, "eval", "--rho", "1", "--t", "1e100", "--method", "series")
+    assert code == 2
+    assert out == ""
+    assert err == "error: t^4 overflows a double at t=1e+100\n"
+
+
 @pytest.mark.parametrize("t", ["24.35", "30", "1e6"])
 def test_eval_series_past_the_positive_partial_sum_exits_2(capsys, t):
     # the six-term bracket crosses zero at t = 24.3454; theta is positive

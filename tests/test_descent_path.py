@@ -2,12 +2,17 @@
 
 import cmath
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hwtheta._descent_py as kernel
 import hwtheta.descent_path as dp
 import hwtheta.rho_one_series as rs
 import hwtheta.saddle_geometry as sg
+from hwtheta._descent_py import _MAX_DXI, _QUARTER_TURN, _RTOL, _coshm1, _coshm1q, _sinhm
 from hwtheta.errors import DomainError, ExtrapolationError, PathError, PoleError
 
 HALF_PI_SQ = 0.5 * math.pi * math.pi
@@ -215,3 +220,172 @@ def test_kernel_failures_surface_as_path_errors(monkeypatch):
     assert not table.rows
     assert len(table.failures) == 2
     assert all("synthetic stall" in msg for _, _, msg in table.failures)
+
+
+# The kernel before each series remainder was shared within a Newton point,
+# kept verbatim as the reference: the shared kernel must give the same bits.
+_MAX_NEWTON = kernel._MAX_NEWTON
+
+
+def _trace_reference(rho, sx, cx, h2, h3, mode, targets, record_all=False):
+    """Continue the path Dh(d) = tau through the given tau targets.
+
+    Parameters
+    ----------
+    rho : float
+        Similarity variable (exactly 1.0 in mode 2).
+    sx, cx, h2, h3 : complex
+        sinh/cosh at the saddle, 1 + rho*cx, and rho*sx.
+    mode : int
+        0: branch with Im d < 0 off a saddle at x1 + i*pi;
+        1: branch with Re d > 0 off a saddle at i*y1;
+        2: degenerate saddle, fourth-quadrant quartic branch.
+    targets : sequence of float
+        Strictly increasing positive tau values to report.
+    record_all : bool
+        Also report every accepted continuation step between targets.
+
+    Returns
+    -------
+    list of (tau, d, g)
+        tau float, d = xi - X complex, g = sinh(xi)/h'(xi) complex.
+
+    Raises
+    ------
+    PathError
+        last_good_tau = the last tau reached, when Newton fails to converge.
+    """
+    rho_cx = rho * cx
+    rho_sx = rho * sx
+
+    def dh(d):
+        return 0.5 * h2 * d * d + rho_cx * _coshm1q(d) + rho_sx * _sinhm(d)
+
+    def dhp(d):
+        return h2 * d + rho_sx * _coshm1(d) + rho_cx * _sinhm(d)
+
+    def g_at(d):
+        return (sx + sx * _coshm1(d) + cx * cmath.sinh(d)) / dhp(d)
+
+    if mode == 2:
+        tau_init_cap = 1e-6
+    else:
+        # keep the seed inside the quadratic trust region |h3 d| << |h2|
+        d_trust = min(0.05, 0.1 * abs(h2) / abs(h3)) if h3 != 0 else 0.05
+        tau_init_cap = 0.5 * abs(h2) * d_trust * d_trust
+
+    out = []
+    d = 0j
+    tau_cur = 0.0
+    for tau_target in targets:
+        while tau_cur < tau_target:
+            if d == 0j:
+                tau_try = min(tau_target, tau_init_cap)
+                if mode == 2:
+                    dn = (24.0 * tau_try / rho) ** 0.25 * _QUARTER_TURN
+                else:
+                    dn = cmath.sqrt(2.0 * tau_try / h2)
+                    if mode == 0:
+                        if dn.imag >= 0.0:
+                            dn = -dn
+                    elif dn.real <= 0.0:
+                        dn = -dn
+            else:
+                hp = dhp(d)
+                step = min(tau_target - tau_cur,
+                           abs(hp) * min(_MAX_DXI, 0.5 * abs(d)))
+                tau_try = tau_cur + step
+                dn = d + step / hp
+            converged = False
+            for _ in range(_MAX_NEWTON):
+                resid = dh(dn) - tau_try
+                if abs(resid) <= _RTOL * tau_try:
+                    converged = True
+                    break
+                dn = dn - resid / dhp(dn)
+            if not converged:
+                raise PathError(
+                    f"path continuation stalled at tau={tau_try!r} (rho={rho!r})",
+                    last_good_tau=tau_cur,
+                )
+            d = dn
+            tau_cur = tau_try
+            if record_all and tau_cur < tau_target:
+                out.append((tau_cur, d, g_at(d)))
+        out.append((tau_cur, d, g_at(d)))
+    return out
+
+
+# sweep-delta's 200-point grid to tau = 50; the rho set covers modes 0, 1, 2
+TAU_GRID = [50.0 * (i + 1) / 200 for i in range(200)]
+REFERENCE_RHOS = (0.05, 0.5, 1.0, 2.0, 10.0, 1.0 + 1e-6)
+
+
+def _outcome(fn, args, targets, record_all):
+    """fn's points, or the PathError it raised as (message, last_good_tau)."""
+    try:
+        return fn(*args, list(targets), record_all)
+    except PathError as exc:
+        return str(exc), exc.last_good_tau
+
+
+def test_reference_rhos_cover_every_mode():
+    modes = {dp._expansion_data(sg.saddle_data(rho))[5] for rho in REFERENCE_RHOS}
+    assert modes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("record_all", [False, True])
+@pytest.mark.parametrize("targets", [TAU_GRID, dp._RICHARDSON_TAUS], ids=["grid", "richardson"])
+@pytest.mark.parametrize("rho", REFERENCE_RHOS)
+def test_kernel_matches_reference_bit_for_bit(rho, targets, record_all):
+    args = dp._expansion_data(sg.saddle_data(rho))
+    got = kernel.trace(*args, list(targets), record_all)
+    want = _trace_reference(*args, list(targets), record_all)
+    assert len(got) >= len(targets)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    rho=st.floats(min_value=0.01, max_value=100.0),
+    targets=st.lists(
+        st.floats(min_value=1e-6, max_value=50.0), min_size=1, max_size=6, unique=True
+    ).map(sorted),
+    record_all=st.booleans(),
+)
+def test_kernel_matches_reference_on_random_paths(rho, targets, record_all):
+    args = dp._expansion_data(sg.saddle_data(rho))
+    got = _outcome(kernel.trace, args, targets, record_all)
+    assert got == _outcome(_trace_reference, args, targets, record_all)
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+def test_kernel_stalls_like_reference(rho, monkeypatch):
+    # four Newton iterations are too few a few steps out: both copies stall
+    # at the same tau after the same last accepted point
+    monkeypatch.setattr(kernel, "_MAX_NEWTON", 4)
+    monkeypatch.setattr(sys.modules[__name__], "_MAX_NEWTON", 4)
+    args = dp._expansion_data(sg.saddle_data(rho))
+    got = _outcome(kernel.trace, args, TAU_GRID, False)
+    assert isinstance(got[0], str) and got[1] > 0.0
+    assert got == _outcome(_trace_reference, args, TAU_GRID, False)
+
+
+def test_each_newton_iterate_evaluates_sinh_remainder_once(monkeypatch):
+    # Dh needs sinh d - d and cosh d - 1 - d^2/2 once per Newton iterate; Dh'
+    # and the predictor reuse the sinh remainder instead of recomputing it
+    counts = {"_sinhm": 0, "_coshm1q": 0}
+
+    def counted(name, fn):
+        def wrapper(d):
+            counts[name] += 1
+            return fn(d)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(kernel, name, counted(name, getattr(kernel, name)))
+    table = dp.sweep_delta([2.0], TAU_GRID)
+    assert not table.failures
+    assert counts["_coshm1q"] > len(TAU_GRID)
+    assert counts["_sinhm"] == counts["_coshm1q"]

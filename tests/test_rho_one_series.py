@@ -465,6 +465,25 @@ def test_series_routes_refuse_non_finite_arguments():
                 route(bad)
 
 
+def test_series_powers_past_the_double_range_are_refused():
+    # t^k beyond 1.8e308 raises OverflowError in floats; the series refuse it
+    theta = rs.theta_series_rho1(7)
+    img = rs.im_g_series(6)
+    routes = (
+        (theta.bracket, (), "t^4 overflows a double at t=1e+100"),
+        (theta.term_magnitude, (6,), "t^6 overflows a double at t=1e+100"),
+        (img.evaluate, (), "tau^3.5 overflows a double at tau=1e+100"),
+        (img.term_magnitude, (5,), "tau^4.5 overflows a double at tau=1e+100"),
+    )
+    for route, extra, message in routes:
+        with pytest.raises(DomainError) as excinfo:
+            route(1e100, *extra)
+        assert str(excinfo.value) == message
+    # below the overflow the sums are still returned as before
+    assert rs.theta_series_rho1(6).bracket(1e61) == pytest.approx(-1.7886208468042636e298, rel=1e-15)
+    assert img.term_magnitude(1e62, 5) == pytest.approx(7.417919014561198e270, rel=1e-15)
+
+
 def test_delta_large_tau_formula_and_guard():
     for tau in (100.0, 1e4):
         assert rs.delta_large_tau(tau) == -1.0 + math.pi * math.sqrt(
