@@ -19,16 +19,19 @@ Only the oracle needs mpmath, and it loads on first use: importing the
 package or :mod:`hwtheta.cli` leaves :mod:`hwtheta.reference_quadrature` and
 mpmath unimported until one of the oracle's names (``theta_direct``, say) is
 first looked up here or :func:`measure_vartheta` or :func:`check_bound`
-first runs.
+first runs.  ``EvalResult`` and ``Method`` are not the oracle's: they load
+with the package.
 """
 
 from . import (
+    _result,
     approximation_and_bounds,
     descent_path,
     errors,
     rho_one_series,
     saddle_geometry,
 )
+from ._result import *
 from .approximation_and_bounds import *
 from .descent_path import *
 from .errors import *
@@ -39,13 +42,14 @@ __version__ = "0.1.0"
 
 #: reference_quadrature's __all__.  The oracle imports mpmath, so it and these
 #: names load on first access, through __getattr__.
-_ORACLE_NAMES = ("DEFAULT_BITS_CEILING", "Method", "EvalResult", "required_bits", "theta_direct")
+_ORACLE_NAMES = ("DEFAULT_BITS_CEILING", "required_bits", "theta_direct")
 
 __all__ = [
     "__version__",
     *saddle_geometry.__all__,
     *descent_path.__all__,
     *rho_one_series.__all__,
+    *_result.__all__,
     *_ORACLE_NAMES,
     *approximation_and_bounds.__all__,
     *errors.__all__,

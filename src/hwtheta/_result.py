@@ -1,12 +1,14 @@
 """A theta value with its provenance, as every evaluation route reports it.
 
-Defined apart from reference_quadrature, which re-exports both names, so
-that the asymptotic and series routes build an EvalResult without importing
-the oracle and mpmath.
+Defined apart from reference_quadrature, which imports both names, so that
+the asymptotic and series routes build an EvalResult, and the package
+exports both, without importing the oracle and mpmath.
 """
 
 import enum
 from dataclasses import dataclass
+
+__all__ = ["Method", "EvalResult"]
 
 
 class Method(enum.Enum):

@@ -31,11 +31,9 @@ from .errors import DomainError, HwThetaError, normal_double, positive_real
 from .rho_one_series import theta_series_rho1
 
 __all__ = [
-    "ThetaApprox",
     "BoundRow",
     "BoundReport",
     "theta_leading",
-    "theta_approx",
     "measure_vartheta",
     "vartheta_max",
     "ei_half",
@@ -146,36 +144,6 @@ def vartheta_max(t: float) -> float:
     if sz >= 2.0:
         return t / 70.0 - sz * ei_half(z) / _SQRT_PI + math.erfc(sz)
     return _erf_minus_gauss(sz) / z + math.erfc(sz)
-
-
-@dataclass(frozen=True)
-class ThetaApprox:
-    """Leading-order value with its error bounds at one (rho, t).
-
-    vartheta_measured is present only when the oracle comparison was
-    requested; by construction it equals theta_direct/theta_leading - 1.
-    """
-
-    t: float
-    rho: float
-    theta_leading: float
-    vartheta_measured: float | None
-    bound_simple: float
-    bound_strong: float
-
-
-def theta_approx(rho: float, t: float, measure: bool = False) -> ThetaApprox:
-    """Bundle the leading-order value with both bounds, optionally measured."""
-    t = positive_real(t, "t")
-    rho = float(rho)
-    return ThetaApprox(
-        t=t,
-        rho=rho,
-        theta_leading=theta_leading(rho, t),
-        vartheta_measured=measure_vartheta(rho, t) if measure else None,
-        bound_simple=t / 70.0,
-        bound_strong=vartheta_max(t),
-    )
 
 
 class BoundRow(NamedTuple):

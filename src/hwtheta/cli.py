@@ -28,9 +28,9 @@ import sys
 from . import approximation_and_bounds as ab
 from . import descent_path as dp
 from . import rho_one_series as rs
+from . import saddle_geometry as sg
 from ._result import EvalResult, Method
 from .errors import DomainError, HwThetaError, positive_real
-from .saddle_geometry import EPS_CRIT
 
 __all__ = ["main"]
 
@@ -70,9 +70,9 @@ def _cmd_eval(args) -> int:
             error_estimate=min(ab.vartheta_max(t), 1.0),
         )
     else:  # series
-        if abs(rho - 1.0) > EPS_CRIT:
+        if sg.saddle_data(rho).regime is not sg.Regime.CRITICAL:
             raise DomainError(
-                f"--method series is valid only within |rho - 1| <= {EPS_CRIT:g}, "
+                f"--method series is valid only within |rho - 1| <= {sg.EPS_CRIT:g}, "
                 f"got rho={rho!r}"
             )
         series = rs.theta_series_rho1(6)
@@ -236,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["direct", "asymptotic", "series"],
         required=True,
         help="direct extended-precision quadrature, leading-order saddle-point "
-        f"approximation, or the critical-point series (needs |rho - 1| <= {EPS_CRIT:g})",
+        f"approximation, or the critical-point series (needs |rho - 1| <= {sg.EPS_CRIT:g})",
     )
     p_eval.add_argument(
         "--bits",

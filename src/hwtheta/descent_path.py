@@ -20,29 +20,25 @@ The continuation arithmetic lives in the kernel module _descent_py.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import _descent_py as _kernel
 from . import saddle_geometry as sg
-from .errors import DomainError, ExtrapolationError, PathError, PoleError, positive_real
+from .errors import DomainError, ExtrapolationError, PathError, positive_real
 
 __all__ = [
     "PathSample",
     "PathTrace",
     "SweepRow",
     "SweepTable",
-    "g_of_xi",
     "trace_path",
     "delta",
     "delta_prime_at_zero",
     "delta_double_prime_at_zero",
     "sweep_delta",
 ]
-
-_PI = math.pi
 
 #: tau values used for the small-tau Richardson extrapolations, ascending.
 _RICHARDSON_TAUS = (1e-4, 1e-3, 1e-2)
@@ -105,25 +101,6 @@ class SweepTable:
                 f"{row.rho:.17g},{row.tau:.17g},{row.delta:.17g},{row.bound_ratio:.17g}"
             )
         return "\n".join(lines) + "\n"
-
-
-def g_of_xi(xi: complex, rho: float) -> complex:
-    """Evaluate g(xi) = sinh(xi)/(xi + rho*sinh(xi) - i*pi) directly.
-
-    The denominator is h'(xi); it vanishes at the saddle, where g has its
-    pole.  Denominator magnitudes below 1e-14 raise PoleError; path code
-    never hits this because it evaluates g in difference form around the
-    saddle instead.
-    """
-    rho = positive_real(rho, "rho")
-    xi = complex(xi)
-    s = cmath.sinh(xi)
-    den = xi + rho * s - 1j * _PI
-    if abs(den) < 1e-14:
-        raise PoleError(
-            f"g evaluated within {abs(den):.2e} of its pole at the saddle (xi={xi!r})"
-        )
-    return s / den
 
 
 def _expansion_data(sd: sg.SaddleData):

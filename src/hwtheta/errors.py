@@ -19,7 +19,6 @@ import sys
 __all__ = [
     "HwThetaError",
     "DomainError",
-    "PoleError",
     "PathError",
     "ExtrapolationError",
     "PrecisionOverflowError",
@@ -32,10 +31,6 @@ class HwThetaError(Exception):
 
 class DomainError(HwThetaError, ValueError):
     """An argument lies outside the mathematical domain of the operation."""
-
-
-class PoleError(HwThetaError, ZeroDivisionError):
-    """Evaluation was requested too close to a pole (e.g. g at the saddle)."""
 
 
 class PathError(HwThetaError, ArithmeticError):

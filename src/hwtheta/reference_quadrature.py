@@ -131,8 +131,6 @@ from .errors import DomainError, PrecisionOverflowError, normal_double, positive
 
 __all__ = [
     "DEFAULT_BITS_CEILING",
-    "Method",
-    "EvalResult",
     "required_bits",
     "theta_direct",
 ]

@@ -37,9 +37,6 @@ __all__ = [
     "EPS_CRIT",
     "Regime",
     "SaddleData",
-    "classify",
-    "solve_x1",
-    "solve_y1",
     "h",
     "g0",
     "F",
@@ -58,7 +55,7 @@ _HALF_PI_SQ = 0.5 * math.pi * math.pi
 #: Largest x with sinh(x) and cosh(x) finite doubles.
 _X_MAX = math.asinh(sys.float_info.max)
 
-#: Above this rho solve_y1 brackets the root by pi/(1+rho) and stops Newton
+#: Above this rho _solve_y1 brackets the root by pi/(1+rho) and stops Newton
 #: on a relative step; up to it (y1 >= 0.289) the fixed bracket and the
 #: absolute step of 1e-15 hold y1 to 4e-15 relative.
 _Y1_SCALED_RHO = 10.0
@@ -73,20 +70,6 @@ class Regime(enum.Enum):
     SUB_CRITICAL = "sub-critical"      # 0 < rho < 1: saddle x1 + i*pi
     CRITICAL = "critical"              # rho = 1 within tolerance: saddle i*pi
     SUPER_CRITICAL = "super-critical"  # rho > 1: saddle i*y1
-
-
-def classify(rho: float) -> Regime:
-    """Classify rho into its saddle regime.
-
-    Critical means |rho - 1| <= EPS_CRIT; below that band is sub-critical,
-    above it super-critical.
-    """
-    rho = positive_real(rho, "rho")
-    if abs(rho - 1.0) <= EPS_CRIT:
-        return Regime.CRITICAL
-    if rho < 1.0:
-        return Regime.SUB_CRITICAL
-    return Regime.SUPER_CRITICAL
 
 
 def _bisect_then_newton(f, fprime, lo: float, hi: float, scale: float = 1.0) -> float:
@@ -121,27 +104,11 @@ def _bisect_then_newton(f, fprime, lo: float, hi: float, scale: float = 1.0) -> 
     return x
 
 
-def solve_x1(rho: float) -> float:
-    """Positive root x1 of rho*sinh(x1) = x1 (sub-critical saddle height).
-
-    Parameters
-    ----------
-    rho : float
-        Must satisfy 0 < rho < 1; for rho >= 1 the only root is x = 0 and a
-        DomainError is raised.
-
-    Returns
-    -------
-    float
-        Root with relative residual |rho*sinh(x1)/x1 - 1| below 1e-12.
-        DomainError when the root lies beyond sinh's overflow (rho below
-        about 4e-306).
-    """
-    rho = positive_real(rho, "rho")
-    if rho >= 1.0:
-        raise DomainError(
-            f"solve_x1 requires rho < 1 (sinh(x)/x >= 1 leaves no positive root), got {rho!r}"
-        )
+def _solve_x1(rho: float) -> float:
+    """Positive root x1 of rho*sinh(x1) = x1 for 0 < rho < 1 (sub-critical
+    saddle height), with relative residual |rho*sinh(x1)/x1 - 1| below
+    1e-12; DomainError when the root lies beyond sinh's overflow (rho below
+    about 4e-306)."""
     hi = min(max(10.0, 3.0 * math.log(2.0 / rho)), _X_MAX)
     if rho * math.sinh(hi) <= hi:
         raise DomainError(
@@ -158,23 +125,16 @@ def solve_x1(rho: float) -> float:
     return x1
 
 
-def solve_y1(rho: float) -> float:
-    """Root y1 in (0, pi] of y1 + rho*sin(y1) = pi (super-critical saddle).
+def _solve_y1(rho: float) -> float:
+    """Root y1 in (0, pi) of y1 + rho*sin(y1) = pi for rho > 1 (super-critical
+    saddle).
 
-    For rho = 1 the root is exactly pi (sin(pi) = 0), where this saddle
-    coincides with the degenerate one at i*pi.  For rho > 1 the root is
-    interior and unique: f(y) = y + rho*sin(y) - pi rises then falls on
-    (0, pi) with f(0) = -pi and f(pi) = 0 approached from above.
-
-    The root is held to a residual |f(y1)| below 1e-12 * pi, and so to
-    about 1e-12 relative; DomainError when it is not a normal double (rho
-    above about 1.4e308).
+    The root is interior and unique: f(y) = y + rho*sin(y) - pi rises then
+    falls on (0, pi) with f(0) = -pi and f(pi) = 0 approached from above.
+    It is held to a residual |f(y1)| below 1e-12 * pi, and so to about
+    1e-12 relative; DomainError when it is not a normal double (rho above
+    about 1.4e308).
     """
-    rho = positive_real(rho, "rho")
-    if rho < 1.0:
-        raise DomainError(f"solve_y1 requires rho >= 1, got {rho!r}")
-    if rho == 1.0:
-        return _PI
     if rho <= _Y1_SCALED_RHO:
         lo, hi, scale = 1e-8, _PI - 1e-12, 1.0
     else:
@@ -271,25 +231,29 @@ class SaddleData:
 def saddle_data(rho: float) -> SaddleData:
     """Solve the saddle equation for rho and bundle the derived quantities.
 
-    This is the one place the closed forms for g0, F and G are evaluated;
-    the scalar functions g0, F and G read their field from it.  Raises
-    DomainError where the root or g0 leaves the normal double range.
+    This is the one place the regime is decided (critical means
+    |rho - 1| <= EPS_CRIT; below that band is sub-critical, above it
+    super-critical) and the one place the closed forms for g0, F and G are
+    evaluated; the scalar functions g0, F and G read their field from it.
+    Raises DomainError where the root or g0 leaves the normal double range.
     """
     rho = positive_real(rho, "rho")
-    regime = classify(rho)
     x1 = y1 = None
-    if regime is Regime.CRITICAL:
+    if abs(rho - 1.0) <= EPS_CRIT:
+        regime = Regime.CRITICAL
         y1 = _PI
         xi_saddle = complex(0.0, _PI)
         g0_val = math.sqrt(1.5)
         f_val = _HALF_PI_SQ - 1.0
-    elif regime is Regime.SUB_CRITICAL:
-        x1 = solve_x1(rho)
+    elif rho < 1.0:
+        regime = Regime.SUB_CRITICAL
+        x1 = _solve_x1(rho)
         xi_saddle = complex(x1, _PI)
         g0_val = math.sinh(x1) / math.sqrt(2.0 * (rho * math.cosh(x1) - 1.0))
         f_val = 0.5 * x1 * x1 - rho * math.cosh(x1) + _HALF_PI_SQ
     else:
-        y1 = solve_y1(rho)
+        regime = Regime.SUPER_CRITICAL
+        y1 = _solve_y1(rho)
         xi_saddle = complex(0.0, y1)
         g0_val = math.sin(y1) / math.sqrt(2.0 * (rho * math.cos(y1) + 1.0))
         f_val = -0.5 * y1 * y1 + rho * math.cos(y1) + _PI * y1

@@ -1,12 +1,17 @@
 """The package surface: one refusal rule for arguments, and the exported names."""
 
 import ast
+import doctest
 import math
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import hwtheta
+import hwtheta._result as result
 import hwtheta.approximation_and_bounds as ab
 import hwtheta.descent_path as dp
 import hwtheta.errors as errors
@@ -15,7 +20,9 @@ import hwtheta.rho_one_series as rs
 import hwtheta.saddle_geometry as sg
 from hwtheta.errors import DomainError
 
-MODULES = (sg, dp, rs, rq, ab, errors)
+MODULES = (sg, dp, rs, result, rq, ab, errors)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 BAD = (0.0, -1.0, math.nan, math.inf, -math.inf)
 
@@ -24,15 +31,11 @@ BAD = (0.0, -1.0, math.nan, math.inf, -math.inf)
 # Left out: delta_large_tau, whose domain is tau >= 100 with tau = inf as its
 # limit -1.
 ENTRY_POINTS = {
-    "classify": ("rho", sg.classify),
-    "solve_x1": ("rho", sg.solve_x1),
-    "solve_y1": ("rho", sg.solve_y1),
     "h": ("rho", lambda x: sg.h(1j, x)),
     "g0": ("rho", sg.g0),
     "F": ("rho", sg.F),
     "G": ("rho", sg.G),
     "saddle_data": ("rho", sg.saddle_data),
-    "g_of_xi": ("rho", lambda x: dp.g_of_xi(1j, x)),
     "trace_path-rho": ("rho", lambda x: dp.trace_path(x, 1.0)),
     "trace_path-tau_max": ("tau_max", lambda x: dp.trace_path(1.0, x)),
     "delta-tau": ("tau", lambda x: dp.delta(x, 1.0)),
@@ -53,8 +56,6 @@ ENTRY_POINTS = {
     "theta_direct-t": ("t", lambda x: rq.theta_direct(2.0, x)),
     "theta_leading-rho": ("rho", lambda x: ab.theta_leading(x, 0.5)),
     "theta_leading-t": ("t", lambda x: ab.theta_leading(1.0, x)),
-    "theta_approx-rho": ("rho", lambda x: ab.theta_approx(x, 0.5)),
-    "theta_approx-t": ("t", lambda x: ab.theta_approx(1.0, x)),
     "measure_vartheta-rho": ("rho", lambda x: ab.measure_vartheta(x, 0.5)),
     "measure_vartheta-t": ("t", lambda x: ab.measure_vartheta(1.0, x)),
     "vartheta_max": ("t", ab.vartheta_max),
@@ -77,6 +78,8 @@ def test_package_exports_each_module_list_once():
     names = [name for module in MODULES for name in module.__all__]
     assert len(set(names)) == len(names)
     assert sorted(hwtheta.__all__) == sorted(["__version__", *names])
+    assert len(hwtheta.__all__) == 43
+    assert len(errors.__all__) == 5
     for module in MODULES:
         for name in module.__all__:
             assert getattr(hwtheta, name) is getattr(module, name), name
@@ -96,6 +99,20 @@ def test_package_exports_each_module_list_once():
         for name, value in vars(errors).items()
         if isinstance(value, type) and issubclass(value, Exception)
     ]
+
+
+def test_result_types_load_without_the_oracle():
+    # EvalResult and Method live in _result, exported eagerly: looking them
+    # up imports neither mpmath nor the oracle
+    script = """
+import sys
+import hwtheta
+assert hwtheta.EvalResult.__module__ == hwtheta.Method.__module__ == "hwtheta._result"
+loaded = {"mpmath", "hwtheta.reference_quadrature"} & set(sys.modules)
+assert not loaded, loaded
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 # every entry point that takes a count, as (call, name, lo, hi): the count
@@ -165,3 +182,14 @@ def test_delta_large_tau_takes_inf_as_its_limit():
     for bad in (math.nan, 99.9, 0.0, -1.0, -math.inf):
         with pytest.raises(DomainError, match="requires tau >= 100"):
             rs.delta_large_tau(bad)
+
+
+def test_readme_quick_start_prints_what_it_shows():
+    # the README's Quick start block, run as a doctest: every value it shows
+    # is the value the package returns, to the last printed digit
+    block = re.search(r"## Quick start\n\n```python\n(.*?)```", README.read_text(), re.S)
+    test = doctest.DocTestParser().get_doctest(block.group(1), {}, "README Quick start", str(README), 0)
+    assert len(test.examples) == 8
+    report = []
+    failed, _ = doctest.DocTestRunner().run(test, out=report.append)
+    assert failed == 0, "".join(report)

@@ -61,6 +61,24 @@ def test_eval_series_requires_critical_rho(capsys):
     )
     assert code == 2
     assert err
+    # the band is saddle_data's: just outside it refused, just inside it served
+    for rho in (1.0 + 2e-6, 1.0 - 2e-6):
+        code, out, err = run_cli(
+            capsys, "eval", "--rho", repr(rho), "--t", "0.5", "--method", "series"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --method series is valid only within |rho - 1| <= 1e-06, got rho={rho!r}\n"
+        )
+    for rho in (1.0 + 9e-7, 1.0 - 9e-7):
+        code, out, _ = run_cli(
+            capsys, "eval", "--rho", repr(rho), "--t", "0.5", "--method", "series"
+        )
+        assert code == 0 and out.startswith("theta = ")
+    # beyond the saddle's range its own refusal comes first, with the same code
+    code, out, err = run_cli(capsys, "eval", "--rho", "1e300", "--t", "0.5", "--method", "series")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: g0 at rho=1e+300 ")
 
 
 def test_eval_series_at_critical_rho(capsys):

@@ -13,9 +13,18 @@ import hwtheta.descent_path as dp
 import hwtheta.rho_one_series as rs
 import hwtheta.saddle_geometry as sg
 from hwtheta._descent_py import _MAX_DXI, _QUARTER_TURN, _RTOL, _coshm1, _coshm1q, _sinhm
-from hwtheta.errors import DomainError, ExtrapolationError, PathError, PoleError
+from hwtheta.errors import DomainError, ExtrapolationError, PathError
 
 HALF_PI_SQ = 0.5 * math.pi * math.pi
+
+def _g_of_xi(xi, rho):
+    """g(xi) = sinh(xi)/(xi + rho*sinh(xi) - i*pi) evaluated directly, to
+    check the kernel's g, which it carries in difference form around the
+    saddle; the denominator is h'(xi), so the direct form loses its digits
+    near the saddle, where g has its pole."""
+    s = cmath.sinh(xi)
+    return s / (xi + rho * s - 1j * math.pi)
+
 
 # regression anchors from the current tracer, cross-validated against the
 # exact critical-point series (rho = 1) and the sample residual invariants;
@@ -74,7 +83,7 @@ def test_sample_g_matches_direct_evaluation():
         for s in trace.samples:
             if s.tau < 0.5:
                 continue
-            direct = dp.g_of_xi(s.xi, rho)
+            direct = _g_of_xi(s.xi, rho)
             assert abs(s.g - direct) <= 1e-12 * abs(direct)
 
 
@@ -152,12 +161,12 @@ def test_derivatives_continuous_at_band_edge():
 
 
 def test_g_of_xi_pole_and_asymptote():
+    # the saddle is a zero of h', so g's pole: the direct form blows up there
     sd = sg.saddle_data(0.5)
-    with pytest.raises(PoleError):
-        dp.g_of_xi(sd.xi_saddle, 0.5)
+    assert abs(_g_of_xi(sd.xi_saddle, 0.5)) > 1e14
     # far along the real axis h' ~ rho*sinh, so g -> 1/rho
-    assert dp.g_of_xi(20.0 + 0.0j, 2.0) == pytest.approx(0.5, rel=1e-6)
-    assert dp.g_of_xi(25.0 + 0.5j, 0.5) == pytest.approx(2.0, rel=1e-6)
+    assert _g_of_xi(20.0 + 0.0j, 2.0) == pytest.approx(0.5, rel=1e-6)
+    assert _g_of_xi(25.0 + 0.5j, 0.5) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_quartic_local_structure_at_critical_point():
@@ -166,7 +175,7 @@ def test_quartic_local_structure_at_critical_point():
     for s in (0.1, 0.05, 0.01):
         xi = 1j * math.pi + s * cmath.exp(-1j * math.pi / 4.0)
         tau = sg.h(xi, 1.0) - (HALF_PI_SQ - 1.0)
-        w = (dp.g_of_xi(xi, 1.0) - 1.0) ** 2 * (-tau)
+        w = (_g_of_xi(xi, 1.0) - 1.0) ** 2 * (-tau)
         errors.append(abs(w - 1.5))
         assert abs(w - 1.5) <= s * s
     assert errors[0] > errors[-1]

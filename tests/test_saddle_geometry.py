@@ -43,57 +43,60 @@ DERIVED_REF = {
 
 def test_x1_matches_reference_roots():
     for rho, ref in X1_REF.items():
-        got = sg.solve_x1(rho)
+        got = sg._solve_x1(rho)
         assert got == pytest.approx(ref, rel=1e-14)
 
 
 def test_y1_matches_reference_roots():
     for rho, ref in Y1_REF.items():
-        got = sg.solve_y1(rho)
+        got = sg._solve_y1(rho)
         assert got == pytest.approx(ref, rel=1e-14)
 
 
 def test_x1_residuals_on_log_grid():
     for i in range(40):
         rho = 0.01 * (0.999 / 0.01) ** (i / 39)
-        x1 = sg.solve_x1(rho)
+        x1 = sg._solve_x1(rho)
         assert abs(rho * math.sinh(x1) - x1) <= 1e-12 * max(1.0, x1)
 
 
 def test_y1_residuals_on_log_grid():
     for i in range(40):
         rho = 1.001 * (1000.0 / 1.001) ** (i / 39)
-        y1 = sg.solve_y1(rho)
+        y1 = sg._solve_y1(rho)
         assert 0.0 < y1 < math.pi
         assert abs(y1 + rho * math.sin(y1) - math.pi) <= 1e-12 * math.pi
 
 
 def test_y1_critical_is_exactly_pi():
-    assert sg.solve_y1(1.0) == math.pi
+    assert sg.saddle_data(1.0).y1 == math.pi
 
 
 def test_y1_monotone_decreasing():
     rhos = [1.0 + 0.25 * k for k in range(1, 30)]
-    values = [sg.solve_y1(r) for r in rhos]
+    values = [sg._solve_y1(r) for r in rhos]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_y1_large_rho_scaling():
     # y + rho*sin(y) = pi linearizes to y ~ pi/(1 + rho) for large rho
-    y1 = sg.solve_y1(1000.0)
+    y1 = sg._solve_y1(1000.0)
     assert y1 == pytest.approx(math.pi / 1001.0, rel=1e-3)
 
 
 def test_classify_regimes_and_band_edges():
-    assert sg.classify(0.5) is sg.Regime.SUB_CRITICAL
-    assert sg.classify(2.0) is sg.Regime.SUPER_CRITICAL
-    assert sg.classify(1.0) is sg.Regime.CRITICAL
+    def regime(rho):
+        return sg.saddle_data(rho).regime
+
+    assert regime(0.5) is sg.Regime.SUB_CRITICAL
+    assert regime(2.0) is sg.Regime.SUPER_CRITICAL
+    assert regime(1.0) is sg.Regime.CRITICAL
     # probes clearly inside/outside; the exact edge |rho-1| == EPS_CRIT is
     # one ulp away from representable for 1 - 1e-6
-    assert sg.classify(1.0 + 9e-7) is sg.Regime.CRITICAL
-    assert sg.classify(1.0 - 9e-7) is sg.Regime.CRITICAL
-    assert sg.classify(1.0 + 2e-6) is sg.Regime.SUPER_CRITICAL
-    assert sg.classify(1.0 - 2e-6) is sg.Regime.SUB_CRITICAL
+    assert regime(1.0 + 9e-7) is sg.Regime.CRITICAL
+    assert regime(1.0 - 9e-7) is sg.Regime.CRITICAL
+    assert regime(1.0 + 2e-6) is sg.Regime.SUPER_CRITICAL
+    assert regime(1.0 - 2e-6) is sg.Regime.SUB_CRITICAL
 
 
 def test_saddle_is_stationary_and_on_level_set():
@@ -155,10 +158,6 @@ def test_domain_errors():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             sg.saddle_data(bad)
-    with pytest.raises(DomainError):
-        sg.solve_x1(1.2)  # no positive root of rho*sinh(x) = x
-    with pytest.raises(DomainError):
-        sg.solve_y1(0.8)  # root solver is for rho >= 1
 
 
 def _mp_saddle(rho):
@@ -185,12 +184,12 @@ def test_saddle_data_accurate_or_refused_over_the_double_range():
     refused = []
     for k in range(-1200, 1201):
         rho = 10.0 ** (k / 4)
-        if sg.classify(rho) is sg.Regime.CRITICAL:
-            continue
         try:
             sd = sg.saddle_data(rho)
         except DomainError:
             refused.append(rho)
+            continue
+        if sd.regime is sg.Regime.CRITICAL:
             continue
         root, g0, f = _mp_saddle(rho)
         got = sd.x1 if rho < 1.0 else sd.y1
@@ -208,9 +207,10 @@ def test_extreme_rho_refused_not_crashed():
     for rho in (1e300, 3e205, 1.7e308, 1e-307, 5e-324):
         with pytest.raises(DomainError):
             sg.saddle_data(rho)
-    with pytest.raises(DomainError):
-        sg.solve_x1(1e-307)
-    with pytest.raises(DomainError):
-        sg.solve_y1(1.7e308)
-    assert sg.solve_y1(1e100) == pytest.approx(math.pi / (1.0 + 1e100), rel=1e-15)
-    assert sg.solve_x1(1e-300) == pytest.approx(float(_mp_saddle(1e-300)[0]), rel=1e-15)
+    # the root itself is refused, before g0 is formed
+    with pytest.raises(DomainError, match="x1 at rho=1e-307 "):
+        sg.saddle_data(1e-307)
+    with pytest.raises(DomainError, match="y1 at rho=1.7e[+]308 "):
+        sg.saddle_data(1.7e308)
+    assert sg.saddle_data(1e100).y1 == pytest.approx(math.pi / (1.0 + 1e100), rel=1e-15)
+    assert sg.saddle_data(1e-300).x1 == pytest.approx(float(_mp_saddle(1e-300)[0]), rel=1e-15)
