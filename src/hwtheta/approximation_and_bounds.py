@@ -73,10 +73,12 @@ def measure_vartheta(rho: float, t: float) -> float:
 
     The oracle's automatic precision covers only the e^(pi^2/(2t))
     cancellation; sub-critically the result is smaller again by
-    e^(-(F - pi^2/2)/t).  The bits passed to theta_direct therefore cover the
+    e^(-(F - pi^2/2)/t).  The bits handed to the oracle therefore cover the
     full cancellation budget with 64 guard bits,
-    bits = ceil((pi^2/2 + max(0, F - pi^2/2))/t * log2 e) + 64,
-    so the oracle's self-check, 32 bits below, keeps 32 above it.
+    bits = ceil((pi^2/2 + max(0, F - pi^2/2))/t * log2 e) + 64.
+    Only theta is read, so the oracle runs theta_direct's full run alone, with
+    its refusals but no self-check, its panels split between this process and
+    a forked child; theta is theta_direct's to the bit.
     """
     t = positive_real(t, "t")
     rho = float(rho)
@@ -85,8 +87,7 @@ def measure_vartheta(rho: float, t: float) -> float:
     from . import reference_quadrature as rq  # the oracle loads mpmath: import on first use
 
     bits = rq._required_bits(t, max(0.0, sd.F - _HALF_PI_SQ))
-    result = rq.theta_direct(rho / t, t, bits)
-    return result.theta / lead - 1.0
+    return rq._theta_split(rho / t, t, bits) / lead - 1.0
 
 
 def _erf_minus_gauss(x: float) -> float:

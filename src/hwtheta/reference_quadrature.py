@@ -35,22 +35,31 @@ panel rule's error, not a tail the loop stopped short of, and not a
 cancellation beyond what the bits cover (at (200, 0.05) both runs agree on
 a wrong, negative theta).
 
-The rerun does not depend on the full run, so theta_direct runs the two at
-once: it forks one child that computes the rerun while this process computes
-the full run, and the child sends back only its value's raw libmp tuple,
-through a pipe, and leaves through os._exit, so it flushes none of the
-buffers it inherited.  Both runs' nodes are requested here before the fork,
-full bits first as the serial code does, so the child solves no nodes and
-this process's node caches end as the serial code leaves them.  The rerun
-runs in process, after the full run, where os.fork is missing or raises
-OSError, where a second thread is alive (a fork copies only the calling
-thread, and any lock another thread holds stays held in the child), where
-SIGCHLD is ignored (the child could not be waited for), and where the child
-fails: a nonzero exit status or a short read.  If this process raises
-meanwhile, KeyboardInterrupt included, it kills and reaps the child.  Either
-way the same _integrate_panels makes the rerun's value at the same bits from
-the same nodes, so the EvalResult is bit-identical to the in-process one; on
-a single usable CPU the two runs share it, with the same result.
+Every panel's contribution, and the envelope at its right edge that the
+tail test reads, depend only on (r, t, bits, k), so the work is spread over
+two processes without moving a bit.  theta_direct forks one child that
+computes the rerun while this process computes the full run; the child sends
+back only its value's raw libmp tuple.  measure_vartheta reads only theta, so
+its oracle path, _theta_split, runs no rerun: it sums the panels [0, m),
+m = kmax // 2, here while a forked child computes [m, kmax) and sends back
+each panel's raw contribution and edge envelope, and then carries the
+in-order sum and its tail test on over them.  The sum is the serial run's,
+in the serial order; a tail stop inside [0, m) kills the child unread.
+Each child writes through a pipe and leaves through os._exit, so it flushes
+none of the buffers it inherited.  The nodes are requested here before the
+fork, full bits first as the serial code does, so the child solves no nodes
+and this process's node caches end as the serial code leaves them.  No child
+runs where os.fork is missing, where os.pipe or os.fork raises OSError (out
+of file descriptors or processes), where a second thread is alive (a fork
+copies only the calling thread, and any lock another thread holds stays held
+in the child), or where SIGCHLD is ignored (the child could not be waited
+for); the child's work then runs here, after this process's own, as it does
+where the child fails: a nonzero exit status or a short read.  If this
+process raises meanwhile, KeyboardInterrupt included, it kills and reaps the
+child.  Either way the same panel loop, _panel_terms, makes the same values
+at the same bits from the same nodes, so every result is bit-identical to
+the in-process one; on a single usable CPU the two processes share it, with
+the same result.
 
 The panel loop runs on mpmath's raw libmp values rather than mpf objects:
 each step is the libmp call that the equivalent mpf expression makes under
@@ -61,19 +70,20 @@ change of rounding.  At (r, t) = (2, 0.5) it is 7.138e-19; mp.exp in place of
 mp.e ** y makes it 1.357e-18 and folding sin into the weights 2.850e-19, and
 the published output would change, so sin is not folded.  What the libmp loop
 saves is mpf's per-operation object and dispatch overhead, the log(e) that
-mp.e ** y recomputes at every node (taken once per call here), the second
-cosh/sinh evaluation (mpf_cosh_sinh gives both), the product half * x, taken
-once per node instead of once per node and panel, and most of the sines.  The
-phase sin(pi (xi - a)/t) depends on the panel only through the roundings of
-a = k t, mid = a + t/2 and xi = mid + (t/2) x_j, so the offsets xi - a take a
-handful of values per node over all panels.  Each call keeps a table from the
-raw offset to its sine and evaluates the sine, exactly as before, only for an
-offset it has not seen: 57 sines for 144 nodes at (4, 0.5, 79 bits), 90 for
-1,776 at (5, 0.05, 266 bits).  The key is the offset and not the node because
-the offset's rounding differs between panels; a table keyed on the node would
-reuse one panel's sine where the offset has moved by an ulp, and the panels
-would no longer be the mpf loop's.  The table lives for one call, so it
-grows with no t beyond the one it serves.
+mp.e ** y recomputes at every node (taken once per panel generator here), the
+second cosh/sinh evaluation (mpf_cosh_sinh gives both), the product half * x,
+taken once per node instead of once per node and panel, and most of the
+sines.  The phase sin(pi (xi - a)/t) depends on the panel only through the
+roundings of a = k t, mid = a + t/2 and xi = mid + (t/2) x_j, so the offsets
+xi - a take a handful of values per node over all panels.  Each panel
+generator keeps a table from the raw offset to its sine and evaluates the
+sine, exactly as before, only for an offset it has not seen: 57 sines for 144
+nodes at (4, 0.5, 79 bits), 90 for 1,776 at (5, 0.05, 266 bits).  The key is
+the offset and not the node because the offset's rounding differs between
+panels; a table keyed on the node would reuse one panel's sine where the
+offset has moved by an ulp, and the panels would no longer be the mpf loop's.
+The table lives for one generator, so it grows with no t beyond the one it
+serves.
 
 The Gauss-Legendre nodes and weights are held at 30 guard bits above the
 panel precision, and the panel loop rounds every product with them back to
@@ -90,6 +100,7 @@ sees many t pays for one solve per order instead of one per bit count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import signal
@@ -99,6 +110,7 @@ from fractions import Fraction
 import mpmath as mp
 from mpmath.libmp import (
     MPZ,
+    finf,
     fone,
     from_float,
     from_int,
@@ -357,26 +369,25 @@ def _panel_count(r: float, t: float, bits: int) -> int:
     return int(math.ceil(widths)) + 1
 
 
-def _integrate_panels(r: float, t: float, bits: int):
-    """Panel-by-panel quadrature; returns (theta as mpf, signed panel list).
+def _panel_terms(r: float, t: float, bits: int, ks: range):
+    """The quadrature's panels k in ks, in order: yields each panel's signed
+    contribution and the envelope at its right edge (k + 1) t, as raw libmp
+    values at `bits`.
 
-    Exposed separately so tests can inspect the alternation of consecutive
-    half-period contributions.  The panel sums run on raw libmp values at
-    `bits` with round-to-nearest; each step is the libmp call, in the same
-    order, that the corresponding mpf expression (noted in the comments)
-    makes under mp.workprec(bits), so the panels are the mpf results to the
-    bit.  The sine of a phase offset xi - a that this call has already met
-    is looked up, not recomputed (module docstring).
+    The envelope bounds the tail only past the envelope's peak, so for an
+    edge not beyond peak + t it is +inf and stops no sum.  Each step is the
+    libmp call, in the same order, that the corresponding mpf expression
+    (noted in the comments) makes under mp.workprec(bits), so every value is
+    the mpf result to the bit and depends only on (r, t, bits, k).  The sine
+    of a phase offset xi - a that this generator has already met is looked
+    up, not recomputed (module docstring).
     """
     prec = bits
     rr = from_float(r, prec, _RND)
     tt = from_float(t, prec, _RND)
     nodes = _gl_nodes(_PANEL_POINTS, bits)
-    kmax = _panel_count(r, t, bits)
     # envelope maximum: cap of the Gaussian-free stationary points
     peak = max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
-    # mpf(2) ** -(bits // 2) * mpf(_TAIL_TOLERANCE), exact
-    thresh_scale = mpf_shift(from_float(_TAIL_TOLERANCE), -(bits // 2))
     pi = mpf_pi(prec, _RND)
     e = mpf_e(prec, _RND)
     # mp.e ** y is mpf_pow, i.e. exp(y * log(e)) with log(e) at prec + 10 bits;
@@ -396,16 +407,14 @@ def _integrate_panels(r: float, t: float, bits: int):
             return mpf_pow(e, y, prec, _RND)
         return mpf_exp(mpf_mul(y, log_e), prec, _RND)
 
-    total = fzero
-    panels = []
     half = mpf_div(tt, from_int(2), prec, _RND)
     # half * x does not depend on the panel
     nodes = [(mpf_mul(half, x, prec, _RND), w) for x, w in nodes]
-    # sin(pi * off / tt) by the raw offset off = xi - a, for this call only:
-    # the offsets repeat across panels, each a rounding of one of a few values
+    # sin(pi * off / tt) by the raw offset off = xi - a, for this generator
+    # only: the offsets repeat across panels, each a rounding of one of a few
+    # values
     phase = {}
-    k = 0
-    while k < kmax:
+    for k in ks:
         a = mpf_mul_int(tt, k, prec, _RND)
         mid = mpf_add(a, half, prec, _RND)
         acc = fzero
@@ -431,21 +440,73 @@ def _integrate_panels(r: float, t: float, bits: int):
         sign = -1 if (k % 2) else 1
         # sign * half * acc
         contribution = mpf_mul(mpf_mul_int(half, sign, prec, _RND), acc, prec, _RND)
-        panels.append(contribution)
-        total = mpf_add(total, contribution, prec, _RND)
-        k += 1
-        edge = mpf_mul_int(tt, k, prec, _RND)
+        edge = mpf_mul_int(tt, k + 1, prec, _RND)
+        envelope = finf
         if to_float(edge, rnd=_RND) > peak + t:
             # envelope = mp.e ** (...) * mp.sinh(edge), as at the nodes
             cosh, sinh = mpf_cosh_sinh(edge, prec, _RND)
             envelope = mpf_mul(damped(edge, cosh), sinh, prec, _RND)
-            if mpf_lt(envelope, mpf_mul(thresh_scale, mpf_abs(total), prec, _RND)):
-                break
+        yield contribution, envelope
+
+
+def _add_panels(total: tuple, terms, bits: int, panels: list):
+    """Add the (contribution, envelope) pairs of terms to total in order, at
+    `bits`, appending each contribution to panels, until the tail test stops
+    the sum: an envelope below _TAIL_TOLERANCE * 2^-(bits/2) of |total|.
+    Returns (total, whether the tail test stopped it).  Where terms is a
+    _panel_terms generator, no panel past the stop is computed."""
+    # mpf(2) ** -(bits // 2) * mpf(_TAIL_TOLERANCE), exact
+    thresh_scale = mpf_shift(from_float(_TAIL_TOLERANCE), -(bits // 2))
+    for contribution, envelope in terms:
+        panels.append(contribution)
+        total = mpf_add(total, contribution, bits, _RND)
+        if mpf_lt(envelope, mpf_mul(thresh_scale, mpf_abs(total), bits, _RND)):
+            return total, True
+    return total, False
+
+
+def _theta_of(total: tuple, r: float, t: float, bits: int):
+    """theta as mpf: the prefactor r/sqrt(2 pi^3 t) e^(pi^2/(2t)) times the
+    summed panels, at `bits`."""
     with mp.workprec(bits):
         rr = mp.mpf(r)
         tt = mp.mpf(t)
         prefactor = rr / mp.sqrt(2 * mp.pi**3 * tt) * mp.e ** (mp.pi**2 / (2 * tt))
-        return prefactor * mp.make_mpf(total), [mp.make_mpf(p) for p in panels]
+        return prefactor * mp.make_mpf(total)
+
+
+def _integrate_panels(r: float, t: float, bits: int, kmax: int):
+    """The serial run: panel-by-panel quadrature over at most kmax panels, in
+    this process; returns (theta as mpf, signed panel list).
+
+    Exposed separately so tests can inspect the alternation of consecutive
+    half-period contributions.
+    """
+    panels = []
+    total, _ = _add_panels(fzero, _panel_terms(r, t, bits, range(kmax)), bits, panels)
+    return _theta_of(total, r, t, bits), [mp.make_mpf(p) for p in panels]
+
+
+def _validated(r, t, bits):
+    """(r, t, bits, kmax): a run's arguments as theta_direct takes them, bits
+    = required_bits(t) where None, and the run's panel count.
+
+    Refuses, before any quadrature or fork, an r or t that is not a positive
+    finite real, bits that is not an integer >= 64 or is above the ceiling
+    (PrecisionOverflowError), and a run of more than _MAX_PANELS panels.
+    """
+    r = positive_real(r, "r")
+    t = positive_real(t, "t")
+    bits = _required_bits(t) if bits is None else whole_number(bits, "bits", 64)
+    ceiling = _bits_ceiling()
+    if bits > ceiling:
+        raise PrecisionOverflowError(
+            f"theta(r={r!r}, t={t!r}) needs {bits} bits of working precision, "
+            f"above the ceiling of {ceiling} (raise HW_MAX_BITS to allow)",
+            required_bits=bits,
+            ceiling_bits=ceiling,
+        )
+    return r, t, bits, _panel_count(r, t, bits)
 
 
 def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
@@ -461,28 +522,24 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     and, before any quadrature, where the run would need more than
     _MAX_PANELS panels of width t.
     """
-    r = positive_real(r, "r")
-    t = positive_real(t, "t")
-    bits = _required_bits(t) if bits is None else whole_number(bits, "bits", 64)
-    ceiling = _bits_ceiling()
-    if bits > ceiling:
-        raise PrecisionOverflowError(
-            f"theta(r={r!r}, t={t!r}) needs {bits} bits of working precision, "
-            f"above the ceiling of {ceiling} (raise HW_MAX_BITS to allow)",
-            required_bits=bits,
-            ceiling_bits=ceiling,
-        )
-    _panel_count(r, t, bits)  # refuse before any quadrature or fork
+    r, t, bits, kmax = _validated(r, t, bits)
     check_bits = max(64, bits - 32)
+
+    def check():
+        return _integrate_panels(r, t, check_bits, _panel_count(r, t, check_bits))[0]
+
     # the serial runs' node requests, in their order, before any fork: the
     # child then solves nothing, and the caches here end as the serial code
     # leaves them
     _gl_nodes(_PANEL_POINTS, bits)
     _gl_nodes(_PANEL_POINTS, check_bits)
-    value, check = _run_beside_check(r, t, bits, check_bits)
+    with _in_child(lambda: [check()._mpf_]) as checked:
+        value, _ = _integrate_panels(r, t, bits, kmax)
+        raw = checked()
+    check_value = check() if raw is None else mp.make_mpf(raw[0])
     theta = normal_double(float(value), "theta(r={!r}, t={!r})", r, t)
     with mp.workprec(64):
-        err = float(abs(value - check) / abs(value))
+        err = float(abs(value - check_value) / abs(value))
     return EvalResult(
         theta=theta,
         method=Method.DIRECT,
@@ -491,61 +548,99 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     )
 
 
-def _fork_check(r: float, t: float, bits: int):
-    """Fork a child that computes _integrate_panels(r, t, bits) and writes its
-    value's raw libmp tuple to a pipe; returns (pid, the pipe's read end as a
-    file), or None where a fork is missing, fails, is unsafe (a second live
-    thread), or leaves a child that cannot be waited for (SIGCHLD ignored:
-    the kernel reaps it at exit)."""
+def _theta_split(r: float, t: float, bits: int) -> float:
+    """theta(r, t) at `bits` as a double, from the full run alone: no rerun
+    and no error estimate, and theta_direct's refusals.
+
+    This process sums the panels [0, m), m = kmax // 2, while a forked child
+    computes [m, kmax), then carries the in-order sum and its tail test on
+    over the child's contributions and envelopes.  A tail stop inside [0, m)
+    kills the child unread.  Where no child runs or it fails, [m, kmax) runs
+    here after [0, m).  Each panel depends only on (r, t, bits, k) and the
+    sum is taken in the serial order, so theta is the serial run's to the bit.
+    """
+    r, t, bits, kmax = _validated(r, t, bits)
+    _gl_nodes(_PANEL_POINTS, bits)  # before the fork: the child solves no nodes
+    m = kmax // 2
+    rest = range(m, kmax)
+
+    def in_child():
+        return [x for term in _panel_terms(r, t, bits, rest) for x in term]
+
+    with _in_child(in_child) as child:
+        total, stopped = _add_panels(fzero, _panel_terms(r, t, bits, range(m)), bits, [])
+        if not stopped:
+            raw = child()
+            if raw is None:
+                terms = _panel_terms(r, t, bits, rest)
+            else:
+                terms = zip(raw[::2], raw[1::2])  # (contribution, envelope) pairs
+            total, _ = _add_panels(total, terms, bits, [])
+    theta = _theta_of(total, r, t, bits)
+    return normal_double(float(theta), "theta(r={!r}, t={!r})", r, t)
+
+
+@contextlib.contextmanager
+def _in_child(fn):
+    """Run fn, which returns a list of raw libmp tuples, in a forked child
+    beside the with block.
+
+    Yields a function that waits for the child and returns fn's list, or None
+    where no child runs or it failed: a nonzero exit status or a short read.
+    No child runs where os.fork is missing, where os.pipe or os.fork raises
+    OSError (out of file descriptors or processes), where a second thread is
+    alive, or where SIGCHLD is ignored (the child could not be waited for).
+    The child sends the list's length and each tuple's four ints through a
+    pipe and leaves through os._exit.  A child not waited for when the block
+    ends, normally or by an exception, KeyboardInterrupt included, is killed
+    and reaped.
+    """
+    pid = None
     if (
-        not hasattr(os, "fork")
-        or threading.active_count() > 1
-        or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
+        hasattr(os, "fork")
+        and threading.active_count() == 1
+        and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
     ):
-        return None
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
+        try:
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+        except OSError:  # no pipe (out of descriptors) or no fork: no child
+            pass
+    if pid is None:
+        yield lambda: None
+        return
     if pid == 0:
         code = 1
         try:
-            value, _ = _integrate_panels(r, t, bits)
-            data = b"%d %d %d %d\n" % value._mpf_
+            raw = fn()
+            data = b"%d\n" % len(raw) + b"".join(b"%d %d %d %d\n" % x for x in raw)
             while data:
                 data = data[os.write(wfd, data):]
             code = 0
         finally:
             os._exit(code)  # flushes nothing inherited, runs no exit handler
     os.close(wfd)
-    return pid, open(rfd, "rb")
+    status = None
 
+    def result():
+        nonlocal status
+        data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        fields = data.split()
+        if status or not data.endswith(b"\n") or len(fields) != 1 + 4 * int(fields[0]):
+            return None
+        ints = map(int, fields[1:])
+        return [(sign, MPZ(man), exp, bc) for sign, man, exp, bc in zip(ints, ints, ints, ints)]
 
-def _run_beside_check(r: float, t: float, bits: int, check_bits: int):
-    """(value, check): the full run at bits and the self-check at check_bits.
-    The check comes from a forked child running at the same time, or is run
-    here after the full run where no child could run or it failed (nonzero
-    exit, short read)."""
-    child = _fork_check(r, t, check_bits)
-    if child is None:
-        value, _ = _integrate_panels(r, t, bits)
-    else:
-        pid, pipe = child
-        with pipe:
-            try:
-                value, _ = _integrate_panels(r, t, bits)
-                data = pipe.read()
-                _, status = os.waitpid(pid, 0)
-            except BaseException:
+    with open(rfd, "rb") as pipe:
+        try:
+            yield result
+        finally:
+            if status is None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-                raise
-        fields = data.split()
-        if status == 0 and data.endswith(b"\n") and len(fields) == 4:
-            sign, man, exp, bc = map(int, fields)
-            return value, mp.make_mpf((sign, MPZ(man), exp, bc))
-    check, _ = _integrate_panels(r, t, check_bits)
-    return value, check

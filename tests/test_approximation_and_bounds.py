@@ -130,9 +130,9 @@ def test_measure_vartheta_hands_the_oracle_cancel_plus_64_bits(monkeypatch):
 
     def record(r, t, bits):
         seen.append((r, t, bits))
-        return rq.EvalResult(1.0, rq.Method.DIRECT, bits, 0.0)
+        return 1.0
 
-    monkeypatch.setattr(rq, "theta_direct", record)
+    monkeypatch.setattr(rq, "_theta_split", record)
     for rho in DEFAULT_RHO:
         for t in DEFAULT_T:
             seen.clear()

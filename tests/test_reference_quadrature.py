@@ -1,15 +1,17 @@
 """Extended-precision direct evaluation of theta(r, t)."""
 
+import inspect
 import math
 import os
 import signal
 import subprocess
 import sys
 import threading
+import time
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_le, mpf_neg, mpf_sub
 
@@ -27,6 +29,11 @@ THETA_REF = [
     (8.0, 0.25, 96.67701245077069),
     (1.0, 0.5, 0.4717399439133017),
 ]
+
+
+def _serial(r, t, bits):
+    """The serial run at (r, t, bits) over its own panel count."""
+    return rq._integrate_panels(r, t, bits, rq._panel_count(r, t, bits))
 
 
 def test_required_bits_reference_points():
@@ -100,11 +107,11 @@ def test_truncation_point_is_conservative(monkeypatch, tmp_path):
 
     for r, t in ((0.01, 1.0), (0.005, 2.0), (0.002, 5.0)):
         bits = rq.required_bits(t)
-        _, panels = rq._integrate_panels(r, t, bits)
+        _, panels = _serial(r, t, bits)
         base = rq.theta_direct(r, t)
         with monkeypatch.context() as m:
             m.setattr(rq, "_truncation_cap", doubled_cap)
-            _, wide_panels = rq._integrate_panels(r, t, bits)
+            _, wide_panels = _serial(r, t, bits)
             log.write_text("")
             wide = rq.theta_direct(r, t)
         assert len(wide_panels) > len(panels), (r, t)
@@ -118,7 +125,7 @@ def test_truncation_point_is_conservative(monkeypatch, tmp_path):
 
 
 def test_panel_contributions_alternate_past_the_peak():
-    _, panels = rq._integrate_panels(2.0, 0.5, 79)
+    _, panels = _serial(2.0, 0.5, 79)
     # oscillation from sin(pi*xi/t) makes consecutive panels alternate in
     # sign once past the integrand peak; ignore dust below cutoff
     live = [p for p in panels[3:] if abs(p) > 1e-30]
@@ -264,7 +271,7 @@ DEFAULT_RHO = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0)
 
 
 def _assert_same_panels(r, t, bits):
-    value, panels = rq._integrate_panels(r, t, bits)
+    value, panels = _serial(r, t, bits)
     ref_value, ref_panels = _integrate_panels_mpf(r, t, bits, rq._PANEL_POINTS)
     assert isinstance(value, mp.mpf)
     assert all(isinstance(p, mp.mpf) for p in panels)
@@ -273,15 +280,15 @@ def _assert_same_panels(r, t, bits):
 
 
 def _oracle_args(rho, t, monkeypatch):
-    """(r, t, bits) that measure_vartheta hands to theta_direct."""
+    """(r, t, bits) that measure_vartheta hands to the oracle's split run."""
     seen = []
 
     def record(r, t, bits):
         seen.append((r, t, bits))
-        return rq.EvalResult(1.0, Method.DIRECT, bits, 0.0)
+        return 1.0
 
     with monkeypatch.context() as m:
-        m.setattr(rq, "theta_direct", record)
+        m.setattr(rq, "_theta_split", record)
         ab.measure_vartheta(rho, t)
     (args,) = seen
     return args
@@ -334,7 +341,7 @@ def test_one_sine_per_distinct_phase_offset(monkeypatch, r, t, bits, nodes_summe
         return sin(*args)
 
     monkeypatch.setattr(rq, "mpf_sin", counted)
-    _, panels = rq._integrate_panels(r, t, bits)
+    _, panels = _serial(r, t, bits)
     with mp.workprec(bits):
         tt = mp.mpf(t)
         half = tt / 2
@@ -404,9 +411,9 @@ def test_larger_t_reuses_the_nodes_of_a_smaller_t(monkeypatch):
     assert calls == []
 
 
-# The self-check rerun 32 bits below the full run runs in a forked child
-# beside the full run when it can; in process otherwise.  Both must give the
-# same bits.
+# theta_direct's self-check rerun 32 bits below the full run, and the second
+# half of measure_vartheta's split run, run in a forked child beside this
+# process when they can; in process otherwise.  Both must give the same bits.
 @pytest.fixture
 def forks(monkeypatch):
     """The pids os.fork returned in this process during one test."""
@@ -427,35 +434,59 @@ def _fork_fails():
     raise OSError("fork refused")
 
 
+def _pipe_fails():
+    raise OSError(24, "Too many open files")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _both_paths(monkeypatch, cells):
-    """theta_direct on each (r, t, bits) with the worker, then with the check in process."""
-    forked = [rq.theta_direct(*cell) for cell in cells]
+    """theta_direct and the split run on each (r, t, bits) with their
+    children, then with every child refused."""
+
+    def run():
+        return [(rq.theta_direct(*cell), rq._theta_split(*cell)) for cell in cells]
+
+    forked = run()
     with monkeypatch.context() as m:
         m.setattr(os, "fork", _fork_fails)
-        in_process = [rq.theta_direct(*cell) for cell in cells]
+        in_process = run()
     return forked, in_process
 
 
-def test_check_runs_32_bits_below_the_full_run(monkeypatch):
-    seen = []
-    run = rq._run_beside_check
+def test_check_runs_32_bits_below_the_full_run(monkeypatch, tmp_path):
+    # the serial runs, logged from every process: theta_direct's full run
+    # here and its check in the child; measure_vartheta runs neither
+    log = tmp_path / "runs"
+    integrate = rq._integrate_panels
 
-    def record(r, t, bits, check_bits):
-        seen.append((bits, check_bits))
-        return run(r, t, bits, check_bits)
+    def logged(r, t, bits, kmax):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {bits}\n")
+        return integrate(r, t, bits, kmax)
 
-    monkeypatch.setattr(rq, "_run_beside_check", record)
-    rq.theta_direct(2.0, 0.5)  # default bits
-    rq.theta_direct(10.0, 0.05)
-    rq.theta_direct(2.0, 0.5, 64)  # explicit bits
-    rq.theta_direct(2.0, 0.5, 97)
-    rq.theta_direct(2.0, 0.5, 256)
-    ab.measure_vartheta(0.25, 0.1)
-    ab.measure_vartheta(2.0, 0.05)
-    assert [bits for bits, _ in seen[:5]] == [79, 207, 64, 97, 256]
-    assert len(seen) == 7
-    for bits, check_bits in seen:
-        assert check_bits == max(64, bits - 32), (bits, check_bits)
+    monkeypatch.setattr(rq, "_integrate_panels", logged)
+    runs = []
+    for call in (
+        lambda: rq.theta_direct(2.0, 0.5),  # default bits
+        lambda: rq.theta_direct(10.0, 0.05),
+        lambda: rq.theta_direct(2.0, 0.5, 64),  # explicit bits
+        lambda: rq.theta_direct(2.0, 0.5, 97),
+        lambda: rq.theta_direct(2.0, 0.5, 256),
+        lambda: ab.measure_vartheta(0.25, 0.1),
+        lambda: ab.measure_vartheta(2.0, 0.05),
+    ):
+        log.write_text("")
+        call()
+        runs.append([tuple(map(int, line.split())) for line in log.read_text().splitlines()])
+    here = os.getpid()
+    full = [[bits for pid, bits in run if pid == here] for run in runs]
+    checks = [[bits for pid, bits in run if pid != here] for run in runs]
+    assert full == [[79], [207], [64], [97], [256], [], []]
+    assert checks == [[max(64, bits - 32)] for (bits,) in full[:5]] + [[], []]
 
 
 @pytest.mark.parametrize("r, t", [(10.0, 0.05), (20.0, 0.05)])
@@ -472,15 +503,15 @@ def test_worker_and_in_process_check_agree_on_readme_cells(monkeypatch, forks):
     cells = [(2.0, 0.5, None), _oracle_args(1.0, 0.5, monkeypatch), (2.0, 0.5, 256), (1.0, 0.5, None)]
     forked, in_process = _both_paths(monkeypatch, cells)
     assert forked == in_process
-    assert len(forks) == len(cells)
-    assert forked[0].error_estimate == 7.138014541268517e-19
+    assert len(forks) == 2 * len(cells)
+    assert forked[0][0].error_estimate == 7.138014541268517e-19
 
 
 def test_worker_and_in_process_check_agree_on_default_grid(monkeypatch, forks):
     cells = [_oracle_args(rho, t, monkeypatch) for rho in DEFAULT_RHO for t in (0.05, 0.1, 0.2)]
     forked, in_process = _both_paths(monkeypatch, cells)
     assert forked == in_process
-    assert len(forks) == 21
+    assert len(forks) == 2 * 21
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -496,6 +527,116 @@ def test_worker_and_in_process_check_agree_on_random_cells(r, t):
     assert forked == in_process, (r, t)
 
 
+def _split_and_serial(r, t, bits, kmax=None):
+    """(split theta, serial theta, kmax, panels the serial run summed) at
+    (r, t, bits), over kmax panels where given; asserts that both runs reach
+    the same mpf theta."""
+    thetas = []
+    theta_of = rq._theta_of
+
+    def recorded(*args):
+        thetas.append(theta_of(*args))
+        return thetas[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rq, "_theta_of", recorded)
+        if kmax is not None:
+            m.setattr(rq, "_panel_count", lambda r, t, bits: kmax)
+        split = rq._theta_split(r, t, bits)
+        kmax = rq._panel_count(r, t, bits)
+        serial, panels = rq._integrate_panels(r, t, bits, kmax)
+    assert [theta._mpf_ for theta in thetas] == [serial._mpf_] * 2, (r, t, bits, kmax)
+    _assert_no_child_left()
+    return split, float(serial), kmax, len(panels)
+
+
+@pytest.mark.parametrize(
+    "r, t, bits, kmax, summed",
+    [
+        (2.0, 0.5, 79, None, 7),  # 10 panels: the tail stop is in the child's half
+        (2.0, 0.5, 79, 30, 7),  # 30: the stop is in this process's half
+        (0.01, 1.0, 80, None, 11),  # no stop: every one of the 11 panels
+        (2.0, 0.5, 79, 1, 1),  # the child computes the only panel
+        (2.0, 0.5, 79, 2, 2),  # one panel each
+    ],
+)
+def test_split_run_equals_the_serial_run(r, t, bits, kmax, summed):
+    split, serial, kmax, n = _split_and_serial(r, t, bits, kmax)
+    assert n == summed
+    assert split == serial
+
+
+@pytest.mark.parametrize("rho, t", [(0.05, 0.1), (0.01, 0.2), (10.0, 0.05)])
+def test_split_run_equals_the_serial_run_on_sub_critical_cells(monkeypatch, rho, t):
+    # ROADMAP item 4's cells, where the default bits give a wrong theta, at
+    # the bits measure_vartheta hands the oracle
+    r, t, bits = _oracle_args(rho, t, monkeypatch)
+    split, serial, _, _ = _split_and_serial(r, t, bits)
+    assert split == serial > 0.0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    r=st.floats(min_value=0.1, max_value=200.0),
+    t=st.floats(min_value=0.1, max_value=1.0),
+    bits=st.integers(min_value=64, max_value=300),
+    kmax=st.one_of(st.none(), st.integers(min_value=1, max_value=60)),
+)
+@example(r=4.0, t=0.5, bits=79, kmax=1)
+@example(r=4.0, t=0.5, bits=79, kmax=2)
+@example(r=4.0, t=0.5, bits=79, kmax=40)
+def test_split_run_equals_the_serial_run_on_random_cells(r, t, bits, kmax):
+    split, serial, _, _ = _split_and_serial(r, t, bits, kmax)
+    assert split == serial, (r, t, bits, kmax)
+
+
+def test_measure_vartheta_forks_one_child_and_runs_no_rerun(monkeypatch, forks, tmp_path):
+    # every panel generator, logged from every process: one per half, at
+    # the measured bits, and no serial run or check
+    r, t, bits = _oracle_args(2.0, 0.2, monkeypatch)
+    kmax = rq._panel_count(r, t, bits)
+    log = tmp_path / "terms"
+    terms = rq._panel_terms
+
+    def logged(r, t, bits, ks):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {bits} {ks.start} {ks.stop}\n")
+        return terms(r, t, bits, ks)
+
+    def must_not_run(*args):
+        raise AssertionError("a serial run in measure_vartheta")
+
+    monkeypatch.setattr(rq, "_panel_terms", logged)
+    monkeypatch.setattr(rq, "_integrate_panels", must_not_run)
+    ab.measure_vartheta(2.0, 0.2)
+    calls = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+    assert len(forks) == 1
+    # 16 panels, and the stop after 11 is in the child's half
+    assert (kmax, kmax // 2) == (16, 8)
+    assert calls == sorted([(os.getpid(), bits, 0, 8), (forks[0], bits, 8, 16)])
+    _assert_no_child_left()
+
+
+def test_stop_in_this_process_half_kills_the_child_unread(monkeypatch, forks):
+    # a child that would take a minute: the split must not wait for it
+    expected = _serial(2.0, 0.5, 79)[0]
+    parent = os.getpid()
+    terms = rq._panel_terms
+
+    def slow_in_child(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return terms(*args)
+
+    monkeypatch.setattr(rq, "_panel_terms", slow_in_child)
+    monkeypatch.setattr(rq, "_panel_count", lambda r, t, bits: 30)  # stop at 7 < 15
+    start = time.monotonic()
+    assert rq._theta_split(2.0, 0.5, 79) == float(expected)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
 def test_node_caches_end_as_the_serial_runs_leave_them(cold_nodes, forks):
     # both runs' nodes are requested here before the fork, full bits first
     rq.theta_direct(2.0, 0.5)
@@ -504,56 +645,80 @@ def test_node_caches_end_as_the_serial_runs_leave_them(cold_nodes, forks):
     assert len(forks) == 1
 
 
-def _recording_panels(monkeypatch, in_child):
-    """Patch _integrate_panels: record the bits of each call in this process,
-    and run in_child(bits) first in any other process."""
+def _recording(monkeypatch, name, in_child):
+    """Patch rq.<name>: record the arguments after (r, t) of each call in
+    this process, and run in_child() first in any other process."""
     parent = os.getpid()
     calls = []
-    integrate = rq._integrate_panels
+    original = getattr(rq, name)
 
-    def patched(r, t, bits):
+    def patched(r, t, *args):
         if os.getpid() != parent:
-            in_child(bits)
+            in_child()
         else:
-            calls.append(bits)
-        return integrate(r, t, bits)
+            calls.append(args)
+        return original(r, t, *args)
 
-    monkeypatch.setattr(rq, "_integrate_panels", patched)
+    monkeypatch.setattr(rq, name, patched)
     return calls
 
 
-def _fail(bits):
+def _fail():
     raise RuntimeError("child failure")
 
 
-def _exit_without_writing(bits):
+def _exit_without_writing():
     os._exit(0)
 
 
 @pytest.mark.parametrize("in_child", [_fail, _exit_without_writing], ids=["nonzero-exit", "short-read"])
 def test_failed_child_falls_back_to_the_same_result(monkeypatch, forks, in_child):
     expected = rq.theta_direct(2.0, 0.5)
-    calls = _recording_panels(monkeypatch, in_child)
+    calls = _recording(monkeypatch, "_integrate_panels", in_child)
     assert rq.theta_direct(2.0, 0.5) == expected
     assert len(forks) == 2
-    assert calls == [79, 64]  # the check reran here after the child failed
+    assert [bits for bits, _ in calls] == [79, 64]  # the check reran here after the child failed
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("in_child", [_fail, _exit_without_writing], ids=["nonzero-exit", "short-read"])
+def test_failed_split_child_falls_back_to_the_same_vartheta(monkeypatch, forks, in_child):
+    expected = ab.measure_vartheta(2.0, 0.2)
+    calls = _recording(monkeypatch, "_panel_terms", in_child)
+    assert ab.measure_vartheta(2.0, 0.2) == expected
+    assert len(forks) == 2
+    # the child's half ran here after it failed
+    assert [ks for _, ks in calls] == [range(0, 8), range(8, 16)]
+    _assert_no_child_left()
+
+
+def _interrupted_here(monkeypatch, name):
+    """Patch rq.<name> to raise KeyboardInterrupt in this process only."""
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    original = getattr(rq, name)
+    parent = os.getpid()
+    monkeypatch.setattr(
+        rq, name, lambda *args: interrupt() if os.getpid() == parent else original(*args)
+    )
 
 
 def test_parent_exception_leaves_no_child(monkeypatch, forks):
-    def interrupt(r, t, bits):
-        raise KeyboardInterrupt
-
-    integrate = rq._integrate_panels
-    parent = os.getpid()
-    monkeypatch.setattr(
-        rq, "_integrate_panels",
-        lambda r, t, bits: interrupt(r, t, bits) if os.getpid() == parent else integrate(r, t, bits),
-    )
+    _interrupted_here(monkeypatch, "_integrate_panels")
     with pytest.raises(KeyboardInterrupt):
         rq.theta_direct(0.01, 1.0)
     assert len(forks) == 1
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    _assert_no_child_left()
+
+
+def test_interrupted_split_leaves_no_child(monkeypatch, forks):
+    _interrupted_here(monkeypatch, "_panel_terms")
+    with pytest.raises(KeyboardInterrupt):
+        ab.measure_vartheta(0.25, 0.05)
+    assert len(forks) == 1
+    _assert_no_child_left()
 
 
 def _fork_must_not_run():
@@ -561,10 +726,13 @@ def _fork_must_not_run():
 
 
 @pytest.mark.parametrize(
-    "condition", ["no-fork", "fork-raises", "second-thread", "sigchld-ignored"]
+    "condition", ["no-fork", "fork-raises", "pipe-raises", "second-thread", "sigchld-ignored"]
 )
 def test_check_runs_in_process(monkeypatch, condition):
-    expected = rq.theta_direct(2.0, 0.5)
+    def oracle():
+        return rq.theta_direct(2.0, 0.5), ab.measure_vartheta(2.0, 0.2)
+
+    expected = oracle()
     release = threading.Event()
     worker = threading.Thread(target=release.wait)
     with monkeypatch.context() as m:
@@ -574,18 +742,35 @@ def test_check_runs_in_process(monkeypatch, condition):
             m.setattr(os, "fork", _fork_fails)
         else:
             m.setattr(os, "fork", _fork_must_not_run)
+        if condition == "pipe-raises":
+            m.setattr(os, "pipe", _pipe_fails)
         if condition == "second-thread":
             worker.start()
         if condition == "sigchld-ignored":
             m.setattr(signal, "getsignal", lambda signum: signal.SIG_IGN)
         try:
-            result = rq.theta_direct(2.0, 0.5)
+            result = oracle()
         finally:
             release.set()
             if worker.is_alive():
                 worker.join(timeout=10)
     assert not worker.is_alive()
     assert result == expected
+
+
+def test_one_panel_loop_and_one_fork():
+    # every run, both halves of the split and the check sum their panels
+    # through _panel_terms, and every child comes from _in_child
+    source = inspect.getsource(rq)
+    assert source.count("mpf_cosh_sinh(xi") == 1
+    assert source.count("os.fork()") == 1
+
+
+def test_no_child_is_left_after_the_oracle():
+    rq.theta_direct(2.0, 0.5)
+    _assert_no_child_left()
+    ab.measure_vartheta(2.0, 0.2)
+    _assert_no_child_left()
 
 
 def test_inherited_stdout_buffer_is_written_once():
