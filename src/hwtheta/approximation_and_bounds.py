@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from . import saddle_geometry as sg
+from ._result import csv_text
 from .errors import DomainError, HwThetaError, normal_double, positive_real
 from .rho_one_series import theta_series_rho1
 
@@ -165,22 +166,10 @@ class BoundReport:
     rows: tuple[BoundRow, ...]
     failures: tuple[tuple[float, float, str], ...]
 
-    CSV_HEADER = (
-        "rho,t,vartheta,bound_simple,bound_strong,"
-        "pass_simple,pass_adjusted,pass_strong"
-    )
+    CSV_HEADER = ",".join(BoundRow._fields)
 
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{row.rho:.17g},{row.t:.17g},{row.vartheta:.17g},"
-                f"{row.bound_simple:.17g},{row.bound_strong:.17g},"
-                f"{str(row.pass_simple).lower()},"
-                f"{str(row.pass_adjusted).lower()},"
-                f"{str(row.pass_strong).lower()}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(BoundRow._fields, self.rows)
 
     @property
     def all_pass_strong(self) -> bool:
@@ -190,7 +179,7 @@ class BoundReport:
     def max_ratio_simple(self) -> float:
         """Largest observed |vartheta| * 70/t, the margin against the t/70 bound.
 
-        Raises DomainError when no cell was measured (every cell failed).
+        Raises DomainError when every cell failed.
         """
         if not self.rows:
             raise DomainError("max |vartheta|*70/t: no cell was measured")

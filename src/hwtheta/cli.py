@@ -29,8 +29,8 @@ from . import approximation_and_bounds as ab
 from . import descent_path as dp
 from . import rho_one_series as rs
 from . import saddle_geometry as sg
-from ._result import EvalResult, Method
-from .errors import DomainError, HwThetaError, positive_real
+from ._result import EvalResult, Method, csv_text
+from .errors import DomainError, HwThetaError, positive_real, whole_number
 
 __all__ = ["main"]
 
@@ -51,6 +51,17 @@ def _write_output(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+
+
+def _write_grid(csv: str, failures, names: tuple[str, ...], path: str | None) -> int:
+    """Report each failed cell, as `cell (name=value, ...) failed: message`
+    with the cell's coordinates named by `names`, then write the CSV to path
+    or stdout; returns 3 when any cell failed, else 0."""
+    for *cell, message in failures:
+        where = ", ".join(f"{name}={value:.17g}" for name, value in zip(names, cell))
+        print(f"cell ({where}) failed: {message}", file=sys.stderr)
+    _write_output(csv, path)
+    return 3 if failures else 0
 
 
 def _cmd_eval(args) -> int:
@@ -104,42 +115,32 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep_delta(args) -> int:
     rho_grid = sorted(_parse_float_list(args.rho_list, "--rho-list"))
-    if args.points < 2:
-        raise DomainError(f"--points must be >= 2, got {args.points}")
+    points = whole_number(args.points, "--points", 2)
     tau_max = positive_real(args.tau_max, "--tau-max")
-    tau_grid = [tau_max * i / args.points for i in range(1, args.points + 1)]
+    tau_grid = [tau_max * i / points for i in range(1, points + 1)]
     table = dp.sweep_delta(rho_grid, tau_grid)
-    for rho, tau, message in table.failures:
-        print(f"cell (rho={rho:.17g}, tau={tau:.17g}) failed: {message}", file=sys.stderr)
-    _write_output(table.to_csv(), args.out)
-    return 3 if table.failures else 0
+    return _write_grid(table.to_csv(), table.failures, ("rho", "tau"), args.out)
 
 
 def _cmd_delta_prime(args) -> int:
     rho_min = positive_real(args.rho_min, "--rho-min")
     rho_max = positive_real(args.rho_max, "--rho-max")
-    points = int(args.points)
-    if points < 2:
-        raise DomainError(f"--points must be >= 2, got {args.points}")
+    points = whole_number(args.points, "--points", 2)
     if not rho_min < rho_max:
         raise DomainError(
             f"need --rho-min < --rho-max, got {args.rho_min!r}, {args.rho_max!r}"
         )
     log_lo = math.log(rho_min)
     log_hi = math.log(rho_max)
-    lines = ["rho,delta_prime0"]
-    failed = False
+    rows, failures = [], []
     for i in range(points):
         rho = math.exp(log_lo + (log_hi - log_lo) * i / (points - 1))
         try:
-            slope = dp.delta_prime_at_zero(rho)
+            rows.append((rho, dp.delta_prime_at_zero(rho)))
         except HwThetaError as exc:
-            print(f"cell rho={rho:.17g} failed: {exc}", file=sys.stderr)
-            failed = True
-            continue
-        lines.append(f"{rho:.17g},{slope:.17g}")
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 3 if failed else 0
+            failures.append((rho, str(exc)))
+    csv = csv_text(("rho", "delta_prime0"), rows)
+    return _write_grid(csv, failures, ("rho",), args.out)
 
 
 def _series_line(exponent, coeff: rs.Q6, decimals: int | None) -> str:
@@ -154,12 +155,8 @@ def _series_line(exponent, coeff: rs.Q6, decimals: int | None) -> str:
 
 
 def _cmd_series(args) -> int:
-    order = int(args.order)
-    if order < 1:
-        raise DomainError(f"--order must be >= 1, got {args.order}")
-    decimals = args.decimal
-    if decimals is not None and decimals < 1:
-        raise DomainError(f"--decimal must be >= 1, got {decimals}")
+    order = whole_number(args.order, "--order", 1)
+    decimals = None if args.decimal is None else whole_number(args.decimal, "--decimal", 1)
     out = []
     img = rs.im_g_series(order)
     out.append(f"Im g(tau, 1): sum of a_k tau^(k - 1/2), {order} terms")
@@ -201,20 +198,16 @@ def _cmd_verify_bound(args) -> int:
     rho_grid = sorted(_parse_float_list(args.rho_grid, "--rho-grid"))
     t_grid = sorted(_parse_float_list(args.t_grid, "--t-grid"))
     report = ab.check_bound(rho_grid, t_grid)
-    _write_output(report.to_csv(), args.out)
-    for rho, t, message in report.failures:
-        print(f"cell (rho={rho:.17g}, t={t:.17g}) failed: {message}", file=sys.stderr)
-    if report.rows:
+    code = _write_grid(report.to_csv(), report.failures, ("rho", "t"), args.out)
+    try:
         summary = (
             f"max |vartheta|*70/t = {report.max_ratio_simple:.17g} "
             f"over {len(report.rows)} cells"
         )
-    else:
-        summary = "max |vartheta|*70/t: no cell was measured"
+    except DomainError as exc:  # every cell failed
+        summary = str(exc)
     print(summary, file=sys.stderr if args.out is None else sys.stdout)
-    if report.failures:
-        return 3
-    return 0 if report.all_pass_strong else 1
+    return code or (0 if report.all_pass_strong else 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -26,6 +26,7 @@ from typing import NamedTuple, Sequence
 
 from . import _descent_py as _kernel
 from . import saddle_geometry as sg
+from ._result import csv_text
 from .errors import DomainError, ExtrapolationError, PathError, positive_real
 
 __all__ = [
@@ -92,15 +93,10 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
     failures: tuple[tuple[float, float, str], ...]
 
-    CSV_HEADER = "rho,tau,delta,bound_ratio"
+    CSV_HEADER = ",".join(SweepRow._fields)
 
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                f"{row.rho:.17g},{row.tau:.17g},{row.delta:.17g},{row.bound_ratio:.17g}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(SweepRow._fields, self.rows)
 
 
 def _expansion_data(sd: sg.SaddleData):

@@ -87,15 +87,12 @@ serves.
 
 The Gauss-Legendre nodes and weights are held at 30 guard bits above the
 panel precision, and the panel loop rounds every product with them back to
-that precision, so the nodes need only be right in those guard bits, not
-equal to any particular Newton iterate.  Each panel order is therefore solved
-once per process, at the highest precision yet requested, and rounded to
-each lower one (libmp mpf_pos); only the nonnegative roots are solved, from
-double-precision Newton seeds at doubling precision, and mirrored exactly.
-Against a Newton solve per (order, precision) the nodes differ in the last
-guard bits, and the panels of the tests' mpf reference loop, which still
-solves per (order, precision), come out the same to the bit.  A process that
-sees many t pays for one solve per order instead of one per bit count.
+that precision, so the nodes need only be right in those guard bits.  Each
+panel order is solved from double-precision seeds at the highest precision
+yet requested and rounded to each lower one (libmp mpf_pos), so the nodes at
+a precision depend only on the highest the process has seen; the panels come
+out as those of the tests' mpf loop, which solves per (order, precision), to
+the bit.
 """
 
 from __future__ import annotations
@@ -138,6 +135,7 @@ from mpmath.libmp import (
     to_float,
 )
 
+from . import saddle_geometry as sg
 from ._result import EvalResult, Method
 from .errors import DomainError, PrecisionOverflowError, normal_double, positive_real, whole_number
 
@@ -259,9 +257,9 @@ def _float_root(n: int, i: int) -> float:
     return x
 
 
-def _newton_root(n: int, x: tuple, x_prec: int, wp: int) -> tuple:
-    """Root of P_n at wp bits by Newton from x, a raw libmp root solved at
-    x_prec bits.
+def _newton_root(n: int, seed: float, wp: int) -> tuple:
+    """Root of P_n at wp bits by Newton from seed, a root in double precision
+    (_float_root).
 
     A step about doubles the correct bits, less log2 |P''/(2P')| < 2 log2 n
     and the recurrence's rounding; a guard of 2 log2 n + 8 bits covers both.
@@ -271,8 +269,9 @@ def _newton_root(n: int, x: tuple, x_prec: int, wp: int) -> tuple:
     rounding; after the rising steps that is the first step at wp.
     """
     guard = 2 * n.bit_length() + 8
+    x = from_float(seed)
     precs = [wp]
-    while precs[-1] > 2 * max(x_prec - guard, guard):
+    while precs[-1] > 2 * max(53 - guard, guard):
         precs.append(precs[-1] // 2 + guard)
     tol = from_man_exp(1, -(wp // 2 + n.bit_length()))
     for p in precs[:0:-1] + [wp] * 100:
@@ -284,19 +283,12 @@ def _newton_root(n: int, x: tuple, x_prec: int, wp: int) -> tuple:
     return x
 
 
-def _gl_solve(n: int, wp: int, held: tuple | None) -> tuple:
+def _gl_solve(n: int, wp: int) -> tuple:
     """(wp, xs, ws): the ceil(n/2) nonnegative roots of P_n, largest first,
-    and their Gauss-Legendre weights, as raw libmp values at wp bits.
-
-    The roots start from `held`, an earlier solve at fewer bits, when there
-    is one, and from _float_root otherwise.
-    """
+    and their Gauss-Legendre weights, as raw libmp values at wp bits."""
     xs, ws = [], []
     for i in range((n + 1) // 2):
-        if held is None:
-            x = _newton_root(n, from_float(_float_root(n, i)), 53, wp)
-        else:
-            x = _newton_root(n, held[1][i], held[0], wp)
+        x = _newton_root(n, _float_root(n, i), wp)
         _, dp = _legendre(n, x, wp)
         # 2 / ((1 - x*x) * dp * dp)
         denom = mpf_mul(
@@ -314,15 +306,15 @@ def _gl_nodes(n: int, prec: int):
     """Gauss-Legendre nodes and weights on [-1, 1] at `prec` bits, cached.
 
     Nodes and weights are held at prec + 30 bits.  Each panel order n is
-    solved once per process, at the highest prec + 30 yet requested: Newton
-    on the Legendre three-term recurrence for the ceil(n/2) nonnegative
-    roots only, seeded by a double-precision Newton and run at doubling
-    precision (_newton_root).  A request at no more bits rounds that solve
-    to prec + 30 bits; one above it refines the held roots, normally with a
-    single Newton step.  The negative half is the exact mirror (mpf_neg, no
-    rounding) and the middle node of odd n is 0.  Every (n, prec) keeps its
-    own entry, so a repeated request is one lookup.  Returns (node, weight)
-    pairs of raw libmp values, in decreasing order of node.
+    held solved at the highest prec + 30 yet requested: Newton on the
+    Legendre three-term recurrence for the ceil(n/2) nonnegative roots only,
+    seeded by a double-precision Newton and run at doubling precision
+    (_newton_root).  A request at no more bits rounds that solve to
+    prec + 30 bits; one above it solves again and is held in its place.  The
+    negative half is the exact mirror (mpf_neg, no rounding) and the middle
+    node of odd n is 0.  Every (n, prec) keeps its own entry, so a repeated
+    request is one lookup.  Returns (node, weight) pairs of raw libmp
+    values, in decreasing order of node.
     """
     key = (n, prec)
     cached = _gl_cache.get(key)
@@ -331,7 +323,7 @@ def _gl_nodes(n: int, prec: int):
     wp = prec + 30
     held = _gl_held.get(n)
     if held is None or held[0] < wp:
-        held = _gl_held[n] = _gl_solve(n, wp, held)
+        held = _gl_held[n] = _gl_solve(n, wp)
     _, xs, ws = held
     xs = [mpf_pos(x, wp, _RND) for x in xs]
     ws = [mpf_pos(w, wp, _RND) for w in ws]
@@ -493,7 +485,11 @@ def _validated(r, t, bits):
 
     Refuses, before any quadrature or fork, an r or t that is not a positive
     finite real, bits that is not an integer >= 64 or is above the ceiling
-    (PrecisionOverflowError), and a run of more than _MAX_PANELS panels.
+    (PrecisionOverflowError), a run of more than _MAX_PANELS panels, and a
+    run whose last panel edge kmax * t lies past sg._X_MAX, where cosh(xi)
+    leaves the double range: there the envelope's exponent has thousands of
+    digits, and mpmath hangs on it or overflows (t above about 355 at
+    rho = 1).
     """
     r = positive_real(r, "r")
     t = positive_real(t, "t")
@@ -506,7 +502,13 @@ def _validated(r, t, bits):
             required_bits=bits,
             ceiling_bits=ceiling,
         )
-    return r, t, bits, _panel_count(r, t, bits)
+    kmax = _panel_count(r, t, bits)
+    if kmax * t > sg._X_MAX:
+        raise DomainError(
+            f"theta(r={r!r}, t={t!r}) needs quadrature panels out to xi = {kmax * t:.6g}, "
+            f"past {sg._X_MAX:.6g}, where cosh(xi) leaves the double range"
+        )
+    return r, t, bits, kmax
 
 
 def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
@@ -520,7 +522,7 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     rerun runs in a forked child beside the full run where it can (see the
     module docstring).  Raises DomainError where theta is not a normal double,
     and, before any quadrature, where the run would need more than
-    _MAX_PANELS panels of width t.
+    _MAX_PANELS panels of width t or panels past xi = asinh(DBL_MAX).
     """
     r, t, bits, kmax = _validated(r, t, bits)
     check_bits = max(64, bits - 32)

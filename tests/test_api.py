@@ -175,6 +175,50 @@ def test_integer_and_real_checks_live_in_errors_py():
     assert {"operator.index", "sys.float_info.min"} <= _used_names(src / "errors.py")
 
 
+def _calls_by_function(path, match):
+    """(file name, innermost enclosing function) of each call match accepts."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and match(node):
+            found.append((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_each_printed_rule_is_written_once():
+    src = Path(errors.__file__).parent
+    paths = sorted(src.glob("*.py"))
+    texts = {path.name: path.read_text() for path in paths}
+
+    # every CSV row is joined, and every boolean lowercased, in csv_text;
+    # outside any function only the CSV_HEADERs join their rows' _fields
+    def csv_call(node):
+        func = node.func
+        if not isinstance(func, ast.Attribute):
+            return False
+        joined = func.attr == "join" and ast.unparse(func.value) == "','"
+        return joined or func.attr == "lower"
+
+    found = {hit for path in paths for hit in _calls_by_function(path, csv_call)}
+    assert found == {("_result.py", "csv_text"), ("descent_path.py", None), ("approximation_and_bounds.py", None)}
+    assert dp.SweepTable.CSV_HEADER == ",".join(dp.SweepRow._fields)
+    assert ab.BoundReport.CSV_HEADER == ",".join(ab.BoundRow._fields)
+    assert not [name for name, text in texts.items() if ".17g},{" in text]
+    # one failed-cell line, one "no cell was measured"
+    assert sum(text.count('"cell ') for text in texts.values()) == 1
+    assert 'f"cell (' in texts["cli.py"]
+    assert sum(text.count("no cell was measured") for text in texts.values()) == 1
+    # the CLI's counts go through errors.whole_number, not a check of its own
+    assert "int(args." not in texts["cli.py"]
+    assert not re.search(r"<=?\s*[12]\b", texts["cli.py"])
+
+
 def test_delta_large_tau_takes_inf_as_its_limit():
     # the one entry point outside the positive-finite-real rule, on purpose
     assert rs.delta_large_tau(math.inf) == -1.0

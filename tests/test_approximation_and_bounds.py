@@ -262,6 +262,16 @@ def test_check_bound_refuses_leading_term_outside_double_range(monkeypatch, rho,
         report.max_ratio_simple
 
 
+def test_check_bound_records_a_cell_with_panels_past_the_double_range():
+    # refused before any quadrature, where mpmath used to hang on the
+    # envelope of a panel edge far past asinh(DBL_MAX)
+    report = ab.check_bound([1.0], [1e4])
+    assert report.rows == ()
+    ((rho, t, message),) = report.failures
+    assert (rho, t) == (1.0, 1e4)
+    assert message.endswith("where cosh(xi) leaves the double range")
+
+
 def test_check_bound_grid_validation():
     with pytest.raises(DomainError):
         ab.check_bound([], [0.1])

@@ -188,6 +188,23 @@ def test_eval_bits_with_too_many_panels_exits_2(capsys):
     assert "quadrature panels, above the cap" in err
 
 
+@pytest.mark.parametrize("t", ["1e20", "1e4", "356"])
+def test_eval_direct_with_panels_past_the_double_range_exits_2(capsys, t):
+    # past xi = asinh(DBL_MAX) the envelope's exponent has thousands of
+    # digits: mpmath overflowed at t = 1e20 and ran on past 20 s at 1e4
+    code, out, err = run_cli(capsys, "eval", "--rho", "1", "--t", t, "--method", "direct")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: theta(r=")
+    assert "where cosh(xi) leaves the double range" in err
+
+
+def test_eval_direct_at_the_last_t_below_the_panel_limit(capsys):
+    # two panels of width 355 end at 710 < asinh(DBL_MAX) = 710.48
+    code, out, _ = run_cli(capsys, "eval", "--rho", "1", "--t", "355", "--method", "direct")
+    assert code == 0
+    assert out.startswith("theta = 0.000147549829310408")
+
+
 @pytest.mark.parametrize("rho", ["1e300", "1e-300"])
 def test_eval_asymptotic_at_extreme_rho_exits_2(capsys, rho):
     code, out, err = run_cli(capsys, "eval", "--rho", rho, "--t", "0.5", "--method", "asymptotic")
@@ -307,9 +324,9 @@ def test_delta_prime_exit_3_on_failed_cell(capsys):
     lines = out.splitlines()
     assert lines[0] == "rho,delta_prime0"
     assert len(lines) == 2 and lines[1].startswith("1.0001,")
-    assert "cell rho=1.0000020000000001 failed: " in err
+    assert "cell (rho=1.0000020000000001) failed: " in err
     # the CLI prefix and the embedded ExtrapolationError spell rho alike
-    (line,) = [ln for ln in err.splitlines() if ln.startswith("cell rho=")]
+    (line,) = [ln for ln in err.splitlines() if ln.startswith("cell (rho=")]
     assert re.findall(r"rho=([^,) ]+)", line) == ["1.0000020000000001"] * 2
 
 
@@ -357,7 +374,7 @@ def test_series_order_validation(capsys):
 def test_series_decimal_validation(capsys, decimal):
     code, out, err = run_cli(capsys, "series", "--order", "2", "--decimal", decimal)
     assert (code, out) == (2, "")
-    assert "--decimal must be >= 1" in err
+    assert "--decimal must be an integer >= 1" in err
 
 
 def test_verify_bound_small_grid(capsys):
