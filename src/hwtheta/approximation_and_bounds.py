@@ -79,16 +79,18 @@ def measure_vartheta(rho: float, t: float) -> float:
     bits = ceil((pi^2/2 + max(0, F - pi^2/2))/t * log2 e) + 64.
     Only theta is read, so the oracle runs theta_direct's full run alone, with
     its refusals but no self-check, its panels split between this process and
-    a forked child; theta is theta_direct's to the bit.
+    a forked child at half the count its tail test is predicted to sum, the
+    prediction taken from the leading term; theta is theta_direct's to the
+    bit whatever the prediction.
     """
     t = positive_real(t, "t")
-    rho = float(rho)
+    rho = positive_real(rho, "rho")
     sd = sg.saddle_data(rho)
     lead = _theta_leading(sd, t)
     from . import reference_quadrature as rq  # the oracle loads mpmath: import on first use
 
     bits = rq._required_bits(t, max(0.0, sd.F - _HALF_PI_SQ))
-    return rq._theta_split(rho / t, t, bits) / lead - 1.0
+    return rq._theta_split(rho / t, t, bits, lead) / lead - 1.0
 
 
 def _erf_minus_gauss(x: float) -> float:

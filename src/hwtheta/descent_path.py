@@ -150,7 +150,7 @@ def trace_path(rho: float, tau_max: float) -> PathTrace:
     fixed kernel constants (relative residual 1e-12, below the documented
     1e-10 sample invariants).
     """
-    rho = float(rho)
+    rho = positive_real(rho, "rho")
     tau_max = positive_real(tau_max, "tau_max")
     sd = sg.saddle_data(rho)
     points = _run_kernel(sd, [tau_max], record_all=True)
@@ -161,7 +161,7 @@ def trace_path(rho: float, tau_max: float) -> PathTrace:
 def delta(tau: float, rho: float) -> float:
     """delta(tau, rho) = Im g(xi(tau)) * sqrt(tau)/g0(rho) - 1 from the traced path."""
     tau = positive_real(tau, "tau")
-    sd = sg.saddle_data(float(rho))
+    sd = sg.saddle_data(positive_real(rho, "rho"))
     ((_, _, g),) = _run_kernel(sd, [tau])
     return _delta_of(sd, tau, g)
 
@@ -173,7 +173,7 @@ def _delta_on_grid(sd: sg.SaddleData, taus: Sequence[float]) -> list[float]:
 def _richardson_slope(rho: float) -> tuple[float, float, float]:
     """(f2, f3, slope): delta/tau at tau = 1e-3 and 1e-4, and the converged
     slope delta'(0, rho); see delta_prime_at_zero."""
-    rho = float(rho)
+    rho = positive_real(rho, "rho")
     sd = sg.saddle_data(rho)
     d_small, d_mid, d_large = _delta_on_grid(sd, _RICHARDSON_TAUS)
     tau_small, tau_mid, tau_large = _RICHARDSON_TAUS

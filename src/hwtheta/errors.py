@@ -7,7 +7,8 @@ One refusal rule holds across the package: every argument rho, t, tau, r or
 z must be a positive finite real (an entry point may narrow that further),
 every count (a series order, a term index, bits) must be a Python integer in
 its range, never truncated from a float, and every result must be a normal
-double; anything else raises DomainError.  positive_real, whole_number and
+double; anything else raises DomainError.  A string is not a real, even
+one that float would parse.  real, positive_real, whole_number and
 normal_double hold that rule; they are package-internal, so __all__ lists
 only the exception types.
 """
@@ -82,13 +83,24 @@ class PrecisionOverflowError(HwThetaError, ArithmeticError):
         self.ceiling_bits = ceiling_bits
 
 
+def real(x) -> float | None:
+    """x as a float, or None where x is not a real number: a str or bytes
+    (float would parse it) or anything float refuses (None, a complex)."""
+    if isinstance(x, (str, bytes, bytearray)):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
 def positive_real(x, name: str) -> float:
     """x as a float, or DomainError naming `name` unless it is a positive
     finite real."""
-    x = float(x)
-    if not 0.0 < x < math.inf:
+    value = real(x)
+    if value is None or not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be a positive finite real, got {x!r}")
-    return x
+    return value
 
 
 def whole_number(value, name: str, lo: int, hi: int | None = None) -> int:

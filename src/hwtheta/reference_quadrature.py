@@ -40,11 +40,16 @@ tail test reads, depend only on (r, t, bits, k), so the work is spread over
 two processes without moving a bit.  theta_direct forks one child that
 computes the rerun while this process computes the full run; the child sends
 back only its value's raw libmp tuple.  measure_vartheta reads only theta, so
-its oracle path, _theta_split, runs no rerun: it sums the panels [0, m),
-m = kmax // 2, here while a forked child computes [m, kmax) and sends back
-each panel's raw contribution and edge envelope, and then carries the
-in-order sum and its tail test on over them.  The sum is the serial run's,
-in the serial order; a tail stop inside [0, m) kills the child unread.
+its oracle path, _theta_split, runs no rerun.  It predicts in doubles, from
+measure_vartheta's leading term, the panel count `stop` at which the tail
+test will end the sum (_predicted_stop), and splits that count, not kmax:
+it sums the panels [0, m), m = (stop + 1) // 2, here while a forked child
+computes [m, stop) and sends back each panel's raw contribution and edge
+envelope, then carries the in-order sum and its tail test on over them, and
+over [stop, kmax) here where the test has not stopped yet.  The sum is the
+serial run's, in the serial order; a tail stop inside [0, m) kills the
+child unread.  The prediction only moves panels between the processes, so
+a wrong one costs time and no bit.
 Each child writes through a pipe and leaves through os._exit, so it flushes
 none of the buffers it inherited.  The nodes are requested here before the
 fork, full bits first as the serial code does, so the child solves no nodes
@@ -361,6 +366,12 @@ def _panel_count(r: float, t: float, bits: int) -> int:
     return int(math.ceil(widths)) + 1
 
 
+def _envelope_peak(r: float) -> float:
+    """The envelope's maximum: cap of the Gaussian-free stationary points.
+    The tail test reads only panel edges beyond peak + t."""
+    return max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
+
+
 def _panel_terms(r: float, t: float, bits: int, ks: range):
     """The quadrature's panels k in ks, in order: yields each panel's signed
     contribution and the envelope at its right edge (k + 1) t, as raw libmp
@@ -378,8 +389,7 @@ def _panel_terms(r: float, t: float, bits: int, ks: range):
     rr = from_float(r, prec, _RND)
     tt = from_float(t, prec, _RND)
     nodes = _gl_nodes(_PANEL_POINTS, bits)
-    # envelope maximum: cap of the Gaussian-free stationary points
-    peak = max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
+    peak = _envelope_peak(r)
     pi = mpf_pi(prec, _RND)
     e = mpf_e(prec, _RND)
     # mp.e ** y is mpf_pow, i.e. exp(y * log(e)) with log(e) at prec + 10 bits;
@@ -455,6 +465,35 @@ def _add_panels(total: tuple, terms, bits: int, panels: list):
         if mpf_lt(envelope, mpf_mul(thresh_scale, mpf_abs(total), bits, _RND)):
             return total, True
     return total, False
+
+
+def _predicted_stop(r: float, t: float, bits: int, estimate: float, kmax: int) -> int:
+    """How many of the kmax panels _add_panels' tail test is predicted to
+    sum at (r, t, bits) where theta is about `estimate`, a positive double.
+
+    The test in logs of doubles, with |total| taken as the summed panels
+    that a theta of `estimate` implies.  It only decides where _theta_split
+    computes each panel, never a bit of theta.
+    """
+    # log |total|: estimate with theta's prefactor r/sqrt(2 pi^3 t) e^(pi^2/(2t)) taken out
+    log_total = (
+        math.log(estimate)
+        - math.log(r)
+        + 0.5 * math.log(2.0 * math.pi**3 * t)
+        - math.pi**2 / (2.0 * t)
+    )
+    log_thresh = math.log(_TAIL_TOLERANCE) - (bits // 2) * math.log(2.0) + log_total
+    peak = _envelope_peak(r)
+    for k in range(kmax):
+        edge = (k + 1) * t
+        if edge <= peak + t:
+            continue
+        # log of the envelope at the edge; cosh stays finite, as _validated
+        # refuses a last edge kmax * t past sg._X_MAX
+        log_envelope = -edge * edge / (2.0 * t) - r * math.cosh(edge)
+        if log_envelope + math.log(math.sinh(edge)) < log_thresh:
+            return k + 1
+    return kmax
 
 
 def _theta_of(total: tuple, r: float, t: float, bits: int):
@@ -550,34 +589,42 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     )
 
 
-def _theta_split(r: float, t: float, bits: int) -> float:
+def _theta_split(r: float, t: float, bits: int, estimate: float) -> float:
     """theta(r, t) at `bits` as a double, from the full run alone: no rerun
     and no error estimate, and theta_direct's refusals.
 
-    This process sums the panels [0, m), m = kmax // 2, while a forked child
-    computes [m, kmax), then carries the in-order sum and its tail test on
-    over the child's contributions and envelopes.  A tail stop inside [0, m)
-    kills the child unread.  Where no child runs or it fails, [m, kmax) runs
+    `estimate`, a positive double near theta, sizes the split: the tail test
+    is predicted to stop after `stop` panels (_predicted_stop).  This process
+    sums the panels [0, m), m = (stop + 1) // 2, while a forked child
+    computes [m, stop), then carries the in-order sum and its tail test on
+    over the child's contributions and envelopes, and only where the test
+    has not stopped yet, over [stop, kmax) here.  A tail stop inside [0, m)
+    kills the child unread.  Where no child runs or it fails, [m, stop) runs
     here after [0, m).  Each panel depends only on (r, t, bits, k) and the
-    sum is taken in the serial order, so theta is the serial run's to the bit.
+    sum is taken in the serial order under the same tail test, so theta is
+    the serial run's to the bit whatever the prediction: a wrong one only
+    moves panels between the two processes.
     """
     r, t, bits, kmax = _validated(r, t, bits)
     _gl_nodes(_PANEL_POINTS, bits)  # before the fork: the child solves no nodes
-    m = kmax // 2
-    rest = range(m, kmax)
+    stop = _predicted_stop(r, t, bits, estimate, kmax)
+    m = (stop + 1) // 2
+    theirs = range(m, stop)
 
     def in_child():
-        return [x for term in _panel_terms(r, t, bits, rest) for x in term]
+        return [x for term in _panel_terms(r, t, bits, theirs) for x in term]
 
     with _in_child(in_child) as child:
         total, stopped = _add_panels(fzero, _panel_terms(r, t, bits, range(m)), bits, [])
         if not stopped:
             raw = child()
             if raw is None:
-                terms = _panel_terms(r, t, bits, rest)
+                terms = _panel_terms(r, t, bits, theirs)
             else:
                 terms = zip(raw[::2], raw[1::2])  # (contribution, envelope) pairs
-            total, _ = _add_panels(total, terms, bits, [])
+            total, stopped = _add_panels(total, terms, bits, [])
+    if not stopped:
+        total, _ = _add_panels(total, _panel_terms(r, t, bits, range(stop, kmax)), bits, [])
     theta = _theta_of(total, r, t, bits)
     return normal_double(float(theta), "theta(r={!r}, t={!r})", r, t)
 

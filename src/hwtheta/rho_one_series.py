@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, positive_real, whole_number
+from .errors import DomainError, positive_real, real, whole_number
 
 __all__ = [
     "Q6",
@@ -382,9 +382,9 @@ def delta_large_tau(tau: float) -> float:
     accepted on purpose and returns the limit -1.0, the one place where the
     package's positive-finite-real rule does not apply.
     """
-    tau = float(tau)
-    if not tau >= 100.0:
+    value = real(tau)
+    if value is None or not value >= 100.0:
         raise DomainError(
             f"delta_large_tau requires tau >= 100 (asymptotic regime), got {tau!r}"
         )
-    return -1.0 + math.pi * math.sqrt(2.0 / (3.0 * tau))
+    return -1.0 + math.pi * math.sqrt(2.0 / (3.0 * value))

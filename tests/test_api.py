@@ -24,7 +24,9 @@ MODULES = (sg, dp, rs, result, rq, ab, errors)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-BAD = (0.0, -1.0, math.nan, math.inf, -math.inf)
+# not positive, not finite, or not a real at all: a string is refused even
+# where float would parse it, as whole_number refuses "4"
+BAD = (0.0, -1.0, math.nan, math.inf, -math.inf, None, "abc", "1.0", 1j)
 
 # every public entry point that takes rho, t, tau, r or z, with the name its
 # refusal gives the argument, called with that argument bad and the rest good.
@@ -223,7 +225,7 @@ def test_delta_large_tau_takes_inf_as_its_limit():
     # the one entry point outside the positive-finite-real rule, on purpose
     assert rs.delta_large_tau(math.inf) == -1.0
     assert rs.delta_large_tau(100.0) == -1.0 + math.pi * math.sqrt(2.0 / 300.0)
-    for bad in (math.nan, 99.9, 0.0, -1.0, -math.inf):
+    for bad in (math.nan, 99.9, 0.0, -1.0, -math.inf, None, "1000", 1j):
         with pytest.raises(DomainError, match="requires tau >= 100"):
             rs.delta_large_tau(bad)
 

@@ -128,8 +128,8 @@ def _vartheta_at_doubled_bits(rho, t):
 def test_measure_vartheta_hands_the_oracle_cancel_plus_64_bits(monkeypatch):
     seen = []
 
-    def record(r, t, bits):
-        seen.append((r, t, bits))
+    def record(r, t, bits, estimate):
+        seen.append((r, t, bits, estimate))
         return 1.0
 
     monkeypatch.setattr(rq, "_theta_split", record)
@@ -137,7 +137,9 @@ def test_measure_vartheta_hands_the_oracle_cancel_plus_64_bits(monkeypatch):
         for t in DEFAULT_T:
             seen.clear()
             ab.measure_vartheta(rho, t)
-            assert seen == [(rho / t, t, math.ceil(_cancel(rho, t)) + 64)], (rho, t)
+            # the split is sized by the leading term
+            bits = math.ceil(_cancel(rho, t)) + 64
+            assert seen == [(rho / t, t, bits, ab.theta_leading(rho, t))], (rho, t)
 
 
 def test_measure_vartheta_equals_the_doubled_bits_on_the_default_grid():

@@ -3,6 +3,7 @@
 import inspect
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -280,11 +281,12 @@ def _assert_same_panels(r, t, bits):
 
 
 def _oracle_args(rho, t, monkeypatch):
-    """(r, t, bits) that measure_vartheta hands to the oracle's split run."""
+    """(r, t, bits, estimate) that measure_vartheta hands to the oracle's
+    split run."""
     seen = []
 
-    def record(r, t, bits):
-        seen.append((r, t, bits))
+    def record(r, t, bits, estimate):
+        seen.append((r, t, bits, estimate))
         return 1.0
 
     with monkeypatch.context() as m:
@@ -296,7 +298,7 @@ def _oracle_args(rho, t, monkeypatch):
 
 def test_panels_match_mpf_loop_on_default_rho_at_measured_bits(monkeypatch):
     for rho in DEFAULT_RHO:
-        r, t, bits = _oracle_args(rho, 0.1, monkeypatch)
+        r, t, bits, _ = _oracle_args(rho, 0.1, monkeypatch)
         _assert_same_panels(r, t, bits)
 
 
@@ -444,11 +446,14 @@ def _assert_no_child_left():
 
 
 def _both_paths(monkeypatch, cells):
-    """theta_direct and the split run on each (r, t, bits) with their
-    children, then with every child refused."""
+    """theta_direct and the split run on each (r, t, bits, estimate) with
+    their children, then with every child refused."""
 
     def run():
-        return [(rq.theta_direct(*cell), rq._theta_split(*cell)) for cell in cells]
+        return [
+            (rq.theta_direct(r, t, bits), rq._theta_split(r, t, bits, estimate))
+            for r, t, bits, estimate in cells
+        ]
 
     forked = run()
     with monkeypatch.context() as m:
@@ -500,7 +505,12 @@ def test_default_check_stays_above_the_cancellation(r, t):
 
 
 def test_worker_and_in_process_check_agree_on_readme_cells(monkeypatch, forks):
-    cells = [(2.0, 0.5, None), _oracle_args(1.0, 0.5, monkeypatch), (2.0, 0.5, 256), (1.0, 0.5, None)]
+    cells = [
+        (2.0, 0.5, None, 4.0),
+        _oracle_args(1.0, 0.5, monkeypatch),
+        (2.0, 0.5, 256, 4.0),
+        (1.0, 0.5, None, 0.5),
+    ]
     forked, in_process = _both_paths(monkeypatch, cells)
     assert forked == in_process
     assert len(forks) == 2 * len(cells)
@@ -527,10 +537,10 @@ def test_worker_and_in_process_check_agree_on_random_cells(r, t):
     assert forked == in_process, (r, t)
 
 
-def _split_and_serial(r, t, bits, kmax=None):
+def _split_and_serial(r, t, bits, estimate, kmax=None):
     """(split theta, serial theta, kmax, panels the serial run summed) at
-    (r, t, bits), over kmax panels where given; asserts that both runs reach
-    the same mpf theta."""
+    (r, t, bits), the split sized by estimate, over kmax panels where given;
+    asserts that both runs reach the same mpf theta."""
     thetas = []
     theta_of = rq._theta_of
 
@@ -542,7 +552,7 @@ def _split_and_serial(r, t, bits, kmax=None):
         m.setattr(rq, "_theta_of", recorded)
         if kmax is not None:
             m.setattr(rq, "_panel_count", lambda r, t, bits: kmax)
-        split = rq._theta_split(r, t, bits)
+        split = rq._theta_split(r, t, bits, estimate)
         kmax = rq._panel_count(r, t, bits)
         serial, panels = rq._integrate_panels(r, t, bits, kmax)
     assert [theta._mpf_ for theta in thetas] == [serial._mpf_] * 2, (r, t, bits, kmax)
@@ -553,15 +563,17 @@ def _split_and_serial(r, t, bits, kmax=None):
 @pytest.mark.parametrize(
     "r, t, bits, kmax, summed",
     [
-        (2.0, 0.5, 79, None, 7),  # 10 panels: the tail stop is in the child's half
-        (2.0, 0.5, 79, 30, 7),  # 30: the stop is in this process's half
+        (2.0, 0.5, 79, None, 7),  # 10 panels, stop after 7: [0, 4) here, [4, 7) in the child
+        (2.0, 0.5, 79, 30, 7),  # 30: the split follows the stop, not the cap
         (0.01, 1.0, 80, None, 11),  # no stop: every one of the 11 panels
-        (2.0, 0.5, 79, 1, 1),  # the child computes the only panel
+        (2.0, 0.5, 79, 1, 1),  # the only panel, summed here; none in the child
         (2.0, 0.5, 79, 2, 2),  # one panel each
     ],
 )
 def test_split_run_equals_the_serial_run(r, t, bits, kmax, summed):
-    split, serial, kmax, n = _split_and_serial(r, t, bits, kmax)
+    # the split sized by the leading term, as measure_vartheta sizes it
+    estimate = ab.theta_leading(r * t, t)
+    split, serial, kmax, n = _split_and_serial(r, t, bits, estimate, kmax)
     assert n == summed
     assert split == serial
 
@@ -569,9 +581,8 @@ def test_split_run_equals_the_serial_run(r, t, bits, kmax, summed):
 @pytest.mark.parametrize("rho, t", [(0.05, 0.1), (0.01, 0.2), (10.0, 0.05)])
 def test_split_run_equals_the_serial_run_on_sub_critical_cells(monkeypatch, rho, t):
     # ROADMAP item 4's cells, where the default bits give a wrong theta, at
-    # the bits measure_vartheta hands the oracle
-    r, t, bits = _oracle_args(rho, t, monkeypatch)
-    split, serial, _, _ = _split_and_serial(r, t, bits)
+    # the bits and estimate measure_vartheta hands the oracle
+    split, serial, _, _ = _split_and_serial(*_oracle_args(rho, t, monkeypatch))
     assert split == serial > 0.0
 
 
@@ -580,20 +591,59 @@ def test_split_run_equals_the_serial_run_on_sub_critical_cells(monkeypatch, rho,
     r=st.floats(min_value=0.1, max_value=200.0),
     t=st.floats(min_value=0.1, max_value=1.0),
     bits=st.integers(min_value=64, max_value=300),
+    log_estimate=st.floats(min_value=-300.0, max_value=300.0),
     kmax=st.one_of(st.none(), st.integers(min_value=1, max_value=60)),
 )
-@example(r=4.0, t=0.5, bits=79, kmax=1)
-@example(r=4.0, t=0.5, bits=79, kmax=2)
-@example(r=4.0, t=0.5, bits=79, kmax=40)
-def test_split_run_equals_the_serial_run_on_random_cells(r, t, bits, kmax):
-    split, serial, _, _ = _split_and_serial(r, t, bits, kmax)
-    assert split == serial, (r, t, bits, kmax)
+@example(r=4.0, t=0.5, bits=79, log_estimate=0.0, kmax=1)
+@example(r=4.0, t=0.5, bits=79, log_estimate=0.0, kmax=2)
+@example(r=4.0, t=0.5, bits=79, log_estimate=0.0, kmax=40)
+@example(r=2.0, t=0.2, bits=100, log_estimate=-300.0, kmax=None)
+@example(r=2.0, t=0.2, bits=100, log_estimate=300.0, kmax=None)
+def test_split_run_equals_the_serial_run_on_random_cells(r, t, bits, log_estimate, kmax):
+    # the estimate, log-uniform over [1e-300, 1e300], moves no bit
+    split, serial, _, _ = _split_and_serial(r, t, bits, 10.0**log_estimate, kmax)
+    assert split == serial, (r, t, bits, log_estimate, kmax)
+
+
+@pytest.mark.parametrize("r, t, bits", [(2.0, 0.5, 79), (2.0, 0.2, 100), (0.01, 1.0, 80)])
+def test_any_predicted_stop_gives_the_serial_theta(monkeypatch, r, t, bits):
+    # any prediction up to kmax: a short one leaves the stop in the remainder
+    # run here, an exact or long one in the child's range (a stop in this
+    # process's range: test_stop_in_this_process_half_kills_the_child_unread)
+    kmax = rq._panel_count(r, t, bits)
+    stop = len(rq._integrate_panels(r, t, bits, kmax)[1])
+    for predicted in sorted({1, stop - 1, stop, stop + 1, kmax} & set(range(1, kmax + 1))):
+        monkeypatch.setattr(rq, "_predicted_stop", lambda *args: predicted)
+        split, serial, _, _ = _split_and_serial(r, t, bits, 1.0)
+        assert split == serial, (r, t, bits, predicted)
+
+
+def _certify_grid(seed):
+    """perfbench's certify-grid cells: verify-bound's default 7 x 3 grid, each
+    rho but 1 moved by a seeded factor within e^(+-0.05) for seed != 0."""
+    rng = random.Random(seed)
+    rhos = [
+        rho if seed == 0 or rho == 1.0 else rho * math.exp(0.05 * (2 * rng.random() - 1))
+        for rho in DEFAULT_RHO
+    ]
+    return [(rho, t) for rho in rhos for t in (0.05, 0.1, 0.2)]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_predicted_stop_is_the_serial_runs_stop_on_certify_grids(monkeypatch, seed):
+    # the prediction must follow _add_panels' tail test, or the split
+    # drifts back towards waiting on panels the sum never reads
+    for rho, t in _certify_grid(seed):
+        r, t, bits, estimate = _oracle_args(rho, t, monkeypatch)
+        kmax = rq._panel_count(r, t, bits)
+        stop = len(rq._integrate_panels(r, t, bits, kmax)[1])
+        assert rq._predicted_stop(r, t, bits, estimate, kmax) == stop, (rho, t)
 
 
 def test_measure_vartheta_forks_one_child_and_runs_no_rerun(monkeypatch, forks, tmp_path):
-    # every panel generator, logged from every process: one per half, at
-    # the measured bits, and no serial run or check
-    r, t, bits = _oracle_args(2.0, 0.2, monkeypatch)
+    # every panel generator, logged from every process: one per half of the
+    # predicted stop, at the measured bits, and no serial run or check
+    r, t, bits, _ = _oracle_args(2.0, 0.2, monkeypatch)
     kmax = rq._panel_count(r, t, bits)
     log = tmp_path / "terms"
     terms = rq._panel_terms
@@ -611,9 +661,9 @@ def test_measure_vartheta_forks_one_child_and_runs_no_rerun(monkeypatch, forks, 
     ab.measure_vartheta(2.0, 0.2)
     calls = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
     assert len(forks) == 1
-    # 16 panels, and the stop after 11 is in the child's half
-    assert (kmax, kmax // 2) == (16, 8)
-    assert calls == sorted([(os.getpid(), bits, 0, 8), (forks[0], bits, 8, 16)])
+    # 16 panels and a stop after 11: the child computes none past the stop
+    assert (kmax, rq._predicted_stop(r, t, bits, ab.theta_leading(2.0, 0.2), kmax)) == (16, 11)
+    assert calls == sorted([(os.getpid(), bits, 0, 6), (forks[0], bits, 6, 11)])
     _assert_no_child_left()
 
 
@@ -629,9 +679,10 @@ def test_stop_in_this_process_half_kills_the_child_unread(monkeypatch, forks):
         return terms(*args)
 
     monkeypatch.setattr(rq, "_panel_terms", slow_in_child)
-    monkeypatch.setattr(rq, "_panel_count", lambda r, t, bits: 30)  # stop at 7 < 15
+    monkeypatch.setattr(rq, "_panel_count", lambda r, t, bits: 30)
+    monkeypatch.setattr(rq, "_predicted_stop", lambda *args: 30)  # stop at 7 < 15
     start = time.monotonic()
-    assert rq._theta_split(2.0, 0.5, 79) == float(expected)
+    assert rq._theta_split(2.0, 0.5, 79, 4.0) == float(expected)
     assert time.monotonic() - start < 30
     assert len(forks) == 1
     _assert_no_child_left()
@@ -687,8 +738,8 @@ def test_failed_split_child_falls_back_to_the_same_vartheta(monkeypatch, forks, 
     calls = _recording(monkeypatch, "_panel_terms", in_child)
     assert ab.measure_vartheta(2.0, 0.2) == expected
     assert len(forks) == 2
-    # the child's half ran here after it failed
-    assert [ks for _, ks in calls] == [range(0, 8), range(8, 16)]
+    # the child's range ran here after it failed
+    assert [ks for _, ks in calls] == [range(0, 6), range(6, 11)]
     _assert_no_child_left()
 
 
