@@ -8,9 +8,9 @@ z must be a positive finite real (an entry point may narrow that further),
 every count (a series order, a term index, bits) must be a Python integer in
 its range, never truncated from a float, and every result must be a normal
 double; anything else raises DomainError.  A string is not a real, even
-one that float would parse.  real, positive_real, whole_number and
-normal_double hold that rule; they are package-internal, so __all__ lists
-only the exception types.
+one that float would parse, and a bool is neither a real nor a count.
+real, positive_real, whole_number and normal_double hold that rule; they
+are package-internal, so __all__ lists only the exception types.
 """
 
 import math
@@ -84,9 +84,10 @@ class PrecisionOverflowError(HwThetaError, ArithmeticError):
 
 
 def real(x) -> float | None:
-    """x as a float, or None where x is not a real number: a str or bytes
-    (float would parse it) or anything float refuses (None, a complex)."""
-    if isinstance(x, (str, bytes, bytearray)):
+    """x as a float, or None where x is not a real number: a bool, a str or
+    bytes (float would take them) or anything float refuses (None, a
+    complex)."""
+    if isinstance(x, (bool, str, bytes, bytearray)):
         return None
     try:
         return float(x)
@@ -106,9 +107,9 @@ def positive_real(x, name: str) -> float:
 def whole_number(value, name: str, lo: int, hi: int | None = None) -> int:
     """value as an int by operator.index (so 4.0 is refused, not truncated),
     or DomainError naming `name` unless it is an integer >= lo, and < hi
-    when hi is given."""
+    when hi is given.  A bool is not a count."""
     try:
-        n = operator.index(value)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = None
     if n is None or n < lo or (hi is not None and n >= hi):

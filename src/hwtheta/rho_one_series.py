@@ -14,11 +14,19 @@ in zeta, so with w = zeta^2 and u = sqrt(-tau) it reads
 
 Substituting w = W(v) with v = sqrt(6)*u makes every coefficient of W a plain
 rational (the leading balance w^2/4! = u^2 gives w ~ 2*sqrt(6)*u = 2v).  The
-constraint sum_{k>=2} W^k/(2k)! = v^2/6 has the Lagrange form v = W/phi(W),
-so each coefficient of W is one coefficient of a power of phi, with no
-series solved order by order.  That power comes from Miller's recurrence
-run on Python ints, and each coefficient is computed once per process and
-shared by every series and order.  Im g needs no second series: along the path
+constraint sum_{k>=2} W^k/(2k)! = cosh(sqrt W) - 1 - W/2 = v^2/6, with
+z = sinh(sqrt W)/sqrt(W) - 1 carried alongside, becomes two first-order ODEs
+in v (d cosh(sqrt W)/dW = (1 + z)/2 and dz/dW = (cosh(sqrt W) - 1 - z)/(2W)):
+
+    3 z W' = 2v,    2 W z' = (W/2 + v^2/6 - z) W'.
+
+With W = sum c_n v^n and z = sum z_n v^n, from c_1 = 2 and z_1 = 1/3, the
+coefficients of v^n (n >= 2) are a 2x2 linear step for c_n and z_n, with
+determinant -2(n+1)(2n+1), never 0, and right sides that are convolutions
+of the earlier coefficients: O(n) work for c_n, O(N^2) for c_1..c_N (Brent
+and Kung, J. ACM 25 (1978), solve power-series ODEs the same way).  The
+step runs on Python ints over one common denominator, and each coefficient
+is computed once per process and shared by every series and order.  Im g needs no second series: along the path
 g = d cosh(xi(tau))/dtau, and at rho = 1 cosh(xi) = -(zeta^2/2 + 1 - tau),
 so Im g is read off the derivative of the same reversion.
 
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -248,34 +257,73 @@ class ThetaSeries:
         return abs(float(self.coeffs[k])) * _power(t, k, "t")
 
 
-@lru_cache(maxsize=None)
-def _w_coefficient(n: int) -> Fraction:
-    """Coefficient c_n (n >= 1) of W(v) solving sum_{k>=2} W^k/(2k)! = v^2/6.
+def _convolve(xs, ys) -> int:
+    """sum_i xs[i] * ys[i] over Python ints."""
+    return sum([x * y for x, y in zip(xs, ys)])
 
-    The left side is W^2 A(W)/24 with A(W) = 24*sum_{j>=0} W^j/(2j+4)!
-    (A_0 = 1), so v = W/phi(W) with phi = 2*A^(-1/2) and Lagrange inversion
-    reads c_n = (1/n) [W^(n-1)] phi^n = (2^n/n) [W^(n-1)] A^(-n/2).  The power
-    P = A^alpha comes from J.C.P. Miller's recurrence
-    P_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) A_j P_(k-j), P_0 = 1, kept as
-    ints num/den in lowest terms: the k terms (with alpha = -n/2, term j is
-    ((2 - n) j - 2k)/2 * P_(k-j)/a_j) go over one common denominator and
-    the sum is reduced by one gcd.  c_n depends on n alone, hence the cache.
-    """
-    a = [math.factorial(2 * j + 4) // 24 for j in range(n)]  # A_j = 1/a[j]
-    num, den = [1], [1]
-    for k in range(1, n):
-        dens = [2 * a[j] * den[k - j] for j in range(1, k + 1)]
-        lcm = math.lcm(*dens)
-        total = sum(((2 - n) * j - 2 * k) * num[k - j] * (lcm // d) for j, d in enumerate(dens, 1))
-        g = math.gcd(total, k * lcm)
-        num.append(total // g)
-        den.append(k * lcm // g)
-    return Fraction(2**n * num[n - 1], n * den[n - 1])
+
+# The reversion so far, as (c, lcd, cs, zs, dzs): c holds c_0..c_M of W(v)
+# as Fractions; c_i = cs[i]/lcd and z_i = zs[i]/lcd, dzs[i] = i*zs[i], over
+# lcd, the least common denominator of every c_i and z_i.  It starts at
+# c_1 = 2, z_1 = 1/3.  It is replaced whole, never mutated, so a reader
+# needs no lock; the lock lets one caller at a time extend it.
+_REVERSION_START = ((Fraction(0), Fraction(2)), 3, (0, 6), (0, 1), (0, 1))
+_reversion = _REVERSION_START
+_reversion_lock = threading.Lock()
 
 
 def _w_coefficients(nv: int) -> tuple[Fraction, ...]:
-    """Coefficients c_0..c_nv of W(v), c_0 = 0, from the per-n cache."""
-    return (Fraction(0),) + tuple(_w_coefficient(n) for n in range(1, nv + 1))
+    """Coefficients c_0..c_nv of W(v), c_0 = 0, from the shared prefix; each
+    coefficient past its end is computed once and the prefix extended."""
+    global _reversion
+    c = _reversion[0]
+    if nv >= len(c):
+        with _reversion_lock:
+            if nv >= len(_reversion[0]):
+                _reversion = _extended(_reversion, nv)
+            c = _reversion[0]
+    return c[: nv + 1]
+
+
+def _extended(reversion, nv: int):
+    """The reversion state extended through c_nv.
+
+    At v^n (n >= 2) the ODE pair reads 6 z_n + n c_n = R1 and
+    (4n+2) z_n - ((2n+1)/3) c_n = R2, so c_n = (R1 - 6 R2/(4n+2))/(n+1)
+    and z_n = R2/(4n+2) + c_n/6.
+    """
+    c, lcd, cs, zs, dzs = reversion
+    c, cs, zs, dzs = list(c), list(cs), list(zs), list(dzs)
+    for n in range(len(c), nv + 1):
+        # sums over the pairs i + k = n + 1 with 2 <= i, k <= n - 1 give
+        # R1 = -3B and R2 = (n+1)/4 S_cc - B - 2T + (n-1)/6 c_(n-1), where
+        # S_cc = sum c_i c_k, B = sum k z_i c_k and T = sum i z_i c_k
+        ck = cs[n - 1 : 1 : -1]  # c_k for i = 2..n-1
+        s_cc = _convolve(cs[2:n], ck)
+        t = _convolve(dzs[2:n], ck)
+        b = (n + 1) * _convolve(zs[2:n], ck) - t
+        # R1 = q1/lcd^2 and R2 = q2/(12 lcd^2)
+        q1 = -3 * b
+        q2 = 3 * (n + 1) * s_cc - 12 * (b + 2 * t) + 2 * (n - 1) * cs[n - 1] * lcd
+        den = 4 * (2 * n + 1) * (n + 1) * lcd * lcd
+        c_num = 4 * (2 * n + 1) * q1 - q2
+        z_num = n * q2 + 4 * (2 * n + 1) * q1
+        g = math.gcd(c_num, den)
+        c_num, c_den = c_num // g, den // g
+        g = math.gcd(z_num, 6 * den)
+        z_num, z_den = z_num // g, 6 * den // g
+        grown = math.lcm(lcd, c_den, z_den)
+        if grown != lcd:
+            f = grown // lcd
+            cs = [x * f for x in cs]
+            zs = [x * f for x in zs]
+            dzs = [x * f for x in dzs]
+            lcd = grown
+        c.append(Fraction(c_num, c_den))
+        cs.append(c_num * (lcd // c_den))
+        zs.append(z_num * (lcd // z_den))
+        dzs.append(n * zs[-1])
+    return tuple(c), lcd, tuple(cs), tuple(zs), tuple(dzs)
 
 
 @lru_cache(maxsize=None)

@@ -28,8 +28,8 @@ import hwtheta.saddle_geometry as sg
 # below are confirmed by
 #   * the order-by-order solve of the reversion and the S/(S-1) Laurent
 #     route to Im g, kept in tests/test_rho_one_series.py as the route
-#     independent of the module's Lagrange inversion, which reproduce all
-#     six Im g coefficients;
+#     independent of the module's ODE recurrence, which reproduce all six
+#     Im g coefficients;
 #   * quadrature of the defining integral at rho = 1 (the t^5 coefficient
 #     recovered from theta_direct(1/t, t) at t in {0.05, 0.08, 0.1} is
 #     -1.7887e-7, within 1e-4 of the exact -1.78862e-7 and 8% from the old

@@ -25,8 +25,9 @@ MODULES = (sg, dp, rs, result, rq, ab, errors)
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # not positive, not finite, or not a real at all: a string is refused even
-# where float would parse it, as whole_number refuses "4"
-BAD = (0.0, -1.0, math.nan, math.inf, -math.inf, None, "abc", "1.0", 1j)
+# where float would parse it, as whole_number refuses "4", and a bool even
+# though float(True) is 1.0
+BAD = (0.0, -1.0, math.nan, math.inf, -math.inf, None, "abc", "1.0", 1j, True, False)
 
 # every public entry point that takes rho, t, tau, r or z, with the name its
 # refusal gives the argument, called with that argument bad and the rest good.
@@ -137,9 +138,10 @@ def test_integer_arguments_follow_one_rule(entry):
     if hi is not None:
         call(hi - 1)
     span = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
-    # an integral float is refused, never truncated; bits=None asks for the
-    # default sizing, so None is a bad count everywhere else
-    bads = [lo - 1, float(lo + 2), 4.7, math.nan, math.inf, "4"]
+    # an integral float is refused, never truncated, and a bool is not a
+    # count; bits=None asks for the default sizing, so None is a bad count
+    # everywhere else
+    bads = [lo - 1, float(lo + 2), 4.7, math.nan, math.inf, "4", True, False]
     bads += [] if hi is None else [hi, hi + 5]
     bads += [] if name == "bits" else [None]
     for bad in bads:
@@ -225,7 +227,7 @@ def test_delta_large_tau_takes_inf_as_its_limit():
     # the one entry point outside the positive-finite-real rule, on purpose
     assert rs.delta_large_tau(math.inf) == -1.0
     assert rs.delta_large_tau(100.0) == -1.0 + math.pi * math.sqrt(2.0 / 300.0)
-    for bad in (math.nan, 99.9, 0.0, -1.0, -math.inf, None, "1000", 1j):
+    for bad in (math.nan, 99.9, 0.0, -1.0, -math.inf, None, "1000", 1j, True):
         with pytest.raises(DomainError, match="requires tau >= 100"):
             rs.delta_large_tau(bad)
 

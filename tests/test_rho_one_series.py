@@ -8,6 +8,8 @@ d_j = r_j/3 and c_k = (r_k/3) (2k-1)!!/2^k.
 
 import math
 import sys
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
@@ -152,8 +154,9 @@ def test_reversion_satisfies_defining_constraint_exactly():
 
 
 # The order-by-order solve and the S/(S-1) Laurent route that Lagrange
-# inversion and g = d cosh(xi)/dtau replaced, kept verbatim as the
-# independent reference: both routes must give the same exact rationals.
+# inversion and g = d cosh(xi)/dtau replaced, then the Lagrange inversion
+# that the ODE-pair recurrence replaced, kept verbatim as independent
+# references: every route must give the same exact rationals.
 
 
 def _fact(n: int) -> int:
@@ -272,11 +275,42 @@ W_MAX = 33
 IM_G_MAX = 17
 
 
+@lru_cache(maxsize=None)
+def _w_coefficient(n: int) -> Fraction:
+    """Coefficient c_n (n >= 1) of W(v) solving sum_{k>=2} W^k/(2k)! = v^2/6.
+
+    The left side is W^2 A(W)/24 with A(W) = 24*sum_{j>=0} W^j/(2j+4)!
+    (A_0 = 1), so v = W/phi(W) with phi = 2*A^(-1/2) and Lagrange inversion
+    reads c_n = (1/n) [W^(n-1)] phi^n = (2^n/n) [W^(n-1)] A^(-n/2).  The power
+    P = A^alpha comes from J.C.P. Miller's recurrence
+    P_k = (1/k) sum_{j=1..k} ((alpha+1) j - k) A_j P_(k-j), P_0 = 1, kept as
+    ints num/den in lowest terms: the k terms (with alpha = -n/2, term j is
+    ((2 - n) j - 2k)/2 * P_(k-j)/a_j) go over one common denominator and
+    the sum is reduced by one gcd.  c_n depends on n alone, hence the cache.
+    """
+    a = [math.factorial(2 * j + 4) // 24 for j in range(n)]  # A_j = 1/a[j]
+    num, den = [1], [1]
+    for k in range(1, n):
+        dens = [2 * a[j] * den[k - j] for j in range(1, k + 1)]
+        lcm = math.lcm(*dens)
+        total = sum(((2 - n) * j - 2 * k) * num[k - j] * (lcm // d) for j, d in enumerate(dens, 1))
+        g = math.gcd(total, k * lcm)
+        num.append(total // g)
+        den.append(k * lcm // g)
+    return Fraction(2**n * num[n - 1], n * den[n - 1])
+
+
+def _w_coefficients_miller(nv: int) -> tuple[Fraction, ...]:
+    """Coefficients c_0..c_nv of W(v), c_0 = 0, one Lagrange inversion each."""
+    return (Fraction(0),) + tuple(_w_coefficient(n) for n in range(1, nv + 1))
+
+
 def test_lagrange_reversion_equals_order_by_order_solve():
     # coefficient c_m of the solve does not depend on the requested size,
     # so the largest solve is the reference for every prefix
     ref = _w_coefficients_solve(W_MAX)
     for n in range(W_MAX + 1):
+        assert _w_coefficients_miller(n) == ref[: n + 1], n
         assert rs._w_coefficients(n) == ref[: n + 1], n
 
 
@@ -286,6 +320,7 @@ def test_im_g_from_reversion_derivative_equals_laurent_route():
         assert rs._im_g_rationals(n) == ref[:n], n
 
 
+@lru_cache(maxsize=None)
 def _w_coefficients_fraction(nv: int) -> tuple[Fraction, ...]:
     """Coefficients c_0..c_nv of W(v) solving sum_{k>=2} W^k/(2k)! = v^2/6.
 
@@ -310,12 +345,45 @@ def _w_coefficients_fraction(nv: int) -> tuple[Fraction, ...]:
 def test_integer_miller_step_equals_fraction_loop():
     # the per-length Fraction loop that the per-n integer step replaced;
     # delta_series(32) reads W through v^65
-    assert rs._w_coefficients(65) == _w_coefficients_fraction(65)
+    assert _w_coefficients_miller(65) == _w_coefficients_fraction(65)
 
 
 def _clear_series_caches():
-    rs._w_coefficient.cache_clear()
+    rs._reversion = rs._REVERSION_START
     rs._im_g_rationals.cache_clear()
+
+
+def test_ode_recurrence_equals_lagrange_inversion(monkeypatch):
+    # from cold, through v^65 (delta_series(32)), the recurrence gives the
+    # integer Miller step's and the Fraction loop's c_n exactly, and the
+    # order-by-order solve's through v^33
+    _clear_series_caches()
+    c = rs._w_coefficients(65)
+    assert c == _w_coefficients_miller(65) == _w_coefficients_fraction(65)
+    assert c[: W_MAX + 1] == _w_coefficients_solve(W_MAX)
+    # Im g built on the reference c_n is Im g built on the recurrence's
+    r = rs._im_g_rationals(33)
+    rs._im_g_rationals.cache_clear()
+    monkeypatch.setattr(rs, "_w_coefficients", _w_coefficients_miller)
+    try:
+        assert rs._im_g_rationals(33) == r
+    finally:
+        rs._im_g_rationals.cache_clear()
+
+
+def _recurrence_steps(monkeypatch) -> list[int]:
+    """The order n of every convolution the recurrence runs from now on: a
+    step at order n runs three, each over the n - 2 pairs i + k = n + 1
+    with 2 <= i, k <= n - 1."""
+    steps = []
+    convolve = rs._convolve
+
+    def counted(xs, ys):
+        steps.append(len(xs) + 2)
+        return convolve(xs, ys)
+
+    monkeypatch.setattr(rs, "_convolve", counted)
+    return steps
 
 
 def _four_series(order: int):
@@ -327,15 +395,37 @@ def _four_series(order: int):
     )
 
 
-def test_four_series_share_one_reversion():
+def test_four_series_share_one_reversion(monkeypatch):
     # delta_series(16) reads W through v^33, the longest of the four; each
-    # c_n is computed once however many series and lengths ask for it
+    # c_n is computed once however many series and lengths ask for it, and
+    # a longer request extends the prefix without recomputing it (c_1 = 2
+    # is where the recurrence starts)
     _clear_series_caches()
+    steps = _recurrence_steps(monkeypatch)
     _four_series(16)
-    info = rs._w_coefficient.cache_info()
-    assert info.misses == info.currsize == 33
+    assert Counter(steps) == {n: 3 for n in range(2, 34)}
+    assert len(rs._reversion[0]) == 34
+    steps.clear()
     _four_series(16)
-    assert rs._w_coefficient.cache_info().misses == 33
+    assert steps == []
+    _four_series(32)
+    assert Counter(steps) == {n: 3 for n in range(34, 66)}
+    assert len(rs._reversion[0]) == 66
+
+
+def test_reversion_work_grows_as_n_squared(monkeypatch):
+    # the terms convolved to reach c_65 from cold, over those to reach c_33:
+    # about 4 for one O(n) step per coefficient, about 7.6 for one O(n^2)
+    # Lagrange inversion per coefficient
+    steps = _recurrence_steps(monkeypatch)
+    work = {}
+    for nv in (33, 65):
+        _clear_series_caches()
+        steps.clear()
+        rs._w_coefficients(nv)
+        work[nv] = sum(n - 2 for n in steps)
+    assert work == {33: 3 * 496, 65: 3 * 2016}
+    assert work[65] / work[33] < 5
 
 
 def test_shared_reversion_under_concurrent_callers():
@@ -350,6 +440,28 @@ def test_shared_reversion_under_concurrent_callers():
     finally:
         sys.setswitchinterval(interval)
     assert all(r == expected for r in results)
+
+
+def test_concurrent_callers_compute_each_coefficient_once(monkeypatch):
+    _clear_series_caches()
+    steps = _recurrence_steps(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    orders = (25, 9, 21, 25)
+    start = threading.Barrier(len(orders))
+
+    def call(nv):
+        start.wait(timeout=60)
+        return rs._w_coefficients(nv)
+
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            futures = [pool.submit(call, nv) for nv in orders]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert Counter(steps) == {n: 3 for n in range(2, 26)}
+    assert all(r == results[0][: len(r)] for r in results)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
