@@ -72,16 +72,13 @@ def _theta_leading(sd: sg.SaddleData, t: float) -> float:
 def measure_vartheta(rho: float, t: float) -> float:
     """Measured relative error theta_direct/theta_leading - 1.
 
-    The oracle's automatic precision covers only the e^(pi^2/(2t))
-    cancellation; sub-critically the result is smaller again by
-    e^(-(F - pi^2/2)/t).  The bits handed to the oracle therefore cover the
-    full cancellation budget with 64 guard bits,
-    bits = ceil((pi^2/2 + max(0, F - pi^2/2))/t * log2 e) + 64.
-    Only theta is read, so the oracle runs theta_direct's full run alone, with
-    its refusals but no self-check, its panels split between this process and
-    a forked child at half the count its tail test is predicted to sum, the
-    prediction taken from the leading term; theta is theta_direct's to the
-    bit whatever the prediction.
+    The oracle runs at theta_direct's default bits, sized from the saddle
+    solved here, so each cell solves it once.  Only theta is read, so the
+    oracle runs theta_direct's full run alone, with its refusals but no
+    self-check, its panels split between this process and a forked child at
+    half the count its tail test is predicted to sum, the prediction taken
+    from the leading term; theta is theta_direct's to the bit whatever the
+    prediction.
     """
     t = positive_real(t, "t")
     rho = positive_real(rho, "rho")
@@ -89,8 +86,7 @@ def measure_vartheta(rho: float, t: float) -> float:
     lead = _theta_leading(sd, t)
     from . import reference_quadrature as rq  # the oracle loads mpmath: import on first use
 
-    bits = rq._required_bits(t, max(0.0, sd.F - _HALF_PI_SQ))
-    return rq._theta_split(rho / t, t, bits, lead) / lead - 1.0
+    return rq._theta_split(rho / t, t, rq._cancellation_bits(sd, t), lead) / lead - 1.0
 
 
 def _erf_minus_gauss(x: float) -> float:

@@ -84,10 +84,11 @@ class PrecisionOverflowError(HwThetaError, ArithmeticError):
 
 
 def real(x) -> float | None:
-    """x as a float, or None where x is not a real number: a bool, a str or
-    bytes (float would take them) or anything float refuses (None, a
-    complex)."""
-    if isinstance(x, (bool, str, bytes, bytearray)):
+    """x as a float, or None where x is not a real number: a bool (numpy's
+    too, known by its dtype without importing numpy), a str or bytes (float
+    would take them) or anything float refuses (None, a complex)."""
+    dtype = getattr(x, "dtype", None)  # numpy's bool is not a bool subclass
+    if isinstance(x, (bool, str, bytes, bytearray)) or getattr(dtype, "kind", "") == "b":
         return None
     try:
         return float(x)

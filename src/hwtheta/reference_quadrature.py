@@ -5,66 +5,50 @@ The object computed here is
     theta(r, t) = r/sqrt(2 pi^3 t) * e^(pi^2/(2t))
                   * Int_0^inf e^(-xi^2/(2t) - r cosh xi) sinh(xi) sin(pi xi/t) dxi.
 
-The integral is exponentially small while the prefactor carries e^(pi^2/(2t)),
-so roughly pi^2/(2t) * log2(e) bits cancel and the quadrature must run in
-extended precision (mpmath).  Two structural facts make a simple scheme
-rigorous and fast:
+The integral is exponentially small while the prefactor carries
+e^(pi^2/(2t)), so the quadrature runs in extended precision (mpmath).  The
+integrand peaks near e^(-rho/t), rho = r t, and the integral is about
+e^(-F(rho)/t), F the saddle exponent, so the panels cancel about
+max(pi^2/2, F - rho)/t nats.  Every run that sizes its own precision,
+theta_direct's default and measure_vartheta's, takes that many bits and 64
+more from one rule, _cancellation_bits.  Two structural facts make a simple
+scheme rigorous and fast:
 
 * the oscillation sin(pi xi/t) has its zeros exactly at xi = k*t, so panels
   aligned to [k*t, (k+1)*t] each contain one sign-definite half-period and a
   fixed-order Gauss-Legendre rule per panel converges geometrically;
 * the envelope decays like e^(-r cosh xi), so a truncation point with a
-  guaranteed tail bound comes from solving r cosh(xi) + xi^2/(2t) = budget.
+  guaranteed tail bound comes from solving r (cosh xi - 1) + xi^2/(2t) =
+  budget, the budget counted under the envelope's floor e^-r.
 
 Within panel k the phase is evaluated locally, sin(pi xi/t) =
 (-1)^k sin(pi (xi - k t)/t), so it never degrades at large xi/t.
 
-Results surface as doubles, and a theta that is not a normal double (an
-underflow to 0.0 or a subnormal, an overflow to inf) is refused with
-DomainError, as is a run that would sum more than _MAX_PANELS panels (an
-explicit bits with a tiny t); the error_estimate field reports the relative
-difference against a rerun 32 bits below the full run (at least 64 bits).
-
-The rerun's 32 bits below keep it above the integral's cancellation wherever
-the full run holds 64 guard bits over it, as required_bits sizes it for the
-pi^2/(2t) prefactor and measure_vartheta for the saddle exponent too.  A
-rerun at half the bits would keep fewer than 32 guard bits over pi^2/(2t)
-at default bits for t under about 0.22, and none under 0.11.  Both runs sum
-the same 24-point panels, so the estimate measures rounding only: not the
-panel rule's error, not a tail the loop stopped short of, and not a
-cancellation beyond what the bits cover (at (200, 0.05) both runs agree on
-a wrong, negative theta).
+Results surface as doubles.  A theta that is not a positive normal double (a
+negative one from bits short of the cancellation, an underflow to 0.0 or a
+subnormal, an overflow to inf) is refused with DomainError, as is a run that
+would sum more than _MAX_PANELS panels (an explicit bits with a tiny t).
+error_estimate is the relative difference against a rerun 32 bits below the
+full run (at least 64), which at the rule's bits keeps 32 guard bits over the
+cancellation.  Both runs sum the same 24-point panels, so the estimate
+measures rounding only: not the panel rule's error, nor a tail the loop
+stopped short of.
 
 Every panel's contribution, and the envelope at its right edge that the
 tail test reads, depend only on (r, t, bits, k), so the work is spread over
-two processes without moving a bit.  theta_direct forks one child that
-computes the rerun while this process computes the full run; the child sends
-back only its value's raw libmp tuple.  measure_vartheta reads only theta, so
-its oracle path, _theta_split, runs no rerun.  It predicts in doubles, from
-measure_vartheta's leading term, the panel count `stop` at which the tail
-test will end the sum (_predicted_stop), and splits that count, not kmax:
-it sums the panels [0, m), m = (stop + 1) // 2, here while a forked child
-computes [m, stop) and sends back each panel's raw contribution and edge
-envelope, then carries the in-order sum and its tail test on over them, and
-over [stop, kmax) here where the test has not stopped yet.  The sum is the
-serial run's, in the serial order; a tail stop inside [0, m) kills the
-child unread.  The prediction only moves panels between the processes, so
-a wrong one costs time and no bit.
-Each child writes through a pipe and leaves through os._exit, so it flushes
-none of the buffers it inherited.  The nodes are requested here before the
-fork, full bits first as the serial code does, so the child solves no nodes
-and this process's node caches end as the serial code leaves them.  No child
-runs where os.fork is missing, where os.pipe or os.fork raises OSError (out
-of file descriptors or processes), where a second thread is alive (a fork
-copies only the calling thread, and any lock another thread holds stays held
-in the child), or where SIGCHLD is ignored (the child could not be waited
-for); the child's work then runs here, after this process's own, as it does
-where the child fails: a nonzero exit status or a short read.  If this
-process raises meanwhile, KeyboardInterrupt included, it kills and reaps the
-child.  Either way the same panel loop, _panel_terms, makes the same values
-at the same bits from the same nodes, so every result is bit-identical to
-the in-process one; on a single usable CPU the two processes share it, with
-the same result.
+two processes without moving a bit: theta_direct computes the rerun in a
+forked child beside the full run, and _theta_split, measure_vartheta's run
+with no rerun, splits its panels at the tail stop predicted from the leading
+term (_theta_split and _in_child give the details).  Each child writes
+through a pipe and leaves through os._exit, so it flushes none of the
+buffers it inherited.  The nodes are requested here before the fork, full
+bits first as the serial code does, so the child solves no nodes and this
+process's node caches end as the serial code leaves them.  Where no child
+runs (among other cases, where a second thread is alive: a fork copies only
+the calling thread, and a lock another thread holds stays held in the
+child) or the child fails, its work runs here after this process's own, in
+the same panel loop, _panel_terms, so every result is bit-identical to the
+in-process one.
 
 The panel loop runs on mpmath's raw libmp values rather than mpf objects:
 each step is the libmp call that the equivalent mpf expression makes under
@@ -196,6 +180,14 @@ def _required_bits(t: float, excess: float = 0.0) -> int:
             ceiling_bits=ceiling,
         )
     return int(math.ceil(budget)) + 64
+
+
+def _cancellation_bits(sd: sg.SaddleData, t: float) -> int:
+    """The working precision of every oracle run that sizes its own bits:
+    ceil(max(pi^2/2, F - rho)/t * log2 e) + 64 at rho = sd.rho, the panels'
+    cancellation (module docstring) and 64 guard bits, never below
+    required_bits(t)."""
+    return _required_bits(t, max(0.0, sd.F - sd.rho - sg._HALF_PI_SQ))
 
 
 def _bits_ceiling() -> int:
@@ -340,14 +332,17 @@ def _gl_nodes(n: int, prec: int):
 
 
 def _truncation_cap(r: float, t: float, bits: int) -> float:
-    """xi beyond which e^(-r cosh xi - xi^2/(2t)) is below the bit budget."""
+    """xi beyond which e^(-r cosh xi - xi^2/(2t)) is bits ln 2 + 40 nats
+    below its floor e^-r at xi = 0: an absolute budget lies wholly below a
+    large-r envelope and caps it at 0.  r (cosh xi - 1) is taken as
+    2 r sinh(xi/2)^2 to keep its digits where r is far above the budget."""
     budget = bits * math.log(2.0) + 40.0
-    # r*cosh(hi) alone already exceeds the budget at this hi
-    hi = max(1.0, math.log(2.0 * (budget + 1.0) / r) + 1.0)
+    # r*(cosh(hi) - 1) alone already exceeds the budget at this hi
+    hi = max(1.0, math.log(2.0 * (budget + r + 1.0) / r) + 1.0)
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if r * math.cosh(mid) + mid * mid / (2.0 * t) < budget:
+        if 2.0 * r * math.sinh(0.5 * mid) ** 2 + mid * mid / (2.0 * t) < budget:
             lo = mid
         else:
             hi = mid
@@ -520,11 +515,13 @@ def _integrate_panels(r: float, t: float, bits: int, kmax: int):
 
 def _validated(r, t, bits):
     """(r, t, bits, kmax): a run's arguments as theta_direct takes them, bits
-    = required_bits(t) where None, and the run's panel count.
+    from _cancellation_bits at rho = r t where None (only then is the saddle
+    solved), and the run's panel count.
 
     Refuses, before any quadrature or fork, an r or t that is not a positive
-    finite real, bits that is not an integer >= 64 or is above the ceiling
-    (PrecisionOverflowError), a run of more than _MAX_PANELS panels, and a
+    finite real, a saddle that saddle_data refuses, bits that is not an
+    integer >= 64 or is above the ceiling (PrecisionOverflowError), a run of
+    more than _MAX_PANELS panels, and a
     run whose last panel edge kmax * t lies past sg._X_MAX, where cosh(xi)
     leaves the double range: there the envelope's exponent has thousands of
     digits, and mpmath hangs on it or overflows (t above about 355 at
@@ -532,7 +529,10 @@ def _validated(r, t, bits):
     """
     r = positive_real(r, "r")
     t = positive_real(t, "t")
-    bits = _required_bits(t) if bits is None else whole_number(bits, "bits", 64)
+    if bits is None:
+        bits = _cancellation_bits(sg.saddle_data(r * t), t)
+    else:
+        bits = whole_number(bits, "bits", 64)
     ceiling = _bits_ceiling()
     if bits > ceiling:
         raise PrecisionOverflowError(
@@ -553,32 +553,36 @@ def _validated(r, t, bits):
 def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     """Evaluate theta(r, t) by extended-precision panel quadrature.
 
-    The working precision is `bits`, an integer >= 64, or required_bits(t)
-    when bits is None; either way it must not exceed the ceiling (4096 bits
-    by default, HW_MAX_BITS to change).  The returned error_estimate is the
-    relative difference against a rerun at bits - 32 (at least 64), a direct
-    measure of whether the precision budget sufficed for the rounding; the
-    rerun runs in a forked child beside the full run where it can (see the
-    module docstring).  Raises DomainError where theta is not a normal double,
-    and, before any quadrature, where the run would need more than
-    _MAX_PANELS panels of width t or panels past xi = asinh(DBL_MAX).
+    The working precision is `bits`, an integer >= 64, or, when bits is
+    None, the rule's ceil(max(pi^2/2, F(rho) - rho)/t * log2 e) + 64 at
+    rho = r t (_cancellation_bits); either way it must not exceed the
+    ceiling (4096 bits by default, HW_MAX_BITS to change).  The returned
+    error_estimate is the relative difference against a rerun at bits - 32
+    (at least 64), run in a forked child beside the full run where it can.
+    Raises DomainError where theta is not a positive normal double, and,
+    before any quadrature, where the saddle is refused or the run would need
+    more than _MAX_PANELS panels of width t or panels past asinh(DBL_MAX).
     """
     r, t, bits, kmax = _validated(r, t, bits)
     check_bits = max(64, bits - 32)
 
     def check():
-        return _integrate_panels(r, t, check_bits, _panel_count(r, t, check_bits))[0]
+        return [_integrate_panels(r, t, check_bits, _panel_count(r, t, check_bits))[0]._mpf_]
 
     # the serial runs' node requests, in their order, before any fork: the
     # child then solves nothing, and the caches here end as the serial code
     # leaves them
     _gl_nodes(_PANEL_POINTS, bits)
     _gl_nodes(_PANEL_POINTS, check_bits)
-    with _in_child(lambda: [check()._mpf_]) as checked:
+    with _in_child(check) as checked:
         value, _ = _integrate_panels(r, t, bits, kmax)
-        raw = checked()
-    check_value = check() if raw is None else mp.make_mpf(raw[0])
+        check_value = mp.make_mpf(checked()[0])
     theta = normal_double(float(value), "theta(r={!r}, t={!r})", r, t)
+    if theta < 0.0:
+        raise DomainError(
+            f"theta(r={r!r}, t={t!r}) at {bits} bits is {theta!r}, not a density: "
+            f"the run did not resolve it"
+        )
     with mp.workprec(64):
         err = float(abs(value - check_value) / abs(value))
     return EvalResult(
@@ -590,8 +594,8 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
 
 
 def _theta_split(r: float, t: float, bits: int, estimate: float) -> float:
-    """theta(r, t) at `bits` as a double, from the full run alone: no rerun
-    and no error estimate, and theta_direct's refusals.
+    """theta(r, t) at `bits` as a double, from the full run alone: no rerun,
+    no error estimate, and theta_direct's refusals but the negative theta's.
 
     `estimate`, a positive double near theta, sizes the split: the tail test
     is predicted to stop after `stop` panels (_predicted_stop).  This process
@@ -617,12 +621,8 @@ def _theta_split(r: float, t: float, bits: int, estimate: float) -> float:
     with _in_child(in_child) as child:
         total, stopped = _add_panels(fzero, _panel_terms(r, t, bits, range(m)), bits, [])
         if not stopped:
-            raw = child()
-            if raw is None:
-                terms = _panel_terms(r, t, bits, theirs)
-            else:
-                terms = zip(raw[::2], raw[1::2])  # (contribution, envelope) pairs
-            total, stopped = _add_panels(total, terms, bits, [])
+            raw = child()  # (contribution, envelope) pairs, flattened
+            total, stopped = _add_panels(total, zip(raw[::2], raw[1::2]), bits, [])
     if not stopped:
         total, _ = _add_panels(total, _panel_terms(r, t, bits, range(stop, kmax)), bits, [])
     theta = _theta_of(total, r, t, bits)
@@ -634,8 +634,10 @@ def _in_child(fn):
     """Run fn, which returns a list of raw libmp tuples, in a forked child
     beside the with block.
 
-    Yields a function that waits for the child and returns fn's list, or None
-    where no child runs or it failed: a nonzero exit status or a short read.
+    Yields a function that returns fn's list: it waits for the child and
+    reads the list, or, where the child failed (a nonzero exit status or a
+    short read), runs fn here.  Where no child runs, it yields fn itself, so
+    fn runs here when the block calls for it, after this process's own work.
     No child runs where os.fork is missing, where os.pipe or os.fork raises
     OSError (out of file descriptors or processes), where a second thread is
     alive, or where SIGCHLD is ignored (the child could not be waited for).
@@ -661,7 +663,7 @@ def _in_child(fn):
         except OSError:  # no pipe (out of descriptors) or no fork: no child
             pass
     if pid is None:
-        yield lambda: None
+        yield fn
         return
     if pid == 0:
         code = 1
@@ -682,7 +684,7 @@ def _in_child(fn):
         _, status = os.waitpid(pid, 0)
         fields = data.split()
         if status or not data.endswith(b"\n") or len(fields) != 1 + 4 * int(fields[0]):
-            return None
+            return fn()
         ints = map(int, fields[1:])
         return [(sign, MPZ(man), exp, bc) for sign, man, exp, bc in zip(ints, ints, ints, ints)]
 

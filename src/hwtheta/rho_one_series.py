@@ -43,7 +43,6 @@ import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError, positive_real, real, whole_number
 
@@ -262,12 +261,13 @@ def _convolve(xs, ys) -> int:
     return sum([x * y for x, y in zip(xs, ys)])
 
 
-# The reversion so far, as (c, lcd, cs, zs, dzs): c holds c_0..c_M of W(v)
-# as Fractions; c_i = cs[i]/lcd and z_i = zs[i]/lcd, dzs[i] = i*zs[i], over
-# lcd, the least common denominator of every c_i and z_i.  It starts at
-# c_1 = 2, z_1 = 1/3.  It is replaced whole, never mutated, so a reader
-# needs no lock; the lock lets one caller at a time extend it.
-_REVERSION_START = ((Fraction(0), Fraction(2)), 3, (0, 6), (0, 1), (0, 1))
+# The reversion so far, as (c, lcd, cs, zs, dzs, r): c holds c_0..c_M of
+# W(v) as Fractions; c_i = cs[i]/lcd and z_i = zs[i]/lcd, dzs[i] = i*zs[i],
+# over lcd, the least common denominator of every c_i and z_i; r holds the
+# Im g rationals r_j that c_1..c_M give, those with 2j + 1 <= M.  It starts
+# at c_1 = 2, z_1 = 1/3, r_0 = 3.  It is replaced whole, never mutated, so a
+# reader needs no lock; the lock lets one caller at a time extend it.
+_REVERSION_START = ((Fraction(0), Fraction(2)), 3, (0, 6), (0, 1), (0, 1), (Fraction(3),))
 _reversion = _REVERSION_START
 _reversion_lock = threading.Lock()
 
@@ -286,14 +286,14 @@ def _w_coefficients(nv: int) -> tuple[Fraction, ...]:
 
 
 def _extended(reversion, nv: int):
-    """The reversion state extended through c_nv.
+    """The reversion state, its Im g rationals too, extended through c_nv.
 
     At v^n (n >= 2) the ODE pair reads 6 z_n + n c_n = R1 and
     (4n+2) z_n - ((2n+1)/3) c_n = R2, so c_n = (R1 - 6 R2/(4n+2))/(n+1)
     and z_n = R2/(4n+2) + c_n/6.
     """
-    c, lcd, cs, zs, dzs = reversion
-    c, cs, zs, dzs = list(c), list(cs), list(zs), list(dzs)
+    c, lcd, cs, zs, dzs, r = reversion
+    c, cs, zs, dzs, r = list(c), list(cs), list(zs), list(dzs), list(r)
     for n in range(len(c), nv + 1):
         # sums over the pairs i + k = n + 1 with 2 <= i, k <= n - 1 give
         # R1 = -3B and R2 = (n+1)/4 S_cc - B - 2T + (n-1)/6 c_(n-1), where
@@ -323,24 +323,24 @@ def _extended(reversion, nv: int):
         cs.append(c_num * (lcd // c_den))
         zs.append(z_num * (lcd // z_den))
         dzs.append(n * zs[-1])
-    return tuple(c), lcd, tuple(cs), tuple(zs), tuple(dzs)
+    for j in range(len(r), len(c) // 2):
+        r.append((-1) ** j * Fraction(2 * j + 1, 4) * c[2 * j + 1] * 6 ** (j + 1))
+    return tuple(c), lcd, tuple(cs), tuple(zs), tuple(dzs), tuple(r)
 
 
-@lru_cache(maxsize=None)
 def _im_g_rationals(count: int) -> tuple[Fraction, ...]:
-    """Rationals r_j with Im g(tau, 1) = sum_j (r_j/sqrt(6)) tau^(j-1/2).
+    """Rationals r_j with Im g(tau, 1) = sum_j (r_j/sqrt(6)) tau^(j-1/2),
+    j < count, from the shared state.
 
     Along the path dxi/dtau = 1/h'(xi), so g = sinh(xi)/h'(xi) is
     d cosh(xi(tau))/dtau.  At rho = 1, cosh(i*pi + zeta) = -(zeta^2/2 + 1 - tau)
     on the path, hence g = 1 - (1/2) d(zeta^2)/dtau.  With zeta^2 = W(v) and
     tau = -v^2/6 this is g = 1 + (3/2) sum_m m c_m v^(m-2); the odd powers of
-    v are the imaginary ones, giving r_j = (-1)^j (2j+1)/4 c_(2j+1) 6^(j+1).
+    v are the imaginary ones, giving r_j = (-1)^j (2j+1)/4 c_(2j+1) 6^(j+1)
+    (_extended keeps them beside the c_n).
     """
-    c = _w_coefficients(2 * count - 1)
-    return tuple(
-        (-1) ** j * Fraction(2 * j + 1, 4) * c[2 * j + 1] * 6 ** (j + 1)
-        for j in range(count)
-    )
+    _w_coefficients(2 * count - 1)  # extends the prefix, and r with it
+    return _reversion[5][:count]
 
 
 def invert_zeta_equation(order: int) -> HalfPowerSeries:

@@ -223,6 +223,41 @@ def test_each_printed_rule_is_written_once():
     assert not re.search(r"<=?\s*[12]\b", texts["cli.py"])
 
 
+def test_one_rule_sizes_the_oracle():
+    # a bit count is computed in reference_quadrature alone, and both runs
+    # that size their own bits, theta_direct's default and measure_vartheta,
+    # take it from the one rule
+    paths = sorted(Path(errors.__file__).parent.glob("*.py"))
+
+    def called(*names):
+        def match(node):
+            return ast.unparse(node.func).rsplit(".", 1)[-1] in names
+
+        return {hit for path in paths for hit in _calls_by_function(path, match)}
+
+    assert called("_required_bits", "log2") == {
+        ("reference_quadrature.py", name)
+        for name in ("required_bits", "_required_bits", "_cancellation_bits")
+    }
+    assert called("_cancellation_bits") == {
+        ("reference_quadrature.py", "_validated"),
+        ("approximation_and_bounds.py", "measure_vartheta"),
+    }
+
+
+def test_numpy_bool_is_not_a_real():
+    # numpy's bool is no bool subclass, and float() takes it as 1.0
+    np = pytest.importorskip("numpy")
+    assert ab.theta_leading(np.float64(1.0), 0.5) == ab.theta_leading(1.0, 0.5)
+    for bad in (np.True_, np.False_, np.array(True)):
+        for name, call in ENTRY_POINTS.values():
+            with pytest.raises(DomainError) as excinfo:
+                call(bad)
+            assert str(excinfo.value) == f"{name} must be a positive finite real, got {bad!r}"
+        with pytest.raises(DomainError):
+            errors.whole_number(bad, "order", 0)
+
+
 def test_delta_large_tau_takes_inf_as_its_limit():
     # the one entry point outside the positive-finite-real rule, on purpose
     assert rs.delta_large_tau(math.inf) == -1.0

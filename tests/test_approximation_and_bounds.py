@@ -112,10 +112,11 @@ DEFAULT_T = (0.05, 0.1, 0.2)
 
 
 def _cancel(rho, t):
-    """The bits the theta integral cancels: the pi^2/(2t) prefactor plus the
-    sub-critical suppression e^(-(F - pi^2/2)/t)."""
-    excess = max(0.0, sg.saddle_data(rho).F - ab._HALF_PI_SQ)
-    return (ab._HALF_PI_SQ + excess) / t * math.log2(math.e)
+    """The bits the theta integral cancels, max(pi^2/2, F - rho)/t in nats:
+    the panels peak near e^(-rho/t) and sum to about e^(-F/t), and the
+    pi^2/(2t) prefactor is the floor."""
+    sd = sg.saddle_data(rho)
+    return max(ab._HALF_PI_SQ, sd.F - rho) / t * math.log2(math.e)
 
 
 def _vartheta_at_doubled_bits(rho, t):
@@ -140,6 +141,10 @@ def test_measure_vartheta_hands_the_oracle_cancel_plus_64_bits(monkeypatch):
             # the split is sized by the leading term
             bits = math.ceil(_cancel(rho, t)) + 64
             assert seen == [(rho / t, t, bits, ab.theta_leading(rho, t))], (rho, t)
+            # theta_direct's default: one rule sizes both
+            assert bits == rq._cancellation_bits(sg.saddle_data(rho), t), (rho, t)
+    # the panels peak at e^(-rho/t), not at 1: rho/t = 5 nats fewer than F/t
+    assert math.ceil(_cancel(0.25, 0.05)) + 64 == 259
 
 
 def test_measure_vartheta_equals_the_doubled_bits_on_the_default_grid():

@@ -139,12 +139,31 @@ def test_eval_asymptotic_outside_double_range_exits_2(capsys, rho, t, lead, json
     assert f"{lead}, outside the range of a double" in err
 
 
-@pytest.mark.parametrize("rho, theta", [("1e300", "0.0"), ("1e-300", "7.7e-322")])
-def test_eval_direct_outside_double_range_exits_2(capsys, rho, theta):
+@pytest.mark.parametrize("rho, g0", [("1e300", "0.0")])
+def test_eval_direct_outside_double_range_exits_2(capsys, rho, g0):
+    # the default bits are sized from the saddle, whose g0 underflows first
     code, out, err = run_cli(capsys, "eval", "--rho", rho, "--t", "0.5", "--method", "direct")
     assert (code, out) == (2, "")
-    assert err.startswith("error: theta(r=")
-    assert f"is {theta}, outside the range of a double" in err
+    assert err.startswith(f"error: g0 at rho=1e+300 is {g0}, outside the range of a double")
+
+
+def test_eval_direct_far_sub_critical_exits_3(capsys):
+    # theta at rho = 1e-300 is about e^(-486,000): 700,986 bits, above the ceiling
+    code, out, err = run_cli(capsys, "eval", "--rho", "1e-300", "--t", "0.5", "--method", "direct")
+    assert (code, out) == (3, "")
+    assert "needs 700986 bits of working precision, above the ceiling of 4096" in err
+
+
+def test_eval_direct_rule_and_refusal_of_short_bits(capsys):
+    # the default bits cover the saddle's cancellation, and an explicit
+    # --bits that does not is refused, not printed as a negative theta
+    code, out, _ = run_cli(capsys, "eval", "--rho", "0.05", "--t", "0.1", "--method", "direct")
+    assert code == 0
+    assert "theta = 2.0964323407950405e-39\n" in out
+    argv = ("eval", "--rho", "0.05", "--t", "0.1", "--method", "direct", "--bits", "136")
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: theta(r=0.5, t=0.1) at 136 bits is -2.17710841992248e-23")
 
 
 def test_eval_rejects_bad_domain(capsys):

@@ -18,6 +18,7 @@ from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_le, mpf_neg, mpf_sub
 
 import hwtheta.approximation_and_bounds as ab
 import hwtheta.reference_quadrature as rq
+import hwtheta.saddle_geometry as sg
 from hwtheta.errors import DomainError, PrecisionOverflowError
 from hwtheta.reference_quadrature import Method
 
@@ -29,6 +30,18 @@ THETA_REF = [
     (2.5, 0.2, 0.7865756755213369),
     (8.0, 0.25, 96.67701245077069),
     (1.0, 0.5, 0.4717399439133017),
+]
+
+
+# perfbench/reference.py's theta_path at ROADMAP item 4's cells: the leading
+# term times 1 + vartheta from the path representation, traced in mpmath at
+# 30-60 digits by code that shares nothing with the package.  The first two
+# cancel far more than pi^2/(2t); at the third (r = 200) the envelope starts
+# at e^-200, below any truncation budget not counted from that floor.
+THETA_PATH_REF = [
+    (0.05, 0.1, 265, 2.0964323407950405e-39),
+    (0.01, 0.2, 239, 3.756607019709245e-42),
+    (10.0, 0.05, 207, 3.376942208436934e-48),
 ]
 
 
@@ -74,6 +87,14 @@ def test_theta_direct_matches_reference_values():
         assert res.theta > 0.0
 
 
+@pytest.mark.parametrize("rho, t, bits, ref", THETA_PATH_REF)
+def test_default_bits_resolve_the_saddle_cancellation(rho, t, bits, ref):
+    # (F - rho)/t nats cancel: 265 bits at (0.05, 0.1) where pi^2/(2t) asks 136
+    result = rq.theta_direct(rho / t, t)
+    assert result.precision_used_bits == bits
+    assert result.theta == pytest.approx(ref, rel=1e-13), (rho, t, result)
+
+
 def test_self_convergence_under_precision_doubling():
     base = rq.theta_direct(2.0, 0.5)
     doubled = rq.theta_direct(2.0, 0.5, 2 * base.precision_used_bits)
@@ -106,10 +127,12 @@ def test_truncation_point_is_conservative(monkeypatch, tmp_path):
             handle.write(f"{os.getpid()} {bits}\n")
         return 2.0 * cap(r, t, bits)
 
+    sized = []
     for r, t in ((0.01, 1.0), (0.005, 2.0), (0.002, 5.0)):
-        bits = rq.required_bits(t)
-        _, panels = _serial(r, t, bits)
         base = rq.theta_direct(r, t)
+        bits = base.precision_used_bits
+        sized.append(bits)
+        _, panels = _serial(r, t, bits)
         with monkeypatch.context() as m:
             m.setattr(rq, "_truncation_cap", doubled_cap)
             _, wide_panels = _serial(r, t, bits)
@@ -118,11 +141,12 @@ def test_truncation_point_is_conservative(monkeypatch, tmp_path):
         assert len(wide_panels) > len(panels), (r, t)
         rel = abs(wide.theta / base.theta - 1.0)
         assert rel <= max(10.0 * base.error_estimate, 1e-14), (r, t, rel)
-        # the self-check (64 bits here) saw the patch too, in the forked child
+        # the self-check saw the patch too, in the forked child
         calls = {tuple(map(int, line.split())) for line in log.read_text().splitlines()}
-        (check_pid,) = {pid for pid, b in calls if b == 64}
-        assert (os.getpid(), bits) in calls and bits > 64, (r, t)
+        (check_pid,) = {pid for pid, b in calls if b == max(64, bits - 32)}
+        assert (os.getpid(), bits) in calls, (r, t)
         assert check_pid != os.getpid(), (r, t)
+    assert sized == [99, 82, 71]
 
 
 def test_panel_contributions_alternate_past_the_peak():
@@ -139,7 +163,8 @@ def test_precision_ceiling_env_var(monkeypatch):
     monkeypatch.setenv("HW_MAX_BITS", "100")
     with pytest.raises(PrecisionOverflowError) as excinfo:
         rq.theta_direct(1.0, 0.1)
-    assert excinfo.value.required_bits == 136
+    # rho = 0.1: (F - rho)/t, not pi^2/(2t) (136 bits), sizes the run
+    assert excinfo.value.required_bits == 215
     assert excinfo.value.ceiling_bits == 100
     monkeypatch.setenv("HW_MAX_BITS", "200")
     res = rq.theta_direct(10.0, 0.1)
@@ -180,13 +205,18 @@ def test_panel_count_above_the_cap_is_refused_before_any_work(monkeypatch, forks
 
 def test_default_bits_stay_far_below_the_panel_cap():
     # r in [1e-3, 1e3], t in [1.7e-3, 100] on log grids: at most 1,876 panels
-    most = 0
+    # at the prefactor floor required_bits(t), and 1,104 at the rule's bits
+    # on the 528 cells within the default ceiling
+    floor = rule = 0
     for i in range(25):
         r = 10.0 ** (-3.0 + 6.0 * i / 24)
         for j in range(25):
             t = 1.7e-3 * (100.0 / 1.7e-3) ** (j / 24)
-            most = max(most, rq._panel_count(r, t, rq.required_bits(t)))
-    assert 1000 < most < rq._MAX_PANELS / 100
+            floor = max(floor, rq._panel_count(r, t, rq.required_bits(t)))
+            bits = rq._cancellation_bits(sg.saddle_data(r * t), t)
+            if bits <= rq.DEFAULT_BITS_CEILING:
+                rule = max(rule, rq._panel_count(r, t, bits))
+    assert 1000 < rule <= floor < rq._MAX_PANELS / 100
 
 
 # The mpf-level loops that _gl_nodes and _integrate_panels replaced, kept
@@ -580,8 +610,9 @@ def test_split_run_equals_the_serial_run(r, t, bits, kmax, summed):
 
 @pytest.mark.parametrize("rho, t", [(0.05, 0.1), (0.01, 0.2), (10.0, 0.05)])
 def test_split_run_equals_the_serial_run_on_sub_critical_cells(monkeypatch, rho, t):
-    # ROADMAP item 4's cells, where the default bits give a wrong theta, at
-    # the bits and estimate measure_vartheta hands the oracle
+    # ROADMAP item 4's cells, where default bits sized from pi^2/(2t) alone,
+    # or an absolute truncation budget, gave a wrong theta; at the rule's
+    # bits and the estimate that measure_vartheta hands the oracle
     split, serial, _, _ = _split_and_serial(*_oracle_args(rho, t, monkeypatch))
     assert split == serial > 0.0
 
@@ -843,8 +874,24 @@ def test_inherited_stdout_buffer_is_written_once():
     assert proc.stdout == "before the oracle\nforks 1\n"
 
 
-@pytest.mark.parametrize("r", [2e300, 2e-300])
+@pytest.mark.parametrize("r", [2e300])
 def test_theta_outside_double_range_is_refused(r):
-    # theta underflows to 0.0 at rho = 1e300 and to a subnormal at 1e-300
+    # at rho = 1e300 the saddle's g0, and so theta, underflows to 0.0
     with pytest.raises(DomainError, match="outside the range of a double"):
         rq.theta_direct(r, 0.5)
+    # at explicit bits the run itself is refused: theta is 0.0
+    with pytest.raises(DomainError, match=r"theta\(r=2e\+300, t=0.5\) is 0.0"):
+        rq.theta_direct(r, 0.5, 79)
+
+
+def test_far_sub_critical_sizing_above_the_ceiling_is_refused(monkeypatch, forks):
+    # at rho = 1e-300 theta is about e^(-486,000): the sized run would need
+    # 700,986 bits, refused before any quadrature
+    def must_not_run(*args):
+        raise AssertionError("quadrature started for a refused precision")
+
+    monkeypatch.setattr(rq, "_gl_nodes", must_not_run)
+    with pytest.raises(PrecisionOverflowError) as excinfo:
+        rq.theta_direct(2e-300, 0.5)
+    assert excinfo.value.required_bits == 700986
+    assert forks == []

@@ -350,10 +350,9 @@ def test_integer_miller_step_equals_fraction_loop():
 
 def _clear_series_caches():
     rs._reversion = rs._REVERSION_START
-    rs._im_g_rationals.cache_clear()
 
 
-def test_ode_recurrence_equals_lagrange_inversion(monkeypatch):
+def test_ode_recurrence_equals_lagrange_inversion():
     # from cold, through v^65 (delta_series(32)), the recurrence gives the
     # integer Miller step's and the Fraction loop's c_n exactly, and the
     # order-by-order solve's through v^33
@@ -362,13 +361,10 @@ def test_ode_recurrence_equals_lagrange_inversion(monkeypatch):
     assert c == _w_coefficients_miller(65) == _w_coefficients_fraction(65)
     assert c[: W_MAX + 1] == _w_coefficients_solve(W_MAX)
     # Im g built on the reference c_n is Im g built on the recurrence's
-    r = rs._im_g_rationals(33)
-    rs._im_g_rationals.cache_clear()
-    monkeypatch.setattr(rs, "_w_coefficients", _w_coefficients_miller)
-    try:
-        assert rs._im_g_rationals(33) == r
-    finally:
-        rs._im_g_rationals.cache_clear()
+    ref = _w_coefficients_miller(65)
+    assert rs._im_g_rationals(33) == tuple(
+        (-1) ** j * Fraction(2 * j + 1, 4) * ref[2 * j + 1] * 6 ** (j + 1) for j in range(33)
+    )
 
 
 def _recurrence_steps(monkeypatch) -> list[int]:
@@ -411,6 +407,18 @@ def test_four_series_share_one_reversion(monkeypatch):
     _four_series(32)
     assert Counter(steps) == {n: 3 for n in range(34, 66)}
     assert len(rs._reversion[0]) == 66
+
+
+def test_im_g_rationals_extend_the_shared_prefix():
+    # delta_series(n) after theta_series_rho1(n) needs one more r_j: it is
+    # appended beside c_(2n+1), and the n already held are kept, not rebuilt
+    _clear_series_caches()
+    rs.theta_series_rho1(16)
+    held = rs._reversion[5]
+    assert len(held) == 16
+    rs.delta_series(16)
+    grown = rs._reversion[5]
+    assert len(grown) == 17 and all(a is b for a, b in zip(held, grown))
 
 
 def test_reversion_work_grows_as_n_squared(monkeypatch):
