@@ -17,10 +17,10 @@ deviation function delta(tau, rho) behind those bounds.
 
 Only the oracle needs mpmath, and it loads on first use: importing the
 package or :mod:`hwtheta.cli` leaves :mod:`hwtheta.reference_quadrature` and
-mpmath unimported until one of the oracle's names (``theta_direct``, say) is
-first looked up here or :func:`measure_vartheta` or :func:`check_bound`
-first runs.  ``EvalResult`` and ``Method`` are not the oracle's: they load
-with the package.
+mpmath unimported until one of the oracle's names, ``theta_direct`` and
+``DEFAULT_BITS_CEILING``, is first looked up here or :func:`measure_vartheta`
+or :func:`check_bound` first runs.  ``EvalResult`` and ``Method`` are not the
+oracle's: they load with the package.
 """
 
 from . import (
@@ -42,7 +42,7 @@ __version__ = "0.1.0"
 
 #: reference_quadrature's __all__.  The oracle imports mpmath, so it and these
 #: names load on first access, through __getattr__.
-_ORACLE_NAMES = ("DEFAULT_BITS_CEILING", "required_bits", "theta_direct")
+_ORACLE_NAMES = ("DEFAULT_BITS_CEILING", "theta_direct")
 
 __all__ = [
     "__version__",

@@ -54,7 +54,6 @@ ENTRY_POINTS = {
     "theta_series.evaluate": ("t", rs.theta_series_rho1(4).evaluate),
     "im_g_series.term_magnitude": ("tau", lambda x: rs.im_g_series(4).term_magnitude(x, 1)),
     "theta_series.term_magnitude": ("t", lambda x: rs.theta_series_rho1(4).term_magnitude(x, 1)),
-    "required_bits": ("t", rq.required_bits),
     "theta_direct-r": ("r", lambda x: rq.theta_direct(x, 0.5)),
     "theta_direct-t": ("t", lambda x: rq.theta_direct(2.0, x)),
     "theta_leading-rho": ("rho", lambda x: ab.theta_leading(x, 0.5)),
@@ -81,7 +80,7 @@ def test_package_exports_each_module_list_once():
     names = [name for module in MODULES for name in module.__all__]
     assert len(set(names)) == len(names)
     assert sorted(hwtheta.__all__) == sorted(["__version__", *names])
-    assert len(hwtheta.__all__) == 43
+    assert len(hwtheta.__all__) == 42
     assert len(errors.__all__) == 5
     for module in MODULES:
         for name in module.__all__:
@@ -237,7 +236,7 @@ def test_one_rule_sizes_the_oracle():
 
     assert called("_required_bits", "log2") == {
         ("reference_quadrature.py", name)
-        for name in ("required_bits", "_required_bits", "_cancellation_bits")
+        for name in ("_required_bits", "_cancellation_bits")
     }
     assert called("_cancellation_bits") == {
         ("reference_quadrature.py", "_validated"),

@@ -51,13 +51,13 @@ def _serial(r, t, bits):
 
 
 def test_required_bits_reference_points():
-    assert rq.required_bits(0.1) == 136
-    assert rq.required_bits(math.pi * math.pi / 2.0) == 66
+    assert rq._required_bits(0.1) == 136
+    assert rq._required_bits(math.pi * math.pi / 2.0) == 66
 
 
 def test_required_bits_grows_like_one_over_t():
     ts = [1.6, 0.8, 0.4, 0.2, 0.1, 0.05]
-    bits = [rq.required_bits(t) for t in ts]
+    bits = [rq._required_bits(t) for t in ts]
     assert all(a < b for a, b in zip(bits, bits[1:]))
     # halving t roughly doubles the exponent budget above the fixed floor
     for t, b in zip(ts, bits):
@@ -68,10 +68,10 @@ def test_required_bits_grows_like_one_over_t():
 def test_required_bits_beyond_the_double_range_is_refused(monkeypatch):
     # pi^2/(2t) log2 e overflows a double below t = 3.96e-308
     monkeypatch.delenv("HW_MAX_BITS", raising=False)
-    assert rq.required_bits(4e-308) > 1.7e308
+    assert rq._required_bits(4e-308) > 1.7e308
     for t in (3.9e-308, 1e-320, 5e-324):
         with pytest.raises(PrecisionOverflowError) as excinfo:
-            rq.required_bits(t)
+            rq._required_bits(t)
         assert excinfo.value.required_bits > 2**1024
         assert excinfo.value.ceiling_bits == rq.DEFAULT_BITS_CEILING
         with pytest.raises(PrecisionOverflowError):
@@ -82,7 +82,7 @@ def test_theta_direct_matches_reference_values():
     for r, t, ref in THETA_REF:
         res = rq.theta_direct(r, t)
         assert res.method is Method.DIRECT
-        assert res.precision_used_bits >= rq.required_bits(t)
+        assert res.precision_used_bits >= rq._required_bits(t)
         assert res.theta == pytest.approx(ref, rel=1e-14), (r, t, res.theta, ref)
         assert res.theta > 0.0
 
@@ -192,31 +192,73 @@ def test_bits_validation():
 
 
 def test_panel_count_above_the_cap_is_refused_before_any_work(monkeypatch, forks):
-    # the truncation cap at (1e20, 1e-320, 100 bits) is 6.2e-61: 6.2e259 panels
+    # the truncation cap at (1e20, 1e-320, 100 bits) is 1.48e-159: 1.48e161 panels
     def must_not_run(*args):
         raise AssertionError("quadrature started for a refused panel count")
 
     monkeypatch.setattr(rq, "_integrate_panels", must_not_run)
     monkeypatch.setattr(rq, "_gl_nodes", must_not_run)
-    with pytest.raises(DomainError, match="quadrature panels, above the cap of 1000000"):
+    with pytest.raises(DomainError, match="about 1.48e\\+161 quadrature panels, above the cap of 1000000"):
         rq.theta_direct(1e20, 1e-320, 100)
     assert forks == []
 
 
 def test_default_bits_stay_far_below_the_panel_cap():
     # r in [1e-3, 1e3], t in [1.7e-3, 100] on log grids: at most 1,876 panels
-    # at the prefactor floor required_bits(t), and 1,104 at the rule's bits
+    # at the prefactor floor _required_bits(t), and 1,104 at the rule's bits
     # on the 528 cells within the default ceiling
     floor = rule = 0
     for i in range(25):
         r = 10.0 ** (-3.0 + 6.0 * i / 24)
         for j in range(25):
             t = 1.7e-3 * (100.0 / 1.7e-3) ** (j / 24)
-            floor = max(floor, rq._panel_count(r, t, rq.required_bits(t)))
+            floor = max(floor, rq._panel_count(r, t, rq._required_bits(t)))
             bits = rq._cancellation_bits(sg.saddle_data(r * t), t)
             if bits <= rq.DEFAULT_BITS_CEILING:
                 rule = max(rule, rq._panel_count(r, t, bits))
     assert 1000 < rule <= floor < rq._MAX_PANELS / 100
+
+
+def _truncation_cap_from_one(r, t, bits):
+    """_truncation_cap as it was bracketed from hi >= 1 alone, kept verbatim
+    as the reference: 200 bisections from there reach no cap below about
+    1e-60."""
+    budget = bits * math.log(2.0) + 40.0
+    # r*(cosh(hi) - 1) alone already exceeds the budget at this hi
+    hi = max(1.0, math.log(2.0 * (budget + r + 1.0) / r) + 1.0)
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 2.0 * r * math.sinh(0.5 * mid) ** 2 + mid * mid / (2.0 * t) < budget:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _over_budget(r, t, bits, xi):
+    return 2.0 * r * math.sinh(0.5 * xi) ** 2 + xi * xi / (2.0 * t) >= bits * math.log(2.0) + 40.0
+
+
+def test_truncation_cap_reaches_the_root_at_tiny_t():
+    # xi^2/(2t) alone meets the budget near sqrt(2 t budget) = 1.48e-159;
+    # bracketed from 1, the cap stopped at 1.05e-60
+    cap = rq._truncation_cap(1e20, 1e-320, 100)
+    assert cap == 1.478603278928475e-159
+    assert _over_budget(1e20, 1e-320, 100, cap)
+    assert not _over_budget(1e20, 1e-320, 100, math.nextafter(cap, 0.0))
+    assert _truncation_cap_from_one(1e20, 1e-320, 100) == 1.0536480772292057e-60
+
+
+def test_truncation_cap_is_unchanged_where_the_bracket_from_one_reached_the_root():
+    # the Gaussian bound sqrt(2 t budget) is the tighter bracket on a fifth
+    # of these cells; the bisection still ends on the same double
+    rng = random.Random(20)
+    for _ in range(5000):
+        r = 10.0 ** rng.uniform(-3.0, 4.0)
+        t = 10.0 ** rng.uniform(-3.0, math.log10(400.0))
+        bits = rng.randint(64, 4096)
+        assert rq._truncation_cap(r, t, bits) == _truncation_cap_from_one(r, t, bits), (r, t, bits)
 
 
 # The mpf-level loops that _gl_nodes and _integrate_panels replaced, kept
@@ -753,7 +795,25 @@ def _exit_without_writing():
     os._exit(0)
 
 
-@pytest.mark.parametrize("in_child", [_fail, _exit_without_writing], ids=["nonzero-exit", "short-read"])
+def _write_half_and_exit():
+    # the child writes half of its pickle and exits 0
+    write = os.write
+
+    def half(fd, data):
+        write(fd, data[: len(data) // 2])
+        os._exit(0)
+
+    os.write = half
+
+
+CHILD_FAILURES = pytest.mark.parametrize(
+    "in_child",
+    [_fail, _exit_without_writing, _write_half_and_exit],
+    ids=["nonzero-exit", "short-read", "half-pickle"],
+)
+
+
+@CHILD_FAILURES
 def test_failed_child_falls_back_to_the_same_result(monkeypatch, forks, in_child):
     expected = rq.theta_direct(2.0, 0.5)
     calls = _recording(monkeypatch, "_integrate_panels", in_child)
@@ -763,7 +823,7 @@ def test_failed_child_falls_back_to_the_same_result(monkeypatch, forks, in_child
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("in_child", [_fail, _exit_without_writing], ids=["nonzero-exit", "short-read"])
+@CHILD_FAILURES
 def test_failed_split_child_falls_back_to_the_same_vartheta(monkeypatch, forks, in_child):
     expected = ab.measure_vartheta(2.0, 0.2)
     calls = _recording(monkeypatch, "_panel_terms", in_child)
