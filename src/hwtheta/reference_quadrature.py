@@ -42,16 +42,17 @@ forked child beside the full run, and _theta_split, measure_vartheta's run
 with no rerun, splits its panels at the tail stop predicted from the leading
 term (_theta_split and _in_child give the details).  Each child pickles what
 it computed (the rerun's mpf theta, or the split's (contribution, envelope)
-pairs of raw libmp values) into a pipe that only it writes, and leaves
-through os._exit, so it flushes none of the buffers it inherited.  The nodes
-are requested here before the fork, full bits first as the serial code does,
-so the child solves no nodes and this process's node caches end as the
-serial code leaves them.  Where no child
-runs (among other cases, where a second thread is alive: a fork copies only
-the calling thread, and a lock another thread holds stays held in the
-child) or the child fails, its work runs here after this process's own, in
-the same panel loop, _panel_terms, so every result is bit-identical to the
-in-process one.
+pairs of raw libmp values and the node-table panels it built, see below)
+into a pipe that only it writes, and leaves through os._exit, so it flushes
+none of the buffers it inherited.  This process merges the split child's
+panels into its own node table, so the next run finds them.  The nodes are
+requested here before the fork, full bits first as the serial code does, so
+the child solves no nodes and this process's node caches end as the serial
+code leaves them.  Where no child runs (among other cases, where a second
+thread is alive: a fork copies only the calling thread, and a lock another
+thread holds stays held in the child) or the child fails, its work runs here
+after this process's own, in the same panel loop, _panel_terms, so every
+result is bit-identical to the in-process one.
 
 The panel loop runs on mpmath's raw libmp values rather than mpf objects:
 each step is the libmp call that the equivalent mpf expression makes under
@@ -77,6 +78,28 @@ offset has moved by an ulp, and the panels would no longer be the mpf loop's.
 The table lives for one generator, so it grows with no t beyond the one it
 serves.
 
+A panel's values split into a part free of r and the rest.  At each node,
+-xi^2/(2t), cosh xi and sinh xi (one mpf_cosh_sinh) and the phase sine
+depend only on (t, panel points, bits, k), as do the first three at the
+panel's right edge; rr cosh xi, the exponential, the three products and the
+sum depend on r.  The bound |vartheta| <= t/70 is checked by sweeping rho at
+fixed t, and verify-bound's grid runs six of its seven rho at each t at the
+same bits, so the process keeps a node table of the r-free part per key
+(t, panel points, bits).  A key met for the first time runs the loop with
+every value computed and stores nothing: every point evaluation at a new t
+is such a run.  From the key's second run on, each panel's r-free part is
+read from the table, or computed and stored there, the edge's values
+included, since whether the tail test reads them depends on r.  The values
+stored are the results of the same libmp calls on the same operands, so
+every panel stays the mpf loop's to the bit.  A stored panel is packed, its
+signed mantissas at one fixed width in a bytes and its exponents in an
+array('i'), several times smaller than the tuples it decodes back to.  A
+process keeps at most _NODE_TABLES tables and as many keys met once, and
+drops the least recently used.  A table is built from _gl_nodes(n, bits),
+which the process computes once per (n, bits).  theta_direct's rerun key
+(t, bits - 32) is met only in its child wherever a child runs, so it is
+never tabled; the full run's key is, from its second run on.
+
 The Gauss-Legendre nodes and weights are held at 30 guard bits above the
 panel precision, and the panel loop rounds every product with them back to
 that precision, so the nodes need only be right in those guard bits.  Each
@@ -95,10 +118,13 @@ import os
 import pickle
 import signal
 import threading
+from array import array
+from collections import OrderedDict
 from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import (
+    MPZ,
     finf,
     fone,
     from_float,
@@ -325,6 +351,65 @@ def _gl_nodes(n: int, prec: int):
     return _gl_cache[key]
 
 
+#: Most node tables one process keeps; the least recently used goes first.
+#: verify-bound's default 7 x 3 grid meets 6 keys.
+_NODE_TABLES = 8
+
+_node_tables: OrderedDict = OrderedDict()  # (t, n, bits) -> {k: _packed panel}
+_keys_seen: OrderedDict = OrderedDict()  # keys run once, with no table yet
+_node_tables_lock = threading.Lock()  # one caller at a time reads or moves a key
+
+
+def _node_table(t: float, bits: int) -> dict | None:
+    """The node table of a run at (t, _PANEL_POINTS, bits) about to start,
+    a dict from panel index to the panel's r-free values, _packed, which
+    the runs fill as they go.  None where the key is new, or was met once
+    only before _NODE_TABLES other new keys: that run stores nothing."""
+    key = (t, _PANEL_POINTS, bits)
+    with _node_tables_lock:
+        table = _node_tables.get(key)
+        if table is not None:
+            _node_tables.move_to_end(key)
+            return table
+        if key not in _keys_seen:
+            _keys_seen[key] = None
+            if len(_keys_seen) > _NODE_TABLES:
+                _keys_seen.popitem(last=False)
+            return None
+        del _keys_seen[key]
+        table = _node_tables[key] = {}
+        if len(_node_tables) > _NODE_TABLES:
+            _node_tables.popitem(last=False)
+        return table
+
+
+def _packed(values: list) -> tuple:
+    """Finite raw libmp values at one precision, as (bytes, array): their
+    signed mantissas at a fixed width and their exponents."""
+    width = max(v[3] for v in values) // 8 + 1  # every bit and a sign bit
+    mans = b"".join(
+        int(-man if sign else man).to_bytes(width, "little", signed=True)
+        for sign, man, _, _ in values
+    )
+    return mans, array("i", [v[2] for v in values])
+
+
+def _unpacked(packed: tuple) -> list:
+    """The raw libmp values that _packed packed, each the same tuple."""
+    mans, exps = packed
+    width = len(mans) // len(exps)
+    from_bytes = int.from_bytes
+    starts = range(0, len(mans), width)
+    ints = [from_bytes(mans[i : i + width], "little", signed=True) for i in starts]
+    values = [
+        (0, man, exp, man.bit_length()) if man >= 0 else (1, -man, exp, man.bit_length())
+        for man, exp in zip(ints, exps)
+    ]
+    if MPZ is not int:  # mpmath on gmpy: mantissas of its own integer type
+        values = [(sign, MPZ(man), exp, bc) for sign, man, exp, bc in values]
+    return values
+
+
 def _truncation_cap(r: float, t: float, bits: int) -> float:
     """xi beyond which e^(-r cosh xi - xi^2/(2t)) is bits ln 2 + 40 nats
     below its floor e^-r at xi = 0: an absolute budget lies wholly below a
@@ -365,7 +450,7 @@ def _envelope_peak(r: float) -> float:
     return max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
 
 
-def _panel_terms(r: float, t: float, bits: int, ks: range):
+def _panel_terms(r: float, t: float, bits: int, ks: range, table: dict | None):
     """The quadrature's panels k in ks, in order: yields each panel's signed
     contribution and the envelope at its right edge (k + 1) t, as raw libmp
     values at `bits`.
@@ -377,6 +462,11 @@ def _panel_terms(r: float, t: float, bits: int, ks: range):
     the mpf result to the bit and depends only on (r, t, bits, k).  The sine
     of a phase offset xi - a that this generator has already met is looked
     up, not recomputed (module docstring).
+
+    A panel's r-free values (module docstring) come from `table`, the node
+    table of (t, _PANEL_POINTS, bits), where it holds the panel.  Otherwise
+    they are computed at each node in the loop, and where table is not None
+    they are stored there, the edge's values (edge_free) included.
     """
     prec = bits
     rr = from_float(r, prec, _RND)
@@ -390,17 +480,17 @@ def _panel_terms(r: float, t: float, bits: int, ks: range):
     log_e = mpf_log(e, prec + 10, _RND)
     two_t = mpf_mul_int(tt, 2, prec, _RND)
 
-    def damped(xi, cosh):
-        """mp.e ** (-xi * xi / (2 * tt) - rr * cosh(xi))"""
-        y = mpf_sub(
-            mpf_div(mpf_mul(mpf_neg(xi), xi, prec, _RND), two_t, prec, _RND),
-            mpf_mul(rr, cosh, prec, _RND),
-            prec,
-            _RND,
-        )
+    def damped(gauss, cosh):
+        """mp.e ** (-xi * xi / (2 * tt) - rr * cosh(xi)), gauss the first term"""
+        y = mpf_sub(gauss, mpf_mul(rr, cosh, prec, _RND), prec, _RND)
         if y[2] >= -1:  # integer or half-integer y: mpf_pow's exact-power route
             return mpf_pow(e, y, prec, _RND)
         return mpf_exp(mpf_mul(y, log_e), prec, _RND)
+
+    def edge_free(edge):
+        """[-edge * edge / (2 * tt), cosh(edge), sinh(edge)]"""
+        gauss = mpf_div(mpf_mul(mpf_neg(edge), edge, prec, _RND), two_t, prec, _RND)
+        return [gauss, *mpf_cosh_sinh(edge, prec, _RND)]
 
     half = mpf_div(tt, from_int(2), prec, _RND)
     # half * x does not depend on the panel
@@ -410,37 +500,57 @@ def _panel_terms(r: float, t: float, bits: int, ks: range):
     # values
     phase = {}
     for k in ks:
-        a = mpf_mul_int(tt, k, prec, _RND)
-        mid = mpf_add(a, half, prec, _RND)
+        # the panel's r-free values, flat: gauss, cosh, sinh and osc at each
+        # node, then gauss, cosh and sinh at the edge
+        free = None if table is None else table.get(k)
+        if free is not None:  # read from the table
+            free = _unpacked(free)
+            it = iter(free)
+            tabled = zip(it, it, it, it)
+        else:  # computed at each node, and kept where there is a table
+            tabled = None
+            free = None if table is None else []
+            a = mpf_mul_int(tt, k, prec, _RND)
+            mid = mpf_add(a, half, prec, _RND)
         acc = fzero
         for hx, w in nodes:
-            # xi = mid + half * x
-            xi = mpf_add(mid, hx, prec, _RND)
-            # sin(pi * (xi - a) / tt): local phase, exact zeros
-            off = mpf_sub(xi, a, prec, _RND)
-            osc = phase.get(off)
-            if osc is None:
-                osc = phase[off] = mpf_sin(
-                    mpf_div(mpf_mul(pi, off, prec, _RND), tt, prec, _RND), prec, _RND
-                )
-            cosh, sinh = mpf_cosh_sinh(xi, prec, _RND)
+            if tabled is None:
+                # xi = mid + half * x
+                xi = mpf_add(mid, hx, prec, _RND)
+                # sin(pi * (xi - a) / tt): local phase, exact zeros
+                off = mpf_sub(xi, a, prec, _RND)
+                osc = phase.get(off)
+                if osc is None:
+                    osc = phase[off] = mpf_sin(
+                        mpf_div(mpf_mul(pi, off, prec, _RND), tt, prec, _RND), prec, _RND
+                    )
+                cosh, sinh = mpf_cosh_sinh(xi, prec, _RND)
+                gauss = mpf_div(mpf_mul(mpf_neg(xi), xi, prec, _RND), two_t, prec, _RND)
+                if free is not None:
+                    free += (gauss, cosh, sinh, osc)
+            else:
+                gauss, cosh, sinh, osc = next(tabled)
             # acc += w * damped * sinh(xi) * osc
             term = mpf_mul(
-                mpf_mul(mpf_mul(w, damped(xi, cosh), prec, _RND), sinh, prec, _RND),
+                mpf_mul(mpf_mul(w, damped(gauss, cosh), prec, _RND), sinh, prec, _RND),
                 osc,
                 prec,
                 _RND,
             )
             acc = mpf_add(acc, term, prec, _RND)
+        edge = mpf_mul_int(tt, k + 1, prec, _RND)
+        if tabled is None and free is not None:
+            # the edge's values too: whether the tail test reads them depends on r
+            free += edge_free(edge)
+            table[k] = _packed(free)
         sign = -1 if (k % 2) else 1
         # sign * half * acc
         contribution = mpf_mul(mpf_mul_int(half, sign, prec, _RND), acc, prec, _RND)
-        edge = mpf_mul_int(tt, k + 1, prec, _RND)
         envelope = finf
         if to_float(edge, rnd=_RND) > peak + t:
             # envelope = mp.e ** (...) * mp.sinh(edge), as at the nodes
-            cosh, sinh = mpf_cosh_sinh(edge, prec, _RND)
-            envelope = mpf_mul(damped(edge, cosh), sinh, prec, _RND)
+            gauss, cosh, sinh = edge_free(edge) if free is None else free[-3:]
+            envelope = mpf_mul(damped(gauss, cosh), sinh, prec, _RND)
         yield contribution, envelope
 
 
@@ -507,7 +617,8 @@ def _integrate_panels(r: float, t: float, bits: int, kmax: int):
     half-period contributions.
     """
     panels = []
-    total, _ = _add_panels(fzero, _panel_terms(r, t, bits, range(kmax)), bits, panels)
+    terms = _panel_terms(r, t, bits, range(kmax), _node_table(t, bits))
+    total, _ = _add_panels(fzero, terms, bits, panels)
     return _theta_of(total, r, t, bits), [mp.make_mpf(p) for p in panels]
 
 
@@ -608,22 +719,36 @@ def _theta_split(r: float, t: float, bits: int, estimate: float) -> float:
     sum is taken in the serial order under the same tail test, so theta is
     the serial run's to the bit whatever the prediction: a wrong one only
     moves panels between the two processes.
+
+    From the key's second run on (_node_table), both processes read and
+    build the node table: the child returns the panels it built beside its
+    pairs, and they are merged into this process's table when its pairs are
+    read.  A child killed unread hands back none; where the child fails, its
+    range runs here and builds this process's table itself.
     """
     r, t, bits, kmax = _validated(r, t, bits)
     _gl_nodes(_PANEL_POINTS, bits)  # before the fork: the child solves no nodes
     stop = _predicted_stop(r, t, bits, estimate, kmax)
     m = (stop + 1) // 2
     theirs = range(m, stop)
+    table = _node_table(t, bits)
 
     def in_child():
-        return list(_panel_terms(r, t, bits, theirs))
+        built = [k for k in theirs if table is not None and k not in table]
+        terms = list(_panel_terms(r, t, bits, theirs, table))
+        return terms, {k: table[k] for k in built}
 
     with _in_child(in_child) as child:
-        total, stopped = _add_panels(fzero, _panel_terms(r, t, bits, range(m)), bits, [])
+        ours = _panel_terms(r, t, bits, range(m), table)
+        total, stopped = _add_panels(fzero, ours, bits, [])
         if not stopped:
-            total, stopped = _add_panels(total, child(), bits, [])
+            terms, built = child()
+            if built:
+                table.update(built)
+            total, stopped = _add_panels(total, terms, bits, [])
     if not stopped:
-        total, _ = _add_panels(total, _panel_terms(r, t, bits, range(stop, kmax)), bits, [])
+        rest = _panel_terms(r, t, bits, range(stop, kmax), table)
+        total, _ = _add_panels(total, rest, bits, [])
     theta = _theta_of(total, r, t, bits)
     return normal_double(float(theta), "theta(r={!r}, t={!r})", r, t)
 
@@ -636,7 +761,9 @@ def _in_child(fn):
     of it and waits for the child, or, where the child failed (a nonzero
     exit status or a pickle cut short), runs fn here.  Where no child runs,
     it yields fn itself, so fn runs here when the block calls for it, after
-    this process's own work.  No child runs where os.fork is missing, where
+    this process's own work.  Whatever fn changes in this process's memory
+    the child changes in its own copy only, so fn returns what the caller
+    should keep.  No child runs where os.fork is missing, where
     os.pipe or os.fork raises OSError (out of file descriptors or
     processes), where a second thread is alive, or where SIGCHLD is ignored
     (the child could not be waited for).  The child writes pickle.dumps(fn())

@@ -9,6 +9,8 @@ import subprocess
 import sys
 import threading
 import time
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import pytest
@@ -400,11 +402,20 @@ def test_panels_match_mpf_loop_on_random_cells(r, t, bits):
     _assert_same_panels(r, t, bits)
 
 
+@pytest.fixture
+def cold_tables(monkeypatch):
+    """No node table and no key met, for one test: every run's first sight
+    of its key computes every node value.  The process's own come back
+    after it."""
+    monkeypatch.setattr(rq, "_node_tables", OrderedDict())
+    monkeypatch.setattr(rq, "_keys_seen", OrderedDict())
+
+
 @pytest.mark.parametrize(
     "r, t, bits, nodes_summed, sines",
     [(4.0, 0.5, 79, 144, 57), (5.0, 0.05, 266, 1776, 90)],
 )
-def test_one_sine_per_distinct_phase_offset(monkeypatch, r, t, bits, nodes_summed, sines):
+def test_one_sine_per_distinct_phase_offset(monkeypatch, cold_tables, r, t, bits, nodes_summed, sines):
     # the phase depends on the panel only through the rounding of xi - k*t,
     # so a run takes one sine per distinct offset, not one per node
     calls = []
@@ -428,8 +439,10 @@ def test_one_sine_per_distinct_phase_offset(monkeypatch, r, t, bits, nodes_summe
 
 
 @pytest.fixture
-def cold_nodes(monkeypatch):
-    """Empty node caches for one test; the process's own come back after it."""
+def cold_nodes(monkeypatch, cold_tables):
+    """Empty node caches and node tables for one test; the process's own come
+    back after it.  A node table is built from _gl_nodes(n, bits), so it
+    goes with them."""
     monkeypatch.setattr(rq, "_gl_cache", {})
     monkeypatch.setattr(rq, "_gl_held", {})
 
@@ -713,7 +726,159 @@ def test_predicted_stop_is_the_serial_runs_stop_on_certify_grids(monkeypatch, se
         assert rq._predicted_stop(r, t, bits, estimate, kmax) == stop, (rho, t)
 
 
-def test_measure_vartheta_forks_one_child_and_runs_no_rerun(monkeypatch, forks, tmp_path):
+# Node tables: from a key's second run in the process on, each panel's
+# r-free values come from a table keyed by (t, panel points, bits) and only
+# the r-dependent rest is computed.  Every panel must stay the mpf loop's.
+def _cosh_sinh_calls(monkeypatch):
+    """The list that every later mpf_cosh_sinh call in this process appends to."""
+    calls = []
+    cosh_sinh = rq.mpf_cosh_sinh
+
+    def counted(*args):
+        calls.append(args)
+        return cosh_sinh(*args)
+
+    monkeypatch.setattr(rq, "mpf_cosh_sinh", counted)
+    return calls
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    r=st.floats(min_value=0.1, max_value=200.0),
+    r2=st.floats(min_value=0.1, max_value=200.0),
+    t=st.floats(min_value=0.1, max_value=1.0),
+    bits=st.integers(min_value=64, max_value=300),
+)
+@example(r=2.0, r2=0.5, t=0.5, bits=79)
+def test_tabled_panels_match_mpf_loop_on_random_cells(r, r2, t, bits):
+    # first sight, build, hit at r, then r2 at the same (t, bits): it reads
+    # the panels r tabled and builds the ones past them
+    key = (t, rq._PANEL_POINTS, bits)
+    refs = {
+        x: [p._mpf_ for p in _integrate_panels_mpf(x, t, bits, rq._PANEL_POINTS)[1]]
+        for x in (r, r2)
+    }
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rq, "_node_tables", OrderedDict())
+        m.setattr(rq, "_keys_seen", OrderedDict())
+        calls = _cosh_sinh_calls(m)
+        for run, x in enumerate((r, r, r, r2)):
+            tabled = set(rq._node_tables.get(key, ()))
+            del calls[:]
+            panels = [p._mpf_ for p in _serial(x, t, bits)[1]]
+            assert panels == refs[x], (run, x, t, bits)
+            assert (key in rq._node_tables) == (run > 0)
+            if run == 2:
+                # a hit: every panel from the table, no cosh or sinh computed
+                assert calls == [] and tabled == set(range(len(panels)))
+        assert len(calls) == len(set(range(len(panels))) - tabled) * (rq._PANEL_POINTS + 1)
+
+
+def test_split_runs_equal_the_serial_runs_over_three_grid_passes(
+    monkeypatch, cold_tables, forks
+):
+    # first sight, build (each child returns the panels it tabled, merged
+    # here) and hit, on the default grid at measure_vartheta's arguments:
+    # rho = 0.25 has a key of its own at each t, the other six share one
+    cells = [_oracle_args(rho, t, monkeypatch) for rho, t in _certify_grid(0)]
+    serial = [_serial(r, t, bits) for r, t, bits, _ in cells]
+    rq._node_tables.clear()
+    rq._keys_seen.clear()
+    for run in range(3):
+        split = [rq._theta_split(*cell) for cell in cells]
+        assert split == [float(value) for value, _ in serial], run
+        assert len(forks) == 21 * (run + 1)
+        tabled = {(t, bits) for (t, _, bits) in rq._node_tables}
+        assert tabled == {(t, bits) for _, t, bits, _ in cells[3 if run == 0 else 0 :]}
+        if run == 0:
+            continue
+        # each key's table holds every panel summed at it, the children's
+        # included
+        for (r, t, bits, _), (_, panels) in zip(cells, serial):
+            table = rq._node_tables[(t, rq._PANEL_POINTS, bits)]
+            assert set(range(len(panels))) <= set(table), (run, r, t)
+    _assert_no_child_left()
+
+
+def test_a_key_met_once_leaves_no_table(monkeypatch, cold_tables, forks):
+    estimate = ab.theta_leading(1.0, 0.5)
+    rq._theta_split(2.0, 0.5, 79, estimate)
+    rq._integrate_panels(2.0, 0.25, 79, rq._panel_count(2.0, 0.25, 79))
+    assert not rq._node_tables
+    assert list(rq._keys_seen) == [(0.5, 24, 79), (0.25, 24, 79)]
+    # theta_direct's rerun 32 bits below is met in its child only: its key
+    # is never met here, however often the full run's is
+    for _ in range(3):
+        rq.theta_direct(2.0, 0.5)
+    assert len(forks) == 4
+    assert list(rq._node_tables) == [(0.5, 24, 79)]
+    assert list(rq._keys_seen) == [(0.25, 24, 79)]
+
+
+def test_node_tables_stay_within_the_bound(cold_tables):
+    # twice each of 2 * bound + 3 keys, one at a time, then the first key
+    # again: the least recently used tables go first
+    bound = rq._NODE_TABLES
+    ts = [0.5 + 0.01 * i for i in range(2 * bound + 3)]
+    for i, t in enumerate(ts):
+        for _ in range(2):
+            rq._integrate_panels(2.0, t, 64, rq._panel_count(2.0, t, 64))
+            assert len(rq._node_tables) <= bound and len(rq._keys_seen) <= bound
+        assert list(rq._node_tables) == [(x, 24, 64) for x in ts[max(0, i + 1 - bound) : i + 1]]
+    # a key met once, then more than the bound of others: met as new again
+    rq._integrate_panels(2.0, ts[0], 64, rq._panel_count(2.0, ts[0], 64))
+    assert (ts[0], 24, 64) not in rq._node_tables
+    assert list(rq._keys_seen) == [(ts[0], 24, 64)]
+
+
+def test_node_tables_under_concurrent_callers(cold_tables):
+    # more keys than the bound, met from more threads than cores: no run may
+    # see a half-moved key, and every panel stays the serial run's
+    cells = [(r, 0.5 + 0.01 * i) for i in range(rq._NODE_TABLES + 2) for r in (2.0, 1.0)]
+    expected = {cell: [p._mpf_ for p in _serial(*cell, 64)[1]] for cell in cells}
+    rq._node_tables.clear()
+    rq._keys_seen.clear()
+    rng = random.Random(24)
+    jobs = [rng.choice(cells) for _ in range(200)]
+
+    def run(cell):
+        return cell, [p._mpf_ for p in _serial(*cell, 64)[1]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            results = [f.result(timeout=120) for f in [pool.submit(run, c) for c in jobs]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(panels == expected[cell] for cell, panels in results)
+    assert 0 < len(rq._node_tables) <= rq._NODE_TABLES
+    assert len(rq._keys_seen) <= rq._NODE_TABLES
+    assert not set(rq._node_tables) & set(rq._keys_seen)
+
+
+#: Bytes of the packed node tables that three passes of verify-bound's
+#: default grid leave: 4 * 24 + 3 values per panel over the 241 panels of
+#: its 6 keys, each value a fixed-width mantissa and a 4-byte exponent.
+#: Plain libmp tuples cost about six times as much memory.
+_DEFAULT_GRID_TABLE_BYTES = 700_000
+
+
+def test_default_grid_node_tables_stay_packed(monkeypatch, cold_tables):
+    cells = [_oracle_args(rho, t, monkeypatch) for rho, t in _certify_grid(0)]
+    for _ in range(3):
+        for cell in cells:
+            rq._theta_split(*cell)
+    tables = list(rq._node_tables.values())
+    assert len(tables) == 6
+    assert sum(map(len, tables)) == 241
+    packed = sum(len(mans) + exps.itemsize * len(exps) for t in tables for mans, exps in t.values())
+    assert packed <= _DEFAULT_GRID_TABLE_BYTES, packed
+
+
+def test_measure_vartheta_forks_one_child_and_runs_no_rerun(
+    monkeypatch, cold_tables, forks, tmp_path
+):
     # every panel generator, logged from every process: one per half of the
     # predicted stop, at the measured bits, and no serial run or check
     r, t, bits, _ = _oracle_args(2.0, 0.2, monkeypatch)
@@ -721,10 +886,10 @@ def test_measure_vartheta_forks_one_child_and_runs_no_rerun(monkeypatch, forks, 
     log = tmp_path / "terms"
     terms = rq._panel_terms
 
-    def logged(r, t, bits, ks):
+    def logged(r, t, bits, ks, table):
         with open(log, "a") as handle:
             handle.write(f"{os.getpid()} {bits} {ks.start} {ks.stop}\n")
-        return terms(r, t, bits, ks)
+        return terms(r, t, bits, ks, table)
 
     def must_not_run(*args):
         raise AssertionError("a serial run in measure_vartheta")
@@ -824,13 +989,15 @@ def test_failed_child_falls_back_to_the_same_result(monkeypatch, forks, in_child
 
 
 @CHILD_FAILURES
-def test_failed_split_child_falls_back_to_the_same_vartheta(monkeypatch, forks, in_child):
+def test_failed_split_child_falls_back_to_the_same_vartheta(
+    monkeypatch, cold_tables, forks, in_child
+):
     expected = ab.measure_vartheta(2.0, 0.2)
     calls = _recording(monkeypatch, "_panel_terms", in_child)
     assert ab.measure_vartheta(2.0, 0.2) == expected
     assert len(forks) == 2
     # the child's range ran here after it failed
-    assert [ks for _, ks in calls] == [range(0, 6), range(6, 11)]
+    assert [ks for _, ks, _ in calls] == [range(0, 6), range(6, 11)]
     _assert_no_child_left()
 
 
