@@ -19,17 +19,29 @@ leading behaviour is quartic, handled by the seed choice alone; no separate
 local-expansion branch is needed anywhere because the difference forms are
 cancellation-free at every tau.
 
-Each remainder is evaluated once per Newton point and shared: sinh d - d by
-Dh and Dh' at an iterate, cosh d - 1 and Dh'(d) by g at an accepted point
-and by the next step's predictor.  Each shared value is the expression a
-separate evaluation would use, same operands in the same order, and the
-series are pure functions of d, so every (tau, d, g) is the same to the bit.
+The remainders are evaluated inline in the Newton loop, each once per
+Newton point and shared: sinh d - d by Dh and Dh' at an iterate, cosh d - 1
+and Dh'(d) by g at an accepted point and by the next step's predictor, and
+sinh d, which the sinh remainder takes from cmath for |d| >= 1, by g there.
+Each value is the expression a separate helper would compute, same operands
+in the same order (the series divisors stay ints), so every (tau, d, g) is
+the same to the bit as with one helper call per remainder.
+
+Each series stops at the first term k with |t_k| < 1e-20 (|s_k| + 1e-300).
+Below a tabled |d| bound that test provably fails for the first few terms
+(|t_k / t_1| = |d|^(2k-2) 3!/(2k+1)! for sinh d - d and |d|^(2k-2) 4!/(2k+2)!
+for cosh d - 1 - d^2/2, while |s_k| stays below 1.06 |t_1| and 1.15 |t_1|),
+so those terms are summed without it and the rest are tested as before: the
+stop, and so the sum, is the same.  Each bound keeps a factor 2 in |d| to
+spare, and below the first one, where the 1e-300 floor and underflow could
+decide a test, nothing is skipped.
 
 A Newton stall raises PathError carrying the last tau reached.
 """
 
 import cmath
 import math
+from bisect import bisect
 
 from .errors import PathError
 
@@ -45,40 +57,28 @@ _RTOL = 1e-12
 _MAX_NEWTON = 40
 
 
-def _sinhm(d):
-    """sinh(d) - d, by the odd tail series for small |d|."""
-    if abs(d) < 1.0:
-        s = 0j
-        term = d
-        k = 1
-        while True:
-            term = term * d * d / ((2 * k) * (2 * k + 1))
-            s += term
-            if abs(term) < 1e-20 * (abs(s) + 1e-300):
-                return s
-            k += 1
-    return cmath.sinh(d) - d
+#: Divisors of the remainders' term recurrences: the k-th term of sinh d - d
+#: is the one before times d*d/((2k)(2k+1)), that of cosh d - 1 - d^2/2 times
+#: d*d/((2k+1)(2k+2)).  They are ints, so each division is the int one.  Both
+#: series stop well inside 20 terms (|d| < 1 and |d| < 2 respectively).
+_SINHM_DIV = tuple((2 * k) * (2 * k + 1) for k in range(1, 21))
+_COSHM1Q_DIV = tuple((2 * k + 1) * (2 * k + 2) for k in range(1, 21))
 
+#: Stop-test skip tables: at |d| >= _SINHM_SKIP[j-1] the first j stop tests
+#: of sinh d - d's series cannot pass, likewise _COSHM1Q_SKIP for
+#: cosh d - 1 - d^2/2.  Each bound is the smallest |d|, doubled and rounded
+#: up, at which every skipped term's exact |t_k| is at least
+#: 2e-20*(|t_1| + ... + |t_k| + 1e-300), twice its test's right side, and at
+#: least 1e-290, far above underflow; both margins grow with |d|, so they
+#: hold beyond the bound (tests/test_descent_path.py checks each exactly).
+_SINHM_SKIP = (7.9e-97, 1.3e-09, 0.00013, 0.0066, 0.05, 0.18, 0.41, 0.76)
+_COSHM1Q_SKIP = (1.4e-72, 1.6e-09, 0.00016, 0.0077, 0.057, 0.2, 0.46, 0.85, 1.4)
 
-def _coshm1(d):
-    """cosh(d) - 1 = 2*sinh(d/2)^2, exact-cancellation-free at any d."""
-    hs = cmath.sinh(0.5 * d)
-    return 2.0 * hs * hs
-
-
-def _coshm1q(d):
-    """cosh(d) - 1 - d^2/2, by the even tail series for small |d|."""
-    if abs(d) < 2.0:
-        s = 0j
-        term = d * d / 2.0
-        k = 1
-        while True:
-            term = term * d * d / ((2 * k + 1) * (2 * k + 2))
-            s += term
-            if abs(term) < 1e-20 * (abs(s) + 1e-300):
-                return s
-            k += 1
-    return cmath.cosh(d) - 1.0 - 0.5 * d * d
+#: (unchecked divisors, checked divisors) for each number of skipped tests.
+_SINHM_PLAN = tuple((_SINHM_DIV[:j], _SINHM_DIV[j:]) for j in range(len(_SINHM_SKIP) + 1))
+_COSHM1Q_PLAN = tuple(
+    (_COSHM1Q_DIV[:j], _COSHM1Q_DIV[j:]) for j in range(len(_COSHM1Q_SKIP) + 1)
+)
 
 
 def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False):
@@ -111,9 +111,11 @@ def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False):
     """
     rho_cx = rho * cx
     rho_sx = rho * sx
+    half_h2 = 0.5 * h2
 
-    def g_at(d, cm1, hp):
-        return (sx + sx * cm1 + cx * cmath.sinh(d)) / hp
+    def g_at(d, cm1, hp, sh):
+        # sh is sinh d where the sinh remainder took it (|d| >= 1), else None
+        return (sx + sx * cm1 + cx * (cmath.sinh(d) if sh is None else sh)) / hp
 
     if mode == 2:
         tau_init_cap = 1e-6
@@ -124,9 +126,11 @@ def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False):
 
     out = []
     d = 0j
-    # cosh(d) - 1 and Dh'(d) at the accepted point d, shared by g there and
-    # by the next predictor; at d = 0 both vanish (g at the saddle divides by 0)
+    # cosh(d) - 1, Dh'(d) and sinh d (or None) at the accepted point d, shared
+    # by g there and by the next predictor; at d = 0 the first two vanish
+    # (g at the saddle divides by 0)
     cm1 = hp = 0j
+    sh = None
     tau_cur = 0.0
     for tau_target in targets:
         while tau_cur < tau_target:
@@ -142,28 +146,66 @@ def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False):
                     elif dn.real <= 0.0:
                         dn = -dn
             else:
-                step = min(tau_target - tau_cur,
-                           abs(hp) * min(_MAX_DXI, 0.5 * abs(d)))
+                # min(tau_target - tau_cur, |hp| min(_MAX_DXI, |d|/2)), as
+                # comparisons: min(a, b) is b where b < a, else a
+                half_d = 0.5 * abs(d)
+                step = abs(hp) * (half_d if half_d < _MAX_DXI else _MAX_DXI)
+                left = tau_target - tau_cur
+                if not step < left:
+                    step = left
                 tau_try = tau_cur + step
                 dn = d + step / hp
-            converged = False
+            tol = _RTOL * tau_try
             for _ in range(_MAX_NEWTON):
-                sm = _sinhm(dn)
-                resid = 0.5 * h2 * dn * dn + rho_cx * _coshm1q(dn) + rho_sx * sm - tau_try
-                if abs(resid) <= _RTOL * tau_try:
-                    converged = True
+                ad = abs(dn)
+                # sm = sinh dn - dn
+                if ad < 1.0:
+                    sh = None
+                    unchecked, checked = _SINHM_PLAN[bisect(_SINHM_SKIP, ad)]
+                    sm = 0j
+                    term = dn
+                    for q in unchecked:
+                        term = term * dn * dn / q
+                        sm += term
+                    for q in checked:
+                        term = term * dn * dn / q
+                        sm += term
+                        if abs(term) < 1e-20 * (abs(sm) + 1e-300):
+                            break
+                else:
+                    sh = cmath.sinh(dn)
+                    sm = sh - dn
+                # cq = cosh dn - 1 - dn^2/2
+                if ad < 2.0:
+                    unchecked, checked = _COSHM1Q_PLAN[bisect(_COSHM1Q_SKIP, ad)]
+                    cq = 0j
+                    term = dn * dn / 2.0
+                    for q in unchecked:
+                        term = term * dn * dn / q
+                        cq += term
+                    for q in checked:
+                        term = term * dn * dn / q
+                        cq += term
+                        if abs(term) < 1e-20 * (abs(cq) + 1e-300):
+                            break
+                else:
+                    cq = cmath.cosh(dn) - 1.0 - 0.5 * dn * dn
+                resid = half_h2 * dn * dn + rho_cx * cq + rho_sx * sm - tau_try
+                if abs(resid) <= tol:
                     break
-                dn = dn - resid / (h2 * dn + rho_sx * _coshm1(dn) + rho_cx * sm)
-            if not converged:
+                hs = cmath.sinh(0.5 * dn)
+                dn = dn - resid / (h2 * dn + rho_sx * (2.0 * hs * hs) + rho_cx * sm)
+            else:
                 raise PathError(
                     f"path continuation stalled at tau={tau_try!r} (rho={rho!r})",
                     last_good_tau=tau_cur,
                 )
             d = dn
             tau_cur = tau_try
-            cm1 = _coshm1(d)
+            hs = cmath.sinh(0.5 * d)
+            cm1 = 2.0 * hs * hs
             hp = h2 * d + rho_sx * cm1 + rho_cx * sm
             if record_all and tau_cur < tau_target:
-                out.append((tau_cur, d, g_at(d, cm1, hp)))
-        out.append((tau_cur, d, g_at(d, cm1, hp)))
+                out.append((tau_cur, d, g_at(d, cm1, hp, sh)))
+        out.append((tau_cur, d, g_at(d, cm1, hp, sh)))
     return out

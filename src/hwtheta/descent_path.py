@@ -167,7 +167,9 @@ def delta(tau: float, rho: float) -> float:
 
 
 def _delta_on_grid(sd: sg.SaddleData, taus: Sequence[float]) -> list[float]:
-    return [_delta_of(sd, t, g) for t, _, g in _run_kernel(sd, taus)]
+    """delta at each tau of one kernel run, by _delta_of's expression."""
+    g0 = sd.g0
+    return [g.imag * math.sqrt(t) / g0 - 1.0 for t, _, g in _run_kernel(sd, taus)]
 
 
 def _richardson_slope(rho: float) -> tuple[float, float, float]:
@@ -253,12 +255,6 @@ def sweep_delta(rho_grid: Sequence[float], tau_grid: Sequence[float]) -> SweepTa
                 except PathError as exc:
                     failures.append((rho, tau, str(exc)))
         for tau, dval in cells:
-            rows.append(
-                SweepRow(
-                    rho=rho,
-                    tau=tau,
-                    delta=dval,
-                    bound_ratio=abs(dval) / min(tau / 35.0, 1.0),
-                )
-            )
+            # fields in SweepRow's order: rho, tau, delta, bound_ratio
+            rows.append(SweepRow(rho, tau, dval, abs(dval) / min(tau / 35.0, 1.0)))
     return SweepTable(rows=tuple(rows), failures=tuple(failures))

@@ -86,7 +86,12 @@ class PrecisionOverflowError(HwThetaError, ArithmeticError):
 def real(x) -> float | None:
     """x as a float, or None where x is not a real number: a bool (numpy's
     too, known by its dtype without importing numpy), a str or bytes (float
-    would take them) or anything float refuses (None, a complex)."""
+    would take them) or anything float refuses (None, a complex).  An exact
+    float, the common case, is returned at once: float(x) would return x
+    itself.  Float subclasses (numpy.float64 among them) take the full rule,
+    so one that overrides __float__ still answers through it."""
+    if type(x) is float:
+        return x
     dtype = getattr(x, "dtype", None)  # numpy's bool is not a bool subclass
     if isinstance(x, (bool, str, bytes, bytearray)) or getattr(dtype, "kind", "") == "b":
         return None

@@ -257,6 +257,34 @@ def test_numpy_bool_is_not_a_real():
             errors.whole_number(bad, "order", 0)
 
 
+def test_exact_floats_and_everything_else_keep_their_outcomes():
+    # real() hands an exact float back at once; a float subclass, numpy's
+    # float64 among them, still goes through float(), so an overridden
+    # __float__ still decides its value
+    class Plain(float):
+        pass
+
+    class Shifted(float):
+        def __float__(self):
+            return 2.0
+
+    value = errors.positive_real(Shifted(0.5), "t")
+    assert value == 2.0 and type(value) is float
+    np = pytest.importorskip("numpy")
+    value = errors.positive_real(np.float64(0.5), "t")
+    assert value == 0.5 and type(value) is float
+    x = 0.5
+    assert errors.real(x) is x and errors.positive_real(x, "t") is x
+    for bad in (math.nan, math.inf, -0.0, True, Plain(-0.5), np.float64(-0.0)):
+        with pytest.raises(DomainError) as excinfo:
+            errors.positive_real(bad, "t")
+        assert str(excinfo.value) == f"t must be a positive finite real, got {bad!r}"
+    assert math.isnan(errors.real(math.nan))
+    assert errors.real(math.inf) == math.inf
+    assert math.copysign(1.0, errors.real(-0.0)) == -1.0
+    assert errors.real(True) is None
+
+
 def test_delta_large_tau_takes_inf_as_its_limit():
     # the one entry point outside the positive-finite-real rule, on purpose
     assert rs.delta_large_tau(math.inf) == -1.0

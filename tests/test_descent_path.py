@@ -1,8 +1,12 @@
 """Descent-path tracing, delta, its small-tau derivatives, and the sweep."""
 
+import bisect
 import cmath
 import math
 import sys
+import types
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +16,7 @@ import hwtheta._descent_py as kernel
 import hwtheta.descent_path as dp
 import hwtheta.rho_one_series as rs
 import hwtheta.saddle_geometry as sg
-from hwtheta._descent_py import _MAX_DXI, _QUARTER_TURN, _RTOL, _coshm1, _coshm1q, _sinhm
+from hwtheta._descent_py import _MAX_DXI, _QUARTER_TURN, _RTOL
 from hwtheta.errors import DomainError, ExtrapolationError, PathError
 
 HALF_PI_SQ = 0.5 * math.pi * math.pi
@@ -232,8 +236,47 @@ def test_kernel_failures_surface_as_path_errors(monkeypatch):
 
 
 # The kernel before each series remainder was shared within a Newton point,
-# kept verbatim as the reference: the shared kernel must give the same bits.
+# kept verbatim as the reference with its three remainder helpers: the
+# kernel, which evaluates them inline, must give the same bits.
 _MAX_NEWTON = kernel._MAX_NEWTON
+_SINHM = id(kernel._SINHM_SKIP)
+_COSHM1Q = id(kernel._COSHM1Q_SKIP)
+
+
+def _sinhm(d):
+    """sinh(d) - d, by the odd tail series for small |d|."""
+    if abs(d) < 1.0:
+        s = 0j
+        term = d
+        k = 1
+        while True:
+            term = term * d * d / ((2 * k) * (2 * k + 1))
+            s += term
+            if abs(term) < 1e-20 * (abs(s) + 1e-300):
+                return s
+            k += 1
+    return cmath.sinh(d) - d
+
+
+def _coshm1(d):
+    """cosh(d) - 1 = 2*sinh(d/2)^2, exact-cancellation-free at any d."""
+    hs = cmath.sinh(0.5 * d)
+    return 2.0 * hs * hs
+
+
+def _coshm1q(d):
+    """cosh(d) - 1 - d^2/2, by the even tail series for small |d|."""
+    if abs(d) < 2.0:
+        s = 0j
+        term = d * d / 2.0
+        k = 1
+        while True:
+            term = term * d * d / ((2 * k + 1) * (2 * k + 2))
+            s += term
+            if abs(term) < 1e-20 * (abs(s) + 1e-300):
+                return s
+            k += 1
+    return cmath.cosh(d) - 1.0 - 0.5 * d * d
 
 
 def _trace_reference(rho, sx, cx, h2, h3, mode, targets, record_all=False):
@@ -356,9 +399,9 @@ def test_kernel_matches_reference_bit_for_bit(rho, targets, record_all):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    rho=st.floats(min_value=0.01, max_value=100.0),
+    rho=st.floats(min_value=1e-3, max_value=1e3),
     targets=st.lists(
-        st.floats(min_value=1e-6, max_value=50.0), min_size=1, max_size=6, unique=True
+        st.floats(min_value=1e-300, max_value=50.0), min_size=1, max_size=6, unique=True
     ).map(sorted),
     record_all=st.booleans(),
 )
@@ -366,6 +409,51 @@ def test_kernel_matches_reference_on_random_paths(rho, targets, record_all):
     args = dp._expansion_data(sg.saddle_data(rho))
     got = _outcome(kernel.trace, args, targets, record_all)
     assert got == _outcome(_trace_reference, args, targets, record_all)
+
+
+# (skip table, divisors, plans, power of d in the first term, |d| limit of
+# the series) for sinh d - d and cosh d - 1 - d^2/2
+SERIES = {
+    "sinhm": (kernel._SINHM_SKIP, kernel._SINHM_DIV, kernel._SINHM_PLAN, 3, 1),
+    "coshm1q": (kernel._COSHM1Q_SKIP, kernel._COSHM1Q_DIV, kernel._COSHM1Q_PLAN, 4, 2),
+}
+
+
+def _term_magnitudes(d, first, count):
+    """Exact |t_k| = |d|^n/n! with n = 2k + first - 2, for k = 1..count."""
+    return [d ** (2 * k + first - 2) / math.factorial(2 * k + first - 2) for k in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("name", SERIES)
+def test_skipped_stop_tests_cannot_pass(name):
+    # at half an entry's |d| bound (the table keeps that factor to spare),
+    # every skipped term k is exactly at least twice its stop test's right
+    # side 1e-20*(|s_k| + 1e-300), with |s_k| at most |t_1| + ... + |t_k|,
+    # and at least 1e-290, so far above underflow that each is computed to a
+    # few ulps; both margins only grow with |d|
+    table, divisors, plans, first, limit = SERIES[name]
+    stop, floor = Fraction(1e-20), Fraction(1e-300)
+    assert list(table) == sorted(table) and table[-1] < limit
+    for j, bound in enumerate(table, start=1):
+        partial = Fraction(0)
+        for t_k in _term_magnitudes(Fraction(bound) / 2, first, j):
+            partial += t_k
+            assert t_k >= 2 * stop * (partial + floor)
+            assert t_k >= Fraction(1e-290)
+    # below the first bound nothing is skipped, and each plan splits the
+    # same divisors
+    assert all(plans[j] == (divisors[:j], divisors[j:]) for j in range(len(table) + 1))
+
+
+@pytest.mark.parametrize("name", SERIES)
+def test_remainder_series_stop_within_their_divisors(name):
+    # at the series' |d| limit the last divisor's term is below 1e-30 of
+    # the first, while |s| stays above half the first term: the stop test
+    # has passed before the divisors run out, at every smaller |d| too
+    _, divisors, _, first, limit = SERIES[name]
+    terms = _term_magnitudes(Fraction(limit), first, len(divisors))
+    assert terms[-1] < Fraction(1, 10**30) * terms[0]
+    assert sum(terms[1:]) < terms[0] / 2
 
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
@@ -381,20 +469,40 @@ def test_kernel_stalls_like_reference(rho, monkeypatch):
 
 
 def test_each_newton_iterate_evaluates_sinh_remainder_once(monkeypatch):
-    # Dh needs sinh d - d and cosh d - 1 - d^2/2 once per Newton iterate; Dh'
-    # and the predictor reuse the sinh remainder instead of recomputing it
-    counts = {"_sinhm": 0, "_coshm1q": 0}
+    # The reference's Dh takes cosh d - 1 - d^2/2 once per Newton iterate, so
+    # its _coshm1q arguments are the iterates.  The kernel must evaluate each
+    # remainder once per iterate: sinh d - d by the series (one skip-table
+    # lookup) below |d| = 1 and from cmath.sinh(d) above, cosh d - 1 - d^2/2
+    # by the series below |d| = 2 and from cmath.cosh(d) above; and g at an
+    # accepted point must reuse that sinh(d) rather than take it again.
+    calls = {}
 
     def counted(name, fn):
-        def wrapper(d):
-            counts[name] += 1
-            return fn(d)
+        def wrapper(*args):
+            calls[name].append(args[-1])
+            return fn(*args)
 
         return wrapper
 
-    for name in counts:
-        monkeypatch.setattr(kernel, name, counted(name, getattr(kernel, name)))
-    table = dp.sweep_delta([2.0], TAU_GRID)
-    assert not table.failures
-    assert counts["_coshm1q"] > len(TAU_GRID)
-    assert counts["_sinhm"] == counts["_coshm1q"]
+    reference_coshm1q = _coshm1q
+    monkeypatch.setattr(sys.modules[__name__], "_coshm1q", counted("iterate", reference_coshm1q))
+    monkeypatch.setattr(kernel, "cmath", types.SimpleNamespace(
+        sqrt=cmath.sqrt, sinh=counted("sinh", cmath.sinh), cosh=counted("cosh", cmath.cosh)
+    ))
+    monkeypatch.setattr(kernel, "bisect", lambda table, x: counted(id(table), bisect.bisect)(table, x))
+    for rho in (0.5, 2.0):
+        args = dp._expansion_data(sg.saddle_data(rho))
+        calls.update({"iterate": [], "sinh": [], "cosh": [], _SINHM: [], _COSHM1Q: []})
+        want = _trace_reference(*args, TAU_GRID, True)
+        iterates = Counter(calls["iterate"])
+        assert kernel.trace(*args, TAU_GRID, True) == want
+
+        assert sum(n for d, n in iterates.items() if abs(d) >= 2.0) > len(TAU_GRID)
+        assert Counter(calls["cosh"]) == Counter({d: n for d, n in iterates.items() if abs(d) >= 2.0})
+        for table, bound in ((_COSHM1Q, 2.0), (_SINHM, 1.0)):
+            assert Counter(calls[table]) == Counter(abs(d) for d in calls["iterate"] if abs(d) < bound)
+        # above |d| = 1 the sinh remainder's sinh, once per iterate; below it
+        # g's, once per accepted point
+        taken = Counter(z for z in calls["sinh"] if z in iterates)
+        assert all(taken[d] == n for d, n in iterates.items() if abs(d) >= 1.0)
+        assert all(taken[d] <= 1 for d in iterates if abs(d) < 1.0)
