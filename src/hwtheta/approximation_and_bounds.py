@@ -73,12 +73,13 @@ def measure_vartheta(rho: float, t: float) -> float:
     """Measured relative error theta_direct/theta_leading - 1.
 
     The oracle runs at theta_direct's default bits, sized from the saddle
-    solved here, so each cell solves it once.  Only theta is read, so the
-    oracle runs theta_direct's full run alone, with its refusals but no
-    self-check, its panels split between this process and a forked child at
-    half the count its tail test is predicted to sum, the prediction taken
-    from the leading term; theta is theta_direct's to the bit whatever the
-    prediction.
+    solved here, so each cell solves it once.  Only theta is read, as a
+    double, so the oracle runs one quadrature with theta_direct's refusals
+    but no self-check, its panels summed in fixed point (the oracle's
+    module docstring) with the accumulator set from the leading term, and
+    split between this process and a forked child at half the count its
+    tail test is predicted to sum; theta is the serial run's to the bit
+    whatever the prediction.
     """
     t = positive_real(t, "t")
     rho = positive_real(rho, "rho")
@@ -118,11 +119,19 @@ def ei_half(z: float) -> float:
     ei_half(z) = z^(-3/2) * Gamma(3/2, z) with
     Gamma(3/2, z) = sqrt(pi)/2 * erfc(sqrt z) + sqrt(z) e^(-z),
     which reduces everything to math.erfc plus elementary functions.
+    Raises DomainError where z^(-3/2), and so the value, overflows (z below
+    about 3.1e-206).
     """
     z = positive_real(z, "z")
     sz = math.sqrt(z)
     gamma_upper = 0.5 * _SQRT_PI * math.erfc(sz) + sz * math.exp(-z)
-    return z ** (-1.5) * gamma_upper
+    try:
+        scale = z ** (-1.5)
+    except OverflowError:
+        raise DomainError(
+            f"ei_half(z={z!r}) is about sqrt(pi)/2 z^(-3/2), outside the range of a double"
+        ) from None
+    return scale * gamma_upper
 
 
 def vartheta_max(t: float) -> float:
@@ -136,10 +145,16 @@ def vartheta_max(t: float) -> float:
     through the lower incomplete gamma as
     (erf(sqrt z)/2 - sqrt(z) e^(-z)/sqrt(pi)) / z + erfc(sqrt z)
     with the bracket summed termwise to dodge the residual O(z^(3/2))
-    cancellation.
+    cancellation.  Raises DomainError where z overflows (t below about
+    1.95e-307), where t/70 is below the normal doubles too.
     """
     t = positive_real(t, "t")
     z = 35.0 / t
+    if z == math.inf:
+        raise DomainError(
+            f"vartheta_max(t={t!r}) is about t/70, outside the range of a double: "
+            f"z = 35/t overflows"
+        )
     sz = math.sqrt(z)
     if sz >= 2.0:
         return t / 70.0 - sz * ei_half(z) / _SQRT_PI + math.erfc(sz)

@@ -127,8 +127,23 @@ def _run_kernel(sd: sg.SaddleData, targets: Sequence[float], record_all: bool = 
 
 
 def _delta_of(sd: sg.SaddleData, tau: float, g: complex) -> float:
-    """delta = Im g * sqrt(tau)/g0 - 1."""
-    return g.imag * math.sqrt(tau) / sd.g0 - 1.0
+    """delta = Im g * sqrt(tau)/g0 - 1, or PathError where g or delta is not
+    finite (_not_finite); a finite delta has a finite Im g."""
+    value = g.imag * math.sqrt(tau) / sd.g0 - 1.0
+    if not (abs(value) < math.inf and abs(g.real) < math.inf):  # nan compares false
+        raise _not_finite(sd, tau)
+    return value
+
+
+def _not_finite(sd: sg.SaddleData, tau: float) -> PathError:
+    """The refusal of a path point whose g or delta is not finite.  The
+    kernel forms sinh(X + d) from sinh X, which overflows once Re xi passes
+    asinh(DBL_MAX): at rho = 1e-300 (x1 = 698) for tau above about 3e8."""
+    return PathError(
+        f"delta(tau={tau!r}, rho={sd.rho!r}) is not finite: g overflows where the "
+        f"path leaves the double range",
+        last_good_tau=tau,
+    )
 
 
 def _to_sample(sd: sg.SaddleData, tau: float, d: complex, g: complex) -> PathSample:
@@ -167,9 +182,14 @@ def delta(tau: float, rho: float) -> float:
 
 
 def _delta_on_grid(sd: sg.SaddleData, taus: Sequence[float]) -> list[float]:
-    """delta at each tau of one kernel run, by _delta_of's expression."""
+    """delta at each tau of one kernel run, by _delta_of's expression, or nan
+    where Re g is not finite."""
     g0 = sd.g0
-    return [g.imag * math.sqrt(t) / g0 - 1.0 for t, _, g in _run_kernel(sd, taus)]
+    inf = math.inf
+    return [
+        g.imag * math.sqrt(t) / g0 - 1.0 if abs(g.real) < inf else math.nan
+        for t, _, g in _run_kernel(sd, taus)
+    ]
 
 
 def _richardson_slope(rho: float) -> tuple[float, float, float]:
@@ -202,7 +222,10 @@ def delta_prime_at_zero(rho: float) -> float:
     delta/tau is sampled at tau = 1e-2, 1e-3, 1e-4 (one continuation run)
     and extrapolated twice with step ratio 10.  The gap between the last two
     extrapolants must fall below 1e-6, else ExtrapolationError carries the
-    best estimate and the observed gap.
+    best estimate and the observed gap.  The slope is accurate to 1e-6
+    absolute, not relative: delta carries about 1e-16 of absolute rounding,
+    so where the slope is small (about -1/(4 rho) for rho >= 1e7) few or
+    none of its printed digits are right.
     """
     return _richardson_slope(rho)[2]
 
@@ -229,7 +252,9 @@ def sweep_delta(rho_grid: Sequence[float], tau_grid: Sequence[float]) -> SweepTa
 
     One continuation run per rho covers its whole tau column.  If a column
     run fails, the column is retried cell by cell so that only genuinely
-    unreachable cells go missing; those are recorded on ``failures``.
+    unreachable cells go missing; those are recorded on ``failures``, as is
+    a cell whose g or delta is not finite (rho = 1e-300 at tau above about
+    3e8), which delta refuses with PathError.
     """
     rho_grid = [positive_real(r, "rho grid entry") for r in rho_grid]
     tau_grid = [positive_real(t, "tau grid entry") for t in tau_grid]
@@ -255,6 +280,10 @@ def sweep_delta(rho_grid: Sequence[float], tau_grid: Sequence[float]) -> SweepTa
                 except PathError as exc:
                     failures.append((rho, tau, str(exc)))
         for tau, dval in cells:
-            # fields in SweepRow's order: rho, tau, delta, bound_ratio
-            rows.append(SweepRow(rho, tau, dval, abs(dval) / min(tau / 35.0, 1.0)))
+            size = abs(dval)
+            if size < math.inf:  # nan compares false
+                # fields in SweepRow's order: rho, tau, delta, bound_ratio
+                rows.append(SweepRow(rho, tau, dval, size / min(tau / 35.0, 1.0)))
+            else:
+                failures.append((rho, tau, str(_not_finite(sd, tau))))
     return SweepTable(rows=tuple(rows), failures=tuple(failures))

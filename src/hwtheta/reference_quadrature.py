@@ -11,103 +11,86 @@ integrand peaks near e^(-rho/t), rho = r t, and the integral is about
 e^(-F(rho)/t), F the saddle exponent, so the panels cancel about
 max(pi^2/2, F - rho)/t nats.  Every run that sizes its own precision,
 theta_direct's default and measure_vartheta's, takes that many bits and 64
-more from one rule, _cancellation_bits.  Two structural facts make a simple
-scheme fast (not rigorous: the 24-point panel rule is 2.8e-6 off theta at
-(r, t) = (0.2, 10), where error_estimate reads 1.8e-19):
+more from one rule, _cancellation_bits.  The scheme (not rigorous: the
+24-point panel rule is 2.8e-6 off theta at (r, t) = (0.2, 10), where
+error_estimate reads 1.8e-19):
 
-* the oscillation sin(pi xi/t) has its zeros exactly at xi = k*t, so panels
-  aligned to [k*t, (k+1)*t] each contain one sign-definite half-period and a
-  fixed-order Gauss-Legendre rule per panel converges geometrically;
-* the envelope decays like e^(-r cosh xi), so a truncation point with a
-  guaranteed tail bound comes from solving r (cosh xi - 1) + xi^2/(2t) =
-  budget, the budget counted under the envelope's floor e^-r.
+* sin(pi xi/t) vanishes exactly at xi = k t, so each panel [k t, (k+1) t]
+  holds one sign-definite half-period and a fixed-order Gauss-Legendre rule
+  per panel converges geometrically; within panel k the phase is taken
+  locally, (-1)^k sin(pi (xi - k t)/t), so it never degrades at large xi/t;
+* the envelope decays like e^(-r cosh xi), so the panels end where
+  r (cosh xi - 1) + xi^2/(2t) reaches a budget counted under the envelope's
+  floor e^-r, and the sum stops once the envelope at a panel edge is below
+  _TAIL_TOLERANCE 2^-(bits/2) of the partial sum.
 
-Within panel k the phase is evaluated locally, sin(pi xi/t) =
-(-1)^k sin(pi (xi - k t)/t), so it never degrades at large xi/t.
-
-Results surface as doubles.  A theta that is not a positive normal double (a
-negative one from bits short of the cancellation, an underflow to 0.0 or a
-subnormal, an overflow to inf) is refused with DomainError, as is a run that
-would sum more than _MAX_PANELS panels (an explicit bits with a tiny t).
-error_estimate is the relative difference against a rerun 32 bits below the
-full run (at least 64), which at the rule's bits keeps 32 guard bits over the
-cancellation.  Both runs sum the same 24-point panels, so the estimate
-measures rounding only: not the panel rule's error, nor a tail the loop
+Results surface as doubles.  A theta that is not a positive normal double is
+refused with DomainError, as is a run that would sum more than _MAX_PANELS
+panels.  error_estimate is the relative difference against a rerun 32 bits
+below the full run (at least 64); both runs sum the same panels, so it
+measures rounding only, not the panel rule's error nor a tail the loop
 stopped short of.
 
-Every panel's contribution, and the envelope at its right edge that the
-tail test reads, depend only on (r, t, bits, k), so the work is spread over
-two processes without moving a bit: theta_direct computes the rerun in a
-forked child beside the full run, and _theta_split, measure_vartheta's run
-with no rerun, splits its panels at the tail stop predicted from the leading
-term (_theta_split and _in_child give the details).  Each child pickles what
-it computed (the rerun's mpf theta, or the split's (contribution, envelope)
-pairs of raw libmp values and the node-table panels it built, see below)
-into a pipe that only it writes, and leaves through os._exit, so it flushes
-none of the buffers it inherited.  This process merges the split child's
-panels into its own node table, so the next run finds them.  The nodes are
-requested here before the fork, full bits first as the serial code does, so
-the child solves no nodes and this process's node caches end as the serial
-code leaves them.  Where no child runs (among other cases, where a second
-thread is alive: a fork copies only the calling thread, and a lock another
-thread holds stays held in the child) or the child fails, its work runs here
-after this process's own, in the same panel loop, _panel_terms, so every
-result is bit-identical to the in-process one.
+Two loops sum the panels.  theta_direct's runs take the mpf loop
+(_panel_terms): each step is the libmp call that the equivalent mpf
+expression makes under mp.workprec, with the same precision, rounding and
+order, so every panel is the mpf result to the bit, as error_estimate, in
+the rerun's last bits, needs (at (r, t) = (2, 0.5) mp.exp in place of
+mp.e ** y moves it from 7.138e-19 to 1.357e-18, folding sin into the weights
+to 2.850e-19).  measure_vartheta reads theta only as a double, and its run
+takes the fixed-point loop (_fixed_terms) below.
 
-The panel loop runs on mpmath's raw libmp values rather than mpf objects:
-each step is the libmp call that the equivalent mpf expression makes under
-mp.workprec, with the same precision, round-to-nearest and evaluation order,
-so every panel is the mpf result to the bit.  That matters because
-error_estimate sits in the last bits of the rerun and so moves with any
-change of rounding.  At (r, t) = (2, 0.5) it is 7.138e-19; mp.exp in place of
-mp.e ** y makes it 1.357e-18 and folding sin into the weights 2.850e-19, and
-the published output would change, so sin is not folded.  What the libmp loop
-saves is mpf's per-operation object and dispatch overhead, the log(e) that
-mp.e ** y recomputes at every node (taken once per panel generator here), the
-second cosh/sinh evaluation (mpf_cosh_sinh gives both), the product half * x,
-taken once per node instead of once per node and panel, and most of the
-sines.  The phase sin(pi (xi - a)/t) depends on the panel only through the
-roundings of a = k t, mid = a + t/2 and xi = mid + (t/2) x_j, so the offsets
-xi - a take a handful of values per node over all panels.  Each panel
-generator keeps a table from the raw offset to its sine and evaluates the
-sine, exactly as before, only for an offset it has not seen: 57 sines for 144
-nodes at (4, 0.5, 79 bits), 90 for 1,776 at (5, 0.05, 266 bits).  The key is
-the offset and not the node because the offset's rounding differs between
-panels; a table keyed on the node would reuse one panel's sine where the
-offset has moved by an ulp, and the panels would no longer be the mpf loop's.
-The table lives for one generator, so it grows with no t beyond the one it
-serves.
+Both loops take a node's r-free values, -xi^2/(2t), cosh xi and sinh xi (one
+mpf_cosh_sinh) and the phase sine, from _node_values; they depend only on
+(t, panel points, bits, k).  The phase depends on the panel only through the
+roundings of a = k t, mid = a + t/2 and xi = mid + (t/2) x_j, so a run takes
+one sine per distinct raw offset xi - a and looks up the rest: 57 sines for
+144 nodes at (4, 0.5, 79 bits), 90 for 1,776 at (5, 0.05, 266 bits).  The
+key is the offset, not the node, whose offset's rounding can differ between
+panels by an ulp.
 
-A panel's values split into a part free of r and the rest.  At each node,
--xi^2/(2t), cosh xi and sinh xi (one mpf_cosh_sinh) and the phase sine
-depend only on (t, panel points, bits, k), as do the first three at the
-panel's right edge; rr cosh xi, the exponential, the three products and the
-sum depend on r.  The bound |vartheta| <= t/70 is checked by sweeping rho at
-fixed t, and verify-bound's grid runs six of its seven rho at each t at the
-same bits, so the process keeps a node table of the r-free part per key
-(t, panel points, bits).  A key met for the first time runs the loop with
-every value computed and stores nothing: every point evaluation at a new t
-is such a run.  From the key's second run on, each panel's r-free part is
-read from the table, or computed and stored there, the edge's values
-included, since whether the tail test reads them depends on r.  The values
-stored are the results of the same libmp calls on the same operands, so
-every panel stays the mpf loop's to the bit.  A stored panel is packed, its
-signed mantissas at one fixed width in a bytes and its exponents in an
-array('i'), several times smaller than the tuples it decodes back to.  A
-process keeps at most _NODE_TABLES tables and as many keys met once, and
-drops the least recently used.  A table is built from _gl_nodes(n, bits),
-which the process computes once per (n, bits).  theta_direct's rerun key
-(t, bits - 32) is met only in its child wherever a child runs, so it is
-never tabled; the full run's key is, from its second run on.
+The fixed-point loop holds, per panel, G = -xi^2/(2t), C = cosh xi and
+Q = (w sinh xi) osc at each node and the edge's three values as the integers
+nearest 2^FT times the libmp values, FT = bits + 40.  At each node it forms
+n, u = divmod(G - (R C >> FT), ln 2 at FT bits), R = r at FT bits, then e^u
+at wp = bits + 14 bits by libmp's exp_basecase, and adds 2^n e^u Q to an
+integer accumulator whose unit is 2^-80 of the summed panels' estimate
+(_fixed_scale).  Each of these truncations stays at least 2^-64 below theta
+(_fixed_terms states the bound); otherwise the run rounds as the mpf loop
+does.  The tail test's envelope is the mpf loop's, from the edge's values,
+exact at FT bits.
+
+The bound |vartheta| <= t/70 is checked by sweeping rho at fixed t, and
+verify-bound's grid runs six of its seven rho at each t at the same bits, so
+the process keeps a node table of the fixed-point loop's integers per key
+(t, panel points, bits): from a key's second run on, each panel's integers
+are read from it, or computed and stored there as one bytes at a fixed
+width.  A key met first stores nothing.  Stored or not, they are the same
+integers, so no result depends on the tables.  At most _NODE_TABLES tables
+and as many keys met once are kept, the least recently used dropped.  The
+mpf loop reads no table.
+
+Each panel depends only on the run's arguments and k, so the work is spread
+over two processes without moving a bit: theta_direct computes its rerun in
+a forked child beside the full run, and _theta_split splits
+measure_vartheta's panels at the tail stop predicted from the leading term
+(_theta_split and _in_child give the details).  A child pickles what it
+computed (the rerun's mpf theta, or the split's (contribution, envelope)
+pairs and the table panels it built, which this process merges) into a pipe
+that only it writes, and leaves through os._exit, flushing no inherited
+buffer.  The nodes are requested before the fork, full bits first, so the
+child solves none and this process's caches end as the serial code leaves
+them.  Where no child runs (among other cases, where a second thread is
+alive: a fork copies only the calling thread) or it fails, its work runs
+here after this process's own, in the same loop, to the same bits.
 
 The Gauss-Legendre nodes and weights are held at 30 guard bits above the
-panel precision, and the panel loop rounds every product with them back to
-that precision, so the nodes need only be right in those guard bits.  Each
-panel order is solved from double-precision seeds at the highest precision
-yet requested and rounded to each lower one (libmp mpf_pos), so the nodes at
-a precision depend only on the highest the process has seen; the panels come
-out as those of the tests' mpf loop, which solves per (order, precision), to
-the bit.
+panel precision, and every product with them is rounded back to that
+precision, so they need only be right in those guard bits.  Each order is
+solved once at the highest precision yet requested and rounded to each lower
+one (mpf_pos), so the nodes at a precision depend only on the highest the
+process has seen, and the panels equal those of the tests' mpf loop, which
+solves per (order, precision), to the bit.
 """
 
 from __future__ import annotations
@@ -118,13 +101,11 @@ import os
 import pickle
 import signal
 import threading
-from array import array
 from collections import OrderedDict
 from fractions import Fraction
 
 import mpmath as mp
 from mpmath.libmp import (
-    MPZ,
     finf,
     fone,
     from_float,
@@ -152,6 +133,7 @@ from mpmath.libmp import (
     round_nearest,
     to_float,
 )
+from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
 from . import saddle_geometry as sg
 from ._result import EvalResult, Method
@@ -361,10 +343,11 @@ _node_tables_lock = threading.Lock()  # one caller at a time reads or moves a ke
 
 
 def _node_table(t: float, bits: int) -> dict | None:
-    """The node table of a run at (t, _PANEL_POINTS, bits) about to start,
-    a dict from panel index to the panel's r-free values, _packed, which
-    the runs fill as they go.  None where the key is new, or was met once
-    only before _NODE_TABLES other new keys: that run stores nothing."""
+    """The node table of a fixed-point run at (t, _PANEL_POINTS, bits) about
+    to start, a dict from panel index to the panel's integers (_fixed_terms),
+    _packed, which the runs fill as they go.  None where the key is new, or
+    was met once only before _NODE_TABLES other new keys: that run stores
+    nothing."""
     key = (t, _PANEL_POINTS, bits)
     with _node_tables_lock:
         table = _node_tables.get(key)
@@ -383,31 +366,29 @@ def _node_table(t: float, bits: int) -> dict | None:
         return table
 
 
-def _packed(values: list) -> tuple:
-    """Finite raw libmp values at one precision, as (bytes, array): their
-    signed mantissas at a fixed width and their exponents."""
-    width = max(v[3] for v in values) // 8 + 1  # every bit and a sign bit
-    mans = b"".join(
-        int(-man if sign else man).to_bytes(width, "little", signed=True)
-        for sign, man, _, _ in values
-    )
-    return mans, array("i", [v[2] for v in values])
+def _fixed(value: tuple, frac: int) -> int:
+    """The raw libmp value as the integer nearest value * 2^frac (ties away
+    from 0)."""
+    sign, man, exp, _ = value
+    shift = exp + frac
+    n = int(man << shift if shift >= 0 else ((man >> (-shift - 1)) + 1) >> 1)
+    return -n if sign else n
 
 
-def _unpacked(packed: tuple) -> list:
-    """The raw libmp values that _packed packed, each the same tuple."""
-    mans, exps = packed
-    width = len(mans) // len(exps)
+def _packed(ints: list) -> bytes:
+    """Integers as one bytes, each signed at the width of the widest."""
+    width = max(abs(n) for n in ints).bit_length() // 8 + 1  # every bit and a sign bit
+    return b"".join(n.to_bytes(width, "little", signed=True) for n in ints)
+
+
+def _unpacked(packed: bytes, count: int) -> list:
+    """The `count` integers that _packed packed."""
+    width = len(packed) // count
     from_bytes = int.from_bytes
-    starts = range(0, len(mans), width)
-    ints = [from_bytes(mans[i : i + width], "little", signed=True) for i in starts]
-    values = [
-        (0, man, exp, man.bit_length()) if man >= 0 else (1, -man, exp, man.bit_length())
-        for man, exp in zip(ints, exps)
+    return [
+        from_bytes(packed[i : i + width], "little", signed=True)
+        for i in range(0, len(packed), width)
     ]
-    if MPZ is not int:  # mpmath on gmpy: mantissas of its own integer type
-        values = [(sign, MPZ(man), exp, bc) for sign, man, exp, bc in values]
-    return values
 
 
 def _truncation_cap(r: float, t: float, bits: int) -> float:
@@ -450,8 +431,77 @@ def _envelope_peak(r: float) -> float:
     return max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
 
 
-def _panel_terms(r: float, t: float, bits: int, ks: range, table: dict | None):
-    """The quadrature's panels k in ks, in order: yields each panel's signed
+def _node_values(t: float, bits: int):
+    """(tt, half, nodes, values, edge_values): the r-free part of a run at
+    (t, bits), as raw libmp values at bits.
+
+    tt is t, half is t/2 and nodes the [(half * x, w)] of _gl_nodes.
+    values(k) is panel k's r-free values at each node, flat: -xi^2/(2t),
+    cosh xi, sinh xi and the phase sine; edge_values(edge) the first three
+    at an edge.  Each step is the libmp call, in the same order, that the
+    corresponding mpf expression (noted in the comments) makes under
+    mp.workprec(bits).  The sine of a phase offset xi - a that values has
+    already met is looked up, not recomputed (module docstring).
+    """
+    prec = bits
+    tt = from_float(t, prec, _RND)
+    pi = mpf_pi(prec, _RND)
+    two_t = mpf_mul_int(tt, 2, prec, _RND)
+    half = mpf_div(tt, from_int(2), prec, _RND)
+    # half * x does not depend on the panel
+    nodes = [(mpf_mul(half, x, prec, _RND), w) for x, w in _gl_nodes(_PANEL_POINTS, bits)]
+    # sin(pi * off / tt) by the raw offset off = xi - a: the offsets repeat
+    # across panels, each a rounding of one of a few values
+    phase = {}
+
+    def edge_values(edge):
+        # -edge * edge / (2 * tt), cosh(edge), sinh(edge)
+        gauss = mpf_div(mpf_mul(mpf_neg(edge), edge, prec, _RND), two_t, prec, _RND)
+        return [gauss, *mpf_cosh_sinh(edge, prec, _RND)]
+
+    def values(k):
+        a = mpf_mul_int(tt, k, prec, _RND)
+        mid = mpf_add(a, half, prec, _RND)
+        flat = []
+        for hx, _ in nodes:
+            # xi = mid + half * x
+            xi = mpf_add(mid, hx, prec, _RND)
+            # sin(pi * (xi - a) / tt): local phase, exact zeros
+            off = mpf_sub(xi, a, prec, _RND)
+            osc = phase.get(off)
+            if osc is None:
+                osc = phase[off] = mpf_sin(
+                    mpf_div(mpf_mul(pi, off, prec, _RND), tt, prec, _RND), prec, _RND
+                )
+            # -xi * xi / (2 * tt)
+            gauss = mpf_div(mpf_mul(mpf_neg(xi), xi, prec, _RND), two_t, prec, _RND)
+            flat += (gauss, *mpf_cosh_sinh(xi, prec, _RND), osc)
+        return flat
+
+    return tt, half, nodes, values, edge_values
+
+
+def _damping(r: float, bits: int):
+    """The function taking (gauss, cosh) at a node or edge to
+    mp.e ** (gauss - rr * cosh) as the mpf loop forms it at bits."""
+    prec = bits
+    rr = from_float(r, prec, _RND)
+    e = mpf_e(prec, _RND)
+    # mp.e ** y is mpf_pow, i.e. exp(y * log(e)) with log(e) at prec + 10 bits;
+    # that log is the same for every y, so it is taken once here
+    log_e = mpf_log(e, prec + 10, _RND)
+
+    def damped(gauss, cosh):
+        y = mpf_sub(gauss, mpf_mul(rr, cosh, prec, _RND), prec, _RND)
+        if y[2] >= -1:  # integer or half-integer y: mpf_pow's exact-power route
+            return mpf_pow(e, y, prec, _RND)
+        return mpf_exp(mpf_mul(y, log_e), prec, _RND)
+
+    return damped
+
+
+def _panel_terms(r: float, t: float, bits: int, ks: range):
+    """The mpf loop's panels k in ks, in order: yields each panel's signed
     contribution and the envelope at its right edge (k + 1) t, as raw libmp
     values at `bits`.
 
@@ -459,78 +509,17 @@ def _panel_terms(r: float, t: float, bits: int, ks: range, table: dict | None):
     edge not beyond peak + t it is +inf and stops no sum.  Each step is the
     libmp call, in the same order, that the corresponding mpf expression
     (noted in the comments) makes under mp.workprec(bits), so every value is
-    the mpf result to the bit and depends only on (r, t, bits, k).  The sine
-    of a phase offset xi - a that this generator has already met is looked
-    up, not recomputed (module docstring).
-
-    A panel's r-free values (module docstring) come from `table`, the node
-    table of (t, _PANEL_POINTS, bits), where it holds the panel.  Otherwise
-    they are computed at each node in the loop, and where table is not None
-    they are stored there, the edge's values (edge_free) included.
+    the mpf result to the bit and depends only on (r, t, bits, k).
     """
     prec = bits
-    rr = from_float(r, prec, _RND)
-    tt = from_float(t, prec, _RND)
-    nodes = _gl_nodes(_PANEL_POINTS, bits)
+    tt, half, nodes, values, edge_values = _node_values(t, bits)
+    damped = _damping(r, bits)
     peak = _envelope_peak(r)
-    pi = mpf_pi(prec, _RND)
-    e = mpf_e(prec, _RND)
-    # mp.e ** y is mpf_pow, i.e. exp(y * log(e)) with log(e) at prec + 10 bits;
-    # that log is the same for every y, so it is taken once here
-    log_e = mpf_log(e, prec + 10, _RND)
-    two_t = mpf_mul_int(tt, 2, prec, _RND)
-
-    def damped(gauss, cosh):
-        """mp.e ** (-xi * xi / (2 * tt) - rr * cosh(xi)), gauss the first term"""
-        y = mpf_sub(gauss, mpf_mul(rr, cosh, prec, _RND), prec, _RND)
-        if y[2] >= -1:  # integer or half-integer y: mpf_pow's exact-power route
-            return mpf_pow(e, y, prec, _RND)
-        return mpf_exp(mpf_mul(y, log_e), prec, _RND)
-
-    def edge_free(edge):
-        """[-edge * edge / (2 * tt), cosh(edge), sinh(edge)]"""
-        gauss = mpf_div(mpf_mul(mpf_neg(edge), edge, prec, _RND), two_t, prec, _RND)
-        return [gauss, *mpf_cosh_sinh(edge, prec, _RND)]
-
-    half = mpf_div(tt, from_int(2), prec, _RND)
-    # half * x does not depend on the panel
-    nodes = [(mpf_mul(half, x, prec, _RND), w) for x, w in nodes]
-    # sin(pi * off / tt) by the raw offset off = xi - a, for this generator
-    # only: the offsets repeat across panels, each a rounding of one of a few
-    # values
-    phase = {}
     for k in ks:
-        # the panel's r-free values, flat: gauss, cosh, sinh and osc at each
-        # node, then gauss, cosh and sinh at the edge
-        free = None if table is None else table.get(k)
-        if free is not None:  # read from the table
-            free = _unpacked(free)
-            it = iter(free)
-            tabled = zip(it, it, it, it)
-        else:  # computed at each node, and kept where there is a table
-            tabled = None
-            free = None if table is None else []
-            a = mpf_mul_int(tt, k, prec, _RND)
-            mid = mpf_add(a, half, prec, _RND)
+        it = iter(values(k))
         acc = fzero
-        for hx, w in nodes:
-            if tabled is None:
-                # xi = mid + half * x
-                xi = mpf_add(mid, hx, prec, _RND)
-                # sin(pi * (xi - a) / tt): local phase, exact zeros
-                off = mpf_sub(xi, a, prec, _RND)
-                osc = phase.get(off)
-                if osc is None:
-                    osc = phase[off] = mpf_sin(
-                        mpf_div(mpf_mul(pi, off, prec, _RND), tt, prec, _RND), prec, _RND
-                    )
-                cosh, sinh = mpf_cosh_sinh(xi, prec, _RND)
-                gauss = mpf_div(mpf_mul(mpf_neg(xi), xi, prec, _RND), two_t, prec, _RND)
-                if free is not None:
-                    free += (gauss, cosh, sinh, osc)
-            else:
-                gauss, cosh, sinh, osc = next(tabled)
-            # acc += w * damped * sinh(xi) * osc
+        for (_, w), gauss, cosh, sinh, osc in zip(nodes, it, it, it, it):
+            # acc += w * mp.e ** (-xi * xi / (2 * tt) - rr * cosh(xi)) * sinh(xi) * osc
             term = mpf_mul(
                 mpf_mul(mpf_mul(w, damped(gauss, cosh), prec, _RND), sinh, prec, _RND),
                 osc,
@@ -538,18 +527,101 @@ def _panel_terms(r: float, t: float, bits: int, ks: range, table: dict | None):
                 _RND,
             )
             acc = mpf_add(acc, term, prec, _RND)
-        edge = mpf_mul_int(tt, k + 1, prec, _RND)
-        if tabled is None and free is not None:
-            # the edge's values too: whether the tail test reads them depends on r
-            free += edge_free(edge)
-            table[k] = _packed(free)
         sign = -1 if (k % 2) else 1
         # sign * half * acc
         contribution = mpf_mul(mpf_mul_int(half, sign, prec, _RND), acc, prec, _RND)
+        edge = mpf_mul_int(tt, k + 1, prec, _RND)
         envelope = finf
         if to_float(edge, rnd=_RND) > peak + t:
             # envelope = mp.e ** (...) * mp.sinh(edge), as at the nodes
-            gauss, cosh, sinh = edge_free(edge) if free is None else free[-3:]
+            gauss, cosh, sinh = edge_values(edge)
+            envelope = mpf_mul(damped(gauss, cosh), sinh, prec, _RND)
+        yield contribution, envelope
+
+
+#: The fixed-point run's fractional bits above the run's bits, FT = bits + 40
+#: (_fixed_terms).
+_FIXED_GUARD = 40
+#: Its exponential's bits above the run's bits, wp = bits + 14.
+_EXP_GUARD = 14
+#: Its accumulator's resolution, 2^-80 of the summed panels' estimate.
+_ACC_GUARD = 80
+
+
+def _fixed_scale(log_total: float, bits: int) -> int:
+    """The fractional bits of a fixed-point run's accumulator: _ACC_GUARD
+    below e^log_total, the summed panels' estimate, and never finer than
+    the products it sums (so every shift into it is a right shift)."""
+    return min(
+        _ACC_GUARD - math.floor(log_total / math.log(2.0)),
+        2 * bits + _FIXED_GUARD + _EXP_GUARD,
+    )
+
+
+def _fixed_terms(r: float, t: float, bits: int, ks: range, table: dict | None, scale: int):
+    """The fixed-point loop's panels k in ks, in order, yielded as
+    _panel_terms yields them, each summed in integers at `scale` fractional
+    bits (module docstring).  A panel's integers are read from `table`, the
+    node table of (t, _PANEL_POINTS, bits), where it holds them, or made
+    from _node_values' libmp values and stored there where table is not
+    None: the same integers either way.
+
+    Error, against the same panels summed exactly from the same libmp
+    values.  The exponent is off by at most 2^-(FT+1) (1 + r) from G and C
+    (r, a double, is exact for r > 2^(52-FT)), 2^-FT from R C >> FT,
+    |n| 2^-FT from ln 2 (|n| < 2^13 for r < 2^11 and bits <= 4096), and
+    2^-wp from u >> (FT - wp); exp_basecase is within two units of 2^-wp.
+    So each term moves by at most 2^-(bits+12) of itself, and Q's rounding,
+    2^-(FT+1) with Q > 2^-23 t, adds 2^-(bits+8) for t above 2^-10: in all
+    2^-(bits+7) of the summed |p_k|, which the rule sizes bits to keep below
+    2^(bits-64) |total|: 2^-71 of theta.  Each node's shift into the
+    accumulator drops less than one unit, 2^-scale <= 2^-80 of the
+    estimate, and a panel's sum is scaled by t/2: (t/2) N units over N
+    nodes, 2^-64 of the estimate for N <= 2^15 and t <= 2.
+    Beyond these the run rounds as the mpf loop does: the r-free values at
+    bits, about 2^-bits (|y| + 2 pi k + 8) of each term, y = G - r C at
+    panel k; each panel and partial sum at bits; the prefactor, about
+    2^-bits (pi^2/(2t) + 8) of theta.
+    """
+    prec = bits
+    frac = bits + _FIXED_GUARD
+    wp = bits + _EXP_GUARD
+    tt, half, nodes, values, edge_values = _node_values(t, bits)
+    damped = _damping(r, bits)
+    peak = _envelope_peak(r)
+    rr = _fixed(from_float(r), frac)
+    ln2 = ln2_fixed(frac)
+    cut = frac - wp
+    base = wp + frac - scale  # >= 0: every exponent n is <= 0
+    count = 3 * _PANEL_POINTS + 3
+    for k in ks:
+        edge = mpf_mul_int(tt, k + 1, prec, _RND)
+        packed = None if table is None else table.get(k)
+        if packed is not None:
+            ints = _unpacked(packed, count)
+        else:
+            # the edge's gauss, cosh, sinh, then gauss, cosh and Q = (w * sinh) * osc at each node
+            ints = [_fixed(v, frac) for v in edge_values(edge)]
+            it = iter(values(k))
+            for (_, w), gauss, cosh, sinh, osc in zip(nodes, it, it, it, it):
+                q = mpf_mul(mpf_mul(w, sinh, prec, _RND), osc, prec, _RND)
+                ints += (_fixed(gauss, frac), _fixed(cosh, frac), _fixed(q, frac))
+            if table is not None:
+                table[k] = _packed(ints)
+        it = iter(ints)
+        edge_ints = (next(it), next(it), next(it))
+        acc = 0
+        for g, c, q in zip(it, it, it):
+            # e^(g - r c) = 2^n e^u, 0 <= u < ln 2
+            n, u = divmod(g - (rr * c >> frac), ln2)
+            acc += exp_basecase(u >> cut, wp) * q >> (base - n)
+        sign = -1 if (k % 2) else 1
+        contribution = mpf_mul(
+            mpf_mul_int(half, sign, prec, _RND), from_man_exp(acc, -scale), prec, _RND
+        )
+        envelope = finf
+        if to_float(edge, rnd=_RND) > peak + t:
+            gauss, cosh, sinh = (from_man_exp(v, -frac) for v in edge_ints)
             envelope = mpf_mul(damped(gauss, cosh), sinh, prec, _RND)
         yield contribution, envelope
 
@@ -570,22 +642,29 @@ def _add_panels(total: tuple, terms, bits: int, panels: list):
     return total, False
 
 
-def _predicted_stop(r: float, t: float, bits: int, estimate: float, kmax: int) -> int:
-    """How many of the kmax panels _add_panels' tail test is predicted to
-    sum at (r, t, bits) where theta is about `estimate`, a positive double.
-
-    The test in logs of doubles, with |total| taken as the summed panels
-    that a theta of `estimate` implies.  It only decides where _theta_split
-    computes each panel, never a bit of theta.
-    """
-    # log |total|: estimate with theta's prefactor r/sqrt(2 pi^3 t) e^(pi^2/(2t)) taken out
-    log_total = (
+def _log_total(r: float, t: float, estimate: float) -> float:
+    """log |total|: the summed panels that a theta of `estimate`, a positive
+    double, implies, with theta's prefactor r/sqrt(2 pi^3 t) e^(pi^2/(2t))
+    taken out."""
+    return (
         math.log(estimate)
         - math.log(r)
         + 0.5 * math.log(2.0 * math.pi**3 * t)
         - math.pi**2 / (2.0 * t)
     )
-    log_thresh = math.log(_TAIL_TOLERANCE) - (bits // 2) * math.log(2.0) + log_total
+
+
+def _predicted_stop(r: float, t: float, bits: int, estimate: float, kmax: int) -> int:
+    """How many of the kmax panels _add_panels' tail test is predicted to
+    sum at (r, t, bits) where theta is about `estimate`, a positive double.
+
+    The test in logs of doubles, with |total| taken as _log_total's.  It
+    only decides where _theta_split computes each panel, never a bit of
+    theta.
+    """
+    log_thresh = (
+        math.log(_TAIL_TOLERANCE) - (bits // 2) * math.log(2.0) + _log_total(r, t, estimate)
+    )
     peak = _envelope_peak(r)
     for k in range(kmax):
         edge = (k + 1) * t
@@ -610,14 +689,14 @@ def _theta_of(total: tuple, r: float, t: float, bits: int):
 
 
 def _integrate_panels(r: float, t: float, bits: int, kmax: int):
-    """The serial run: panel-by-panel quadrature over at most kmax panels, in
+    """theta_direct's serial run: the mpf loop over at most kmax panels, in
     this process; returns (theta as mpf, signed panel list).
 
     Exposed separately so tests can inspect the alternation of consecutive
     half-period contributions.
     """
     panels = []
-    terms = _panel_terms(r, t, bits, range(kmax), _node_table(t, bits))
+    terms = _panel_terms(r, t, bits, range(kmax))
     total, _ = _add_panels(fzero, terms, bits, panels)
     return _theta_of(total, r, t, bits), [mp.make_mpf(p) for p in panels]
 
@@ -705,41 +784,38 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
 
 
 def _theta_split(r: float, t: float, bits: int, estimate: float) -> float:
-    """theta(r, t) at `bits` as a double, from the full run alone: no rerun,
-    no error estimate, and theta_direct's refusals but the negative theta's.
+    """theta(r, t) at `bits` as a double from the fixed-point loop alone: no
+    rerun, no error estimate, and theta_direct's refusals but the negative
+    theta's.
 
-    `estimate`, a positive double near theta, sizes the split: the tail test
-    is predicted to stop after `stop` panels (_predicted_stop).  This process
-    sums the panels [0, m), m = (stop + 1) // 2, while a forked child
-    computes [m, stop), then carries the in-order sum and its tail test on
-    over the child's contributions and envelopes, and only where the test
-    has not stopped yet, over [stop, kmax) here.  A tail stop inside [0, m)
-    kills the child unread.  Where no child runs or it fails, [m, stop) runs
-    here after [0, m).  Each panel depends only on (r, t, bits, k) and the
-    sum is taken in the serial order under the same tail test, so theta is
-    the serial run's to the bit whatever the prediction: a wrong one only
-    moves panels between the two processes.
-
-    From the key's second run on (_node_table), both processes read and
-    build the node table: the child returns the panels it built beside its
-    pairs, and they are merged into this process's table when its pairs are
-    read.  A child killed unread hands back none; where the child fails, its
-    range runs here and builds this process's table itself.
+    `estimate`, a positive double near theta, sets the accumulator
+    (_fixed_scale) and the split: the tail test is predicted to stop after
+    `stop` panels (_predicted_stop).  This process sums the panels [0, m),
+    m = (stop + 1) // 2, while a forked child computes [m, stop); it then
+    carries the in-order sum and the tail test on over the child's pairs,
+    and over [stop, kmax) here where the test has not stopped yet.  A stop
+    inside [0, m) kills the child unread; where no child runs or it fails,
+    [m, stop) runs here after [0, m).  Each panel depends only on
+    (r, t, bits, estimate, k), so theta is the serial loop's to the bit
+    whatever the prediction.  From the key's second run on (_node_table)
+    both processes read and build the node table; the child returns the
+    panels it built, merged here when its pairs are read.
     """
     r, t, bits, kmax = _validated(r, t, bits)
     _gl_nodes(_PANEL_POINTS, bits)  # before the fork: the child solves no nodes
     stop = _predicted_stop(r, t, bits, estimate, kmax)
+    scale = _fixed_scale(_log_total(r, t, estimate), bits)
     m = (stop + 1) // 2
     theirs = range(m, stop)
     table = _node_table(t, bits)
 
     def in_child():
         built = [k for k in theirs if table is not None and k not in table]
-        terms = list(_panel_terms(r, t, bits, theirs, table))
+        terms = list(_fixed_terms(r, t, bits, theirs, table, scale))
         return terms, {k: table[k] for k in built}
 
     with _in_child(in_child) as child:
-        ours = _panel_terms(r, t, bits, range(m), table)
+        ours = _fixed_terms(r, t, bits, range(m), table, scale)
         total, stopped = _add_panels(fzero, ours, bits, [])
         if not stopped:
             terms, built = child()
@@ -747,7 +823,7 @@ def _theta_split(r: float, t: float, bits: int, estimate: float) -> float:
                 table.update(built)
             total, stopped = _add_panels(total, terms, bits, [])
     if not stopped:
-        rest = _panel_terms(r, t, bits, range(stop, kmax), table)
+        rest = _fixed_terms(r, t, bits, range(stop, kmax), table, scale)
         total, _ = _add_panels(total, rest, bits, [])
     theta = _theta_of(total, r, t, bits)
     return normal_double(float(theta), "theta(r={!r}, t={!r})", r, t)

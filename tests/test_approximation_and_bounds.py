@@ -49,6 +49,21 @@ def test_ei_half_rejects_nonpositive():
             ab.ei_half(z)
 
 
+def test_ei_half_overflow_is_refused_naming_z():
+    # ei_half(z) is about sqrt(pi)/2 z^(-3/2), past the doubles for z below
+    # about 3.1e-206
+    for z in (1e-300, 3e-206, 5e-324):
+        with pytest.raises(DomainError, match=re.escape(f"ei_half(z={z!r}) is about")):
+            ab.ei_half(z)
+    assert ab.ei_half(1e-205) == pytest.approx(0.5 * math.sqrt(math.pi) * 1e-205**-1.5, rel=1e-12)
+
+
+def test_vartheta_max_where_35_over_t_overflows_is_refused_naming_t():
+    for t in (5e-324, 1e-320, 1.9e-307):
+        with pytest.raises(DomainError, match=re.escape(f"vartheta_max(t={t!r})")):
+            ab.vartheta_max(t)
+
+
 def test_vartheta_max_reference_values():
     for t, ref in VARTHETA_MAX_REF.items():
         assert ab.vartheta_max(t) == pytest.approx(ref, rel=1e-14), t

@@ -235,6 +235,28 @@ def test_kernel_failures_surface_as_path_errors(monkeypatch):
     assert all("synthetic stall" in msg for _, _, msg in table.failures)
 
 
+def test_non_finite_delta_at_tiny_rho_is_refused():
+    # at rho = 1e-300 (x1 = 698) the kernel's sinh(X + d) overflows once
+    # Re xi passes asinh(DBL_MAX), and g comes back inf - inf j: delta
+    # refuses the point, and the sweep lists the cell as failed
+    ((_, _, g),) = dp._run_kernel(sg.saddle_data(1e-300), [3.16e8])
+    assert g.real == math.inf and g.imag == -math.inf
+    message = r"delta\(tau=316000000\.0, rho=1e-300\) is not finite"
+    with pytest.raises(PathError, match=message) as excinfo:
+        dp.delta(3.16e8, 1e-300)
+    assert excinfo.value.last_good_tau == 3.16e8
+    with pytest.raises(PathError, match="not finite"):
+        dp.trace_path(1e-300, 3.2e8)
+    table = dp.sweep_delta([1e-300], [1e8, 3.2e8])
+    assert [(row.tau, row.delta, row.bound_ratio) for row in table.rows] == [
+        (1e8, -0.9999831098332946, 0.9999831098332946)  # the bytes it had
+    ]
+    assert [(rho, tau) for rho, tau, _ in table.failures] == [(1e-300, 3.2e8)]
+    assert "is not finite: g overflows" in table.failures[0][2]
+    table = dp.sweep_delta([1e-300], [3.2e8])
+    assert not table.rows and len(table.failures) == 1
+
+
 # The kernel before each series remainder was shared within a Newton point,
 # kept verbatim as the reference with its three remainder helpers: the
 # kernel, which evaluates them inline, must give the same bits.

@@ -622,10 +622,26 @@ def test_worker_and_in_process_check_agree_on_random_cells(r, t):
     assert forked == in_process, (r, t)
 
 
+def _fixed_serial(r, t, bits, estimate, kmax=None, table=None):
+    """The fixed-point run at (r, t, bits) with its accumulator set by
+    estimate, serial: every panel in this process, in one generator, over
+    kmax panels (its own count where None), reading and filling table where
+    given.  Returns (theta as mpf, the raw panels summed)."""
+    if kmax is None:
+        kmax = rq._panel_count(r, t, bits)
+    scale = rq._fixed_scale(rq._log_total(r, t, estimate), bits)
+    panels = []
+    terms = rq._fixed_terms(r, t, bits, range(kmax), table, scale)
+    total, _ = rq._add_panels(fzero, terms, bits, panels)
+    return rq._theta_of(total, r, t, bits), panels
+
+
 def _split_and_serial(r, t, bits, estimate, kmax=None):
     """(split theta, serial theta, kmax, panels the serial run summed) at
-    (r, t, bits), the split sized by estimate, over kmax panels where given;
-    asserts that both runs reach the same mpf theta."""
+    (r, t, bits), both fixed-point runs with their accumulator and the
+    split sized by estimate, over kmax panels where given; asserts that
+    both runs reach the same mpf theta, or that the split refuses a serial
+    theta outside the normal doubles (split theta None)."""
     thetas = []
     theta_of = rq._theta_of
 
@@ -637,10 +653,15 @@ def _split_and_serial(r, t, bits, estimate, kmax=None):
         m.setattr(rq, "_theta_of", recorded)
         if kmax is not None:
             m.setattr(rq, "_panel_count", lambda r, t, bits: kmax)
-        split = rq._theta_split(r, t, bits, estimate)
+        try:
+            split = rq._theta_split(r, t, bits, estimate)
+        except DomainError:
+            split = None
         kmax = rq._panel_count(r, t, bits)
-        serial, panels = rq._integrate_panels(r, t, bits, kmax)
+        serial, panels = _fixed_serial(r, t, bits, estimate, kmax)
     assert [theta._mpf_ for theta in thetas] == [serial._mpf_] * 2, (r, t, bits, kmax)
+    if split is None:
+        assert not sys.float_info.min <= abs(float(serial)) < math.inf, (r, t, bits, kmax)
     _assert_no_child_left()
     return split, float(serial), kmax, len(panels)
 
@@ -656,10 +677,12 @@ def _split_and_serial(r, t, bits, estimate, kmax=None):
     ],
 )
 def test_split_run_equals_the_serial_run(r, t, bits, kmax, summed):
-    # the split sized by the leading term, as measure_vartheta sizes it
+    # the split and its accumulator sized by the leading term, as
+    # measure_vartheta sizes them; the tail test stops where the mpf loop's
+    # does
     estimate = ab.theta_leading(r * t, t)
     split, serial, kmax, n = _split_and_serial(r, t, bits, estimate, kmax)
-    assert n == summed
+    assert n == summed == len(rq._integrate_panels(r, t, bits, kmax)[1])
     assert split == serial
 
 
@@ -686,9 +709,12 @@ def test_split_run_equals_the_serial_run_on_sub_critical_cells(monkeypatch, rho,
 @example(r=2.0, t=0.2, bits=100, log_estimate=-300.0, kmax=None)
 @example(r=2.0, t=0.2, bits=100, log_estimate=300.0, kmax=None)
 def test_split_run_equals_the_serial_run_on_random_cells(r, t, bits, log_estimate, kmax):
-    # the estimate, log-uniform over [1e-300, 1e300], moves no bit
+    # the estimate, log-uniform over [1e-300, 1e300], sets the accumulator
+    # of both runs alike and moves no bit between them; one far above theta
+    # leaves no digit of it, and the split then refuses what the serial run
+    # gives (_split_and_serial)
     split, serial, _, _ = _split_and_serial(r, t, bits, 10.0**log_estimate, kmax)
-    assert split == serial, (r, t, bits, log_estimate, kmax)
+    assert split is None or split == serial, (r, t, bits, log_estimate, kmax)
 
 
 @pytest.mark.parametrize("r, t, bits", [(2.0, 0.5, 79), (2.0, 0.2, 100), (0.01, 1.0, 80)])
@@ -696,12 +722,21 @@ def test_any_predicted_stop_gives_the_serial_theta(monkeypatch, r, t, bits):
     # any prediction up to kmax: a short one leaves the stop in the remainder
     # run here, an exact or long one in the child's range (a stop in this
     # process's range: test_stop_in_this_process_half_kills_the_child_unread)
+    estimate = ab.theta_leading(r * t, t)
     kmax = rq._panel_count(r, t, bits)
     stop = len(rq._integrate_panels(r, t, bits, kmax)[1])
     for predicted in sorted({1, stop - 1, stop, stop + 1, kmax} & set(range(1, kmax + 1))):
         monkeypatch.setattr(rq, "_predicted_stop", lambda *args: predicted)
-        split, serial, _, _ = _split_and_serial(r, t, bits, 1.0)
+        split, serial, _, _ = _split_and_serial(r, t, bits, estimate)
         assert split == serial, (r, t, bits, predicted)
+    # at these explicit low bits the mpf loop itself can be an ulp off: at
+    # (0.01, 1, 80) it gives ...7b29 where 300 bits round to ...7b2a, which
+    # the fixed-point run gives
+    if (r, t, bits) == (0.01, 1.0, 80):
+        mpf_loop = float(rq._integrate_panels(r, t, bits, kmax)[0])
+        exact = float(_serial(r, t, 300)[0])
+        assert (mpf_loop.hex(), exact.hex()) == ("0x1.147eb13057b29p-29", "0x1.147eb13057b2ap-29")
+        assert split == exact
 
 
 def _certify_grid(seed):
@@ -727,8 +762,9 @@ def test_predicted_stop_is_the_serial_runs_stop_on_certify_grids(monkeypatch, se
 
 
 # Node tables: from a key's second run in the process on, each panel's
-# r-free values come from a table keyed by (t, panel points, bits) and only
-# the r-dependent rest is computed.  Every panel must stay the mpf loop's.
+# integers (_fixed_terms) come from a table keyed by (t, panel points, bits)
+# and only the r-dependent rest is computed.  Every panel must stay the one
+# the run without a table sums.
 def _cosh_sinh_calls(monkeypatch):
     """The list that every later mpf_cosh_sinh call in this process appends to."""
     calls = []
@@ -742,6 +778,13 @@ def _cosh_sinh_calls(monkeypatch):
     return calls
 
 
+def _estimate(r, t, bits):
+    """|theta| from the mpf loop where it is a normal double, else 1.0: an
+    accumulator estimate for an arbitrary cell."""
+    theta = abs(float(_serial(r, t, bits)[0]))
+    return theta if sys.float_info.min <= theta < math.inf else 1.0
+
+
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(
     r=st.floats(min_value=0.1, max_value=200.0),
@@ -750,14 +793,12 @@ def _cosh_sinh_calls(monkeypatch):
     bits=st.integers(min_value=64, max_value=300),
 )
 @example(r=2.0, r2=0.5, t=0.5, bits=79)
-def test_tabled_panels_match_mpf_loop_on_random_cells(r, r2, t, bits):
+def test_tabled_panels_match_the_cold_run_on_random_cells(r, r2, t, bits):
     # first sight, build, hit at r, then r2 at the same (t, bits): it reads
     # the panels r tabled and builds the ones past them
     key = (t, rq._PANEL_POINTS, bits)
-    refs = {
-        x: [p._mpf_ for p in _integrate_panels_mpf(x, t, bits, rq._PANEL_POINTS)[1]]
-        for x in (r, r2)
-    }
+    estimates = {x: _estimate(x, t, bits) for x in (r, r2)}
+    refs = {x: _fixed_serial(x, t, bits, estimates[x])[1] for x in (r, r2)}
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rq, "_node_tables", OrderedDict())
         m.setattr(rq, "_keys_seen", OrderedDict())
@@ -765,13 +806,80 @@ def test_tabled_panels_match_mpf_loop_on_random_cells(r, r2, t, bits):
         for run, x in enumerate((r, r, r, r2)):
             tabled = set(rq._node_tables.get(key, ()))
             del calls[:]
-            panels = [p._mpf_ for p in _serial(x, t, bits)[1]]
+            table = rq._node_table(t, bits)
+            panels = _fixed_serial(x, t, bits, estimates[x], table=table)[1]
             assert panels == refs[x], (run, x, t, bits)
             assert (key in rq._node_tables) == (run > 0)
             if run == 2:
                 # a hit: every panel from the table, no cosh or sinh computed
                 assert calls == [] and tabled == set(range(len(panels)))
         assert len(calls) == len(set(range(len(panels))) - tabled) * (rq._PANEL_POINTS + 1)
+
+
+def _fixed_run_bound(r, t, bits, estimate, ref_panels):
+    """The fixed-point run's error bound (_fixed_terms' docstring) relative
+    to theta, at (r, t, bits) with its accumulator set by estimate, over the
+    n panels that ref_panels, the same panels summed far above bits, hold.
+
+    Its own truncations: the exponent's and Q's, 2^-(bits+7) of the summed
+    |p_k|, and one unit of the accumulator, 2^-80 of the estimated total,
+    per node, times t/2.  The rounding it shares with the mpf loop: about
+    2^-bits (|y| + 2 pi n + 8) of the summed |p_k|, |y| at the last edge,
+    and 2^-bits (pi^2/(2t) + 8) of theta for the prefactor.  The guards are
+    written out here, not read from the module, so that a run with fewer
+    fails."""
+    n = len(ref_panels)
+    with mp.workprec(bits + 64):
+        total = abs(mp.fsum(ref_panels))
+        kappa = mp.fsum(abs(p) for p in ref_panels) / total
+        edge = n * t
+        y_max = edge * edge / (2 * t) + r * mp.cosh(edge)
+        resolution = mp.mpf(2) ** (math.floor(rq._log_total(r, t, estimate) / math.log(2)) - 80)
+        own = kappa * mp.mpf(2) ** -(bits + 7) + rq._PANEL_POINTS * n * resolution * t / 2 / total
+        shared = mp.mpf(2) ** -bits * (
+            (y_max + 2 * mp.pi * n + 8) * kappa + mp.pi**2 / (2 * t) + 8
+        )
+        return own + shared
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    rho=st.floats(min_value=0.05, max_value=10.0),
+    t=st.floats(min_value=0.05, max_value=1.0),
+)
+@example(rho=1.0, t=0.05)
+@example(rho=0.05, t=0.05)
+@example(rho=10.0, t=0.05)
+def test_fixed_run_is_within_its_error_bound_on_random_cells(rho, t):
+    # at measure_vartheta's arguments: theta before its rounding to a
+    # double, against the mpf loop 64 bits higher over the same panels
+    with pytest.MonkeyPatch.context() as m:
+        r, t, bits, estimate = _oracle_args(rho, t, m)
+    value, panels = _fixed_serial(r, t, bits, estimate)
+    ref, ref_panels = rq._integrate_panels(r, t, bits + 64, len(panels))
+    assert len(ref_panels) == len(panels)
+    bound = _fixed_run_bound(r, t, bits, estimate, ref_panels)
+    with mp.workprec(bits + 64):
+        error = abs(value - ref) / ref
+    assert error <= bound, (rho, t, bits, float(error), float(bound))
+
+
+def test_cold_warm_and_evicted_tables_give_the_same_float(monkeypatch, cold_tables, forks):
+    # first sight (no table), build, hit, then met as new again once the
+    # key's table has been dropped: one float, the serial run's
+    r, t, bits, estimate = _oracle_args(2.0, 0.2, monkeypatch)
+    key = (t, rq._PANEL_POINTS, bits)
+    values = []
+    for run in range(3):
+        values.append(ab.measure_vartheta(2.0, 0.2))
+        assert (key in rq._node_tables) == (run > 0)
+    for i in range(rq._NODE_TABLES):
+        for _ in range(2):
+            rq._theta_split(2.0, 0.5 + 0.01 * i, 64, 1.0)
+    assert key not in rq._node_tables and key not in rq._keys_seen
+    values.append(ab.measure_vartheta(2.0, 0.2))
+    serial = float(_fixed_serial(r, t, bits, estimate)[0]) / estimate - 1.0
+    assert [v.hex() for v in values] == [serial.hex()] * 4
 
 
 def test_split_runs_equal_the_serial_runs_over_three_grid_passes(
@@ -803,14 +911,18 @@ def test_split_runs_equal_the_serial_runs_over_three_grid_passes(
 def test_a_key_met_once_leaves_no_table(monkeypatch, cold_tables, forks):
     estimate = ab.theta_leading(1.0, 0.5)
     rq._theta_split(2.0, 0.5, 79, estimate)
-    rq._integrate_panels(2.0, 0.25, 79, rq._panel_count(2.0, 0.25, 79))
+    rq._theta_split(2.0, 0.25, 79, ab.theta_leading(0.5, 0.25))
     assert not rq._node_tables
     assert list(rq._keys_seen) == [(0.5, 24, 79), (0.25, 24, 79)]
-    # theta_direct's rerun 32 bits below is met in its child only: its key
-    # is never met here, however often the full run's is
+    # theta_direct reads and builds no node table, however often it meets
+    # the key
     for _ in range(3):
         rq.theta_direct(2.0, 0.5)
-    assert len(forks) == 4
+    assert not rq._node_tables
+    assert list(rq._keys_seen) == [(0.5, 24, 79), (0.25, 24, 79)]
+    # the key's second fixed-point run builds its table
+    rq._theta_split(2.0, 0.5, 79, estimate)
+    assert len(forks) == 6
     assert list(rq._node_tables) == [(0.5, 24, 79)]
     assert list(rq._keys_seen) == [(0.25, 24, 79)]
 
@@ -822,11 +934,11 @@ def test_node_tables_stay_within_the_bound(cold_tables):
     ts = [0.5 + 0.01 * i for i in range(2 * bound + 3)]
     for i, t in enumerate(ts):
         for _ in range(2):
-            rq._integrate_panels(2.0, t, 64, rq._panel_count(2.0, t, 64))
+            _fixed_serial(2.0, t, 64, 1.0, table=rq._node_table(t, 64))
             assert len(rq._node_tables) <= bound and len(rq._keys_seen) <= bound
         assert list(rq._node_tables) == [(x, 24, 64) for x in ts[max(0, i + 1 - bound) : i + 1]]
     # a key met once, then more than the bound of others: met as new again
-    rq._integrate_panels(2.0, ts[0], 64, rq._panel_count(2.0, ts[0], 64))
+    _fixed_serial(2.0, ts[0], 64, 1.0, table=rq._node_table(ts[0], 64))
     assert (ts[0], 24, 64) not in rq._node_tables
     assert list(rq._keys_seen) == [(ts[0], 24, 64)]
 
@@ -835,14 +947,15 @@ def test_node_tables_under_concurrent_callers(cold_tables):
     # more keys than the bound, met from more threads than cores: no run may
     # see a half-moved key, and every panel stays the serial run's
     cells = [(r, 0.5 + 0.01 * i) for i in range(rq._NODE_TABLES + 2) for r in (2.0, 1.0)]
-    expected = {cell: [p._mpf_ for p in _serial(*cell, 64)[1]] for cell in cells}
+    expected = {cell: _fixed_serial(*cell, 64, 1.0)[1] for cell in cells}
     rq._node_tables.clear()
     rq._keys_seen.clear()
     rng = random.Random(24)
     jobs = [rng.choice(cells) for _ in range(200)]
 
     def run(cell):
-        return cell, [p._mpf_ for p in _serial(*cell, 64)[1]]
+        r, t = cell
+        return cell, _fixed_serial(r, t, 64, 1.0, table=rq._node_table(t, 64))[1]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -858,10 +971,10 @@ def test_node_tables_under_concurrent_callers(cold_tables):
 
 
 #: Bytes of the packed node tables that three passes of verify-bound's
-#: default grid leave: 4 * 24 + 3 values per panel over the 241 panels of
-#: its 6 keys, each value a fixed-width mantissa and a 4-byte exponent.
-#: Plain libmp tuples cost about six times as much memory.
-_DEFAULT_GRID_TABLE_BYTES = 700_000
+#: default grid leave: 3 * 24 + 3 integers per panel over the 241 panels of
+#: its 6 keys, each at its panel's fixed width: 541,875 bytes.  Packed libmp
+#: values took 678,447, plain libmp tuples about six times as much.
+_DEFAULT_GRID_TABLE_BYTES = 600_000
 
 
 def test_default_grid_node_tables_stay_packed(monkeypatch, cold_tables):
@@ -872,30 +985,32 @@ def test_default_grid_node_tables_stay_packed(monkeypatch, cold_tables):
     tables = list(rq._node_tables.values())
     assert len(tables) == 6
     assert sum(map(len, tables)) == 241
-    packed = sum(len(mans) + exps.itemsize * len(exps) for t in tables for mans, exps in t.values())
+    packed = sum(len(panel) for table in tables for panel in table.values())
     assert packed <= _DEFAULT_GRID_TABLE_BYTES, packed
 
 
 def test_measure_vartheta_forks_one_child_and_runs_no_rerun(
     monkeypatch, cold_tables, forks, tmp_path
 ):
-    # every panel generator, logged from every process: one per half of the
-    # predicted stop, at the measured bits, and no serial run or check
+    # every panel generator, logged from every process: one fixed-point one
+    # per half of the predicted stop, at the measured bits, and no mpf loop,
+    # serial run or check
     r, t, bits, _ = _oracle_args(2.0, 0.2, monkeypatch)
     kmax = rq._panel_count(r, t, bits)
     log = tmp_path / "terms"
-    terms = rq._panel_terms
+    terms = rq._fixed_terms
 
-    def logged(r, t, bits, ks, table):
+    def logged(r, t, bits, ks, table, scale):
         with open(log, "a") as handle:
             handle.write(f"{os.getpid()} {bits} {ks.start} {ks.stop}\n")
-        return terms(r, t, bits, ks, table)
+        return terms(r, t, bits, ks, table, scale)
 
     def must_not_run(*args):
-        raise AssertionError("a serial run in measure_vartheta")
+        raise AssertionError("an mpf loop in measure_vartheta")
 
-    monkeypatch.setattr(rq, "_panel_terms", logged)
+    monkeypatch.setattr(rq, "_fixed_terms", logged)
     monkeypatch.setattr(rq, "_integrate_panels", must_not_run)
+    monkeypatch.setattr(rq, "_panel_terms", must_not_run)
     ab.measure_vartheta(2.0, 0.2)
     calls = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
     assert len(forks) == 1
@@ -907,16 +1022,16 @@ def test_measure_vartheta_forks_one_child_and_runs_no_rerun(
 
 def test_stop_in_this_process_half_kills_the_child_unread(monkeypatch, forks):
     # a child that would take a minute: the split must not wait for it
-    expected = _serial(2.0, 0.5, 79)[0]
+    expected = _fixed_serial(2.0, 0.5, 79, 4.0)[0]
     parent = os.getpid()
-    terms = rq._panel_terms
+    terms = rq._fixed_terms
 
     def slow_in_child(*args):
         if os.getpid() != parent:
             time.sleep(60)
         return terms(*args)
 
-    monkeypatch.setattr(rq, "_panel_terms", slow_in_child)
+    monkeypatch.setattr(rq, "_fixed_terms", slow_in_child)
     monkeypatch.setattr(rq, "_panel_count", lambda r, t, bits: 30)
     monkeypatch.setattr(rq, "_predicted_stop", lambda *args: 30)  # stop at 7 < 15
     start = time.monotonic()
@@ -993,11 +1108,11 @@ def test_failed_split_child_falls_back_to_the_same_vartheta(
     monkeypatch, cold_tables, forks, in_child
 ):
     expected = ab.measure_vartheta(2.0, 0.2)
-    calls = _recording(monkeypatch, "_panel_terms", in_child)
+    calls = _recording(monkeypatch, "_fixed_terms", in_child)
     assert ab.measure_vartheta(2.0, 0.2) == expected
     assert len(forks) == 2
     # the child's range ran here after it failed
-    assert [ks for _, ks, _ in calls] == [range(0, 6), range(6, 11)]
+    assert [ks for _, ks, _, _ in calls] == [range(0, 6), range(6, 11)]
     _assert_no_child_left()
 
 
@@ -1023,7 +1138,7 @@ def test_parent_exception_leaves_no_child(monkeypatch, forks):
 
 
 def test_interrupted_split_leaves_no_child(monkeypatch, forks):
-    _interrupted_here(monkeypatch, "_panel_terms")
+    _interrupted_here(monkeypatch, "_fixed_terms")
     with pytest.raises(KeyboardInterrupt):
         ab.measure_vartheta(0.25, 0.05)
     assert len(forks) == 1
@@ -1068,10 +1183,12 @@ def test_check_runs_in_process(monkeypatch, condition):
 
 
 def test_one_panel_loop_and_one_fork():
-    # every run, both halves of the split and the check sum their panels
-    # through _panel_terms, and every child comes from _in_child
+    # every run's r-free values come from _node_values; theta_direct's runs
+    # sum their panels in _panel_terms, both halves of the split in
+    # _fixed_terms; every child comes from _in_child
     source = inspect.getsource(rq)
     assert source.count("mpf_cosh_sinh(xi") == 1
+    assert source.count("exp_basecase(") == 1
     assert source.count("os.fork()") == 1
 
 
