@@ -74,12 +74,10 @@ def measure_vartheta(rho: float, t: float) -> float:
 
     The oracle runs at theta_direct's default bits, sized from the saddle
     solved here, so each cell solves it once.  Only theta is read, as a
-    double, so the oracle runs one quadrature with theta_direct's refusals
-    but no self-check, its panels summed in fixed point (the oracle's
-    module docstring) with the accumulator set from the leading term, and
-    split between this process and a forked child at half the count its
-    tail test is predicted to sum; theta is the serial run's to the bit
-    whatever the prediction.
+    double, so the oracle runs one serial quadrature in this process with
+    theta_direct's refusals but no self-check, its panels summed in fixed
+    point (the oracle's module docstring) with the accumulator set from the
+    leading term, so vartheta carries 2^-64 absolute from it.
     """
     t = positive_real(t, "t")
     rho = positive_real(rho, "rho")
@@ -87,7 +85,7 @@ def measure_vartheta(rho: float, t: float) -> float:
     lead = _theta_leading(sd, t)
     from . import reference_quadrature as rq  # the oracle loads mpmath: import on first use
 
-    return rq._theta_split(rho / t, t, rq._cancellation_bits(sd, t), lead) / lead - 1.0
+    return rq._theta_fixed(rho / t, t, rq._cancellation_bits(sd, t), lead) / lead - 1.0
 
 
 def _erf_minus_gauss(x: float) -> float:
@@ -119,8 +117,9 @@ def ei_half(z: float) -> float:
     ei_half(z) = z^(-3/2) * Gamma(3/2, z) with
     Gamma(3/2, z) = sqrt(pi)/2 * erfc(sqrt z) + sqrt(z) e^(-z),
     which reduces everything to math.erfc plus elementary functions.
-    Raises DomainError where z^(-3/2), and so the value, overflows (z below
-    about 3.1e-206).
+    Raises DomainError where the value is not a normal double: where
+    z^(-3/2) overflows (z below about 3.1e-206), and where e^-z takes it
+    below the normal doubles (z above about 701.8).
     """
     z = positive_real(z, "z")
     sz = math.sqrt(z)
@@ -131,7 +130,7 @@ def ei_half(z: float) -> float:
         raise DomainError(
             f"ei_half(z={z!r}) is about sqrt(pi)/2 z^(-3/2), outside the range of a double"
         ) from None
-    return scale * gamma_upper
+    return normal_double(scale * gamma_upper, "ei_half(z={!r})", z)
 
 
 def vartheta_max(t: float) -> float:
@@ -145,16 +144,15 @@ def vartheta_max(t: float) -> float:
     through the lower incomplete gamma as
     (erf(sqrt z)/2 - sqrt(z) e^(-z)/sqrt(pi)) / z + erfc(sqrt z)
     with the bracket summed termwise to dodge the residual O(z^(3/2))
-    cancellation.  Raises DomainError where z overflows (t below about
-    1.95e-307), where t/70 is below the normal doubles too.
+    cancellation.  For z >= 700 the two terms past t/70 are below its last
+    bit (below 2^-1000 of it), so t/70 is returned as it is.  Raises
+    DomainError where t/70 is not a normal double (t below about 1.56e-306,
+    z = 35/t overflowing among them).
     """
     t = positive_real(t, "t")
     z = 35.0 / t
-    if z == math.inf:
-        raise DomainError(
-            f"vartheta_max(t={t!r}) is about t/70, outside the range of a double: "
-            f"z = 35/t overflows"
-        )
+    if z >= 700.0:  # inf included
+        return normal_double(t / 70.0, "vartheta_max(t={!r}) = t/70", t)
     sz = math.sqrt(z)
     if sz >= 2.0:
         return t / 70.0 - sz * ei_half(z) / _SQRT_PI + math.erfc(sz)

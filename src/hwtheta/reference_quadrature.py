@@ -55,34 +55,32 @@ nearest 2^FT times the libmp values, FT = bits + 40.  At each node it forms
 n, u = divmod(G - (R C >> FT), ln 2 at FT bits), R = r at FT bits, then e^u
 at wp = bits + 14 bits by libmp's exp_basecase, and adds 2^n e^u Q to an
 integer accumulator whose unit is 2^-80 of the summed panels' estimate
-(_fixed_scale).  Each of these truncations stays at least 2^-64 below theta
-(_fixed_terms states the bound); otherwise the run rounds as the mpf loop
-does.  The tail test's envelope is the mpf loop's, from the edge's values,
-exact at FT bits.
+(_fixed_scale), formed from an estimate of theta that the caller hands in.
+The accumulator's truncations come to at most 2^-64 of that estimate, the
+exponent's and Q's to 2^-71 of theta (_fixed_terms states the bound);
+measure_vartheta hands in the leading term, so vartheta carries 2^-64
+absolute.  Otherwise the run rounds as the mpf loop does.  The tail test's
+envelope is the mpf loop's, from the edge's values, exact at FT bits.
 
 The bound |vartheta| <= t/70 is checked by sweeping rho at fixed t, and
-verify-bound's grid runs six of its seven rho at each t at the same bits, so
-the process keeps a node table of the fixed-point loop's integers per key
-(t, panel points, bits): from a key's second run on, each panel's integers
-are read from it, or computed and stored there as one bytes at a fixed
-width.  A key met first stores nothing.  Stored or not, they are the same
-integers, so no result depends on the tables.  At most _NODE_TABLES tables
-and as many keys met once are kept, the least recently used dropped.  The
-mpf loop reads no table.
+verify-bound's grid runs six of its seven rho at each t at the same bits,
+so the process keeps a node table of the fixed-point loop's integers per
+key (t, panel points, bits): a run reads each panel's integers from its
+key's table, or computes them and stores there the list it sums.  They are
+the same integers either way, so no result depends on the tables.  At most
+_NODE_TABLES tables are kept, the least recently used dropped.  The mpf
+loop reads no table.
 
-Each panel depends only on the run's arguments and k, so the work is spread
-over two processes without moving a bit: theta_direct computes its rerun in
-a forked child beside the full run, and _theta_split splits
-measure_vartheta's panels at the tail stop predicted from the leading term
-(_theta_split and _in_child give the details).  A child pickles what it
-computed (the rerun's mpf theta, or the split's (contribution, envelope)
-pairs and the table panels it built, which this process merges) into a pipe
-that only it writes, and leaves through os._exit, flushing no inherited
-buffer.  The nodes are requested before the fork, full bits first, so the
-child solves none and this process's caches end as the serial code leaves
-them.  Where no child runs (among other cases, where a second thread is
-alive: a fork copies only the calling thread) or it fails, its work runs
-here after this process's own, in the same loop, to the same bits.
+measure_vartheta's run is one serial quadrature (_theta_fixed).
+theta_direct's rerun depends only on its arguments, so it runs in a forked
+child beside the full run without moving a bit (_in_child gives the
+details).  The child pickles the rerun's mpf theta into a pipe that only it
+writes, and leaves through os._exit, flushing no inherited buffer.  Both
+runs' nodes are requested before the fork, full bits first, so the child
+solves none and this process's caches end as the serial code leaves them.
+Where no child runs (among other cases, where a second thread is alive: a
+fork copies only the calling thread) or it fails, the rerun runs here after
+the full run, in the same loop, to the same bits.
 
 The Gauss-Legendre nodes and weights are held at 30 guard bits above the
 panel precision, and every product with them is rounded back to that
@@ -337,29 +335,20 @@ def _gl_nodes(n: int, prec: int):
 #: verify-bound's default 7 x 3 grid meets 6 keys.
 _NODE_TABLES = 8
 
-_node_tables: OrderedDict = OrderedDict()  # (t, n, bits) -> {k: _packed panel}
-_keys_seen: OrderedDict = OrderedDict()  # keys run once, with no table yet
+_node_tables: OrderedDict = OrderedDict()  # (t, n, bits) -> {k: panel's integers}
 _node_tables_lock = threading.Lock()  # one caller at a time reads or moves a key
 
 
-def _node_table(t: float, bits: int) -> dict | None:
-    """The node table of a fixed-point run at (t, _PANEL_POINTS, bits) about
-    to start, a dict from panel index to the panel's integers (_fixed_terms),
-    _packed, which the runs fill as they go.  None where the key is new, or
-    was met once only before _NODE_TABLES other new keys: that run stores
-    nothing."""
+def _node_table(t: float, bits: int) -> dict:
+    """The node table of a fixed-point run at (t, _PANEL_POINTS, bits), a
+    dict from panel index to the panel's integers (_fixed_terms), which the
+    runs fill as they go; a new key gets an empty one."""
     key = (t, _PANEL_POINTS, bits)
     with _node_tables_lock:
         table = _node_tables.get(key)
         if table is not None:
             _node_tables.move_to_end(key)
             return table
-        if key not in _keys_seen:
-            _keys_seen[key] = None
-            if len(_keys_seen) > _NODE_TABLES:
-                _keys_seen.popitem(last=False)
-            return None
-        del _keys_seen[key]
         table = _node_tables[key] = {}
         if len(_node_tables) > _NODE_TABLES:
             _node_tables.popitem(last=False)
@@ -373,22 +362,6 @@ def _fixed(value: tuple, frac: int) -> int:
     shift = exp + frac
     n = int(man << shift if shift >= 0 else ((man >> (-shift - 1)) + 1) >> 1)
     return -n if sign else n
-
-
-def _packed(ints: list) -> bytes:
-    """Integers as one bytes, each signed at the width of the widest."""
-    width = max(abs(n) for n in ints).bit_length() // 8 + 1  # every bit and a sign bit
-    return b"".join(n.to_bytes(width, "little", signed=True) for n in ints)
-
-
-def _unpacked(packed: bytes, count: int) -> list:
-    """The `count` integers that _packed packed."""
-    width = len(packed) // count
-    from_bytes = int.from_bytes
-    return [
-        from_bytes(packed[i : i + width], "little", signed=True)
-        for i in range(0, len(packed), width)
-    ]
 
 
 def _truncation_cap(r: float, t: float, bits: int) -> float:
@@ -558,13 +531,13 @@ def _fixed_scale(log_total: float, bits: int) -> int:
     )
 
 
-def _fixed_terms(r: float, t: float, bits: int, ks: range, table: dict | None, scale: int):
+def _fixed_terms(r: float, t: float, bits: int, ks: range, table: dict, scale: int):
     """The fixed-point loop's panels k in ks, in order, yielded as
     _panel_terms yields them, each summed in integers at `scale` fractional
     bits (module docstring).  A panel's integers are read from `table`, the
     node table of (t, _PANEL_POINTS, bits), where it holds them, or made
-    from _node_values' libmp values and stored there where table is not
-    None: the same integers either way.
+    from _node_values' libmp values and stored there: the same integers
+    either way.
 
     Error, against the same panels summed exactly from the same libmp
     values.  The exponent is off by at most 2^-(FT+1) (1 + r) from G and C
@@ -576,8 +549,9 @@ def _fixed_terms(r: float, t: float, bits: int, ks: range, table: dict | None, s
     2^-(bits+7) of the summed |p_k|, which the rule sizes bits to keep below
     2^(bits-64) |total|: 2^-71 of theta.  Each node's shift into the
     accumulator drops less than one unit, 2^-scale <= 2^-80 of the
-    estimate, and a panel's sum is scaled by t/2: (t/2) N units over N
-    nodes, 2^-64 of the estimate for N <= 2^15 and t <= 2.
+    estimate (a product that the shift would take to 0 is skipped), and a
+    panel's sum is scaled by t/2: (t/2) N units over N nodes, 2^-64 of the
+    estimate for N <= 2^15 and t <= 2, however far it lies above theta.
     Beyond these the run rounds as the mpf loop does: the r-free values at
     bits, about 2^-bits (|y| + 2 pi k + 8) of each term, y = G - r C at
     panel k; each panel and partial sum at bits; the prefactor, about
@@ -593,28 +567,26 @@ def _fixed_terms(r: float, t: float, bits: int, ks: range, table: dict | None, s
     ln2 = ln2_fixed(frac)
     cut = frac - wp
     base = wp + frac - scale  # >= 0: every exponent n is <= 0
-    count = 3 * _PANEL_POINTS + 3
     for k in ks:
         edge = mpf_mul_int(tt, k + 1, prec, _RND)
-        packed = None if table is None else table.get(k)
-        if packed is not None:
-            ints = _unpacked(packed, count)
-        else:
+        ints = table.get(k)
+        if ints is None:
             # the edge's gauss, cosh, sinh, then gauss, cosh and Q = (w * sinh) * osc at each node
             ints = [_fixed(v, frac) for v in edge_values(edge)]
             it = iter(values(k))
             for (_, w), gauss, cosh, sinh, osc in zip(nodes, it, it, it, it):
                 q = mpf_mul(mpf_mul(w, sinh, prec, _RND), osc, prec, _RND)
                 ints += (_fixed(gauss, frac), _fixed(cosh, frac), _fixed(q, frac))
-            if table is not None:
-                table[k] = _packed(ints)
+            table[k] = ints
         it = iter(ints)
         edge_ints = (next(it), next(it), next(it))
         acc = 0
         for g, c, q in zip(it, it, it):
             # e^(g - r c) = 2^n e^u, 0 <= u < ln 2
             n, u = divmod(g - (rr * c >> frac), ln2)
-            acc += exp_basecase(u >> cut, wp) * q >> (base - n)
+            shift = base - n
+            if shift <= wp + q.bit_length():  # e^u < 2: a larger shift leaves 0
+                acc += exp_basecase(u >> cut, wp) * q >> shift
         sign = -1 if (k % 2) else 1
         contribution = mpf_mul(
             mpf_mul_int(half, sign, prec, _RND), from_man_exp(acc, -scale), prec, _RND
@@ -626,20 +598,21 @@ def _fixed_terms(r: float, t: float, bits: int, ks: range, table: dict | None, s
         yield contribution, envelope
 
 
-def _add_panels(total: tuple, terms, bits: int, panels: list):
-    """Add the (contribution, envelope) pairs of terms to total in order, at
-    `bits`, appending each contribution to panels, until the tail test stops
-    the sum: an envelope below _TAIL_TOLERANCE * 2^-(bits/2) of |total|.
-    Returns (total, whether the tail test stopped it).  Where terms is a
-    _panel_terms generator, no panel past the stop is computed."""
+def _add_panels(terms, bits: int, panels: list) -> tuple:
+    """The sum of the contributions of the (contribution, envelope) pairs of
+    terms, in order, at `bits`, appending each to panels, until the tail
+    test stops it: an envelope below _TAIL_TOLERANCE * 2^-(bits/2) of
+    |total|.  Where terms is a generator, no panel past the stop is
+    computed."""
     # mpf(2) ** -(bits // 2) * mpf(_TAIL_TOLERANCE), exact
     thresh_scale = mpf_shift(from_float(_TAIL_TOLERANCE), -(bits // 2))
+    total = fzero
     for contribution, envelope in terms:
         panels.append(contribution)
         total = mpf_add(total, contribution, bits, _RND)
         if mpf_lt(envelope, mpf_mul(thresh_scale, mpf_abs(total), bits, _RND)):
-            return total, True
-    return total, False
+            break
+    return total
 
 
 def _log_total(r: float, t: float, estimate: float) -> float:
@@ -652,30 +625,6 @@ def _log_total(r: float, t: float, estimate: float) -> float:
         + 0.5 * math.log(2.0 * math.pi**3 * t)
         - math.pi**2 / (2.0 * t)
     )
-
-
-def _predicted_stop(r: float, t: float, bits: int, estimate: float, kmax: int) -> int:
-    """How many of the kmax panels _add_panels' tail test is predicted to
-    sum at (r, t, bits) where theta is about `estimate`, a positive double.
-
-    The test in logs of doubles, with |total| taken as _log_total's.  It
-    only decides where _theta_split computes each panel, never a bit of
-    theta.
-    """
-    log_thresh = (
-        math.log(_TAIL_TOLERANCE) - (bits // 2) * math.log(2.0) + _log_total(r, t, estimate)
-    )
-    peak = _envelope_peak(r)
-    for k in range(kmax):
-        edge = (k + 1) * t
-        if edge <= peak + t:
-            continue
-        # log of the envelope at the edge; cosh stays finite, as _validated
-        # refuses a last edge kmax * t past sg._X_MAX
-        log_envelope = -edge * edge / (2.0 * t) - r * math.cosh(edge)
-        if log_envelope + math.log(math.sinh(edge)) < log_thresh:
-            return k + 1
-    return kmax
 
 
 def _theta_of(total: tuple, r: float, t: float, bits: int):
@@ -697,7 +646,7 @@ def _integrate_panels(r: float, t: float, bits: int, kmax: int):
     """
     panels = []
     terms = _panel_terms(r, t, bits, range(kmax))
-    total, _ = _add_panels(fzero, terms, bits, panels)
+    total = _add_panels(terms, bits, panels)
     return _theta_of(total, r, t, bits), [mp.make_mpf(p) for p in panels]
 
 
@@ -783,48 +732,15 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     )
 
 
-def _theta_split(r: float, t: float, bits: int, estimate: float) -> float:
-    """theta(r, t) at `bits` as a double from the fixed-point loop alone: no
-    rerun, no error estimate, and theta_direct's refusals but the negative
-    theta's.
-
-    `estimate`, a positive double near theta, sets the accumulator
-    (_fixed_scale) and the split: the tail test is predicted to stop after
-    `stop` panels (_predicted_stop).  This process sums the panels [0, m),
-    m = (stop + 1) // 2, while a forked child computes [m, stop); it then
-    carries the in-order sum and the tail test on over the child's pairs,
-    and over [stop, kmax) here where the test has not stopped yet.  A stop
-    inside [0, m) kills the child unread; where no child runs or it fails,
-    [m, stop) runs here after [0, m).  Each panel depends only on
-    (r, t, bits, estimate, k), so theta is the serial loop's to the bit
-    whatever the prediction.  From the key's second run on (_node_table)
-    both processes read and build the node table; the child returns the
-    panels it built, merged here when its pairs are read.
-    """
+def _theta_fixed(r: float, t: float, bits: int, estimate: float) -> float:
+    """theta(r, t) at `bits` as a double from one serial fixed-point run
+    (_fixed_terms) over the key's node table: no rerun, no error estimate,
+    and theta_direct's refusals but the negative theta's.  `estimate`, a
+    positive double near theta, sets the accumulator (_fixed_scale)."""
     r, t, bits, kmax = _validated(r, t, bits)
-    _gl_nodes(_PANEL_POINTS, bits)  # before the fork: the child solves no nodes
-    stop = _predicted_stop(r, t, bits, estimate, kmax)
     scale = _fixed_scale(_log_total(r, t, estimate), bits)
-    m = (stop + 1) // 2
-    theirs = range(m, stop)
-    table = _node_table(t, bits)
-
-    def in_child():
-        built = [k for k in theirs if table is not None and k not in table]
-        terms = list(_fixed_terms(r, t, bits, theirs, table, scale))
-        return terms, {k: table[k] for k in built}
-
-    with _in_child(in_child) as child:
-        ours = _fixed_terms(r, t, bits, range(m), table, scale)
-        total, stopped = _add_panels(fzero, ours, bits, [])
-        if not stopped:
-            terms, built = child()
-            if built:
-                table.update(built)
-            total, stopped = _add_panels(total, terms, bits, [])
-    if not stopped:
-        rest = _fixed_terms(r, t, bits, range(stop, kmax), table, scale)
-        total, _ = _add_panels(total, rest, bits, [])
+    terms = _fixed_terms(r, t, bits, range(kmax), _node_table(t, bits), scale)
+    total = _add_panels(terms, bits, [])
     theta = _theta_of(total, r, t, bits)
     return normal_double(float(theta), "theta(r={!r}, t={!r})", r, t)
 

@@ -64,6 +64,27 @@ def test_vartheta_max_where_35_over_t_overflows_is_refused_naming_t():
             ab.vartheta_max(t)
 
 
+def test_ei_half_underflow_is_refused_naming_z():
+    # e^-z takes the value below the normal doubles from z about 701.85 and
+    # to 0.0 from about 738.53
+    for z in (701.9, 738.5, 745.0):
+        with pytest.raises(DomainError, match=re.escape(f"ei_half(z={z!r}) is ")):
+            ab.ei_half(z)
+    assert ab.ei_half(701.8) == pytest.approx(2.323958247145825e-308, rel=1e-12)
+
+
+def test_vartheta_max_is_t_over_70_where_the_rest_is_below_its_last_bit():
+    # the full formula is t/70 to the bit from z = 35/t = 40 on, so from
+    # z = 700 on, where ei_half underflows, t/70 is returned without it
+    for i in range(20001):
+        t = 35.0 / (40.0 + 0.05 * i)
+        assert ab.vartheta_max(t) == t / 70.0, t
+    assert ab.vartheta_max(1e-300) == 1e-300 / 70.0
+    # below t = 1.56e-306, t/70 is below the normal doubles
+    with pytest.raises(DomainError, match=re.escape("vartheta_max(t=2e-307) = t/70 is ")):
+        ab.vartheta_max(2e-307)
+
+
 def test_vartheta_max_reference_values():
     for t, ref in VARTHETA_MAX_REF.items():
         assert ab.vartheta_max(t) == pytest.approx(ref, rel=1e-14), t
@@ -148,12 +169,12 @@ def test_measure_vartheta_hands_the_oracle_cancel_plus_64_bits(monkeypatch):
         seen.append((r, t, bits, estimate))
         return 1.0
 
-    monkeypatch.setattr(rq, "_theta_split", record)
+    monkeypatch.setattr(rq, "_theta_fixed", record)
     for rho in DEFAULT_RHO:
         for t in DEFAULT_T:
             seen.clear()
             ab.measure_vartheta(rho, t)
-            # the split is sized by the leading term
+            # the accumulator is sized by the leading term
             bits = math.ceil(_cancel(rho, t)) + 64
             assert seen == [(rho / t, t, bits, ab.theta_leading(rho, t))], (rho, t)
             # theta_direct's default: one rule sizes both

@@ -8,7 +8,7 @@ import signal
 import subprocess
 import sys
 import threading
-import time
+import tracemalloc
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
@@ -356,7 +356,7 @@ def _assert_same_panels(r, t, bits):
 
 def _oracle_args(rho, t, monkeypatch):
     """(r, t, bits, estimate) that measure_vartheta hands to the oracle's
-    split run."""
+    fixed-point run."""
     seen = []
 
     def record(r, t, bits, estimate):
@@ -364,7 +364,7 @@ def _oracle_args(rho, t, monkeypatch):
         return 1.0
 
     with monkeypatch.context() as m:
-        m.setattr(rq, "_theta_split", record)
+        m.setattr(rq, "_theta_fixed", record)
         ab.measure_vartheta(rho, t)
     (args,) = seen
     return args
@@ -404,11 +404,9 @@ def test_panels_match_mpf_loop_on_random_cells(r, t, bits):
 
 @pytest.fixture
 def cold_tables(monkeypatch):
-    """No node table and no key met, for one test: every run's first sight
-    of its key computes every node value.  The process's own come back
-    after it."""
+    """No node table, for one test: every run's first sight of its key
+    computes every node value.  The process's own come back after it."""
     monkeypatch.setattr(rq, "_node_tables", OrderedDict())
-    monkeypatch.setattr(rq, "_keys_seen", OrderedDict())
 
 
 @pytest.mark.parametrize(
@@ -498,9 +496,9 @@ def test_larger_t_reuses_the_nodes_of_a_smaller_t(monkeypatch):
     assert calls == []
 
 
-# theta_direct's self-check rerun 32 bits below the full run, and the second
-# half of measure_vartheta's split run, run in a forked child beside this
-# process when they can; in process otherwise.  Both must give the same bits.
+# theta_direct's self-check rerun, 32 bits below the full run, runs in a
+# forked child beside this process when it can; in process otherwise.  Both
+# must give the same bits.
 @pytest.fixture
 def forks(monkeypatch):
     """The pids os.fork returned in this process during one test."""
@@ -531,12 +529,12 @@ def _assert_no_child_left():
 
 
 def _both_paths(monkeypatch, cells):
-    """theta_direct and the split run on each (r, t, bits, estimate) with
-    their children, then with every child refused."""
+    """theta_direct and the fixed-point run on each (r, t, bits, estimate),
+    with theta_direct's child, then with every child refused."""
 
     def run():
         return [
-            (rq.theta_direct(r, t, bits), rq._theta_split(r, t, bits, estimate))
+            (rq.theta_direct(r, t, bits), rq._theta_fixed(r, t, bits, estimate))
             for r, t, bits, estimate in cells
         ]
 
@@ -598,7 +596,7 @@ def test_worker_and_in_process_check_agree_on_readme_cells(monkeypatch, forks):
     ]
     forked, in_process = _both_paths(monkeypatch, cells)
     assert forked == in_process
-    assert len(forks) == 2 * len(cells)
+    assert len(forks) == len(cells)
     assert forked[0][0].error_estimate == 7.138014541268517e-19
 
 
@@ -606,7 +604,7 @@ def test_worker_and_in_process_check_agree_on_default_grid(monkeypatch, forks):
     cells = [_oracle_args(rho, t, monkeypatch) for rho in DEFAULT_RHO for t in (0.05, 0.1, 0.2)]
     forked, in_process = _both_paths(monkeypatch, cells)
     assert forked == in_process
-    assert len(forks) == 2 * 21
+    assert len(forks) == 21
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)
@@ -626,22 +624,25 @@ def _fixed_serial(r, t, bits, estimate, kmax=None, table=None):
     """The fixed-point run at (r, t, bits) with its accumulator set by
     estimate, serial: every panel in this process, in one generator, over
     kmax panels (its own count where None), reading and filling table where
-    given.  Returns (theta as mpf, the raw panels summed)."""
+    given, else a table of its own.  Returns (theta as mpf, the raw panels
+    summed)."""
     if kmax is None:
         kmax = rq._panel_count(r, t, bits)
     scale = rq._fixed_scale(rq._log_total(r, t, estimate), bits)
     panels = []
-    terms = rq._fixed_terms(r, t, bits, range(kmax), table, scale)
-    total, _ = rq._add_panels(fzero, terms, bits, panels)
+    terms = rq._fixed_terms(r, t, bits, range(kmax), {} if table is None else table, scale)
+    total = rq._add_panels(terms, bits, panels)
     return rq._theta_of(total, r, t, bits), panels
 
 
-def _split_and_serial(r, t, bits, estimate, kmax=None):
-    """(split theta, serial theta, kmax, panels the serial run summed) at
-    (r, t, bits), both fixed-point runs with their accumulator and the
-    split sized by estimate, over kmax panels where given; asserts that
-    both runs reach the same mpf theta, or that the split refuses a serial
-    theta outside the normal doubles (split theta None)."""
+def _fixed_and_serial(r, t, bits, estimate, kmax=None):
+    """(theta from _theta_fixed, serial theta, kmax, panels the serial run
+    summed) at (r, t, bits), both fixed-point runs with their accumulator
+    sized by estimate, over kmax panels where given.  _theta_fixed runs
+    twice, over its key's node table as it finds it and then as the first
+    run left it; the serial run reads no table.  Asserts that every run
+    reaches the same mpf theta, or that _theta_fixed refuses a serial theta
+    outside the normal doubles (its theta None)."""
     thetas = []
     theta_of = rq._theta_of
 
@@ -653,37 +654,47 @@ def _split_and_serial(r, t, bits, estimate, kmax=None):
         m.setattr(rq, "_theta_of", recorded)
         if kmax is not None:
             m.setattr(rq, "_panel_count", lambda r, t, bits: kmax)
-        try:
-            split = rq._theta_split(r, t, bits, estimate)
-        except DomainError:
-            split = None
+        fixed = []
+        for _ in range(2):
+            try:
+                fixed.append(rq._theta_fixed(r, t, bits, estimate))
+            except DomainError:
+                fixed.append(None)
         kmax = rq._panel_count(r, t, bits)
         serial, panels = _fixed_serial(r, t, bits, estimate, kmax)
-    assert [theta._mpf_ for theta in thetas] == [serial._mpf_] * 2, (r, t, bits, kmax)
-    if split is None:
+    assert [theta._mpf_ for theta in thetas] == [serial._mpf_] * 3, (r, t, bits, kmax)
+    assert fixed[0] == fixed[1]
+    if fixed[0] is None:
         assert not sys.float_info.min <= abs(float(serial)) < math.inf, (r, t, bits, kmax)
-    _assert_no_child_left()
-    return split, float(serial), kmax, len(panels)
+    return fixed[0], float(serial), kmax, len(panels)
 
 
 @pytest.mark.parametrize(
     "r, t, bits, kmax, summed",
     [
-        (2.0, 0.5, 79, None, 7),  # 10 panels, stop after 7: [0, 4) here, [4, 7) in the child
-        (2.0, 0.5, 79, 30, 7),  # 30: the split follows the stop, not the cap
+        (2.0, 0.5, 79, None, 7),  # 10 panels, stop after 7
+        (2.0, 0.5, 79, 30, 7),  # 30: the stop, not the cap
         (0.01, 1.0, 80, None, 11),  # no stop: every one of the 11 panels
-        (2.0, 0.5, 79, 1, 1),  # the only panel, summed here; none in the child
-        (2.0, 0.5, 79, 2, 2),  # one panel each
+        (2.0, 0.5, 79, 1, 1),  # the only panel
+        (2.0, 0.5, 79, 2, 2),
     ],
 )
 def test_split_run_equals_the_serial_run(r, t, bits, kmax, summed):
-    # the split and its accumulator sized by the leading term, as
-    # measure_vartheta sizes them; the tail test stops where the mpf loop's
-    # does
+    # measure_vartheta's run over its node table, with the accumulator sized
+    # by the leading term, against the serial run without one; the tail
+    # test stops where the mpf loop's does
     estimate = ab.theta_leading(r * t, t)
-    split, serial, kmax, n = _split_and_serial(r, t, bits, estimate, kmax)
+    fixed, serial, kmax, n = _fixed_and_serial(r, t, bits, estimate, kmax)
     assert n == summed == len(rq._integrate_panels(r, t, bits, kmax)[1])
-    assert split == serial
+    assert fixed == serial
+    # at these explicit low bits the mpf loop itself can be an ulp off: at
+    # (0.01, 1, 80) it gives ...7b29 where 300 bits round to ...7b2a, which
+    # the fixed-point run gives
+    if (r, t, bits) == (0.01, 1.0, 80):
+        mpf_loop = float(rq._integrate_panels(r, t, bits, kmax)[0])
+        exact = float(_serial(r, t, 300)[0])
+        assert (mpf_loop.hex(), exact.hex()) == ("0x1.147eb13057b29p-29", "0x1.147eb13057b2ap-29")
+        assert fixed == exact
 
 
 @pytest.mark.parametrize("rho, t", [(0.05, 0.1), (0.01, 0.2), (10.0, 0.05)])
@@ -691,8 +702,8 @@ def test_split_run_equals_the_serial_run_on_sub_critical_cells(monkeypatch, rho,
     # ROADMAP item 4's cells, where default bits sized from pi^2/(2t) alone,
     # or an absolute truncation budget, gave a wrong theta; at the rule's
     # bits and the estimate that measure_vartheta hands the oracle
-    split, serial, _, _ = _split_and_serial(*_oracle_args(rho, t, monkeypatch))
-    assert split == serial > 0.0
+    fixed, serial, _, _ = _fixed_and_serial(*_oracle_args(rho, t, monkeypatch))
+    assert fixed == serial > 0.0
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -711,32 +722,10 @@ def test_split_run_equals_the_serial_run_on_sub_critical_cells(monkeypatch, rho,
 def test_split_run_equals_the_serial_run_on_random_cells(r, t, bits, log_estimate, kmax):
     # the estimate, log-uniform over [1e-300, 1e300], sets the accumulator
     # of both runs alike and moves no bit between them; one far above theta
-    # leaves no digit of it, and the split then refuses what the serial run
-    # gives (_split_and_serial)
-    split, serial, _, _ = _split_and_serial(r, t, bits, 10.0**log_estimate, kmax)
-    assert split is None or split == serial, (r, t, bits, log_estimate, kmax)
-
-
-@pytest.mark.parametrize("r, t, bits", [(2.0, 0.5, 79), (2.0, 0.2, 100), (0.01, 1.0, 80)])
-def test_any_predicted_stop_gives_the_serial_theta(monkeypatch, r, t, bits):
-    # any prediction up to kmax: a short one leaves the stop in the remainder
-    # run here, an exact or long one in the child's range (a stop in this
-    # process's range: test_stop_in_this_process_half_kills_the_child_unread)
-    estimate = ab.theta_leading(r * t, t)
-    kmax = rq._panel_count(r, t, bits)
-    stop = len(rq._integrate_panels(r, t, bits, kmax)[1])
-    for predicted in sorted({1, stop - 1, stop, stop + 1, kmax} & set(range(1, kmax + 1))):
-        monkeypatch.setattr(rq, "_predicted_stop", lambda *args: predicted)
-        split, serial, _, _ = _split_and_serial(r, t, bits, estimate)
-        assert split == serial, (r, t, bits, predicted)
-    # at these explicit low bits the mpf loop itself can be an ulp off: at
-    # (0.01, 1, 80) it gives ...7b29 where 300 bits round to ...7b2a, which
-    # the fixed-point run gives
-    if (r, t, bits) == (0.01, 1.0, 80):
-        mpf_loop = float(rq._integrate_panels(r, t, bits, kmax)[0])
-        exact = float(_serial(r, t, 300)[0])
-        assert (mpf_loop.hex(), exact.hex()) == ("0x1.147eb13057b29p-29", "0x1.147eb13057b2ap-29")
-        assert split == exact
+    # leaves no digit of it, and _theta_fixed then refuses what the serial
+    # run gives (_fixed_and_serial)
+    fixed, serial, _, _ = _fixed_and_serial(r, t, bits, 10.0**log_estimate, kmax)
+    assert fixed is None or fixed == serial, (r, t, bits, log_estimate, kmax)
 
 
 def _certify_grid(seed):
@@ -751,17 +740,17 @@ def _certify_grid(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_predicted_stop_is_the_serial_runs_stop_on_certify_grids(monkeypatch, seed):
-    # the prediction must follow _add_panels' tail test, or the split
-    # drifts back towards waiting on panels the sum never reads
+def test_fixed_run_gives_the_mpf_loops_result_on_certify_grids(monkeypatch, seed):
+    # at measure_vartheta's arguments the fixed-point run sums as many panels
+    # as the mpf loop and rounds to the same double
     for rho, t in _certify_grid(seed):
         r, t, bits, estimate = _oracle_args(rho, t, monkeypatch)
-        kmax = rq._panel_count(r, t, bits)
-        stop = len(rq._integrate_panels(r, t, bits, kmax)[1])
-        assert rq._predicted_stop(r, t, bits, estimate, kmax) == stop, (rho, t)
+        value, panels = _serial(r, t, bits)
+        fixed, fixed_panels = _fixed_serial(r, t, bits, estimate)
+        assert (float(fixed), len(fixed_panels)) == (float(value), len(panels)), (rho, t)
 
 
-# Node tables: from a key's second run in the process on, each panel's
+# Node tables: once a key's run in the process has computed a panel, its
 # integers (_fixed_terms) come from a table keyed by (t, panel points, bits)
 # and only the r-dependent rest is computed.  Every panel must stay the one
 # the run without a table sums.
@@ -794,23 +783,21 @@ def _estimate(r, t, bits):
 )
 @example(r=2.0, r2=0.5, t=0.5, bits=79)
 def test_tabled_panels_match_the_cold_run_on_random_cells(r, r2, t, bits):
-    # first sight, build, hit at r, then r2 at the same (t, bits): it reads
-    # the panels r tabled and builds the ones past them
+    # build, hit at r, then r2 at the same (t, bits): it reads the panels r
+    # tabled and builds the ones past them
     key = (t, rq._PANEL_POINTS, bits)
     estimates = {x: _estimate(x, t, bits) for x in (r, r2)}
     refs = {x: _fixed_serial(x, t, bits, estimates[x])[1] for x in (r, r2)}
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rq, "_node_tables", OrderedDict())
-        m.setattr(rq, "_keys_seen", OrderedDict())
         calls = _cosh_sinh_calls(m)
-        for run, x in enumerate((r, r, r, r2)):
+        for run, x in enumerate((r, r, r2)):
             tabled = set(rq._node_tables.get(key, ()))
             del calls[:]
             table = rq._node_table(t, bits)
             panels = _fixed_serial(x, t, bits, estimates[x], table=table)[1]
             assert panels == refs[x], (run, x, t, bits)
-            assert (key in rq._node_tables) == (run > 0)
-            if run == 2:
+            if run == 1:
                 # a hit: every panel from the table, no cosh or sinh computed
                 assert calls == [] and tabled == set(range(len(panels)))
         assert len(calls) == len(set(range(len(panels))) - tabled) * (rq._PANEL_POINTS + 1)
@@ -864,19 +851,18 @@ def test_fixed_run_is_within_its_error_bound_on_random_cells(rho, t):
     assert error <= bound, (rho, t, bits, float(error), float(bound))
 
 
-def test_cold_warm_and_evicted_tables_give_the_same_float(monkeypatch, cold_tables, forks):
-    # first sight (no table), build, hit, then met as new again once the
-    # key's table has been dropped: one float, the serial run's
+def test_cold_warm_and_evicted_tables_give_the_same_float(monkeypatch, cold_tables):
+    # build, hit, hit, then built again once the key's table has been
+    # dropped: one float, the serial run's
     r, t, bits, estimate = _oracle_args(2.0, 0.2, monkeypatch)
     key = (t, rq._PANEL_POINTS, bits)
     values = []
     for run in range(3):
         values.append(ab.measure_vartheta(2.0, 0.2))
-        assert (key in rq._node_tables) == (run > 0)
+        assert key in rq._node_tables
     for i in range(rq._NODE_TABLES):
-        for _ in range(2):
-            rq._theta_split(2.0, 0.5 + 0.01 * i, 64, 1.0)
-    assert key not in rq._node_tables and key not in rq._keys_seen
+        rq._theta_fixed(2.0, 0.5 + 0.01 * i, 64, 1.0)
+    assert key not in rq._node_tables
     values.append(ab.measure_vartheta(2.0, 0.2))
     serial = float(_fixed_serial(r, t, bits, estimate)[0]) / estimate - 1.0
     assert [v.hex() for v in values] == [serial.hex()] * 4
@@ -885,62 +871,53 @@ def test_cold_warm_and_evicted_tables_give_the_same_float(monkeypatch, cold_tabl
 def test_split_runs_equal_the_serial_runs_over_three_grid_passes(
     monkeypatch, cold_tables, forks
 ):
-    # first sight, build (each child returns the panels it tabled, merged
-    # here) and hit, on the default grid at measure_vartheta's arguments:
+    # build and hit, on the default grid at measure_vartheta's arguments:
     # rho = 0.25 has a key of its own at each t, the other six share one
     cells = [_oracle_args(rho, t, monkeypatch) for rho, t in _certify_grid(0)]
     serial = [_serial(r, t, bits) for r, t, bits, _ in cells]
     rq._node_tables.clear()
-    rq._keys_seen.clear()
     for run in range(3):
-        split = [rq._theta_split(*cell) for cell in cells]
-        assert split == [float(value) for value, _ in serial], run
-        assert len(forks) == 21 * (run + 1)
+        fixed = [rq._theta_fixed(*cell) for cell in cells]
+        assert fixed == [float(value) for value, _ in serial], run
         tabled = {(t, bits) for (t, _, bits) in rq._node_tables}
-        assert tabled == {(t, bits) for _, t, bits, _ in cells[3 if run == 0 else 0 :]}
-        if run == 0:
-            continue
-        # each key's table holds every panel summed at it, the children's
-        # included
+        assert tabled == {(t, bits) for _, t, bits, _ in cells}
+        # each key's table holds every panel summed at it
         for (r, t, bits, _), (_, panels) in zip(cells, serial):
             table = rq._node_tables[(t, rq._PANEL_POINTS, bits)]
             assert set(range(len(panels))) <= set(table), (run, r, t)
-    _assert_no_child_left()
+    assert forks == []
 
 
-def test_a_key_met_once_leaves_no_table(monkeypatch, cold_tables, forks):
-    estimate = ab.theta_leading(1.0, 0.5)
-    rq._theta_split(2.0, 0.5, 79, estimate)
-    rq._theta_split(2.0, 0.25, 79, ab.theta_leading(0.5, 0.25))
-    assert not rq._node_tables
-    assert list(rq._keys_seen) == [(0.5, 24, 79), (0.25, 24, 79)]
+def test_the_first_run_fills_the_table(cold_tables):
     # theta_direct reads and builds no node table, however often it meets
     # the key
     for _ in range(3):
         rq.theta_direct(2.0, 0.5)
     assert not rq._node_tables
-    assert list(rq._keys_seen) == [(0.5, 24, 79), (0.25, 24, 79)]
-    # the key's second fixed-point run builds its table
-    rq._theta_split(2.0, 0.5, 79, estimate)
-    assert len(forks) == 6
-    assert list(rq._node_tables) == [(0.5, 24, 79)]
-    assert list(rq._keys_seen) == [(0.25, 24, 79)]
+    # a key's first fixed-point run fills its table with the integers of
+    # every panel it summed: 7 of 10 at (2, 0.5, 79)
+    rq._theta_fixed(2.0, 0.5, 79, ab.theta_leading(1.0, 0.5))
+    rq._theta_fixed(2.0, 0.25, 79, ab.theta_leading(0.5, 0.25))
+    assert list(rq._node_tables) == [(0.5, 24, 79), (0.25, 24, 79)]
+    table = rq._node_tables[(0.5, 24, 79)]
+    assert sorted(table) == list(range(7))
+    assert all(len(ints) == 3 * rq._PANEL_POINTS + 3 for ints in table.values())
 
 
 def test_node_tables_stay_within_the_bound(cold_tables):
-    # twice each of 2 * bound + 3 keys, one at a time, then the first key
-    # again: the least recently used tables go first
+    # 2 * bound + 3 keys, one at a time: the least recently used tables go
+    # first
     bound = rq._NODE_TABLES
     ts = [0.5 + 0.01 * i for i in range(2 * bound + 3)]
     for i, t in enumerate(ts):
-        for _ in range(2):
-            _fixed_serial(2.0, t, 64, 1.0, table=rq._node_table(t, 64))
-            assert len(rq._node_tables) <= bound and len(rq._keys_seen) <= bound
+        _fixed_serial(2.0, t, 64, 1.0, table=rq._node_table(t, 64))
         assert list(rq._node_tables) == [(x, 24, 64) for x in ts[max(0, i + 1 - bound) : i + 1]]
-    # a key met once, then more than the bound of others: met as new again
-    _fixed_serial(2.0, ts[0], 64, 1.0, table=rq._node_table(ts[0], 64))
-    assert (ts[0], 24, 64) not in rq._node_tables
-    assert list(rq._keys_seen) == [(ts[0], 24, 64)]
+    # a key met again is the most recently used: the next new key drops
+    # the one after it
+    again = ts[-bound]
+    rq._node_table(again, 64)
+    rq._node_table(0.4, 64)
+    assert list(rq._node_tables) == [(x, 24, 64) for x in ts[2 - bound :] + [again, 0.4]]
 
 
 def test_node_tables_under_concurrent_callers(cold_tables):
@@ -949,7 +926,6 @@ def test_node_tables_under_concurrent_callers(cold_tables):
     cells = [(r, 0.5 + 0.01 * i) for i in range(rq._NODE_TABLES + 2) for r in (2.0, 1.0)]
     expected = {cell: _fixed_serial(*cell, 64, 1.0)[1] for cell in cells}
     rq._node_tables.clear()
-    rq._keys_seen.clear()
     rng = random.Random(24)
     jobs = [rng.choice(cells) for _ in range(200)]
 
@@ -966,43 +942,43 @@ def test_node_tables_under_concurrent_callers(cold_tables):
         sys.setswitchinterval(interval)
     assert all(panels == expected[cell] for cell, panels in results)
     assert 0 < len(rq._node_tables) <= rq._NODE_TABLES
-    assert len(rq._keys_seen) <= rq._NODE_TABLES
-    assert not set(rq._node_tables) & set(rq._keys_seen)
 
 
-#: Bytes of the packed node tables that three passes of verify-bound's
-#: default grid leave: 3 * 24 + 3 integers per panel over the 241 panels of
-#: its 6 keys, each at its panel's fixed width: 541,875 bytes.  Packed libmp
-#: values took 678,447, plain libmp tuples about six times as much.
-_DEFAULT_GRID_TABLE_BYTES = 600_000
+#: Bytes of the node tables that a pass of verify-bound's default grid
+#: leaves, by tracemalloc: 3 * 24 + 3 integers per panel over the 241 panels
+#: of its 6 keys, in one list per panel: 1,218,128 bytes.
+_DEFAULT_GRID_TABLE_BYTES = 1_300_000
 
 
-def test_default_grid_node_tables_stay_packed(monkeypatch, cold_tables):
+def test_default_grid_node_tables_stay_within_their_measured_size(monkeypatch, cold_tables):
     cells = [_oracle_args(rho, t, monkeypatch) for rho, t in _certify_grid(0)]
-    for _ in range(3):
+    tracemalloc.start()
+    try:
         for cell in cells:
-            rq._theta_split(*cell)
-    tables = list(rq._node_tables.values())
-    assert len(tables) == 6
-    assert sum(map(len, tables)) == 241
-    packed = sum(len(panel) for table in tables for panel in table.values())
-    assert packed <= _DEFAULT_GRID_TABLE_BYTES, packed
+            rq._theta_fixed(*cell)
+        counts = [len(table) for table in rq._node_tables.values()]
+        with_tables, _ = tracemalloc.get_traced_memory()
+        rq._node_tables.clear()
+        held = with_tables - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # later passes read the tables and add nothing to them
+    for cell in cells:
+        rq._theta_fixed(*cell)
+    assert [len(table) for table in rq._node_tables.values()] == counts
+    assert len(counts) == 6 and sum(counts) == 241
+    assert held <= _DEFAULT_GRID_TABLE_BYTES, held
 
 
-def test_measure_vartheta_forks_one_child_and_runs_no_rerun(
-    monkeypatch, cold_tables, forks, tmp_path
-):
-    # every panel generator, logged from every process: one fixed-point one
-    # per half of the predicted stop, at the measured bits, and no mpf loop,
-    # serial run or check
+def test_measure_vartheta_forks_nothing_and_runs_one_fixed_run(monkeypatch, cold_tables, forks):
+    # every panel generator: one fixed-point one over every panel, at the
+    # measured bits, and no mpf loop, serial run or check
     r, t, bits, _ = _oracle_args(2.0, 0.2, monkeypatch)
-    kmax = rq._panel_count(r, t, bits)
-    log = tmp_path / "terms"
+    calls = []
     terms = rq._fixed_terms
 
     def logged(r, t, bits, ks, table, scale):
-        with open(log, "a") as handle:
-            handle.write(f"{os.getpid()} {bits} {ks.start} {ks.stop}\n")
+        calls.append((bits, ks))
         return terms(r, t, bits, ks, table, scale)
 
     def must_not_run(*args):
@@ -1012,33 +988,9 @@ def test_measure_vartheta_forks_one_child_and_runs_no_rerun(
     monkeypatch.setattr(rq, "_integrate_panels", must_not_run)
     monkeypatch.setattr(rq, "_panel_terms", must_not_run)
     ab.measure_vartheta(2.0, 0.2)
-    calls = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
-    assert len(forks) == 1
-    # 16 panels and a stop after 11: the child computes none past the stop
-    assert (kmax, rq._predicted_stop(r, t, bits, ab.theta_leading(2.0, 0.2), kmax)) == (16, 11)
-    assert calls == sorted([(os.getpid(), bits, 0, 6), (forks[0], bits, 6, 11)])
-    _assert_no_child_left()
-
-
-def test_stop_in_this_process_half_kills_the_child_unread(monkeypatch, forks):
-    # a child that would take a minute: the split must not wait for it
-    expected = _fixed_serial(2.0, 0.5, 79, 4.0)[0]
-    parent = os.getpid()
-    terms = rq._fixed_terms
-
-    def slow_in_child(*args):
-        if os.getpid() != parent:
-            time.sleep(60)
-        return terms(*args)
-
-    monkeypatch.setattr(rq, "_fixed_terms", slow_in_child)
-    monkeypatch.setattr(rq, "_panel_count", lambda r, t, bits: 30)
-    monkeypatch.setattr(rq, "_predicted_stop", lambda *args: 30)  # stop at 7 < 15
-    start = time.monotonic()
-    assert rq._theta_split(2.0, 0.5, 79, 4.0) == float(expected)
-    assert time.monotonic() - start < 30
-    assert len(forks) == 1
-    _assert_no_child_left()
+    assert forks == []
+    # 16 panels, read up to the tail test's stop
+    assert calls == [(bits, range(16))] and rq._panel_count(r, t, bits) == 16
 
 
 def test_node_caches_end_as_the_serial_runs_leave_them(cold_nodes, forks):
@@ -1103,19 +1055,6 @@ def test_failed_child_falls_back_to_the_same_result(monkeypatch, forks, in_child
     _assert_no_child_left()
 
 
-@CHILD_FAILURES
-def test_failed_split_child_falls_back_to_the_same_vartheta(
-    monkeypatch, cold_tables, forks, in_child
-):
-    expected = ab.measure_vartheta(2.0, 0.2)
-    calls = _recording(monkeypatch, "_fixed_terms", in_child)
-    assert ab.measure_vartheta(2.0, 0.2) == expected
-    assert len(forks) == 2
-    # the child's range ran here after it failed
-    assert [ks for _, ks, _, _ in calls] == [range(0, 6), range(6, 11)]
-    _assert_no_child_left()
-
-
 def _interrupted_here(monkeypatch, name):
     """Patch rq.<name> to raise KeyboardInterrupt in this process only."""
 
@@ -1133,14 +1072,6 @@ def test_parent_exception_leaves_no_child(monkeypatch, forks):
     _interrupted_here(monkeypatch, "_integrate_panels")
     with pytest.raises(KeyboardInterrupt):
         rq.theta_direct(0.01, 1.0)
-    assert len(forks) == 1
-    _assert_no_child_left()
-
-
-def test_interrupted_split_leaves_no_child(monkeypatch, forks):
-    _interrupted_here(monkeypatch, "_fixed_terms")
-    with pytest.raises(KeyboardInterrupt):
-        ab.measure_vartheta(0.25, 0.05)
     assert len(forks) == 1
     _assert_no_child_left()
 
@@ -1184,8 +1115,8 @@ def test_check_runs_in_process(monkeypatch, condition):
 
 def test_one_panel_loop_and_one_fork():
     # every run's r-free values come from _node_values; theta_direct's runs
-    # sum their panels in _panel_terms, both halves of the split in
-    # _fixed_terms; every child comes from _in_child
+    # sum their panels in _panel_terms, measure_vartheta's run in
+    # _fixed_terms; the one child comes from _in_child
     source = inspect.getsource(rq)
     assert source.count("mpf_cosh_sinh(xi") == 1
     assert source.count("exp_basecase(") == 1
