@@ -53,14 +53,19 @@ The fixed-point loop holds, per panel, G = -xi^2/(2t), C = cosh xi and
 Q = (w sinh xi) osc at each node and the edge's three values as the integers
 nearest 2^FT times the libmp values, FT = bits + 40.  At each node it forms
 n, u = divmod(G - (R C >> FT), ln 2 at FT bits), R = r at FT bits, then e^u
-at wp = bits + 14 bits by libmp's exp_basecase, and adds 2^n e^u Q to an
-integer accumulator whose unit is 2^-80 of the summed panels' estimate
-(_fixed_scale), formed from an estimate of theta that the caller hands in.
-The accumulator's truncations come to at most 2^-64 of that estimate, the
-exponent's and Q's to 2^-71 of theta (_fixed_terms states the bound);
-measure_vartheta hands in the leading term, so vartheta carries 2^-64
-absolute.  Otherwise the run rounds as the mpf loop does.  The tail test's
-envelope is the mpf loop's, from the edge's values, exact at FT bits.
+at wp = bits + 14 bits by a fixed-point exponential that reads three tables
+of 256 powers of e and sums a short Taylor series (_exp_kernel, within 1.04
+units of 2^-wp), and adds 2^n e^u Q to an integer accumulator whose unit is
+2^-80 of the summed panels' estimate (_fixed_scale), formed from an
+estimate of theta that the caller hands in.  The accumulator's truncations
+come to at most 2^-64 of that estimate, the exponent's, the exponential's
+and Q's to 2^-71 of theta (_fixed_terms states the bound); measure_vartheta
+hands in the leading term, so vartheta carries 2^-64 absolute.  Otherwise
+the run rounds as the mpf loop does.  The tail test's envelope is the mpf
+loop's, from the edge's values, exact at FT bits, but the test decides from
+a float estimate of its log, formed from the edge's integers, and forms the
+envelope only where that estimate lies within a proved margin of the
+threshold (_add_panels): it stops where the mpf loop's test stops.
 
 The bound |vartheta| <= t/70 is checked by sweeping rho at fixed t, and
 verify-bound's grid runs six of its seven rho at each t at the same bits,
@@ -68,8 +73,8 @@ so the process keeps a node table of the fixed-point loop's integers per
 key (t, panel points, bits): a run reads each panel's integers from its
 key's table, or computes them and stores there the list it sums.  They are
 the same integers either way, so no result depends on the tables.  At most
-_NODE_TABLES tables are kept, the least recently used dropped.  The mpf
-loop reads no table.
+_NODE_TABLES tables are kept, the least recently used dropped, and as many
+exponentials' tables, per wp.  The mpf loop reads no table.
 
 measure_vartheta's run is one serial quadrature (_theta_fixed).
 theta_direct's rerun depends only on its arguments, so it runs in a forked
@@ -101,10 +106,10 @@ import signal
 import threading
 from collections import OrderedDict
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 from mpmath.libmp import (
-    finf,
     fone,
     from_float,
     from_int,
@@ -131,7 +136,7 @@ from mpmath.libmp import (
     round_nearest,
     to_float,
 )
-from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
+from mpmath.libmp.libelefun import ln2_fixed
 
 from . import saddle_geometry as sg
 from ._result import EvalResult, Method
@@ -155,6 +160,12 @@ _PANEL_POINTS = 24
 #: Scales the dynamic truncation threshold
 #: _TAIL_TOLERANCE * |partial sum| * 2^(-bits/2).
 _TAIL_TOLERANCE = 0.5
+
+#: The tail test decides from float logs where they lie more than
+#: _SCREEN_SLACK (|log threshold| + bits) nats apart (_add_panels).
+_SCREEN_SLACK = 2.0**-30
+
+_LN2 = math.log(2.0)
 
 #: Most panels of width t that one run may sum.  Default bits keep t above
 #: about 1.7e-3, where no run needs more than about 1,900; an explicit
@@ -205,6 +216,7 @@ def _bits_ceiling() -> int:
 
 _gl_cache: dict = {}  # (n, prec) -> [(node, weight)] as raw libmp values
 _gl_held: dict = {}  # n -> _gl_solve's (wp, xs, ws) at the highest wp yet
+_exp_kernels: OrderedDict = OrderedDict()  # wp -> _exp_kernel(wp), least recently used first
 
 _RND = round_nearest  # the rounding mode of mp, and so of every mpf operator
 
@@ -331,28 +343,34 @@ def _gl_nodes(n: int, prec: int):
     return _gl_cache[key]
 
 
-#: Most node tables one process keeps; the least recently used goes first.
-#: verify-bound's default 7 x 3 grid meets 6 keys.
+#: Most node tables, and most exponentials' tables, one process keeps; the
+#: least recently used goes first.  verify-bound's default 7 x 3 grid meets 6
+#: keys of each.
 _NODE_TABLES = 8
 
 _node_tables: OrderedDict = OrderedDict()  # (t, n, bits) -> {k: panel's integers}
-_node_tables_lock = threading.Lock()  # one caller at a time reads or moves a key
+_tables_lock = threading.Lock()  # one caller at a time reads or moves a key of either
+
+
+def _recent(cache: OrderedDict, key, make):
+    """cache[key], stored from make() where missing, as the most recently
+    used entry; past _NODE_TABLES entries the least recently used goes."""
+    with _tables_lock:
+        value = cache.get(key)
+        if value is not None:
+            cache.move_to_end(key)
+            return value
+        value = cache[key] = make()
+        if len(cache) > _NODE_TABLES:
+            cache.popitem(last=False)
+        return value
 
 
 def _node_table(t: float, bits: int) -> dict:
     """The node table of a fixed-point run at (t, _PANEL_POINTS, bits), a
     dict from panel index to the panel's integers (_fixed_terms), which the
     runs fill as they go; a new key gets an empty one."""
-    key = (t, _PANEL_POINTS, bits)
-    with _node_tables_lock:
-        table = _node_tables.get(key)
-        if table is not None:
-            _node_tables.move_to_end(key)
-            return table
-        table = _node_tables[key] = {}
-        if len(_node_tables) > _NODE_TABLES:
-            _node_tables.popitem(last=False)
-        return table
+    return _recent(_node_tables, (t, _PANEL_POINTS, bits), dict)
 
 
 def _fixed(value: tuple, frac: int) -> int:
@@ -377,13 +395,14 @@ def _truncation_cap(r: float, t: float, bits: int) -> float:
         math.sqrt(2.0 * budget * t),
     )
     lo = 0.0
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent doubles: no bisection moves hi
+            return hi
         if 2.0 * r * math.sinh(0.5 * mid) ** 2 + mid * mid / (2.0 * t) < budget:
             lo = mid
         else:
             hi = mid
-    return hi
 
 
 def _panel_count(r: float, t: float, bits: int) -> int:
@@ -475,11 +494,12 @@ def _damping(r: float, bits: int):
 
 def _panel_terms(r: float, t: float, bits: int, ks: range):
     """The mpf loop's panels k in ks, in order: yields each panel's signed
-    contribution and the envelope at its right edge (k + 1) t, as raw libmp
-    values at `bits`.
+    contribution, a raw libmp value at `bits`, with the log of the envelope
+    at its right edge (k + 1) t and a function returning that envelope, as
+    _add_panels reads them.
 
     The envelope bounds the tail only past the envelope's peak, so for an
-    edge not beyond peak + t it is +inf and stops no sum.  Each step is the
+    edge not beyond peak + t both are None and stop no sum.  Each step is the
     libmp call, in the same order, that the corresponding mpf expression
     (noted in the comments) makes under mp.workprec(bits), so every value is
     the mpf result to the bit and depends only on (r, t, bits, k).
@@ -504,12 +524,13 @@ def _panel_terms(r: float, t: float, bits: int, ks: range):
         # sign * half * acc
         contribution = mpf_mul(mpf_mul_int(half, sign, prec, _RND), acc, prec, _RND)
         edge = mpf_mul_int(tt, k + 1, prec, _RND)
-        envelope = finf
+        log_envelope = envelope = None
         if to_float(edge, rnd=_RND) > peak + t:
             # envelope = mp.e ** (...) * mp.sinh(edge), as at the nodes
             gauss, cosh, sinh = edge_values(edge)
-            envelope = mpf_mul(damped(gauss, cosh), sinh, prec, _RND)
-        yield contribution, envelope
+            value = mpf_mul(damped(gauss, cosh), sinh, prec, _RND)
+            log_envelope, envelope = _log_abs(value), (lambda value=value: value)
+        yield contribution, log_envelope, envelope
 
 
 #: The fixed-point run's fractional bits above the run's bits, FT = bits + 40
@@ -519,6 +540,67 @@ _FIXED_GUARD = 40
 _EXP_GUARD = 14
 #: Its accumulator's resolution, 2^-80 of the summed panels' estimate.
 _ACC_GUARD = 80
+#: The exponential's tables' bits above wp while they are built.
+_EXP_BUILD_GUARD = 20
+
+
+def _exp_kernel(wp: int):
+    """The fixed-point exponential at wp bits: the function taking an
+    integer u, 0 <= u < 2^wp ln 2, to an integer within 1.04 of
+    2^wp e^(u 2^-wp).
+
+    u's top 24 fractional bits pick e^(j/2^8), e^(j/2^16) and e^(j/2^24)
+    from three 256-entry tables held at P = wp + 8 bits, and its other bits,
+    v < 2^-24, go to the Taylor polynomial of e^v of degree K, in Horner
+    form with the coefficients 1/k! at P bits: K is the least degree whose
+    tail, below 2 v^(K+1)/(K+1)!, is below 2^-(P+4).  The four factors'
+    product is truncated to P bits after each multiplication and shifted
+    right by 8 at the end.  Each table is built from e^(2^-l), by mpf_exp at
+    P + _EXP_BUILD_GUARD bits, by 255 products truncated there.
+
+    Error, in units of 2^-P.  A table entry, at least 1, is within 0.51 of
+    its value: e^(2^-l) is within 2.5 units of the build precision, the 255
+    products add less than 2^12 of them, and the entry is rounded to P bits.
+    The polynomial is within 1.07 of 2^P e^v: the coefficients 1/k! for
+    k >= 2 round by 1/2, each Horner step truncates by less than 1, and all
+    but the last step's errors are scaled by v < 2^-24; the tail adds 1/16.
+    So the exact product of the four factors is within
+    (3 * 0.51 + 1.07) 2^-P of its own size, under 2^(P+1) because
+    e^(u 2^-wp) < 2, so 5.2 units, and the three truncations take off less
+    than 3.01 more.  The final shift, by 8 bits, takes off less than one
+    unit of 2^-wp: the result is at most 0.03 above 2^wp e^(u 2^-wp) and
+    less than 1.04 below it.
+    """
+    prec = wp + 8
+    build = prec + _EXP_BUILD_GUARD
+    tables = []
+    for level in (8, 16, 24):
+        step = _fixed(mpf_exp(from_man_exp(1, -level), build, _RND), build)
+        entry = 1 << build
+        table = []
+        for _ in range(256):
+            table.append(((entry >> (_EXP_BUILD_GUARD - 1)) + 1) >> 1)
+            entry = entry * step >> build
+        tables.append(table)
+    t8, t16, t24 = tables
+    degree = 0
+    while math.factorial(degree + 1) << (24 * (degree + 1)) < 1 << (prec + 5):
+        degree += 1
+    # 1/K!, ..., 1/1!, 1/0! at P bits: Horner's order
+    top, *coefficients = (
+        ((1 << prec) + math.factorial(k) // 2) // math.factorial(k) for k in range(degree, -1, -1)
+    )
+    low = (1 << (wp - 24)) - 1
+
+    def exp_fixed(u):
+        v = (u & low) << 8
+        s = top
+        for c in coefficients:
+            s = c + (v * s >> prec)
+        head = t8[u >> (wp - 8)] * t16[u >> (wp - 16) & 255] >> prec
+        return (head * t24[u >> (wp - 24) & 255] >> prec) * s >> (prec + 8)
+
+    return exp_fixed
 
 
 def _fixed_scale(log_total: float, bits: int) -> int:
@@ -543,8 +625,9 @@ def _fixed_terms(r: float, t: float, bits: int, ks: range, table: dict, scale: i
     values.  The exponent is off by at most 2^-(FT+1) (1 + r) from G and C
     (r, a double, is exact for r > 2^(52-FT)), 2^-FT from R C >> FT,
     |n| 2^-FT from ln 2 (|n| < 2^13 for r < 2^11 and bits <= 4096), and
-    2^-wp from u >> (FT - wp); exp_basecase is within two units of 2^-wp.
-    So each term moves by at most 2^-(bits+12) of itself, and Q's rounding,
+    2^-wp from u >> (FT - wp): 1.0002 2^-wp in all.  The exponential is
+    within 1.04 2^-wp of e^u >= 1 (_exp_kernel).  So each term moves by at
+    most 2.05 2^-wp = 2^-(bits+12.96) of itself, and Q's rounding,
     2^-(FT+1) with Q > 2^-23 t, adds 2^-(bits+8) for t above 2^-10: in all
     2^-(bits+7) of the summed |p_k|, which the rule sizes bits to keep below
     2^(bits-64) |total|: 2^-71 of theta.  Each node's shift into the
@@ -556,17 +639,25 @@ def _fixed_terms(r: float, t: float, bits: int, ks: range, table: dict, scale: i
     bits, about 2^-bits (|y| + 2 pi k + 8) of each term, y = G - r C at
     panel k; each panel and partial sum at bits; the prefactor, about
     2^-bits (pi^2/(2t) + 8) of theta.
+
+    The tail test's log_envelope at an edge is (G - r C)/2^FT + log S -
+    FT ln 2 from the edge's integers, with r C exact to 2^-FT, in floats;
+    the envelope it stands for is the mpf loop's, formed from the same
+    integers (_fixed_envelope) when _add_panels asks for it.
     """
     prec = bits
     frac = bits + _FIXED_GUARD
     wp = bits + _EXP_GUARD
     tt, half, nodes, values, edge_values = _node_values(t, bits)
-    damped = _damping(r, bits)
     peak = _envelope_peak(r)
     rr = _fixed(from_float(r), frac)
+    r_num, r_den = r.as_integer_ratio()
+    r_shift = r_den.bit_length() - 1  # r = r_num / 2^r_shift exactly
+    one = 1 << frac
     ln2 = ln2_fixed(frac)
     cut = frac - wp
     base = wp + frac - scale  # >= 0: every exponent n is <= 0
+    exp_fixed = _recent(_exp_kernels, wp, partial(_exp_kernel, wp))
     for k in ks:
         edge = mpf_mul_int(tt, k + 1, prec, _RND)
         ints = table.get(k)
@@ -586,31 +677,80 @@ def _fixed_terms(r: float, t: float, bits: int, ks: range, table: dict, scale: i
             n, u = divmod(g - (rr * c >> frac), ln2)
             shift = base - n
             if shift <= wp + q.bit_length():  # e^u < 2: a larger shift leaves 0
-                acc += exp_basecase(u >> cut, wp) * q >> shift
+                acc += exp_fixed(u >> cut) * q >> shift
         sign = -1 if (k % 2) else 1
         contribution = mpf_mul(
             mpf_mul_int(half, sign, prec, _RND), from_man_exp(acc, -scale), prec, _RND
         )
-        envelope = finf
+        log_envelope = envelope = None
         if to_float(edge, rnd=_RND) > peak + t:
-            gauss, cosh, sinh = (from_man_exp(v, -frac) for v in edge_ints)
-            envelope = mpf_mul(damped(gauss, cosh), sinh, prec, _RND)
-        yield contribution, envelope
+            g, c, s = edge_ints
+            try:
+                y = (g - (r_num * c >> r_shift)) / one
+            except OverflowError:  # G - r C below -2^1024 nats
+                y = -math.inf
+            log_envelope = y + math.log(s) - frac * _LN2
+            envelope = partial(_fixed_envelope, r, bits, frac, edge_ints)
+        yield contribution, log_envelope, envelope
+
+
+def _fixed_envelope(r: float, bits: int, frac: int, edge_ints: tuple) -> tuple:
+    """The mpf loop's envelope at an edge, as a raw libmp value at bits,
+    from the edge's integers (gauss, cosh, sinh) at frac fractional bits."""
+    gauss, cosh, sinh = (from_man_exp(v, -frac) for v in edge_ints)
+    return mpf_mul(_damping(r, bits)(gauss, cosh), sinh, bits, _RND)
+
+
+def _log_abs(value: tuple) -> float:
+    """log |value| for a raw libmp value, as a float: -inf at 0, and +-inf
+    where its binary exponent lies beyond the doubles."""
+    _, man, exp, _ = value
+    if not man:
+        return -math.inf
+    try:
+        return math.log(man) + exp * _LN2
+    except OverflowError:
+        return math.inf if exp > 0 else -math.inf
 
 
 def _add_panels(terms, bits: int, panels: list) -> tuple:
-    """The sum of the contributions of the (contribution, envelope) pairs of
-    terms, in order, at `bits`, appending each to panels, until the tail
-    test stops it: an envelope below _TAIL_TOLERANCE * 2^-(bits/2) of
-    |total|.  Where terms is a generator, no panel past the stop is
-    computed."""
+    """The sum of the contributions of terms, in order, at `bits`, appending
+    each to panels, until the tail test stops it: an envelope below
+    _TAIL_TOLERANCE * 2^-(bits/2) of |total|.  Where terms is a generator,
+    no panel past the stop is computed.
+
+    terms yield (contribution, log_envelope, envelope): envelope() is the
+    exact envelope at the panel's right edge, a raw libmp value, and
+    log_envelope a float estimate of its log; both are None at an edge the
+    test does not read.  The test compares log_envelope with L, the float log
+    of the threshold, and forms envelope() and the threshold at bits, as the
+    mpf loop always compared them, only where the two logs lie within
+    m = _SCREEN_SLACK (|L| + bits) nats, or where L is infinite (a zero
+    total) or both logs are; an envelope whose log is -inf, below -2^1023
+    nats, stops the sum where L is finite.  Within m each float is within
+    2^-49 (|L| + bits + 1000) nats of the log of the value that the exact
+    test reads, which is below m/2 for bits >= 64: the float roundings of at
+    most four terms, each under |L| + bits + 1000 nats there (log sinh of an
+    edge is within 745 nats of 0), the libmp roundings at bits, and G - r C
+    to 2^-FT.  So the test stops where the exact test stops.
+    """
     # mpf(2) ** -(bits // 2) * mpf(_TAIL_TOLERANCE), exact
     thresh_scale = mpf_shift(from_float(_TAIL_TOLERANCE), -(bits // 2))
+    log_scale = math.log(_TAIL_TOLERANCE) - (bits // 2) * _LN2
     total = fzero
-    for contribution, envelope in terms:
+    for contribution, log_envelope, envelope in terms:
         panels.append(contribution)
         total = mpf_add(total, contribution, bits, _RND)
-        if mpf_lt(envelope, mpf_mul(thresh_scale, mpf_abs(total), bits, _RND)):
+        if envelope is None:
+            continue
+        log_bound = log_scale + _log_abs(total)
+        margin = _SCREEN_SLACK * (abs(log_bound) + bits)
+        gap = log_envelope - log_bound
+        if gap > margin:
+            continue
+        # where L, or both logs, are infinite, gap or margin is nan or
+        # infinite: the exact test decides
+        if gap < -margin or mpf_lt(envelope(), mpf_mul(thresh_scale, mpf_abs(total), bits, _RND)):
             break
     return total
 

@@ -11,12 +11,14 @@ import threading
 import tracemalloc
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_le, mpf_neg, mpf_sub
+from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
 import hwtheta.approximation_and_bounds as ab
 import hwtheta.reference_quadrature as rq
@@ -263,6 +265,39 @@ def test_truncation_cap_is_unchanged_where_the_bracket_from_one_reached_the_root
         assert rq._truncation_cap(r, t, bits) == _truncation_cap_from_one(r, t, bits), (r, t, bits)
 
 
+def _truncation_cap_200(r, t, bits):
+    """_truncation_cap as it bisected a fixed 200 times, kept verbatim as the
+    reference."""
+    budget = bits * math.log(2.0) + 40.0
+    # r*(cosh(hi) - 1) alone already exceeds the budget at the first hi, and
+    # hi^2/(2t) alone reaches it at the second
+    hi = min(
+        max(1.0, math.log(2.0 * (budget + r + 1.0) / r) + 1.0),
+        math.sqrt(2.0 * budget * t),
+    )
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 2.0 * r * math.sinh(0.5 * mid) ** 2 + mid * mid / (2.0 * t) < budget:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_truncation_cap_stops_bisecting_where_200_bisections_end():
+    # the bisection stops once the bracket holds two adjacent doubles, where
+    # no further step moves hi; 200 fixed steps reach that on every cell here
+    rng = random.Random(28)
+    cells = [(1e20, 1e-320, 100), (2.0, 0.5, 79), (1e-3, 400.0, 4096), (1e4, 1e-3, 64)]
+    for _ in range(5000):
+        r = 10.0 ** rng.uniform(-6.0, 8.0)
+        t = 10.0 ** rng.uniform(-4.0, math.log10(700.0))
+        cells.append((r, t, rng.randint(64, 4096)))
+    for r, t, bits in cells:
+        assert rq._truncation_cap(r, t, bits) == _truncation_cap_200(r, t, bits), (r, t, bits)
+
+
 # The mpf-level loops that _gl_nodes and _integrate_panels replaced, kept
 # verbatim as the reference: the libmp panel loop must give the same bits.
 _gl_cache_mpf: dict = {}
@@ -390,6 +425,16 @@ def test_panels_match_mpf_loop_on_readme_cells_and_config_variants(monkeypatch):
         m.setattr(rq, "_truncation_cap", lambda *args: min(cap(*args), 2.0))
         _assert_same_panels(2.0, 0.5, 79)
         _assert_same_panels(10.0, 0.1, 136)
+
+
+def test_tail_test_where_the_envelopes_log_leaves_the_doubles():
+    # at the last edge, 710, the envelope is about e^(-100 cosh 710): its
+    # binary exponent, and the fixed-point run's G - r C, lie beyond the
+    # doubles; both loops stop where the mpf loop's exact test stops
+    r, t, bits = 100.0, 355.0, 64
+    _assert_same_panels(r, t, bits)
+    panels = _serial(r, t, bits)[1]
+    assert len(_fixed_serial(r, t, bits, 1.0)[1]) == len(panels) == 2
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -742,12 +787,16 @@ def _certify_grid(seed):
 @pytest.mark.parametrize("seed", [0, 5])
 def test_fixed_run_gives_the_mpf_loops_result_on_certify_grids(monkeypatch, seed):
     # at measure_vartheta's arguments the fixed-point run sums as many panels
-    # as the mpf loop and rounds to the same double
+    # as the mpf loop and rounds to the same double; its tail test decides
+    # every edge from the float log, forming no exact envelope
+    formed = []
+    monkeypatch.setattr(rq, "_fixed_envelope", lambda *args: formed.append(args))
     for rho, t in _certify_grid(seed):
         r, t, bits, estimate = _oracle_args(rho, t, monkeypatch)
         value, panels = _serial(r, t, bits)
         fixed, fixed_panels = _fixed_serial(r, t, bits, estimate)
         assert (float(fixed), len(fixed_panels)) == (float(value), len(panels)), (rho, t)
+    assert formed == []
 
 
 # Node tables: once a key's run in the process has computed a panel, its
@@ -849,6 +898,87 @@ def test_fixed_run_is_within_its_error_bound_on_random_cells(rho, t):
     with mp.workprec(bits + 64):
         error = abs(value - ref) / ref
     assert error <= bound, (rho, t, bits, float(error), float(bound))
+
+
+def _exp_units_off(exp, wp, u):
+    """How far exp(u), exp = _exp_kernel(wp), lies from 2^wp e^(u 2^-wp), in
+    units of 2^-wp, by exp_basecase 64 bits higher (itself within 2^-40 of
+    a unit)."""
+    ref = exp_basecase(u << 64, wp + 64)
+    return abs(Fraction((exp(u) << 64) - ref, 1 << 64))
+
+
+def _largest_u(wp):
+    """floor(2^wp ln 2), the largest u the exponential takes."""
+    return ln2_fixed(wp + 20) >> 20
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    wp_u=st.integers(min_value=78, max_value=4110).flatmap(
+        lambda wp: st.tuples(st.just(wp), st.integers(min_value=0, max_value=_largest_u(wp)))
+    )
+)
+def test_exp_kernel_is_within_its_bound_on_random_arguments(wp_u):
+    # wp over every run's bits + 14 up to the default ceiling
+    wp, u = wp_u
+    assert _exp_units_off(rq._exp_kernel(wp), wp, u) < Fraction(104, 100), (wp, u)
+
+
+@pytest.mark.parametrize("wp", [78, 114, 221, 273, 4110])
+def test_exp_kernel_is_within_its_bound_at_its_ends_and_table_boundaries(wp):
+    # u = 0, the largest u, and u whose bits below each table's index are all
+    # zero, or all one
+    top = _largest_u(wp)
+    us = [0, 1, top]
+    for level in (8, 16, 24):
+        below = wp - level
+        us += [top >> below << below, 1 << below, (1 << below) - 1, (top >> below << below) - 1]
+    exp = rq._exp_kernel(wp)
+    for u in us:
+        assert _exp_units_off(exp, wp, u) < Fraction(104, 100), (wp, u)
+    assert exp(0) == 1 << wp
+
+
+def _screened_stop(bits, envelopes):
+    """(panels summed, envelopes formed) when _add_panels reads a first panel
+    of 1 with an edge it does not test, then panels of 0 with the given
+    (offset of log_envelope from the float log of the threshold, in units
+    of the margin; exact envelope) at their edges; the last panel must not
+    be read."""
+    formed = []
+
+    def terms():
+        yield from_man_exp(1, 0), None, None
+        for offset, value in envelopes:
+
+            def envelope(value=value):
+                formed.append(value)
+                return value
+
+            yield fzero, log_bound + offset * margin, envelope
+        raise AssertionError("a panel past the stop was read")
+
+    log_bound = math.log(rq._TAIL_TOLERANCE) - (bits // 2) * math.log(2.0)
+    margin = rq._SCREEN_SLACK * (abs(log_bound) + bits)
+    panels = []
+    rq._add_panels(terms(), bits, panels)
+    return len(panels), len(formed)
+
+
+def test_screened_tail_test_stops_where_the_exact_test_stops():
+    # the threshold is 0.5 * 2^-(bits/2) of the total, 1; within the margin
+    # the exact envelope decides, whichever side the float log lies on
+    bits = 100
+    thresh = from_man_exp(1, -(bits // 2) - 1)
+    below = mpf_sub(thresh, from_man_exp(1, -(bits // 2) - 1 - bits), bits)
+    assert mpf_le(below, thresh) and below != thresh
+    # at the threshold: the exact test goes on; just below it: it stops
+    assert _screened_stop(bits, [(0.0, thresh), (0.0, below)]) == (3, 2)
+    assert _screened_stop(bits, [(-0.99, thresh), (0.99, below)]) == (3, 2)
+    assert _screened_stop(bits, [(0.99, thresh), (-0.99, thresh), (0.999, below)]) == (4, 3)
+    # outside the margin the float log decides, and no envelope is formed
+    assert _screened_stop(bits, [(1.01, below), (-1.01, thresh)]) == (3, 0)
 
 
 def test_cold_warm_and_evicted_tables_give_the_same_float(monkeypatch, cold_tables):
@@ -968,6 +1098,29 @@ def test_default_grid_node_tables_stay_within_their_measured_size(monkeypatch, c
     assert [len(table) for table in rq._node_tables.values()] == counts
     assert len(counts) == 6 and sum(counts) == 241
     assert held <= _DEFAULT_GRID_TABLE_BYTES, held
+
+
+#: Bytes of the exponentials' tables that a pass of verify-bound's default
+#: grid leaves, by tracemalloc: three tables of 256 integers at wp + 8 bits,
+#: and the polynomial's coefficients, for each of its 6 wp: 281,740 bytes.
+_DEFAULT_GRID_EXP_BYTES = 300_000
+
+
+def test_default_grid_exp_tables_stay_within_their_measured_size(monkeypatch, cold_tables):
+    cells = [_oracle_args(rho, t, monkeypatch) for rho, t in _certify_grid(0)]
+    monkeypatch.setattr(rq, "_exp_kernels", OrderedDict())
+    tracemalloc.start()
+    try:
+        for cell in cells:
+            rq._theta_fixed(*cell)
+        wps = sorted(rq._exp_kernels)
+        with_tables, _ = tracemalloc.get_traced_memory()
+        rq._exp_kernels.clear()
+        held = with_tables - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert wps == sorted({bits + rq._EXP_GUARD for _, _, bits, _ in cells}) and len(wps) == 6
+    assert held <= _DEFAULT_GRID_EXP_BYTES, held
 
 
 def test_measure_vartheta_forks_nothing_and_runs_one_fixed_run(monkeypatch, cold_tables, forks):
@@ -1116,10 +1269,20 @@ def test_check_runs_in_process(monkeypatch, condition):
 def test_one_panel_loop_and_one_fork():
     # every run's r-free values come from _node_values; theta_direct's runs
     # sum their panels in _panel_terms, measure_vartheta's run in
-    # _fixed_terms; the one child comes from _in_child
+    # _fixed_terms, whose exponential is the one kernel _exp_kernel builds;
+    # the one child comes from _in_child
     source = inspect.getsource(rq)
     assert source.count("mpf_cosh_sinh(xi") == 1
-    assert source.count("exp_basecase(") == 1
+    assert "exp_basecase(" not in source
+    users = [
+        name
+        for name, obj in vars(rq).items()
+        if inspect.isfunction(obj)
+        and obj.__module__ == rq.__name__
+        and name != "_exp_kernel"
+        and "_exp_kernel" in inspect.getsource(obj)
+    ]
+    assert users == ["_fixed_terms"]
     assert source.count("os.fork()") == 1
 
 
