@@ -139,12 +139,10 @@ def trace(rho, sx, cx, h2, h3, mode, targets, record_all=False):
                 if mode == 2:
                     dn = (24.0 * tau_try / rho) ** 0.25 * _QUARTER_TURN
                 else:
+                    # h2 is real, < 0 in mode 0 and > 0 in mode 1, so
+                    # 2 tau/h2 has imaginary part -0.0 and the principal
+                    # root is the mode's branch: Im d < 0, resp. Re d > 0
                     dn = cmath.sqrt(2.0 * tau_try / h2)
-                    if mode == 0:
-                        if dn.imag >= 0.0:
-                            dn = -dn
-                    elif dn.real <= 0.0:
-                        dn = -dn
             else:
                 # min(tau_target - tau_cur, |hp| min(_MAX_DXI, |d|/2)), as
                 # comparisons: min(a, b) is b where b < a, else a

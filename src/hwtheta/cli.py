@@ -30,7 +30,7 @@ from . import descent_path as dp
 from . import rho_one_series as rs
 from . import saddle_geometry as sg
 from ._result import EvalResult, Method, csv_text
-from .errors import DomainError, HwThetaError, positive_real, whole_number
+from .errors import DomainError, HwThetaError, positive_normal, positive_real, whole_number
 
 __all__ = ["main"]
 
@@ -67,6 +67,8 @@ def _write_grid(csv: str, failures, names: tuple[str, ...], path: str | None) ->
 def _cmd_eval(args) -> int:
     rho = positive_real(args.rho, "--rho")
     t = positive_real(args.t, "--t")
+    if args.bits is not None and args.method != "direct":
+        raise DomainError(f"--bits applies to --method direct only, got --method {args.method}")
 
     if args.method == "direct":
         from . import reference_quadrature as rq  # the oracle loads mpmath: import on first use
@@ -116,7 +118,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep_delta(args) -> int:
     rho_grid = sorted(_parse_float_list(args.rho_list, "--rho-list"))
     points = whole_number(args.points, "--points", 2)
-    tau_max = positive_real(args.tau_max, "--tau-max")
+    tau_max = positive_normal(args.tau_max, "--tau-max")
     tau_grid = [tau_max * i / points for i in range(1, points + 1)]
     table = dp.sweep_delta(rho_grid, tau_grid)
     return _write_grid(table.to_csv(), table.failures, ("rho", "tau"), args.out)

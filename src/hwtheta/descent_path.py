@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 from . import _descent_py as _kernel
 from . import saddle_geometry as sg
 from ._result import csv_text
-from .errors import DomainError, ExtrapolationError, PathError, positive_real
+from .errors import DomainError, ExtrapolationError, PathError, positive_normal, positive_real
 
 __all__ = [
     "PathSample",
@@ -122,15 +122,33 @@ def _expansion_data(sd: sg.SaddleData):
 
 
 def _run_kernel(sd: sg.SaddleData, targets: Sequence[float], record_all: bool = False):
-    """The kernel's (tau, d, g) points; a stall raises PathError."""
-    return _kernel.trace(*_expansion_data(sd), list(targets), record_all)
+    """The kernel's (tau, d, g) points; a stall raises PathError, and so does
+    a first step whose offset sqrt(2 tau/h2) underflows to 0, where the
+    kernel divides by zero (tau = 1e-250 at rho = 1e100)."""
+    try:
+        return _kernel.trace(*_expansion_data(sd), list(targets), record_all)
+    except ZeroDivisionError:
+        raise PathError(
+            f"path continuation divided by zero at rho={sd.rho!r}: the first step "
+            f"toward tau={targets[0]!r} underflows"
+        ) from None
 
 
-def _delta_of(sd: sg.SaddleData, tau: float, g: complex) -> float:
-    """delta = Im g * sqrt(tau)/g0 - 1, or PathError where g or delta is not
-    finite (_not_finite); a finite delta has a finite Im g."""
-    value = g.imag * math.sqrt(tau) / sd.g0 - 1.0
-    if not (abs(value) < math.inf and abs(g.real) < math.inf):  # nan compares false
+def _deltas(sd: sg.SaddleData, points) -> list[float]:
+    """delta = Im g * sqrt(tau)/g0 - 1 at each kernel point (tau, d, g), or
+    nan where Re g is not finite."""
+    g0 = sd.g0
+    inf = math.inf
+    return [
+        g.imag * math.sqrt(t) / g0 - 1.0 if abs(g.real) < inf else math.nan
+        for t, _, g in points
+    ]
+
+
+def _finite(sd: sg.SaddleData, tau: float, value: float) -> float:
+    """value, a delta of _deltas, or _not_finite's PathError where it is not
+    finite; a finite delta has a finite g."""
+    if not abs(value) < math.inf:  # nan compares false
         raise _not_finite(sd, tau)
     return value
 
@@ -138,21 +156,14 @@ def _delta_of(sd: sg.SaddleData, tau: float, g: complex) -> float:
 def _not_finite(sd: sg.SaddleData, tau: float) -> PathError:
     """The refusal of a path point whose g or delta is not finite.  The
     kernel forms sinh(X + d) from sinh X, which overflows once Re xi passes
-    asinh(DBL_MAX): at rho = 1e-300 (x1 = 698) for tau above about 3e8."""
+    asinh(DBL_MAX): at rho = 1e-300 (x1 = 698) for tau above about 3e8.
+    And Im g, about g0/sqrt(tau), overflows for tau below (g0/DBL_MAX)^2:
+    at rho = 1e-300 (g0 = 1.9e301) below tau of about 1e-14, and below rho
+    of about 1e-305 at tau = 1e-4 and 1e-3, where delta_prime_at_zero
+    samples it."""
     return PathError(
-        f"delta(tau={tau!r}, rho={sd.rho!r}) is not finite: g overflows where the "
-        f"path leaves the double range",
+        f"delta(tau={tau!r}, rho={sd.rho!r}) is not finite: g overflows a double",
         last_good_tau=tau,
-    )
-
-
-def _to_sample(sd: sg.SaddleData, tau: float, d: complex, g: complex) -> PathSample:
-    return PathSample(
-        tau=tau,
-        xi=sd.xi_saddle + d,
-        g=g,
-        im_g=g.imag,
-        delta=_delta_of(sd, tau, g),
     )
 
 
@@ -166,30 +177,25 @@ def trace_path(rho: float, tau_max: float) -> PathTrace:
     1e-10 sample invariants).
     """
     rho = positive_real(rho, "rho")
-    tau_max = positive_real(tau_max, "tau_max")
+    tau_max = positive_normal(tau_max, "tau_max")
     sd = sg.saddle_data(rho)
     points = _run_kernel(sd, [tau_max], record_all=True)
-    samples = tuple(_to_sample(sd, tau, d, g) for tau, d, g in points)
+    samples = tuple(
+        PathSample(tau, sd.xi_saddle + d, g, g.imag, _finite(sd, tau, value))
+        for (tau, d, g), value in zip(points, _deltas(sd, points))
+    )
     return PathTrace(rho=rho, samples=samples, saddle=sd)
 
 
 def delta(tau: float, rho: float) -> float:
-    """delta(tau, rho) = Im g(xi(tau)) * sqrt(tau)/g0(rho) - 1 from the traced path."""
-    tau = positive_real(tau, "tau")
+    """delta(tau, rho) = Im g(xi(tau)) * sqrt(tau)/g0(rho) - 1 from the traced path.
+
+    tau must be a normal double: at a subnormal tau too few bits are left to
+    trace from."""
+    tau = positive_normal(tau, "tau")
     sd = sg.saddle_data(positive_real(rho, "rho"))
-    ((_, _, g),) = _run_kernel(sd, [tau])
-    return _delta_of(sd, tau, g)
-
-
-def _delta_on_grid(sd: sg.SaddleData, taus: Sequence[float]) -> list[float]:
-    """delta at each tau of one kernel run, by _delta_of's expression, or nan
-    where Re g is not finite."""
-    g0 = sd.g0
-    inf = math.inf
-    return [
-        g.imag * math.sqrt(t) / g0 - 1.0 if abs(g.real) < inf else math.nan
-        for t, _, g in _run_kernel(sd, taus)
-    ]
+    (value,) = _deltas(sd, _run_kernel(sd, [tau]))
+    return _finite(sd, tau, value)
 
 
 def _richardson_slope(rho: float) -> tuple[float, float, float]:
@@ -197,7 +203,8 @@ def _richardson_slope(rho: float) -> tuple[float, float, float]:
     slope delta'(0, rho); see delta_prime_at_zero."""
     rho = positive_real(rho, "rho")
     sd = sg.saddle_data(rho)
-    d_small, d_mid, d_large = _delta_on_grid(sd, _RICHARDSON_TAUS)
+    deltas = _deltas(sd, _run_kernel(sd, _RICHARDSON_TAUS))
+    d_small, d_mid, d_large = (_finite(sd, tau, d) for tau, d in zip(_RICHARDSON_TAUS, deltas))
     tau_small, tau_mid, tau_large = _RICHARDSON_TAUS
     f1 = d_large / tau_large
     f2 = d_mid / tau_mid
@@ -222,10 +229,11 @@ def delta_prime_at_zero(rho: float) -> float:
     delta/tau is sampled at tau = 1e-2, 1e-3, 1e-4 (one continuation run)
     and extrapolated twice with step ratio 10.  The gap between the last two
     extrapolants must fall below 1e-6, else ExtrapolationError carries the
-    best estimate and the observed gap.  The slope is accurate to 1e-6
-    absolute, not relative: delta carries about 1e-16 of absolute rounding,
-    so where the slope is small (about -1/(4 rho) for rho >= 1e7) few or
-    none of its printed digits are right.
+    best estimate and the observed gap; a sampled delta that is not finite
+    (below rho of about 1e-305, _not_finite) raises delta's PathError.  The
+    slope is accurate to 1e-6 absolute, not relative: delta carries about
+    1e-16 of absolute rounding, so where the slope is small (about
+    -1/(4 rho) for rho >= 1e7) few or none of its printed digits are right.
     """
     return _richardson_slope(rho)[2]
 
@@ -254,10 +262,11 @@ def sweep_delta(rho_grid: Sequence[float], tau_grid: Sequence[float]) -> SweepTa
     run fails, the column is retried cell by cell so that only genuinely
     unreachable cells go missing; those are recorded on ``failures``, as is
     a cell whose g or delta is not finite (rho = 1e-300 at tau above about
-    3e8), which delta refuses with PathError.
+    3e8), which delta refuses with PathError.  A tau grid entry below the
+    normal doubles is refused, as delta refuses it.
     """
     rho_grid = [positive_real(r, "rho grid entry") for r in rho_grid]
-    tau_grid = [positive_real(t, "tau grid entry") for t in tau_grid]
+    tau_grid = [positive_normal(t, "tau grid entry") for t in tau_grid]
     if not rho_grid or not tau_grid:
         raise DomainError("sweep grids must be non-empty")
     if sorted(rho_grid) != rho_grid or sorted(tau_grid) != tau_grid:
@@ -270,13 +279,13 @@ def sweep_delta(rho_grid: Sequence[float], tau_grid: Sequence[float]) -> SweepTa
     for rho in rho_grid:
         sd = sg.saddle_data(rho)
         try:
-            deltas = _delta_on_grid(sd, tau_grid)
+            deltas = _deltas(sd, _run_kernel(sd, tau_grid))
             cells = zip(tau_grid, deltas)
         except PathError:
             cells = []
             for tau in tau_grid:
                 try:
-                    cells.append((tau, _delta_on_grid(sd, [tau])[0]))
+                    cells.append((tau, _deltas(sd, _run_kernel(sd, [tau]))[0]))
                 except PathError as exc:
                     failures.append((rho, tau, str(exc)))
         for tau, dval in cells:

@@ -4,13 +4,14 @@ The CLI maps these onto its exit-code contract: DomainError is a usage-level
 problem (exit 2), the remaining types are numerical failures (exit 3).
 
 One refusal rule holds across the package: every argument rho, t, tau, r or
-z must be a positive finite real (an entry point may narrow that further),
-every count (a series order, a term index, bits) must be a Python integer in
-its range, never truncated from a float, and every result must be a normal
-double; anything else raises DomainError.  A string is not a real, even
-one that float would parse, and a bool is neither a real nor a count.
-real, positive_real, whole_number and normal_double hold that rule; they
-are package-internal, so __all__ lists only the exception types.
+z must be a positive finite real (an entry point may narrow that further:
+the path tracer's tau must be a normal double), every count (a series
+order, a term index, bits) must be a Python integer in its range, never
+truncated from a float, and every result must be a normal double; anything
+else raises DomainError.  A string is not a real, even one that float would
+parse, and a bool is neither a real nor a count.  real, positive_real,
+positive_normal, whole_number and normal_double hold that rule; they are
+package-internal, so __all__ lists only the exception types.
 """
 
 import math
@@ -107,6 +108,19 @@ def positive_real(x, name: str) -> float:
     value = real(x)
     if value is None or not 0.0 < value < math.inf:
         raise DomainError(f"{name} must be a positive finite real, got {x!r}")
+    return value
+
+
+def positive_normal(x, name: str) -> float:
+    """x as a float, or DomainError naming `name` unless it is a positive
+    finite real no smaller than the least normal double: a subnormal keeps
+    too few bits to trace from."""
+    value = positive_real(x, name)
+    if value < sys.float_info.min:
+        raise DomainError(
+            f"{name} must be at least the least normal double "
+            f"{sys.float_info.min!r}, got {x!r}"
+        )
     return value
 
 

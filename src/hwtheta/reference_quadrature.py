@@ -80,20 +80,21 @@ measure_vartheta's run is one serial quadrature (_theta_fixed).
 theta_direct's rerun depends only on its arguments, so it runs in a forked
 child beside the full run without moving a bit (_in_child gives the
 details).  The child pickles the rerun's mpf theta into a pipe that only it
-writes, and leaves through os._exit, flushing no inherited buffer.  Both
-runs' nodes are requested before the fork, full bits first, so the child
-solves none and this process's caches end as the serial code leaves them.
-Where no child runs (among other cases, where a second thread is alive: a
-fork copies only the calling thread) or it fails, the rerun runs here after
-the full run, in the same loop, to the same bits.
+writes, and leaves through os._exit, flushing no inherited buffer.  The
+full run's nodes are requested before the fork, so the child's nodes round
+the same solve as the serial code's do.  Where no child runs (among other
+cases, where a second thread is alive: a fork copies only the calling
+thread) or it fails, the rerun runs here after the full run, in the same
+loop, to the same bits.
 
 The Gauss-Legendre nodes and weights are held at 30 guard bits above the
 panel precision, and every product with them is rounded back to that
 precision, so they need only be right in those guard bits.  Each order is
-solved once at the highest precision yet requested and rounded to each lower
-one (mpf_pos), so the nodes at a precision depend only on the highest the
-process has seen, and the panels equal those of the tests' mpf loop, which
-solves per (order, precision), to the bit.
+held solved at the highest precision yet requested, and a run rounds that
+solve to its own precision (mpf_pos) where it builds its node values: the
+nodes at a precision are a rounding of the held solve, and the panels equal
+those of the tests' mpf loop, which solves per (order, precision), to the
+bit.
 """
 
 from __future__ import annotations
@@ -214,7 +215,6 @@ def _bits_ceiling() -> int:
     return ceiling
 
 
-_gl_cache: dict = {}  # (n, prec) -> [(node, weight)] as raw libmp values
 _gl_held: dict = {}  # n -> _gl_solve's (wp, xs, ws) at the highest wp yet
 _exp_kernels: OrderedDict = OrderedDict()  # wp -> _exp_kernel(wp), least recently used first
 
@@ -312,23 +312,17 @@ def _gl_solve(n: int, wp: int) -> tuple:
 
 
 def _gl_nodes(n: int, prec: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] at `prec` bits, cached.
+    """Gauss-Legendre nodes and weights on [-1, 1] at prec + 30 bits.
 
-    Nodes and weights are held at prec + 30 bits.  Each panel order n is
-    held solved at the highest prec + 30 yet requested: Newton on the
-    Legendre three-term recurrence for the ceil(n/2) nonnegative roots only,
-    seeded by a double-precision Newton and run at doubling precision
-    (_newton_root).  A request at no more bits rounds that solve to
-    prec + 30 bits; one above it solves again and is held in its place.  The
-    negative half is the exact mirror (mpf_neg, no rounding) and the middle
-    node of odd n is 0.  Every (n, prec) keeps its own entry, so a repeated
-    request is one lookup.  Returns (node, weight) pairs of raw libmp
-    values, in decreasing order of node.
+    Each panel order n is held solved at the highest prec + 30 yet
+    requested: Newton on the Legendre three-term recurrence for the
+    ceil(n/2) nonnegative roots only, seeded by a double-precision Newton
+    and run at doubling precision (_newton_root).  A request at no more bits
+    rounds that solve to prec + 30 bits; one above it solves again and is
+    held in its place.  The negative half is the exact mirror (mpf_neg, no
+    rounding) and the middle node of odd n is 0.  Returns (node, weight)
+    pairs of raw libmp values, in decreasing order of node.
     """
-    key = (n, prec)
-    cached = _gl_cache.get(key)
-    if cached is not None:
-        return cached
     wp = prec + 30
     held = _gl_held.get(n)
     if held is None or held[0] < wp:
@@ -339,8 +333,7 @@ def _gl_nodes(n: int, prec: int):
     m = n // 2  # positive roots; xs[m] is the middle node 0 when n is odd
     xs += [mpf_neg(x) for x in reversed(xs[:m])]
     ws += ws[:m][::-1]
-    _gl_cache[key] = list(zip(xs, ws))
-    return _gl_cache[key]
+    return list(zip(xs, ws))
 
 
 #: Most node tables, and most exponentials' tables, one process keeps; the
@@ -492,8 +485,8 @@ def _damping(r: float, bits: int):
     return damped
 
 
-def _panel_terms(r: float, t: float, bits: int, ks: range):
-    """The mpf loop's panels k in ks, in order: yields each panel's signed
+def _panel_terms(r: float, t: float, bits: int, kmax: int):
+    """The mpf loop's panels k < kmax, in order: yields each panel's signed
     contribution, a raw libmp value at `bits`, with the log of the envelope
     at its right edge (k + 1) t and a function returning that envelope, as
     _add_panels reads them.
@@ -508,7 +501,7 @@ def _panel_terms(r: float, t: float, bits: int, ks: range):
     tt, half, nodes, values, edge_values = _node_values(t, bits)
     damped = _damping(r, bits)
     peak = _envelope_peak(r)
-    for k in ks:
+    for k in range(kmax):
         it = iter(values(k))
         acc = fzero
         for (_, w), gauss, cosh, sinh, osc in zip(nodes, it, it, it, it):
@@ -613,13 +606,13 @@ def _fixed_scale(log_total: float, bits: int) -> int:
     )
 
 
-def _fixed_terms(r: float, t: float, bits: int, ks: range, table: dict, scale: int):
-    """The fixed-point loop's panels k in ks, in order, yielded as
+def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: int):
+    """The fixed-point loop's panels k < kmax, in order, yielded as
     _panel_terms yields them, each summed in integers at `scale` fractional
     bits (module docstring).  A panel's integers are read from `table`, the
     node table of (t, _PANEL_POINTS, bits), where it holds them, or made
     from _node_values' libmp values and stored there: the same integers
-    either way.
+    either way; _node_values runs only at a panel the table lacks.
 
     Error, against the same panels summed exactly from the same libmp
     values.  The exponent is off by at most 2^-(FT+1) (1 + r) from G and C
@@ -648,7 +641,9 @@ def _fixed_terms(r: float, t: float, bits: int, ks: range, table: dict, scale: i
     prec = bits
     frac = bits + _FIXED_GUARD
     wp = bits + _EXP_GUARD
-    tt, half, nodes, values, edge_values = _node_values(t, bits)
+    tt = from_float(t, prec, _RND)  # tt and half as _node_values rounds them
+    half = mpf_div(tt, from_int(2), prec, _RND)
+    built = None  # _node_values(t, bits), at the first panel the table lacks
     peak = _envelope_peak(r)
     rr = _fixed(from_float(r), frac)
     r_num, r_den = r.as_integer_ratio()
@@ -658,10 +653,13 @@ def _fixed_terms(r: float, t: float, bits: int, ks: range, table: dict, scale: i
     cut = frac - wp
     base = wp + frac - scale  # >= 0: every exponent n is <= 0
     exp_fixed = _recent(_exp_kernels, wp, partial(_exp_kernel, wp))
-    for k in ks:
+    for k in range(kmax):
         edge = mpf_mul_int(tt, k + 1, prec, _RND)
         ints = table.get(k)
         if ints is None:
+            if built is None:
+                built = _node_values(t, bits)
+            _, _, nodes, values, edge_values = built
             # the edge's gauss, cosh, sinh, then gauss, cosh and Q = (w * sinh) * osc at each node
             ints = [_fixed(v, frac) for v in edge_values(edge)]
             it = iter(values(k))
@@ -785,7 +783,7 @@ def _integrate_panels(r: float, t: float, bits: int, kmax: int):
     half-period contributions.
     """
     panels = []
-    terms = _panel_terms(r, t, bits, range(kmax))
+    terms = _panel_terms(r, t, bits, kmax)
     total = _add_panels(terms, bits, panels)
     return _theta_of(total, r, t, bits), [mp.make_mpf(p) for p in panels]
 
@@ -848,11 +846,9 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     def check():
         return _integrate_panels(r, t, check_bits, _panel_count(r, t, check_bits))[0]
 
-    # the serial runs' node requests, in their order, before any fork: the
-    # child then solves nothing, and the caches here end as the serial code
-    # leaves them
+    # the full run's solve, before any fork: the child's nodes round it, as
+    # the serial code's do
     _gl_nodes(_PANEL_POINTS, bits)
-    _gl_nodes(_PANEL_POINTS, check_bits)
     with _in_child(check) as checked:
         value, _ = _integrate_panels(r, t, bits, kmax)
         check_value = checked()
@@ -879,7 +875,7 @@ def _theta_fixed(r: float, t: float, bits: int, estimate: float) -> float:
     positive double near theta, sets the accumulator (_fixed_scale)."""
     r, t, bits, kmax = _validated(r, t, bits)
     scale = _fixed_scale(_log_total(r, t, estimate), bits)
-    terms = _fixed_terms(r, t, bits, range(kmax), _node_table(t, bits), scale)
+    terms = _fixed_terms(r, t, bits, kmax, _node_table(t, bits), scale)
     total = _add_panels(terms, bits, [])
     theta = _theta_of(total, r, t, bits)
     return normal_double(float(theta), "theta(r={!r}, t={!r})", r, t)

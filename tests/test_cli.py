@@ -199,6 +199,15 @@ def test_eval_bits_out_of_range(capsys):
     assert "ceiling" in err
 
 
+@pytest.mark.parametrize("method, bits", [("asymptotic", "7"), ("asymptotic", "100"), ("series", "100")])
+def test_eval_bits_needs_the_direct_method(capsys, method, bits):
+    # only the oracle has a working precision; the other methods ignored it
+    argv = ("eval", "--rho", "1", "--t", "0.5", "--method", method, "--bits", bits)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --bits applies to --method direct only, got --method {method}\n"
+
+
 def test_eval_bits_with_too_many_panels_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "eval", "--rho", "1e-300", "--t", "1e-320", "--method", "direct", "--bits", "100"
@@ -299,6 +308,14 @@ def test_sweep_delta_validation(capsys):
         assert err
 
 
+def test_sweep_delta_refuses_a_subnormal_tau_max(capsys):
+    # the grid at tau_max = 1e-320 printed bound_ratio inf and exited 0
+    argv = ("sweep-delta", "--rho-list", "2", "--tau-max", "1e-320", "--points", "2")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tau-max must be at least the least normal double")
+
+
 def test_sweep_delta_exit_3_on_failed_cells(capsys, monkeypatch):
     real_trace = dp._kernel.trace
 
@@ -381,6 +398,17 @@ def test_series_decimal_and_full(capsys):
     assert code == 0
     assert "(-tau)^" in full_out
     assert len(full_out) > len(out.replace("  =  ", ""))
+
+
+def test_series_full_decimal_renders_the_reversion_coefficients(capsys):
+    code, out, _ = run_cli(capsys, "series", "--order", "3", "--full", "--decimal", "8")
+    assert code == 0
+    assert out.endswith(
+        "zeta^2(tau): sum of b_m (-tau)^(m/2) under sqrt(-tau) = -i sqrt(tau), 3 terms\n"
+        "  (-tau)^(1/2)  2*sqrt(6)  =  4.8989795\n"
+        "  (-tau)^(1)  -2/5  =  -0.40000000\n"
+        "  (-tau)^(3/2)  (2/105)*sqrt(6)  =  0.046656947\n"
+    )
 
 
 def test_series_order_validation(capsys):

@@ -3,6 +3,7 @@
 import bisect
 import cmath
 import math
+import re
 import sys
 import types
 from collections import Counter
@@ -255,6 +256,62 @@ def test_non_finite_delta_at_tiny_rho_is_refused():
     assert "is not finite: g overflows" in table.failures[0][2]
     table = dp.sweep_delta([1e-300], [3.2e8])
     assert not table.rows and len(table.failures) == 1
+
+
+@pytest.mark.parametrize("rho", [1e-6, 0.05, 0.5, 0.999, 1.001, 2.0, 10.0, 1e6])
+def test_first_point_lies_on_its_modes_branch(rho):
+    # h2 is real, negative in mode 0 and positive in mode 1, so the principal
+    # root sqrt(2 tau/h2) is the documented branch without a sign flip
+    rho_, sx, cx, h2, h3, mode = dp._expansion_data(sg.saddle_data(rho))
+    assert h2.imag == 0.0 and (h2.real < 0.0) == (mode == 0) == (rho < 1.0)
+    ((_, d, _), *_) = kernel.trace(rho_, sx, cx, h2, h3, mode, [1.0], True)
+    assert d.imag < 0.0 if mode == 0 else d.real > 0.0
+
+
+@pytest.mark.parametrize(
+    "tau, rho",
+    [(5e-324, rho) for rho in (1e-3, 0.05, 2.0, 4.0, 10.0, 1e3)] + [(1e-320, 0.5), (1e-315, 2.0)],
+)
+def test_subnormal_tau_is_refused(tau, rho):
+    # a subnormal tau left the kernel too few bits: delta(5e-324, 2) read
+    # 0.105, delta(1e-320, 0.5) 6.3e-5 and delta(1e-315, 2) -8.7e-10, and
+    # delta(5e-324, rho) divided by zero at the other rho
+    message = f"tau must be at least the least normal double {sys.float_info.min!r}, got {tau!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        dp.delta(tau, rho)
+    with pytest.raises(DomainError, match="tau_max must be at least the least normal double"):
+        dp.trace_path(rho, tau)
+    with pytest.raises(DomainError, match="tau grid entry must be at least the least normal double"):
+        dp.sweep_delta([rho], [tau, 1.0])
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.5, 1.0, 2.0, 1e3])
+def test_least_normal_tau_answers(rho):
+    # delta tends to 0 with tau: at the least normal double it is rounding
+    assert abs(dp.delta(sys.float_info.min, rho)) <= 1e-13
+
+
+@pytest.mark.parametrize("tau, rho", [(1e-250, 1e100), (1e-200, 1e200)])
+def test_underflowing_first_step_is_a_path_error(tau, rho):
+    # sqrt(2 tau/h2) underflows to 0 with h2 about rho, and Newton divides
+    # by zero; the kernel's ZeroDivisionError surfaces as a PathError
+    with pytest.raises(PathError, match=r"divided by zero .* underflows") as excinfo:
+        dp.delta(tau, rho)
+    assert excinfo.value.last_good_tau == 0.0
+    table = dp.sweep_delta([rho], [tau, 1.0])
+    assert [(row.tau, row.delta) for row in table.rows] == [(1.0, dp.delta(1.0, rho))]
+    assert [(r, t) for r, t, _ in table.failures] == [(rho, tau)]
+
+
+@pytest.mark.parametrize("rho", [1e-305, 5e-306, 4.5e-306, 4.2e-306])
+def test_slope_where_im_g_overflows_is_a_path_error(rho):
+    # Im g, about g0/sqrt(tau) with g0 near 1.9e306, overflows at the slope's
+    # tau = 1e-4 and 1e-3: refused as delta refuses it, where the gap was nan
+    with pytest.raises(PathError, match=r"delta\(tau=0\.0001, rho=.*\) is not finite: g overflows"):
+        dp.delta(1e-4, rho)
+    for slope in (dp.delta_prime_at_zero, dp.delta_double_prime_at_zero):
+        with pytest.raises(PathError, match=r"delta\(tau=0\.0001, rho=.*\) is not finite"):
+            slope(rho)
 
 
 # The kernel before each series remainder was shared within a Newton point,

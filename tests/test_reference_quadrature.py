@@ -483,10 +483,9 @@ def test_one_sine_per_distinct_phase_offset(monkeypatch, cold_tables, r, t, bits
 
 @pytest.fixture
 def cold_nodes(monkeypatch, cold_tables):
-    """Empty node caches and node tables for one test; the process's own come
-    back after it.  A node table is built from _gl_nodes(n, bits), so it
-    goes with them."""
-    monkeypatch.setattr(rq, "_gl_cache", {})
+    """No held Gauss-Legendre solve and no node table for one test; the
+    process's own come back after it.  A node table is built from
+    _gl_nodes(n, bits), so it goes with the solves."""
     monkeypatch.setattr(rq, "_gl_held", {})
 
 
@@ -505,7 +504,6 @@ def test_gl_nodes_match_mpf_loop(cold_nodes):
     # symmetry and accuracy against the mpf loop at 100 more bits
     precs = (64, 79, 136, 257, 512, 1000)
     for order in (precs, precs[::-1]):
-        rq._gl_cache.clear()
         rq._gl_held.clear()
         for n in (8, 9, 24, 25, 48):
             for prec in order:
@@ -525,8 +523,8 @@ def test_gl_nodes_match_mpf_loop(cold_nodes):
 
 
 def test_larger_t_reuses_the_nodes_of_a_smaller_t(monkeypatch):
-    # no (n, prec) entry of an earlier test may answer the larger t's lookups
-    monkeypatch.setattr(rq, "_gl_cache", {})
+    # from no held solve: the smaller t's solve answers every larger t
+    monkeypatch.setattr(rq, "_gl_held", {})
     rq.theta_direct(2.0, 0.05)
     calls = []
     legendre = rq._legendre
@@ -675,7 +673,7 @@ def _fixed_serial(r, t, bits, estimate, kmax=None, table=None):
         kmax = rq._panel_count(r, t, bits)
     scale = rq._fixed_scale(rq._log_total(r, t, estimate), bits)
     panels = []
-    terms = rq._fixed_terms(r, t, bits, range(kmax), {} if table is None else table, scale)
+    terms = rq._fixed_terms(r, t, bits, kmax, {} if table is None else table, scale)
     total = rq._add_panels(terms, bits, panels)
     return rq._theta_of(total, r, t, bits), panels
 
@@ -1130,9 +1128,9 @@ def test_measure_vartheta_forks_nothing_and_runs_one_fixed_run(monkeypatch, cold
     calls = []
     terms = rq._fixed_terms
 
-    def logged(r, t, bits, ks, table, scale):
-        calls.append((bits, ks))
-        return terms(r, t, bits, ks, table, scale)
+    def logged(r, t, bits, kmax, table, scale):
+        calls.append((bits, kmax))
+        return terms(r, t, bits, kmax, table, scale)
 
     def must_not_run(*args):
         raise AssertionError("an mpf loop in measure_vartheta")
@@ -1143,13 +1141,38 @@ def test_measure_vartheta_forks_nothing_and_runs_one_fixed_run(monkeypatch, cold
     ab.measure_vartheta(2.0, 0.2)
     assert forks == []
     # 16 panels, read up to the tail test's stop
-    assert calls == [(bits, range(16))] and rq._panel_count(r, t, bits) == 16
+    assert calls == [(bits, 16)] and rq._panel_count(r, t, bits) == 16
+
+
+def test_warm_cell_rounds_no_node(monkeypatch, cold_nodes):
+    # once a key's table holds every panel a run sums, the fixed-point run
+    # reads its integers only: no node values, no rounding of the held solve
+    first = ab.measure_vartheta(2.0, 0.2)
+
+    def must_not_run(*args):
+        raise AssertionError("node values built for a tabled panel")
+
+    monkeypatch.setattr(rq, "_gl_nodes", must_not_run)
+    monkeypatch.setattr(rq, "_node_values", must_not_run)
+    assert ab.measure_vartheta(2.0, 0.2) == first
+
+
+def test_tabled_cell_is_unchanged_after_a_higher_bits_solve(cold_nodes):
+    # the nodes at a precision round the held solve, the highest yet: a key
+    # built again after a higher-bits call replaced that solve sums to the
+    # same doubles on the default grid's t = 0.2 cells
+    cells = [(rho, 0.2) for rho in DEFAULT_RHO]
+    before = [ab.measure_vartheta(rho, t) for rho, t in cells]
+    rq.theta_direct(2.0, 0.05, 1000)
+    assert rq._gl_held[24][0] == 1030
+    rq._node_tables.clear()
+    assert [ab.measure_vartheta(rho, t) for rho, t in cells] == before
 
 
 def test_node_caches_end_as_the_serial_runs_leave_them(cold_nodes, forks):
-    # both runs' nodes are requested here before the fork, full bits first
+    # the full run's solve is held here before the fork; the rerun's nodes,
+    # here or in the child, round it
     rq.theta_direct(2.0, 0.5)
-    assert list(rq._gl_cache) == [(24, 79), (24, 64)]
     assert rq._gl_held[24][0] == 79 + 30
     assert len(forks) == 1
 

@@ -641,3 +641,20 @@ def test_q6_arithmetic_and_rendering():
     assert rendered.startswith("-1.7886")
     assert not rs.Q6.rational(0)
     assert -rs.Q6.root6(2) == rs.Q6.root6(-2)
+
+
+@pytest.mark.parametrize(
+    "a, b, text",
+    [
+        (F(1), F(2), "1 + 2*sqrt(6)"),
+        (F(1), F(-2), "1 - 2*sqrt(6)"),
+        (F(1, 2), F(-1, 3), "1/2 - 1/3*sqrt(6)"),
+        (F(-3, 4), F(-5), "-3/4 - 5*sqrt(6)"),
+    ],
+)
+def test_q6_with_both_parts_renders_its_value(a, b, text):
+    # a mixed element prints its surd's sign as the operator; read as a
+    # Python expression, the text is the element's value
+    q = rs.Q6(a, b)
+    assert str(q) == text
+    assert eval(text, {"sqrt": math.sqrt}) == pytest.approx(float(q), rel=1e-15)
