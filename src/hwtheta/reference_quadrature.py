@@ -54,13 +54,17 @@ Q = (w sinh xi) osc at each node and the edge's three values as the integers
 nearest 2^FT times the libmp values, FT = bits + 40.  At each node it forms
 n, u = divmod(G - (R C >> FT), ln 2 at FT bits), R = r at FT bits, then e^u
 at wp = bits + 14 bits by a fixed-point exponential that reads three tables
-of 256 powers of e and sums a short Taylor series (_exp_kernel, within 1.04
-units of 2^-wp), and adds 2^n e^u Q to an integer accumulator whose unit is
-2^-80 of the summed panels' estimate (_fixed_scale), formed from an
-estimate of theta that the caller hands in.  The accumulator's truncations
-come to at most 2^-64 of that estimate, the exponent's, the exponential's
-and Q's to 2^-71 of theta (_fixed_terms states the bound); measure_vartheta
-hands in the leading term, so vartheta carries 2^-64 absolute.  Otherwise
+of 256 powers of e and sums a short Taylor series, and adds 2^n e^u Q to an
+integer accumulator whose unit is 2^-80 of the summed panels' estimate
+(_fixed_scale), formed from an estimate of theta that the caller hands in.
+The series stops at the degree that the product's p = sig + 4 bits need,
+the product being below 2^(sig+1) units (_exp_kernel: e^u within 1.04
+units of 2^-wp, plus 2^-(p+4) relative), so the bits that the shift into
+the accumulator drops are not computed.  The accumulator's truncations,
+and the series' stop, come to at most 2^-64 of that estimate, the
+exponent's, the exponential's other errors and Q's to 2^-71 of theta
+(_fixed_terms states the bound); measure_vartheta hands in the leading
+term, so vartheta carries 2^-64 absolute.  Otherwise
 the run rounds as the mpf loop does.  The tail test's envelope is the mpf
 loop's, from the edge's values, exact at FT bits, but the test decides from
 a float estimate of its log, formed from the edge's integers, and forms the
@@ -539,14 +543,16 @@ _EXP_BUILD_GUARD = 20
 
 def _exp_kernel(wp: int):
     """The fixed-point exponential at wp bits: the function taking an
-    integer u, 0 <= u < 2^wp ln 2, to an integer within 1.04 of
-    2^wp e^(u 2^-wp).
+    integer u, 0 <= u < 2^wp ln 2, and the relative bits p >= 0 its caller
+    keeps, to an integer within 1.04 units of 2^-wp, plus 2^-(p+4) relative,
+    of 2^wp e^(u 2^-wp).
 
     u's top 24 fractional bits pick e^(j/2^8), e^(j/2^16) and e^(j/2^24)
     from three 256-entry tables held at P = wp + 8 bits, and its other bits,
-    v < 2^-24, go to the Taylor polynomial of e^v of degree K, in Horner
-    form with the coefficients 1/k! at P bits: K is the least degree whose
-    tail, below 2 v^(K+1)/(K+1)!, is below 2^-(P+4).  The four factors'
+    v < 2^-24, go to the Taylor polynomial of e^v of degree d, in Horner
+    form with the coefficients 1/k! at P bits: d is the least degree up to K
+    whose tail, below 2 v^(d+1)/(d+1)!, is below 2^-(p+4), and K that degree
+    at p = P, so every p >= P sums the same polynomial.  The four factors'
     product is truncated to P bits after each multiplication and shifted
     right by 8 at the end.  Each table is built from e^(2^-l), by mpf_exp at
     P + _EXP_BUILD_GUARD bits, by 255 products truncated there.
@@ -554,15 +560,18 @@ def _exp_kernel(wp: int):
     Error, in units of 2^-P.  A table entry, at least 1, is within 0.51 of
     its value: e^(2^-l) is within 2.5 units of the build precision, the 255
     products add less than 2^12 of them, and the entry is rounded to P bits.
-    The polynomial is within 1.07 of 2^P e^v: the coefficients 1/k! for
-    k >= 2 round by 1/2, each Horner step truncates by less than 1, and all
-    but the last step's errors are scaled by v < 2^-24; the tail adds 1/16.
-    So the exact product of the four factors is within
-    (3 * 0.51 + 1.07) 2^-P of its own size, under 2^(P+1) because
-    e^(u 2^-wp) < 2, so 5.2 units, and the three truncations take off less
-    than 3.01 more.  The final shift, by 8 bits, takes off less than one
-    unit of 2^-wp: the result is at most 0.03 above 2^wp e^(u 2^-wp) and
-    less than 1.04 below it.
+    The polynomial is within 1.01 of 2^P times the Taylor sum of degree d:
+    the coefficients 1/k! for k >= 2 round by 1/2, each Horner step
+    truncates by less than 1, and all but the last step's errors are scaled
+    by v < 2^-24.  That sum lies below e^v by its tail, less than 2^-(P+4),
+    1/16 unit, at degree K and less than 2^-(p+4) e^v at any degree.  So,
+    with the tail taken as 1/16, the polynomial is within 1.07 of 2^P e^v
+    and the exact product of the four factors within (3 * 0.51 + 1.07) 2^-P
+    of its own size, under 2^(P+1) because e^(u 2^-wp) < 2, so 5.2 units;
+    the three truncations take off less than 3.01 more.  The final shift,
+    by 8 bits, takes off less than one unit of 2^-wp: the result is at most
+    0.03 above 2^wp e^(u 2^-wp) and less than 1.04 units below it, and at
+    degree d < K the tail's rest, less than 2^-(p+4) of it, further below.
     """
     prec = wp + 8
     build = prec + _EXP_BUILD_GUARD
@@ -580,15 +589,23 @@ def _exp_kernel(wp: int):
     while math.factorial(degree + 1) << (24 * (degree + 1)) < 1 << (prec + 5):
         degree += 1
     # 1/K!, ..., 1/1!, 1/0! at P bits: Horner's order
-    top, *coefficients = (
+    coefficients = [
         ((1 << prec) + math.factorial(k) // 2) // math.factorial(k) for k in range(degree, -1, -1)
-    )
+    ]
+    # p <= P -> degree d's Horner form, 1/d! and then (1/(d-1)!, ..., 1/0!),
+    # at each p up to the most with (d+1)! 2^(24(d+1)) >= 2^(p+5)
+    by_bits = []
+    for d in range(degree + 1):
+        most = min(prec, (math.factorial(d + 1) << (24 * (d + 1))).bit_length() - 6)
+        form = (coefficients[degree - d], tuple(coefficients[degree - d + 1 :]))
+        by_bits += [form] * (most + 1 - len(by_bits))
     low = (1 << (wp - 24)) - 1
 
-    def exp_fixed(u):
+    def exp_fixed(u, p):
+        top, rest = by_bits[p if p < prec else prec]
         v = (u & low) << 8
         s = top
-        for c in coefficients:
+        for c in rest:
             s = c + (v * s >> prec)
         head = t8[u >> (wp - 8)] * t16[u >> (wp - 16) & 255] >> prec
         return (head * t24[u >> (wp - 24) & 255] >> prec) * s >> (prec + 8)
@@ -618,16 +635,21 @@ def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: i
     values.  The exponent is off by at most 2^-(FT+1) (1 + r) from G and C
     (r, a double, is exact for r > 2^(52-FT)), 2^-FT from R C >> FT,
     |n| 2^-FT from ln 2 (|n| < 2^13 for r < 2^11 and bits <= 4096), and
-    2^-wp from u >> (FT - wp): 1.0002 2^-wp in all.  The exponential is
-    within 1.04 2^-wp of e^u >= 1 (_exp_kernel).  So each term moves by at
-    most 2.05 2^-wp = 2^-(bits+12.96) of itself, and Q's rounding,
-    2^-(FT+1) with Q > 2^-23 t, adds 2^-(bits+8) for t above 2^-10: in all
-    2^-(bits+7) of the summed |p_k|, which the rule sizes bits to keep below
-    2^(bits-64) |total|: 2^-71 of theta.  Each node's shift into the
-    accumulator drops less than one unit, 2^-scale <= 2^-80 of the
-    estimate (a product that the shift would take to 0 is skipped), and a
-    panel's sum is scaled by t/2: (t/2) N units over N nodes, 2^-64 of the
-    estimate for N <= 2^15 and t <= 2, however far it lies above theta.
+    2^-wp from u >> (FT - wp): 1.0002 2^-wp in all.  The exponential E is
+    within 1.04 2^-wp of e^u >= 1, plus 2^-(p+4) of it (_exp_kernel).  So,
+    that last part aside, each term moves by at most 2.05 2^-wp =
+    2^-(bits+12.96) of itself, and Q's rounding, 2^-(FT+1) with
+    Q > 2^-23 t, adds 2^-(bits+8) for t above 2^-10: in all 2^-(bits+7) of
+    the summed |p_k|, which the rule sizes bits to keep below
+    2^(bits-64) |total|: 2^-71 of theta.  A node's product E Q >> shift is
+    below 2^(sig+1) units of the accumulator, sig = wp + bitlen(Q) - shift,
+    as E < 2^(wp+1): at sig < 0 it would shift to 0 and is skipped, and
+    otherwise p = sig + 4, so the exponential's 2^-(p+4) moves it by less
+    than 2^-7 of a unit.  With the shift, which drops less than one unit,
+    a node is off by less than 1 + 2^-7 units, 2^-scale <= 2^-80 of the
+    estimate, and a panel's sum is scaled by t/2: (t/2) (1 + 2^-7) N units
+    over N nodes, below 2^-64 of the estimate for N <= 2^15 and t <= 2,
+    however far it lies above theta.
     Beyond these the run rounds as the mpf loop does: the r-free values at
     bits, about 2^-bits (|y| + 2 pi k + 8) of each term, y = G - r C at
     panel k; each panel and partial sum at bits; the prefactor, about
@@ -674,8 +696,10 @@ def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: i
             # e^(g - r c) = 2^n e^u, 0 <= u < ln 2
             n, u = divmod(g - (rr * c >> frac), ln2)
             shift = base - n
-            if shift <= wp + q.bit_length():  # e^u < 2: a larger shift leaves 0
-                acc += exp_fixed(u >> cut) * q >> shift
+            # e^u < 2, so the product is below 2^(sig+1) units, and 0 at sig < 0
+            sig = wp + q.bit_length() - shift
+            if sig >= 0:
+                acc += exp_fixed(u >> cut, sig + 4) * q >> shift
         sign = -1 if (k % 2) else 1
         contribution = mpf_mul(
             mpf_mul_int(half, sign, prec, _RND), from_man_exp(acc, -scale), prec, _RND

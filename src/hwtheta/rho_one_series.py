@@ -118,10 +118,12 @@ class Q6:
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
-        surd = f"({self.b})*sqrt(6)" if self.b.denominator != 1 or self.b < 0 else f"{self.b}*sqrt(6)"
+        # a mixed element prints the surd's sign as the operator
+        b = self.b if self.a == 0 else abs(self.b)
+        surd = f"({b})*sqrt(6)" if b.denominator != 1 or b < 0 else f"{b}*sqrt(6)"
         if self.a == 0:
             return surd
-        return f"{self.a} + {surd}" if self.b > 0 else f"{self.a} - {str(-self.b)}*sqrt(6)"
+        return f"{self.a} {'+' if self.b > 0 else '-'} {surd}"
 
     def decimal_str(self, digits: int) -> str:
         """Decimal rendering at the requested number of significant digits."""

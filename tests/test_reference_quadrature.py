@@ -17,14 +17,14 @@ import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_le, mpf_neg, mpf_sub
+from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_exp, mpf_le, mpf_neg, mpf_sub
 from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
 import hwtheta.approximation_and_bounds as ab
 import hwtheta.reference_quadrature as rq
 import hwtheta.saddle_geometry as sg
 from hwtheta.errors import DomainError, PrecisionOverflowError
-from hwtheta.reference_quadrature import Method
+from hwtheta.reference_quadrature import _EXP_BUILD_GUARD, _RND, Method, _fixed
 
 # tabulated reference values, 50-digit independent quadrature rounded to double
 THETA_REF = [
@@ -856,12 +856,13 @@ def _fixed_run_bound(r, t, bits, estimate, ref_panels):
     n panels that ref_panels, the same panels summed far above bits, hold.
 
     Its own truncations: the exponent's and Q's, 2^-(bits+7) of the summed
-    |p_k|, and one unit of the accumulator, 2^-80 of the estimated total,
-    per node, times t/2.  The rounding it shares with the mpf loop: about
-    2^-bits (|y| + 2 pi n + 8) of the summed |p_k|, |y| at the last edge,
-    and 2^-bits (pi^2/(2t) + 8) of theta for the prefactor.  The guards are
-    written out here, not read from the module, so that a run with fewer
-    fails."""
+    |p_k|, and 1 + 2^-7 units of the accumulator, 2^-80 of the estimated
+    total, per node (the shift's unit and the exponential's 2^-(p+4) of a
+    product below 2^(p-3) units), times t/2.  The rounding it shares with
+    the mpf loop: about 2^-bits (|y| + 2 pi n + 8) of the summed |p_k|, |y|
+    at the last edge, and 2^-bits (pi^2/(2t) + 8) of theta for the
+    prefactor.  The guards are written out here, not read from the module,
+    so that a run with fewer fails."""
     n = len(ref_panels)
     with mp.workprec(bits + 64):
         total = abs(mp.fsum(ref_panels))
@@ -869,7 +870,8 @@ def _fixed_run_bound(r, t, bits, estimate, ref_panels):
         edge = n * t
         y_max = edge * edge / (2 * t) + r * mp.cosh(edge)
         resolution = mp.mpf(2) ** (math.floor(rq._log_total(r, t, estimate) / math.log(2)) - 80)
-        own = kappa * mp.mpf(2) ** -(bits + 7) + rq._PANEL_POINTS * n * resolution * t / 2 / total
+        per_node = (1 + mp.mpf(2) ** -7) * resolution
+        own = kappa * mp.mpf(2) ** -(bits + 7) + rq._PANEL_POINTS * n * per_node * t / 2 / total
         shared = mp.mpf(2) ** -bits * (
             (y_max + 2 * mp.pi * n + 8) * kappa + mp.pi**2 / (2 * t) + 8
         )
@@ -898,12 +900,13 @@ def test_fixed_run_is_within_its_error_bound_on_random_cells(rho, t):
     assert error <= bound, (rho, t, bits, float(error), float(bound))
 
 
-def _exp_units_off(exp, wp, u):
-    """How far exp(u), exp = _exp_kernel(wp), lies from 2^wp e^(u 2^-wp), in
-    units of 2^-wp, by exp_basecase 64 bits higher (itself within 2^-40 of
-    a unit)."""
+def _exp_within_bound(exp, wp, u, p):
+    """Whether exp(u, p), exp = _exp_kernel(wp), lies within 1.04 units of
+    2^-wp, plus 2^-(p+4) relative, of 2^wp e^(u 2^-wp), by exp_basecase 64
+    bits higher (itself within 2^-40 of a unit)."""
     ref = exp_basecase(u << 64, wp + 64)
-    return abs(Fraction((exp(u) << 64) - ref, 1 << 64))
+    off = abs(Fraction((exp(u, p) << 64) - ref, 1 << 64))
+    return off < Fraction(104, 100) + Fraction(ref, 1 << (64 + p + 4))
 
 
 def _largest_u(wp):
@@ -911,31 +914,136 @@ def _largest_u(wp):
     return ln2_fixed(wp + 20) >> 20
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    wp_u=st.integers(min_value=78, max_value=4110).flatmap(
-        lambda wp: st.tuples(st.just(wp), st.integers(min_value=0, max_value=_largest_u(wp)))
+    wp_u_p=st.integers(min_value=78, max_value=4110).flatmap(
+        lambda wp: st.tuples(
+            st.just(wp),
+            st.integers(min_value=0, max_value=_largest_u(wp)),
+            st.integers(min_value=0, max_value=wp + 100),
+        )
     )
 )
-def test_exp_kernel_is_within_its_bound_on_random_arguments(wp_u):
-    # wp over every run's bits + 14 up to the default ceiling
-    wp, u = wp_u
-    assert _exp_units_off(rq._exp_kernel(wp), wp, u) < Fraction(104, 100), (wp, u)
+def test_exp_kernel_is_within_its_bound_on_random_arguments(wp_u_p):
+    # wp over every run's bits + 14 up to the default ceiling; p from the
+    # first degree up, past P = wp + 8 where the degree stops growing
+    wp, u, p = wp_u_p
+    assert _exp_within_bound(rq._exp_kernel(wp), wp, u, p), (wp, u, p)
 
 
 @pytest.mark.parametrize("wp", [78, 114, 221, 273, 4110])
 def test_exp_kernel_is_within_its_bound_at_its_ends_and_table_boundaries(wp):
     # u = 0, the largest u, and u whose bits below each table's index are all
-    # zero, or all one
+    # zero, or all one; p at each end of the first degrees, and about P
     top = _largest_u(wp)
     us = [0, 1, top]
     for level in (8, 16, 24):
         below = wp - level
         us += [top >> below << below, 1 << below, (1 << below) - 1, (top >> below << below) - 1]
     exp = rq._exp_kernel(wp)
-    for u in us:
-        assert _exp_units_off(exp, wp, u) < Fraction(104, 100), (wp, u)
-    assert exp(0) == 1 << wp
+    for p in (0, 19, 20, 44, 45, 69, 70, wp // 2, wp + 7, wp + 8, wp + 9, 2 * wp):
+        for u in us:
+            assert _exp_within_bound(exp, wp, u, p), (wp, u, p)
+        assert exp(0, p) == 1 << wp
+
+
+def _exp_kernel_one_degree(wp: int):
+    """The exponential with one Taylor degree K for every node, as it was
+    before the degree followed p: the reference that _exp_kernel(wp) must
+    match to the bit for every p >= P = wp + 8."""
+    prec = wp + 8
+    build = prec + _EXP_BUILD_GUARD
+    tables = []
+    for level in (8, 16, 24):
+        step = _fixed(mpf_exp(from_man_exp(1, -level), build, _RND), build)
+        entry = 1 << build
+        table = []
+        for _ in range(256):
+            table.append(((entry >> (_EXP_BUILD_GUARD - 1)) + 1) >> 1)
+            entry = entry * step >> build
+        tables.append(table)
+    t8, t16, t24 = tables
+    degree = 0
+    while math.factorial(degree + 1) << (24 * (degree + 1)) < 1 << (prec + 5):
+        degree += 1
+    # 1/K!, ..., 1/1!, 1/0! at P bits: Horner's order
+    top, *coefficients = (
+        ((1 << prec) + math.factorial(k) // 2) // math.factorial(k) for k in range(degree, -1, -1)
+    )
+    low = (1 << (wp - 24)) - 1
+
+    def exp_fixed(u):
+        v = (u & low) << 8
+        s = top
+        for c in coefficients:
+            s = c + (v * s >> prec)
+        head = t8[u >> (wp - 8)] * t16[u >> (wp - 16) & 255] >> prec
+        return (head * t24[u >> (wp - 24) & 255] >> prec) * s >> (prec + 8)
+
+    return exp_fixed
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    wp_u=st.integers(min_value=78, max_value=4110).flatmap(
+        lambda wp: st.tuples(st.just(wp), st.integers(min_value=0, max_value=_largest_u(wp)))
+    ),
+    above=st.integers(min_value=0, max_value=300),
+)
+@example(wp_u=(78, 0), above=0)
+@example(wp_u=(221, _largest_u(221)), above=0)
+def test_exp_kernel_from_p_at_P_up_is_the_one_degree_kernel(wp_u, above):
+    wp, u = wp_u
+    assert rq._exp_kernel(wp)(u, wp + 8 + above) == _exp_kernel_one_degree(wp)(u), (wp, u, above)
+
+
+class _Logged(int):
+    """An exponential's value E, asked for at p bits, whose product E q
+    logs (E q >> shift, p) when it is shifted into the accumulator."""
+
+    def __new__(cls, value, p, log):
+        logged = super().__new__(cls, value)
+        logged.p, logged.log = p, log
+        return logged
+
+    def __mul__(self, q):
+        return _Logged(int(self) * q, self.p, self.log)
+
+    def __rshift__(self, shift):
+        value = int(self) >> shift
+        self.log.append((value, self.p))
+        return value
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_each_summed_product_is_below_its_sig_bound(monkeypatch, seed):
+    # the degree rule rests on each product E q >> shift lying below
+    # 2^(sig+1) accumulator units where the run asks for p = sig + 4 bits;
+    # the same run gives the same theta with every product logged
+    products = []
+    kernel = rq._exp_kernel
+
+    def logging_kernel(wp):
+        exp = kernel(wp)
+
+        def exp_fixed(u, p):
+            return _Logged(exp(u, p), p, products)
+
+        return exp_fixed
+
+    for rho, t in _certify_grid(seed):
+        r, t, bits, estimate = _oracle_args(rho, t, monkeypatch)
+        plain = _fixed_serial(r, t, bits, estimate)[0]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rq, "_exp_kernels", OrderedDict())
+            m.setattr(rq, "_exp_kernel", logging_kernel)
+            logged = _fixed_serial(r, t, bits, estimate)[0]
+        assert logged == plain, (rho, t)
+    assert len(products) > 10_000
+    assert all(0 <= value < 1 << (p - 3) for value, p in products)
+    # the test reaches the degrees below K: most products keep far fewer
+    # bits than wp
+    assert sorted(p for _, p in products)[len(products) // 2] < 150
 
 
 def _screened_stop(bits, envelopes):

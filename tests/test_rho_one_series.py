@@ -648,13 +648,17 @@ def test_q6_arithmetic_and_rendering():
     [
         (F(1), F(2), "1 + 2*sqrt(6)"),
         (F(1), F(-2), "1 - 2*sqrt(6)"),
-        (F(1, 2), F(-1, 3), "1/2 - 1/3*sqrt(6)"),
+        (F(1, 2), F(-1, 3), "1/2 - (1/3)*sqrt(6)"),
         (F(-3, 4), F(-5), "-3/4 - 5*sqrt(6)"),
+        (F(1, 2), F(1, 3), "1/2 + (1/3)*sqrt(6)"),
+        (F(-1, 2), F(1, 3), "-1/2 + (1/3)*sqrt(6)"),
+        (F(-1, 2), F(-1, 3), "-1/2 - (1/3)*sqrt(6)"),
     ],
 )
 def test_q6_with_both_parts_renders_its_value(a, b, text):
-    # a mixed element prints its surd's sign as the operator; read as a
-    # Python expression, the text is the element's value
+    # a mixed element prints its surd's sign as the operator, and a
+    # fractional surd coefficient in parentheses whatever the signs; read
+    # as a Python expression, the text is the element's value
     q = rs.Q6(a, b)
     assert str(q) == text
     assert eval(text, {"sqrt": math.sqrt}) == pytest.approx(float(q), rel=1e-15)
