@@ -55,8 +55,9 @@ nearest 2^FT times the libmp values, FT = bits + 40.  At each node it forms
 n, u = divmod(G - (R C >> FT), ln 2 at FT bits), R = r at FT bits, then e^u
 at wp = bits + 14 bits by a fixed-point exponential that reads three tables
 of 256 powers of e and sums a short Taylor series, and adds 2^n e^u Q to an
-integer accumulator whose unit is 2^-80 of the summed panels' estimate
-(_fixed_scale), formed from an estimate of theta that the caller hands in.
+integer accumulator whose unit is 2^-80 of the summed panels' estimate,
+formed from an estimate of theta that the caller hands in, and never finer
+than the products it sums (_fixed_scale).
 The series stops at the degree that the product's p = sig + 4 bits need,
 the product being below 2^(sig+1) units (_exp_kernel: e^u within 1.04
 units of 2^-wp, plus 2^-(p+4) relative), so the bits that the shift into
@@ -537,6 +538,9 @@ _FIXED_GUARD = 40
 _EXP_GUARD = 14
 #: Its accumulator's resolution, 2^-80 of the summed panels' estimate.
 _ACC_GUARD = 80
+#: The coarsest unit a run accepts where the cap binds, 2^-64 of the
+#: estimate (_theta_fixed).
+_ACC_FLOOR = 64
 #: The exponential's tables' bits above wp while they are built.
 _EXP_BUILD_GUARD = 20
 
@@ -613,13 +617,25 @@ def _exp_kernel(wp: int):
     return exp_fixed
 
 
-def _fixed_scale(log_total: float, bits: int) -> int:
+def _fixed_scale(log_total: float, r: float, bits: int) -> int:
     """The fractional bits of a fixed-point run's accumulator: _ACC_GUARD
     below e^log_total, the summed panels' estimate, and never finer than
-    the products it sums (so every shift into it is a right shift)."""
+    the products it sums, so every shift into it is a right shift.
+
+    A product's finest bit is 2^(n - wp - FT), 2^n the node's power of 2
+    (_fixed_terms), and n <= -floor(r/ln 2): G <= 0 and C >= 1 give an
+    exponent at most -r, the roundings of G, C and R C move it by less than
+    2^-FT (1 + r), and floor(r/ln 2) as a float is at most one above the
+    true floor.  So the cap is wp + FT + floor(r/ln 2) - 1 =
+    2 bits + 54 + floor(r/ln 2) - 1.  At measure_vartheta's arguments it
+    lies at least 96 bits above the estimate's 80 (1,292 cells, rho from
+    1e-3 to 1e3 and t from 0.003 to 2, where the leading term is a double),
+    so it binds only where the estimate is far below theta, and
+    _theta_fixed refuses a run whose capped unit is coarser than 2^-64 of
+    the estimate."""
     return min(
-        _ACC_GUARD - math.floor(log_total / math.log(2.0)),
-        2 * bits + _FIXED_GUARD + _EXP_GUARD,
+        _ACC_GUARD - math.floor(log_total / _LN2),
+        2 * bits + _FIXED_GUARD + _EXP_GUARD + math.floor(r / _LN2) - 1,
     )
 
 
@@ -634,8 +650,9 @@ def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: i
     Error, against the same panels summed exactly from the same libmp
     values.  The exponent is off by at most 2^-(FT+1) (1 + r) from G and C
     (r, a double, is exact for r > 2^(52-FT)), 2^-FT from R C >> FT,
-    |n| 2^-FT from ln 2 (|n| < 2^13 for r < 2^11 and bits <= 4096), and
-    2^-wp from u >> (FT - wp): 1.0002 2^-wp in all.  The exponential E is
+    |n| 2^-FT from ln 2 (inside the truncation cap |G - r C| is below
+    r + bits ln 2 + 40 nats, so |n| < r/ln 2 + bits + 59), and 2^-wp from
+    u >> (FT - wp): 1.004 2^-wp in all for r < 2^17 and bits <= 4096.  The exponential E is
     within 1.04 2^-wp of e^u >= 1, plus 2^-(p+4) of it (_exp_kernel).  So,
     that last part aside, each term moves by at most 2.05 2^-wp =
     2^-(bits+12.96) of itself, and Q's rounding, 2^-(FT+1) with
@@ -646,9 +663,10 @@ def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: i
     as E < 2^(wp+1): at sig < 0 it would shift to 0 and is skipped, and
     otherwise p = sig + 4, so the exponential's 2^-(p+4) moves it by less
     than 2^-7 of a unit.  With the shift, which drops less than one unit,
-    a node is off by less than 1 + 2^-7 units, 2^-scale <= 2^-80 of the
-    estimate, and a panel's sum is scaled by t/2: (t/2) (1 + 2^-7) N units
-    over N nodes, below 2^-64 of the estimate for N <= 2^15 and t <= 2,
+    a node is off by less than 1 + 2^-7 units of 2^-scale, and a panel's
+    sum is scaled by t/2: (t/2) (1 + 2^-7) N units over N nodes.  Where
+    _fixed_scale's cap does not bind, the unit is 2^-80 of the estimate,
+    so that is below 2^-64 of the estimate for N <= 2^15 and t <= 2,
     however far it lies above theta.
     Beyond these the run rounds as the mpf loop does: the r-free values at
     bits, about 2^-bits (|y| + 2 pi k + 8) of each term, y = G - r C at
@@ -673,7 +691,7 @@ def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: i
     one = 1 << frac
     ln2 = ln2_fixed(frac)
     cut = frac - wp
-    base = wp + frac - scale  # >= 0: every exponent n is <= 0
+    base = wp + frac - scale  # above every exponent n (_fixed_scale)
     exp_fixed = _recent(_exp_kernels, wp, partial(_exp_kernel, wp))
     for k in range(kmax):
         edge = mpf_mul_int(tt, k + 1, prec, _RND)
@@ -849,6 +867,18 @@ def _validated(r, t, bits):
     return r, t, bits, kmax
 
 
+def _density(value, r: float, t: float, bits: int) -> float:
+    """theta, an mpf from a run at `bits`, as a double; DomainError where it
+    is not a positive normal double."""
+    theta = normal_double(float(value), "theta(r={!r}, t={!r})", r, t)
+    if theta < 0.0:
+        raise DomainError(
+            f"theta(r={r!r}, t={t!r}) at {bits} bits is {theta!r}, not a density: "
+            f"the run did not resolve it"
+        )
+    return theta
+
+
 def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     """Evaluate theta(r, t) by extended-precision panel quadrature.
 
@@ -876,12 +906,7 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
     with _in_child(check) as checked:
         value, _ = _integrate_panels(r, t, bits, kmax)
         check_value = checked()
-    theta = normal_double(float(value), "theta(r={!r}, t={!r})", r, t)
-    if theta < 0.0:
-        raise DomainError(
-            f"theta(r={r!r}, t={t!r}) at {bits} bits is {theta!r}, not a density: "
-            f"the run did not resolve it"
-        )
+    theta = _density(value, r, t, bits)
     with mp.workprec(64):
         err = float(abs(value - check_value) / abs(value))
     return EvalResult(
@@ -895,14 +920,22 @@ def theta_direct(r: float, t: float, bits: int | None = None) -> EvalResult:
 def _theta_fixed(r: float, t: float, bits: int, estimate: float) -> float:
     """theta(r, t) at `bits` as a double from one serial fixed-point run
     (_fixed_terms) over the key's node table: no rerun, no error estimate,
-    and theta_direct's refusals but the negative theta's.  `estimate`, a
-    positive double near theta, sets the accumulator (_fixed_scale)."""
+    and theta_direct's refusals.  `estimate`, a positive double near theta,
+    sets the accumulator (_fixed_scale); where the cap leaves its unit
+    coarser than 2^-_ACC_FLOOR of the estimate, the run is refused with
+    DomainError before any quadrature."""
     r, t, bits, kmax = _validated(r, t, bits)
-    scale = _fixed_scale(_log_total(r, t, estimate), bits)
+    log_total = _log_total(r, t, estimate)
+    scale = _fixed_scale(log_total, r, bits)
+    if scale < _ACC_FLOOR - math.floor(log_total / _LN2):
+        raise DomainError(
+            f"theta(r={r!r}, t={t!r}) at {bits} bits: the estimate {estimate!r} lies so far "
+            f"below theta's scale that the accumulator's unit 2^-{scale} is coarser than "
+            f"2^-{_ACC_FLOOR} of it"
+        )
     terms = _fixed_terms(r, t, bits, kmax, _node_table(t, bits), scale)
     total = _add_panels(terms, bits, [])
-    theta = _theta_of(total, r, t, bits)
-    return normal_double(float(theta), "theta(r={!r}, t={!r})", r, t)
+    return _density(_theta_of(total, r, t, bits), r, t, bits)
 
 
 @contextlib.contextmanager

@@ -272,6 +272,17 @@ def test_check_bound_small_grid():
     assert csv.endswith("\n") and "\r" not in csv
 
 
+def test_check_bound_past_rho_10_passes_all_three_flags():
+    # an accumulator too coarse for these panels once summed them to a
+    # negative theta here, vartheta -5.98 and every flag false (ROADMAP
+    # Found 11); the mpf loop's vartheta is -1.3676e-4
+    report = ab.check_bound([12.0], [0.02])
+    (row,) = report.rows
+    assert not report.failures
+    assert row.pass_simple and row.pass_adjusted and row.pass_strong
+    assert row.vartheta == pytest.approx(-1.3676e-4, rel=1e-4)
+
+
 def test_check_bound_records_precision_failures(monkeypatch):
     monkeypatch.setenv("HW_MAX_BITS", "150")
     report = ab.check_bound([1.0], [0.05, 0.2])

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_exp, mpf_le, mpf_neg, mpf_sub
 from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
@@ -671,11 +671,18 @@ def _fixed_serial(r, t, bits, estimate, kmax=None, table=None):
     summed)."""
     if kmax is None:
         kmax = rq._panel_count(r, t, bits)
-    scale = rq._fixed_scale(rq._log_total(r, t, estimate), bits)
+    scale = rq._fixed_scale(rq._log_total(r, t, estimate), r, bits)
     panels = []
     terms = rq._fixed_terms(r, t, bits, kmax, {} if table is None else table, scale)
     total = rq._add_panels(terms, bits, panels)
     return rq._theta_of(total, r, t, bits), panels
+
+
+def _coarse(r, t, bits, estimate):
+    """Whether the accumulator's cap leaves its unit coarser than 2^-64 of
+    the summed panels that estimate implies, where _theta_fixed refuses."""
+    log_total = rq._log_total(r, t, estimate)
+    return rq._fixed_scale(log_total, r, bits) < 64 - math.floor(log_total / math.log(2.0))
 
 
 def _fixed_and_serial(r, t, bits, estimate, kmax=None):
@@ -685,7 +692,9 @@ def _fixed_and_serial(r, t, bits, estimate, kmax=None):
     twice, over its key's node table as it finds it and then as the first
     run left it; the serial run reads no table.  Asserts that every run
     reaches the same mpf theta, or that _theta_fixed refuses a serial theta
-    outside the normal doubles (its theta None)."""
+    that is not a positive normal double (its theta None), or refuses,
+    before any quadrature, an estimate that leaves the accumulator's unit
+    too coarse (_coarse)."""
     thetas = []
     theta_of = rq._theta_of
 
@@ -705,10 +714,13 @@ def _fixed_and_serial(r, t, bits, estimate, kmax=None):
                 fixed.append(None)
         kmax = rq._panel_count(r, t, bits)
         serial, panels = _fixed_serial(r, t, bits, estimate, kmax)
-    assert [theta._mpf_ for theta in thetas] == [serial._mpf_] * 3, (r, t, bits, kmax)
+    coarse = _coarse(r, t, bits, estimate)
+    runs = 1 if coarse else 3
+    assert [theta._mpf_ for theta in thetas] == [serial._mpf_] * runs, (r, t, bits, kmax)
     assert fixed[0] == fixed[1]
-    if fixed[0] is None:
-        assert not sys.float_info.min <= abs(float(serial)) < math.inf, (r, t, bits, kmax)
+    if fixed[0] is None and not coarse:
+        assert not sys.float_info.min <= float(serial) < math.inf, (r, t, bits, kmax)
+    assert not (coarse and fixed[0] is not None)
     return fixed[0], float(serial), kmax, len(panels)
 
 
@@ -729,7 +741,8 @@ def test_split_run_equals_the_serial_run(r, t, bits, kmax, summed):
     estimate = ab.theta_leading(r * t, t)
     fixed, serial, kmax, n = _fixed_and_serial(r, t, bits, estimate, kmax)
     assert n == summed == len(rq._integrate_panels(r, t, bits, kmax)[1])
-    assert fixed == serial
+    # two panels of (2, 0.5) sum to a negative theta, which is refused
+    assert fixed == serial if kmax != 2 else (fixed is None and serial < 0.0)
     # at these explicit low bits the mpf loop itself can be an ulp off: at
     # (0.01, 1, 80) it gives ...7b29 where 300 bits round to ...7b2a, which
     # the fixed-point run gives
@@ -878,19 +891,46 @@ def _fixed_run_bound(r, t, bits, estimate, ref_panels):
         return own + shared
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+def _cells(rho_min):
+    """(rho, t): rho log-uniform in [rho_min, 1e3], t in [0.01, 1] with
+    rho t <= 100, that is t sqrt(r) <= 10, where t sqrt(r) <= 10 and the 24-point panels resolve
+    theta (ROADMAP Found 12)."""
+    return st.floats(min_value=math.log(rho_min), max_value=math.log(1e3)).flatmap(
+        lambda x: st.tuples(
+            st.just(math.exp(x)), st.floats(min_value=0.01, max_value=min(1.0, 100.0 / math.exp(x)))
+        )
+    )
+
+
+#: ROADMAP Found 11's cells, where an accumulator capped at 2 bits + 54
+#: fractional bits dropped the digits of theta: vartheta was 8.7e12 off at
+#: (11, 0.01), -5.98 at (12, 0.02) and 4.8e-10 off at (30, 0.2).
+FOUND_11 = [(11.0, 0.01), (12.0, 0.02), (30.0, 0.2)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(
-    rho=st.floats(min_value=0.05, max_value=10.0),
-    t=st.floats(min_value=0.05, max_value=1.0),
+    cell=st.one_of(
+        st.tuples(st.floats(min_value=0.05, max_value=10.0), st.floats(min_value=0.05, max_value=1.0)),
+        _cells(10.0),
+    )
 )
-@example(rho=1.0, t=0.05)
-@example(rho=0.05, t=0.05)
-@example(rho=10.0, t=0.05)
-def test_fixed_run_is_within_its_error_bound_on_random_cells(rho, t):
+@example(cell=(1.0, 0.05))
+@example(cell=(0.05, 0.05))
+@example(cell=(10.0, 0.05))
+@example(cell=FOUND_11[0])
+@example(cell=FOUND_11[1])
+@example(cell=FOUND_11[2])
+def test_fixed_run_is_within_its_error_bound_on_random_cells(cell):
     # at measure_vartheta's arguments: theta before its rounding to a
-    # double, against the mpf loop 64 bits higher over the same panels
+    # double, against the mpf loop 64 bits higher over the same panels;
+    # cells whose leading term is not a double are not measured
+    rho, t = cell
     with pytest.MonkeyPatch.context() as m:
-        r, t, bits, estimate = _oracle_args(rho, t, m)
+        try:
+            r, t, bits, estimate = _oracle_args(rho, t, m)
+        except DomainError:
+            assume(False)
     value, panels = _fixed_serial(r, t, bits, estimate)
     ref, ref_panels = rq._integrate_panels(r, t, bits + 64, len(panels))
     assert len(ref_panels) == len(panels)
@@ -898,6 +938,38 @@ def test_fixed_run_is_within_its_error_bound_on_random_cells(rho, t):
     with mp.workprec(bits + 64):
         error = abs(value - ref) / ref
     assert error <= bound, (rho, t, bits, float(error), float(bound))
+
+
+def _measured_or_refused(rho, t):
+    """Asserts that measure_vartheta(rho, t) is the mpf loop's vartheta at
+    the same bits, or refuses where the leading term or the mpf loop's
+    theta is not a positive normal double; returns the vartheta, or None."""
+    sd = sg.saddle_data(rho)
+    try:
+        lead = ab.theta_leading(rho, t)
+    except DomainError:
+        with pytest.raises(DomainError):
+            ab.measure_vartheta(rho, t)
+        return None
+    theta = float(_serial(rho / t, t, rq._cancellation_bits(sd, t))[0])
+    try:
+        vartheta = ab.measure_vartheta(rho, t)
+    except DomainError:
+        assert not sys.float_info.min <= theta < math.inf, (rho, t, theta)
+        return None
+    assert vartheta == theta / lead - 1.0, (rho, t)
+    return vartheta
+
+
+@pytest.mark.parametrize("rho, t", FOUND_11)
+def test_measure_vartheta_past_rho_10_is_the_mpf_loops(rho, t):
+    assert _measured_or_refused(rho, t) is not None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cell=_cells(10.0))
+def test_measure_vartheta_past_rho_10_gives_the_mpf_loops_double_or_refuses(cell):
+    _measured_or_refused(*cell)
 
 
 def _exp_within_bound(exp, wp, u, p):
