@@ -49,23 +49,28 @@ one sine per distinct raw offset xi - a and looks up the rest: 57 sines for
 key is the offset, not the node, whose offset's rounding can differ between
 panels by an ulp.
 
-The fixed-point loop holds, per panel, G = -xi^2/(2t), C = cosh xi and
-Q = (w sinh xi) osc at each node and the edge's three values as the integers
-nearest 2^FT times the libmp values, FT = bits + 40.  At each node it forms
-n, u = divmod(G - (R C >> FT), ln 2 at FT bits), R = r at FT bits, then e^u
-at wp = bits + 14 bits by a fixed-point exponential that reads three tables
-of 256 powers of e and sums a short Taylor series, and adds 2^n e^u Q to an
-integer accumulator whose unit is 2^-80 of the summed panels' estimate,
-formed from an estimate of theta that the caller hands in, and never finer
-than the products it sums (_fixed_scale).
+The fixed-point loop works in base 2.  It holds, per panel, G' and C',
+G = -xi^2/(2t) and C = cosh xi times log2 e, and Q = (w sinh xi) osc at
+each node, and the edge's G, C and sinh, as the integers nearest 2^FT times
+those values, FT = bits + 40.  At each node it forms the exponent in bits,
+y = G' - r C' with r C' exact from r's 53-bit numerator, splits it into
+n = y >> FT and x, the fraction's top wp + 8 bits, wp = bits + 14, forms
+2^x at wp bits by a fixed-point 2^x inlined in the loop, which reads three
+tables of 256 powers of 2 and sums a short Taylor series (_exp_kernel), and
+adds 2^n 2^x Q to an integer accumulator whose unit is 2^-80 of the summed
+panels' estimate, formed from an estimate of theta that the caller hands
+in, and never finer than the products it sums (_fixed_scale: the cap
+follows the run's largest power of 2, 2^-floor(r/ln 2)).  A run whose
+capped unit would be coarser than 2^-64 of the estimate is refused, as is
+a negative theta.
 The series stops at the degree that the product's p = sig + 4 bits need,
-the product being below 2^(sig+1) units (_exp_kernel: e^u within 1.04
-units of 2^-wp, plus 2^-(p+4) relative), so the bits that the shift into
-the accumulator drops are not computed.  The accumulator's truncations,
-and the series' stop, come to at most 2^-64 of that estimate, the
-exponent's, the exponential's other errors and Q's to 2^-71 of theta
-(_fixed_terms states the bound); measure_vartheta hands in the leading
-term, so vartheta carries 2^-64 absolute.  Otherwise
+the product being below 2^(sig+1) units (2^x within 1.04 units of 2^-wp,
+plus 2^-(p+4) relative), so the bits that the shift into the accumulator
+drops are not computed.  The accumulator's truncations, and the series'
+stop, come to at most 2^-64 of that estimate, the exponent's, the
+exponential's other errors and Q's to 2^-71 of theta (_fixed_terms states
+the bound); measure_vartheta hands in the leading term, so vartheta
+carries 2^-64 absolute.  Otherwise
 the run rounds as the mpf loop does.  The tail test's envelope is the mpf
 loop's, from the edge's values, exact at FT bits, but the test decides from
 a float estimate of its log, formed from the edge's integers, and forms the
@@ -79,7 +84,8 @@ key (t, panel points, bits): a run reads each panel's integers from its
 key's table, or computes them and stores there the list it sums.  They are
 the same integers either way, so no result depends on the tables.  At most
 _NODE_TABLES tables are kept, the least recently used dropped, and as many
-exponentials' tables, per wp.  The mpf loop reads no table.
+exponentials' tables, per wp, and prefactors' r-free parts, per (t, bits)
+(_theta_of).  The mpf loop reads no node table.
 
 measure_vartheta's run is one serial quadrature (_theta_fixed).
 theta_direct's rerun depends only on its arguments, so it runs in a forked
@@ -347,7 +353,8 @@ def _gl_nodes(n: int, prec: int):
 _NODE_TABLES = 8
 
 _node_tables: OrderedDict = OrderedDict()  # (t, n, bits) -> {k: panel's integers}
-_tables_lock = threading.Lock()  # one caller at a time reads or moves a key of either
+_prefactors: OrderedDict = OrderedDict()  # (t, bits) -> _prefactor_parts(t, bits)
+_tables_lock = threading.Lock()  # one caller at a time reads or moves a key of any of them
 
 
 def _recent(cache: OrderedDict, key, make):
@@ -545,76 +552,79 @@ _ACC_FLOOR = 64
 _EXP_BUILD_GUARD = 20
 
 
-def _exp_kernel(wp: int):
-    """The fixed-point exponential at wp bits: the function taking an
-    integer u, 0 <= u < 2^wp ln 2, and the relative bits p >= 0 its caller
-    keeps, to an integer within 1.04 units of 2^-wp, plus 2^-(p+4) relative,
-    of 2^wp e^(u 2^-wp).
+def _exp_kernel(wp: int) -> tuple:
+    """The fixed-point 2^x at wp bits, as the data _fixed_terms' node loop
+    reads: (t8, t16, t24, by_bits).  With P = wp + 8, the loop takes an
+    integer x, 0 <= x < 2^P, and the relative bits p >= 0 it keeps, to
 
-    u's top 24 fractional bits pick e^(j/2^8), e^(j/2^16) and e^(j/2^24)
-    from three 256-entry tables held at P = wp + 8 bits, and its other bits,
-    v < 2^-24, go to the Taylor polynomial of e^v of degree d, in Horner
-    form with the coefficients 1/k! at P bits: d is the least degree up to K
-    whose tail, below 2 v^(d+1)/(d+1)!, is below 2^-(p+4), and K that degree
-    at p = P, so every p >= P sums the same polynomial.  The four factors'
-    product is truncated to P bits after each multiplication and shifted
-    right by 8 at the end.  Each table is built from e^(2^-l), by mpf_exp at
-    P + _EXP_BUILD_GUARD bits, by 255 products truncated there.
+        E = (((t8[i8] t16[i16] >> P) t24[i24] >> P) s) >> (P + 8),
+
+    i8, i16 and i24 the three bytes at the top of x, and s the Horner sum
+    over by_bits[min(p, P)] = (c_d, (c_(d-1), ..., c_0)) at v, x's other
+    bits: s = c_d, then s = c + (v s >> P) for each later c.  E is within
+    1.04 units of 2^-wp, plus 2^-(p+4) relative, of 2^wp 2^(x 2^-P).
+
+    The tables hold 2^(j/2^8), 2^(j/2^16) and 2^(j/2^24), j < 256, at P
+    bits, each built from 2^(2^-l) by mpf_exp of ln 2 2^-l at
+    P + _EXP_BUILD_GUARD bits, by 255 products truncated there.  v 2^-P is
+    below 2^-24, and 2^v' = e^(v' ln 2) for v' = v 2^-P is summed as its
+    Taylor polynomial of degree d in v', with the coefficients
+    c_k = (ln 2)^k/k! at P bits: d is the least degree up to K whose tail,
+    below 2 (v' ln 2)^(d+1)/(d+1)! < 2 2^(-24(d+1))/(d+1)!, is below
+    2^-(p+4), and K that degree at p = P, so every p >= P sums the same
+    polynomial.
 
     Error, in units of 2^-P.  A table entry, at least 1, is within 0.51 of
-    its value: e^(2^-l) is within 2.5 units of the build precision, the 255
-    products add less than 2^12 of them, and the entry is rounded to P bits.
-    The polynomial is within 1.01 of 2^P times the Taylor sum of degree d:
-    the coefficients 1/k! for k >= 2 round by 1/2, each Horner step
-    truncates by less than 1, and all but the last step's errors are scaled
-    by v < 2^-24.  That sum lies below e^v by its tail, less than 2^-(P+4),
-    1/16 unit, at degree K and less than 2^-(p+4) e^v at any degree.  So,
-    with the tail taken as 1/16, the polynomial is within 1.07 of 2^P e^v
-    and the exact product of the four factors within (3 * 0.51 + 1.07) 2^-P
-    of its own size, under 2^(P+1) because e^(u 2^-wp) < 2, so 5.2 units;
-    the three truncations take off less than 3.01 more.  The final shift,
-    by 8 bits, takes off less than one unit of 2^-wp: the result is at most
-    0.03 above 2^wp e^(u 2^-wp) and less than 1.04 units below it, and at
-    degree d < K the tail's rest, less than 2^-(p+4) of it, further below.
+    its value: 2^(2^-l) is within 2.5 units of the build precision (ln 2 at
+    _EXP_BUILD_GUARD + 10 further bits moves it by less than 2^-10 of
+    one), the 255 products add less than 2^12 of them, and the entry is
+    rounded to P bits.  The polynomial is within 1.01 of 2^P times the
+    Taylor sum of degree d: the coefficients c_k for k >= 1 round by less
+    than 0.51, each Horner step truncates by less than 1, and all but the
+    last step's errors are scaled by v' < 2^-24.  That sum lies below 2^v'
+    by its tail, less than 2^-(P+4), 1/16 unit, at degree K and less than
+    2^-(p+4) 2^v' at any degree.  So, with the tail taken as 1/16, the
+    polynomial is within 1.07 of 2^P 2^v' and the exact product of the four
+    factors within (3 * 0.51 + 1.07) 2^-P of its own size, under 2^(P+1)
+    because 2^(x 2^-P) < 2, so 5.2 units; the three truncations take off
+    less than 3.01 more.  The final shift, by 8 bits, takes off less than
+    one unit of 2^-wp: E is at most 0.03 above 2^wp 2^(x 2^-P) and less
+    than 1.04 units below it, and at degree d < K the tail's rest, less
+    than 2^-(p+4) of it, further below.
     """
     prec = wp + 8
     build = prec + _EXP_BUILD_GUARD
     tables = []
     for level in (8, 16, 24):
-        step = _fixed(mpf_exp(from_man_exp(1, -level), build, _RND), build)
+        # ln 2 2^-level, at build + 10 bits
+        log_step = from_man_exp(ln2_fixed(build + 10), -(build + 10 + level))
+        step = _fixed(mpf_exp(log_step, build, _RND), build)
         entry = 1 << build
         table = []
         for _ in range(256):
             table.append(((entry >> (_EXP_BUILD_GUARD - 1)) + 1) >> 1)
             entry = entry * step >> build
         tables.append(table)
-    t8, t16, t24 = tables
     degree = 0
     while math.factorial(degree + 1) << (24 * (degree + 1)) < 1 << (prec + 5):
         degree += 1
-    # 1/K!, ..., 1/1!, 1/0! at P bits: Horner's order
-    coefficients = [
-        ((1 << prec) + math.factorial(k) // 2) // math.factorial(k) for k in range(degree, -1, -1)
-    ]
-    # p <= P -> degree d's Horner form, 1/d! and then (1/(d-1)!, ..., 1/0!),
+    # (ln 2)^k/k! at P bits, k = 0..K, from (ln 2)^k truncated at build bits
+    ln2 = ln2_fixed(build)
+    power, coefficients = 1 << build, []
+    for k in range(degree + 1):
+        scaled = power // math.factorial(k)
+        coefficients.append(((scaled >> (_EXP_BUILD_GUARD - 1)) + 1) >> 1)
+        power = power * ln2 >> build
+    # Horner's order: c_K, ..., c_1, c_0
+    coefficients.reverse()
+    # p <= P -> degree d's Horner form, c_d and then (c_(d-1), ..., c_0),
     # at each p up to the most with (d+1)! 2^(24(d+1)) >= 2^(p+5)
     by_bits = []
     for d in range(degree + 1):
         most = min(prec, (math.factorial(d + 1) << (24 * (d + 1))).bit_length() - 6)
         form = (coefficients[degree - d], tuple(coefficients[degree - d + 1 :]))
         by_bits += [form] * (most + 1 - len(by_bits))
-    low = (1 << (wp - 24)) - 1
-
-    def exp_fixed(u, p):
-        top, rest = by_bits[p if p < prec else prec]
-        v = (u & low) << 8
-        s = top
-        for c in rest:
-            s = c + (v * s >> prec)
-        head = t8[u >> (wp - 8)] * t16[u >> (wp - 16) & 255] >> prec
-        return (head * t24[u >> (wp - 24) & 255] >> prec) * s >> (prec + 8)
-
-    return exp_fixed
+    return (*tables, by_bits)
 
 
 def _fixed_scale(log_total: float, r: float, bits: int) -> int:
@@ -647,20 +657,26 @@ def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: i
     from _node_values' libmp values and stored there: the same integers
     either way; _node_values runs only at a panel the table lacks.
 
+    A node holds G' and C', G = -xi^2/(2t) and C = cosh xi times log2 e,
+    and Q, at FT fractional bits; its exponent in bits, y = G' - r C' with
+    r C' formed exactly from r's 53-bit numerator and truncated, splits
+    into n = y >> FT and the fraction's top P = wp + 8 bits, x, and its
+    term is 2^n E Q, E = 2^wp 2^(x 2^-P) from the inlined _exp_kernel(wp).
+
     Error, against the same panels summed exactly from the same libmp
-    values.  The exponent is off by at most 2^-(FT+1) (1 + r) from G and C
-    (r, a double, is exact for r > 2^(52-FT)), 2^-FT from R C >> FT,
-    |n| 2^-FT from ln 2 (inside the truncation cap |G - r C| is below
-    r + bits ln 2 + 40 nats, so |n| < r/ln 2 + bits + 59), and 2^-wp from
-    u >> (FT - wp): 1.004 2^-wp in all for r < 2^17 and bits <= 4096.  The exponential E is
-    within 1.04 2^-wp of e^u >= 1, plus 2^-(p+4) of it (_exp_kernel).  So,
-    that last part aside, each term moves by at most 2.05 2^-wp =
-    2^-(bits+12.96) of itself, and Q's rounding, 2^-(FT+1) with
-    Q > 2^-23 t, adds 2^-(bits+8) for t above 2^-10: in all 2^-(bits+7) of
-    the summed |p_k|, which the rule sizes bits to keep below
-    2^(bits-64) |total|: 2^-71 of theta.  A node's product E Q >> shift is
-    below 2^(sig+1) units of the accumulator, sig = wp + bitlen(Q) - shift,
-    as E < 2^(wp+1): at sig < 0 it would shift to 0 and is skipped, and
+    values.  The exponent y is off by at most 2^-(FT+1) (1 + r) from G'
+    and C' (each the exact product with log2 e at FT + 64 bits, rounded),
+    2^-FT from r C' >> r_shift and 2^-P from x: 2^-P ln 2 (1 + 2^-18
+    (1.5 + r/2)) relative in 2^y, below 2^-(wp+7) for r < 2^17.  E is
+    within 1.04 2^-wp of 2^wp 2^(x 2^-P) >= 2^wp, plus 2^-(p+4) of it
+    (_exp_kernel).  So, that last part aside, each term moves by at most
+    1.05 2^-wp = 2^-(bits+13.9) of itself, and Q's rounding, 2^-(FT+1)
+    with Q > 2^-23 t, adds 2^-(bits+8) for t above 2^-10: in all
+    2^-(bits+7) of the summed |p_k|, which the rule sizes bits to keep
+    below 2^(bits-64) |total|: 2^-71 of theta.  A node's product E Q >>
+    shift, shift = wp + FT - scale - n >= 1 (_fixed_scale), is below
+    2^(sig+1) units of the accumulator, sig = wp + bitlen(Q) - shift, as
+    E < 2^(wp+1): at sig < 0 it would shift to 0 and is skipped, and
     otherwise p = sig + 4, so the exponential's 2^-(p+4) moves it by less
     than 2^-7 of a unit.  With the shift, which drops less than one unit,
     a node is off by less than 1 + 2^-7 units of 2^-scale, and a panel's
@@ -669,61 +685,81 @@ def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: i
     so that is below 2^-64 of the estimate for N <= 2^15 and t <= 2,
     however far it lies above theta.
     Beyond these the run rounds as the mpf loop does: the r-free values at
-    bits, about 2^-bits (|y| + 2 pi k + 8) of each term, y = G - r C at
-    panel k; each panel and partial sum at bits; the prefactor, about
+    bits, about 2^-bits (|y| ln 2 + 2 pi k + 8) of each term at panel k;
+    each panel and partial sum at bits; the prefactor, about
     2^-bits (pi^2/(2t) + 8) of theta.
 
-    The tail test's log_envelope at an edge is (G - r C)/2^FT + log S -
-    FT ln 2 from the edge's integers, with r C exact to 2^-FT, in floats;
-    the envelope it stands for is the mpf loop's, formed from the same
-    integers (_fixed_envelope) when _add_panels asks for it.
+    The edges keep G and C themselves: the tail test's log_envelope at an
+    edge is (G - r C)/2^FT + log S - FT ln 2 from the edge's integers, with
+    r C exact to 2^-FT, in floats; the envelope it stands for is the mpf
+    loop's, formed from the same integers (_fixed_envelope) when
+    _add_panels asks for it.  The test reads an edge only past peak + t,
+    and (k + 1) t rounds monotonically in k, so once an edge is past it
+    every later one is.
     """
     prec = bits
     frac = bits + _FIXED_GUARD
     wp = bits + _EXP_GUARD
     tt = from_float(t, prec, _RND)  # tt and half as _node_values rounds them
     half = mpf_div(tt, from_int(2), prec, _RND)
+    halves = (half, mpf_neg(half))  # the signs of even and odd panels
     built = None  # _node_values(t, bits), at the first panel the table lacks
     peak = _envelope_peak(r)
-    rr = _fixed(from_float(r), frac)
     r_num, r_den = r.as_integer_ratio()
     r_shift = r_den.bit_length() - 1  # r = r_num / 2^r_shift exactly
     one = 1 << frac
-    ln2 = ln2_fixed(frac)
-    cut = frac - wp
     base = wp + frac - scale  # above every exponent n (_fixed_scale)
-    exp_fixed = _recent(_exp_kernels, wp, partial(_exp_kernel, wp))
+    # the inlined kernel: x's bytes and v read from y's fraction, and
+    # p = sig + 4 = bitlen(Q) + n + keep
+    t8, t16, t24, by_bits = _recent(_exp_kernels, wp, partial(_exp_kernel, wp))
+    top = wp + 8
+    down = top + 8
+    at8, at16, at24 = frac - 8, frac - 16, frac - 24
+    low = (1 << at24) - 1
+    cut = frac - top
+    keep = wp + 4 - base
+    gated = False  # whether the tail test reads this panel's edge
     for k in range(kmax):
-        edge = mpf_mul_int(tt, k + 1, prec, _RND)
         ints = table.get(k)
+        if ints is None or not gated:
+            edge = mpf_mul_int(tt, k + 1, prec, _RND)
+            gated = to_float(edge, rnd=_RND) > peak + t
         if ints is None:
             if built is None:
                 built = _node_values(t, bits)
+                # log2 e at FT + 64 bits
+                log2e = mpf_rdiv_int(1, from_man_exp(ln2_fixed(frac + 70), -(frac + 70)), frac + 64)
             _, _, nodes, values, edge_values = built
-            # the edge's gauss, cosh, sinh, then gauss, cosh and Q = (w * sinh) * osc at each node
+            # the edge's G, C and S = sinh, then G', C' and Q = (w * sinh) * osc at each node
             ints = [_fixed(v, frac) for v in edge_values(edge)]
             it = iter(values(k))
             for (_, w), gauss, cosh, sinh, osc in zip(nodes, it, it, it, it):
                 q = mpf_mul(mpf_mul(w, sinh, prec, _RND), osc, prec, _RND)
-                ints += (_fixed(gauss, frac), _fixed(cosh, frac), _fixed(q, frac))
+                ints += (
+                    _fixed(mpf_mul(gauss, log2e), frac),
+                    _fixed(mpf_mul(cosh, log2e), frac),
+                    _fixed(q, frac),
+                )
             table[k] = ints
         it = iter(ints)
         edge_ints = (next(it), next(it), next(it))
         acc = 0
         for g, c, q in zip(it, it, it):
-            # e^(g - r c) = 2^n e^u, 0 <= u < ln 2
-            n, u = divmod(g - (rr * c >> frac), ln2)
-            shift = base - n
-            # e^u < 2, so the product is below 2^(sig+1) units, and 0 at sig < 0
-            sig = wp + q.bit_length() - shift
-            if sig >= 0:
-                acc += exp_fixed(u >> cut, sig + 4) * q >> shift
-        sign = -1 if (k % 2) else 1
-        contribution = mpf_mul(
-            mpf_mul_int(half, sign, prec, _RND), from_man_exp(acc, -scale), prec, _RND
-        )
+            # 2^(g - r c) = 2^n 2^(x 2^-P), 0 <= x < 2^P
+            y = g - (r_num * c >> r_shift)
+            n = y >> frac
+            # E < 2^(wp+1), so the product is below 2^(sig+1) units, and 0 at sig < 0
+            p = q.bit_length() + n + keep
+            if p >= 4:
+                s, rest = by_bits[p if p < top else top]
+                v = (y & low) >> cut
+                for a in rest:
+                    s = a + (v * s >> top)
+                e = t8[y >> at8 & 255] * t16[y >> at16 & 255] >> top
+                acc += ((e * t24[y >> at24 & 255] >> top) * s >> down) * q >> (base - n)
+        contribution = mpf_mul(halves[k & 1], from_man_exp(acc, -scale), prec, _RND)
         log_envelope = envelope = None
-        if to_float(edge, rnd=_RND) > peak + t:
+        if gated:
             g, c, s = edge_ints
             try:
                 y = (g - (r_num * c >> r_shift)) / one
@@ -807,14 +843,22 @@ def _log_total(r: float, t: float, estimate: float) -> float:
     )
 
 
+def _prefactor_parts(t: float, bits: int) -> tuple:
+    """(sqrt(2 pi^3 t), e^(pi^2/(2t))) as mpf at `bits`: the r-free part of
+    theta's prefactor."""
+    with mp.workprec(bits):
+        tt = mp.mpf(t)
+        return mp.sqrt(2 * mp.pi**3 * tt), mp.e ** (mp.pi**2 / (2 * tt))
+
+
 def _theta_of(total: tuple, r: float, t: float, bits: int):
     """theta as mpf: the prefactor r/sqrt(2 pi^3 t) e^(pi^2/(2t)) times the
-    summed panels, at `bits`."""
+    summed panels, at `bits`.  The prefactor's r-free parts are kept per
+    (t, bits), as many keys as node tables (_recent): the same mpf
+    operations on the same operands, so the same bits."""
+    root, growth = _recent(_prefactors, (t, bits), partial(_prefactor_parts, t, bits))
     with mp.workprec(bits):
-        rr = mp.mpf(r)
-        tt = mp.mpf(t)
-        prefactor = rr / mp.sqrt(2 * mp.pi**3 * tt) * mp.e ** (mp.pi**2 / (2 * tt))
-        return prefactor * mp.make_mpf(total)
+        return mp.mpf(r) / root * growth * mp.make_mpf(total)
 
 
 def _integrate_panels(r: float, t: float, bits: int, kmax: int):

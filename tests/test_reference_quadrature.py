@@ -972,62 +972,80 @@ def test_measure_vartheta_past_rho_10_gives_the_mpf_loops_double_or_refuses(cell
     _measured_or_refused(*cell)
 
 
-def _exp_within_bound(exp, wp, u, p):
-    """Whether exp(u, p), exp = _exp_kernel(wp), lies within 1.04 units of
-    2^-wp, plus 2^-(p+4) relative, of 2^wp e^(u 2^-wp), by exp_basecase 64
-    bits higher (itself within 2^-40 of a unit)."""
-    ref = exp_basecase(u << 64, wp + 64)
-    off = abs(Fraction((exp(u, p) << 64) - ref, 1 << 64))
+def _exp2(kernel, wp, x, p):
+    """E, the 2^x of kernel = _exp_kernel(wp) at x, 0 <= x < 2^P, asked for
+    p bits, as _fixed_terms' node loop forms it from the kernel's data
+    (_exp_kernel's docstring states the arithmetic)."""
+    t8, t16, t24, by_bits = kernel
+    top = wp + 8
+    s, rest = by_bits[min(p, top)]
+    v = x & ((1 << (top - 24)) - 1)
+    for a in rest:
+        s = a + (v * s >> top)
+    e = t8[x >> (top - 8)] * t16[x >> (top - 16) & 255] >> top
+    return (e * t24[x >> (top - 24) & 255] >> top) * s >> (top + 8)
+
+
+def _exp_within_bound(kernel, wp, x, p):
+    """Whether E at (x, p), kernel = _exp_kernel(wp), lies within 1.04
+    units of 2^-wp, plus 2^-(p+4) relative, of 2^wp 2^(x 2^-P), P = wp + 8,
+    by exp_basecase of x ln 2 64 bits higher (x ln 2 there within a unit,
+    the exponential within 2^-40 of a unit of 2^-wp)."""
+    arg = x * ln2_fixed(wp + 84) >> (wp + 28)  # x 2^-P ln 2 at wp + 64 bits
+    ref = exp_basecase(arg, wp + 64)
+    off = abs(Fraction((_exp2(kernel, wp, x, p) << 64) - ref, 1 << 64))
     return off < Fraction(104, 100) + Fraction(ref, 1 << (64 + p + 4))
 
 
-def _largest_u(wp):
-    """floor(2^wp ln 2), the largest u the exponential takes."""
-    return ln2_fixed(wp + 20) >> 20
+def _largest_x(wp):
+    """2^P - 1, the largest x the exponential takes."""
+    return (1 << (wp + 8)) - 1
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    wp_u_p=st.integers(min_value=78, max_value=4110).flatmap(
+    wp_x_p=st.integers(min_value=78, max_value=4110).flatmap(
         lambda wp: st.tuples(
             st.just(wp),
-            st.integers(min_value=0, max_value=_largest_u(wp)),
+            st.integers(min_value=0, max_value=_largest_x(wp)),
             st.integers(min_value=0, max_value=wp + 100),
         )
     )
 )
-def test_exp_kernel_is_within_its_bound_on_random_arguments(wp_u_p):
+def test_exp_kernel_is_within_its_bound_on_random_arguments(wp_x_p):
     # wp over every run's bits + 14 up to the default ceiling; p from the
     # first degree up, past P = wp + 8 where the degree stops growing
-    wp, u, p = wp_u_p
-    assert _exp_within_bound(rq._exp_kernel(wp), wp, u, p), (wp, u, p)
+    wp, x, p = wp_x_p
+    assert _exp_within_bound(rq._exp_kernel(wp), wp, x, p), (wp, x, p)
 
 
 @pytest.mark.parametrize("wp", [78, 114, 221, 273, 4110])
 def test_exp_kernel_is_within_its_bound_at_its_ends_and_table_boundaries(wp):
-    # u = 0, the largest u, and u whose bits below each table's index are all
+    # x = 0, the largest x, and x whose bits below each table's index are all
     # zero, or all one; p at each end of the first degrees, and about P
-    top = _largest_u(wp)
-    us = [0, 1, top]
+    top = _largest_x(wp)
+    xs = [0, 1, top]
     for level in (8, 16, 24):
-        below = wp - level
-        us += [top >> below << below, 1 << below, (1 << below) - 1, (top >> below << below) - 1]
-    exp = rq._exp_kernel(wp)
+        below = wp + 8 - level
+        xs += [top >> below << below, 1 << below, (1 << below) - 1, (top >> below << below) - 1]
+    kernel = rq._exp_kernel(wp)
     for p in (0, 19, 20, 44, 45, 69, 70, wp // 2, wp + 7, wp + 8, wp + 9, 2 * wp):
-        for u in us:
-            assert _exp_within_bound(exp, wp, u, p), (wp, u, p)
-        assert exp(0, p) == 1 << wp
+        for x in xs:
+            assert _exp_within_bound(kernel, wp, x, p), (wp, x, p)
+        assert _exp2(kernel, wp, 0, p) == 1 << wp
 
 
 def _exp_kernel_one_degree(wp: int):
-    """The exponential with one Taylor degree K for every node, as it was
-    before the degree followed p: the reference that _exp_kernel(wp) must
-    match to the bit for every p >= P = wp + 8."""
+    """The 2^x exponential with one Taylor degree K for every node, the
+    counterpart of the e^u kernel from before the degree followed p: the
+    reference that _exp_kernel(wp) must match to the bit for every
+    p >= P = wp + 8."""
     prec = wp + 8
     build = prec + _EXP_BUILD_GUARD
     tables = []
     for level in (8, 16, 24):
-        step = _fixed(mpf_exp(from_man_exp(1, -level), build, _RND), build)
+        log_step = from_man_exp(ln2_fixed(build + 10), -(build + 10 + level))
+        step = _fixed(mpf_exp(log_step, build, _RND), build)
         entry = 1 << build
         table = []
         for _ in range(256):
@@ -1038,79 +1056,89 @@ def _exp_kernel_one_degree(wp: int):
     degree = 0
     while math.factorial(degree + 1) << (24 * (degree + 1)) < 1 << (prec + 5):
         degree += 1
-    # 1/K!, ..., 1/1!, 1/0! at P bits: Horner's order
-    top, *coefficients = (
-        ((1 << prec) + math.factorial(k) // 2) // math.factorial(k) for k in range(degree, -1, -1)
-    )
-    low = (1 << (wp - 24)) - 1
+    # (ln 2)^K/K!, ..., (ln 2)/1!, 1 at P bits: Horner's order
+    ln2 = ln2_fixed(build)
+    power, coefficients = 1 << build, []
+    for k in range(degree + 1):
+        coefficients.append(((power // math.factorial(k) >> (_EXP_BUILD_GUARD - 1)) + 1) >> 1)
+        power = power * ln2 >> build
+    top, *coefficients = reversed(coefficients)
+    low = (1 << (prec - 24)) - 1
 
-    def exp_fixed(u):
-        v = (u & low) << 8
+    def exp_fixed(x):
+        v = x & low
         s = top
         for c in coefficients:
             s = c + (v * s >> prec)
-        head = t8[u >> (wp - 8)] * t16[u >> (wp - 16) & 255] >> prec
-        return (head * t24[u >> (wp - 24) & 255] >> prec) * s >> (prec + 8)
+        head = t8[x >> (prec - 8)] * t16[x >> (prec - 16) & 255] >> prec
+        return (head * t24[x >> (prec - 24) & 255] >> prec) * s >> (prec + 8)
 
     return exp_fixed
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    wp_u=st.integers(min_value=78, max_value=4110).flatmap(
-        lambda wp: st.tuples(st.just(wp), st.integers(min_value=0, max_value=_largest_u(wp)))
+    wp_x=st.integers(min_value=78, max_value=4110).flatmap(
+        lambda wp: st.tuples(st.just(wp), st.integers(min_value=0, max_value=_largest_x(wp)))
     ),
     above=st.integers(min_value=0, max_value=300),
 )
-@example(wp_u=(78, 0), above=0)
-@example(wp_u=(221, _largest_u(221)), above=0)
-def test_exp_kernel_from_p_at_P_up_is_the_one_degree_kernel(wp_u, above):
-    wp, u = wp_u
-    assert rq._exp_kernel(wp)(u, wp + 8 + above) == _exp_kernel_one_degree(wp)(u), (wp, u, above)
+@example(wp_x=(78, 0), above=0)
+@example(wp_x=(221, _largest_x(221)), above=0)
+def test_exp_kernel_from_p_at_P_up_is_the_one_degree_kernel(wp_x, above):
+    wp, x = wp_x
+    expected = _exp_kernel_one_degree(wp)(x)
+    assert _exp2(rq._exp_kernel(wp), wp, x, wp + 8 + above) == expected, (wp, x, above)
 
 
-class _Logged(int):
-    """An exponential's value E, asked for at p bits, whose product E q
-    logs (E q >> shift, p) when it is shifted into the accumulator."""
-
-    def __new__(cls, value, p, log):
-        logged = super().__new__(cls, value)
-        logged.p, logged.log = p, log
-        return logged
-
-    def __mul__(self, q):
-        return _Logged(int(self) * q, self.p, self.log)
-
-    def __rshift__(self, shift):
-        value = int(self) >> shift
-        self.log.append((value, self.p))
-        return value
+def _recomputed_products(r, t, bits, scale):
+    """The products E q >> shift that the fixed-point run at (r, t, bits)
+    sums into an accumulator at `scale` fractional bits, with the p each
+    asks of the exponential, recomputed from the node table's integers with
+    _exp2; asserts that each panel's products sum to the run's accumulator
+    there, read where the run scales it (from_man_exp(acc, -scale))."""
+    table, panels, scaled = {}, [], []
+    kmax = rq._panel_count(r, t, bits)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rq, "from_man_exp", lambda man, exp: scaled.append((man, exp)) or from_man_exp(man, exp))
+        rq._add_panels(rq._fixed_terms(r, t, bits, kmax, table, scale), bits, panels)
+    accs = [man for man, exp in scaled if exp == -scale]
+    assert len(accs) == len(panels)
+    frac, wp = bits + rq._FIXED_GUARD, bits + rq._EXP_GUARD
+    kernel = rq._exp_kernel(wp)
+    r_num, r_den = r.as_integer_ratio()
+    base = wp + frac - scale
+    products = []
+    for k in range(len(panels)):
+        it = iter(table[k][3:])
+        acc = 0
+        for g, c, q in zip(it, it, it):
+            y = g - (r_num * c >> (r_den.bit_length() - 1))
+            n = y >> frac
+            shift = base - n
+            sig = wp + q.bit_length() - shift
+            if sig >= 0:
+                x = (y & ((1 << frac) - 1)) >> (frac - wp - 8)
+                value = _exp2(kernel, wp, x, sig + 4) * q >> shift
+                products.append((value, sig + 4))
+                acc += value
+        assert acc == accs[k], (r, t, scale, k)
+    return products
 
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_each_summed_product_is_below_its_sig_bound(monkeypatch, seed):
     # the degree rule rests on each product E q >> shift lying below
-    # 2^(sig+1) accumulator units where the run asks for p = sig + 4 bits;
-    # the same run gives the same theta with every product logged
+    # 2^(sig+1) accumulator units where the run asks for p = sig + 4 bits.
+    # The loop inlines the kernel, so the products are recomputed from the
+    # node table (_recomputed_products); at the accumulator's cap, where
+    # the products keep E's last bits, they show the inlined kernel giving
+    # _exp2's E to the bit
     products = []
-    kernel = rq._exp_kernel
-
-    def logging_kernel(wp):
-        exp = kernel(wp)
-
-        def exp_fixed(u, p):
-            return _Logged(exp(u, p), p, products)
-
-        return exp_fixed
-
     for rho, t in _certify_grid(seed):
         r, t, bits, estimate = _oracle_args(rho, t, monkeypatch)
-        plain = _fixed_serial(r, t, bits, estimate)[0]
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(rq, "_exp_kernels", OrderedDict())
-            m.setattr(rq, "_exp_kernel", logging_kernel)
-            logged = _fixed_serial(r, t, bits, estimate)[0]
-        assert logged == plain, (rho, t)
+        products += _recomputed_products(r, t, bits, rq._fixed_scale(rq._log_total(r, t, estimate), r, bits))
+        _recomputed_products(r, t, bits, rq._fixed_scale(-1e6, r, bits))
     assert len(products) > 10_000
     assert all(0 <= value < 1 << (p - 3) for value, p in products)
     # the test reaches the degrees below K: most products keep far fewer
