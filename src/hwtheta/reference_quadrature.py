@@ -634,10 +634,10 @@ def _fixed_scale(log_total: float, r: float, bits: int) -> int:
 
     A product's finest bit is 2^(n - wp - FT), 2^n the node's power of 2
     (_fixed_terms), and n <= -floor(r/ln 2): G <= 0 and C >= 1 give an
-    exponent at most -r, the roundings of G, C and R C move it by less than
-    2^-FT (1 + r), and floor(r/ln 2) as a float is at most one above the
-    true floor.  So the cap is wp + FT + floor(r/ln 2) - 1 =
-    2 bits + 54 + floor(r/ln 2) - 1.  At measure_vartheta's arguments it
+    exponent of at most -r/ln 2 bits, the roundings of G', C' and r C' move
+    it by less than 2^-FT (1 + r/2), below one bit, and floor(r/ln 2) as a
+    float is at most one above the true floor.  So the cap is
+    wp + FT + floor(r/ln 2) - 1 = 2 bits + 54 + floor(r/ln 2) - 1.  At measure_vartheta's arguments it
     lies at least 96 bits above the estimate's 80 (1,292 cells, rho from
     1e-3 to 1e3 and t from 0.003 to 2, where the leading term is a double),
     so it binds only where the estimate is far below theta, and

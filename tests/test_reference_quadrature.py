@@ -961,15 +961,14 @@ def _measured_or_refused(rho, t):
     return vartheta
 
 
-@pytest.mark.parametrize("rho, t", FOUND_11)
-def test_measure_vartheta_past_rho_10_is_the_mpf_loops(rho, t):
-    assert _measured_or_refused(rho, t) is not None
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(cell=_cells(10.0))
+@example(cell=FOUND_11[0])
+@example(cell=FOUND_11[1])
+@example(cell=FOUND_11[2])
 def test_measure_vartheta_past_rho_10_gives_the_mpf_loops_double_or_refuses(cell):
-    _measured_or_refused(*cell)
+    vartheta = _measured_or_refused(*cell)
+    assert vartheta is not None or cell not in FOUND_11
 
 
 def _exp2(kernel, wp, x, p):
