@@ -387,6 +387,13 @@ def _fixed(value: tuple, frac: int) -> int:
     return -n if sign else n
 
 
+def _times(value: tuple, factor: int, frac: int) -> tuple:
+    """The raw libmp value times factor 2^-frac, exactly, as a raw value
+    that _fixed reads (its mantissa need not be normalized)."""
+    sign, man, exp, _ = value
+    return sign, man * factor, exp - frac, None
+
+
 def _truncation_cap(r: float, t: float, bits: int) -> float:
     """xi beyond which e^(-r cosh xi - xi^2/(2t)) is bits ln 2 + 40 nats
     below its floor e^-r at xi = 0: an absolute budget lies wholly below a
@@ -727,8 +734,8 @@ def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: i
         if ints is None:
             if built is None:
                 built = _node_values(t, bits)
-                # log2 e at FT + 64 bits
-                log2e = mpf_rdiv_int(1, from_man_exp(ln2_fixed(frac + 70), -(frac + 70)), frac + 64)
+                # log2 e = 1/ln 2 at FT + 64 fractional bits
+                log2e = (1 << (2 * frac + 134)) // ln2_fixed(frac + 70)
             _, _, nodes, values, edge_values = built
             # the edge's G, C and S = sinh, then G', C' and Q = (w * sinh) * osc at each node
             ints = [_fixed(v, frac) for v in edge_values(edge)]
@@ -736,8 +743,8 @@ def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: i
             for (_, w), gauss, cosh, sinh, osc in zip(nodes, it, it, it, it):
                 q = mpf_mul(mpf_mul(w, sinh, prec, _RND), osc, prec, _RND)
                 ints += (
-                    _fixed(mpf_mul(gauss, log2e), frac),
-                    _fixed(mpf_mul(cosh, log2e), frac),
+                    _fixed(_times(gauss, log2e, frac + 64), frac),
+                    _fixed(_times(cosh, log2e, frac + 64), frac),
                     _fixed(q, frac),
                 )
             table[k] = ints
