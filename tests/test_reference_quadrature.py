@@ -893,8 +893,8 @@ def _fixed_run_bound(r, t, bits, estimate, ref_panels):
 
 def _cells(rho_min):
     """(rho, t): rho log-uniform in [rho_min, 1e3], t in [0.01, 1] with
-    rho t <= 100, that is t sqrt(r) <= 10, where t sqrt(r) <= 10 and the 24-point panels resolve
-    theta (ROADMAP Found 12)."""
+    rho t <= 100, that is t sqrt(r) <= 10, where the 24-point panels
+    resolve theta (ROADMAP Found 12)."""
     return st.floats(min_value=math.log(rho_min), max_value=math.log(1e3)).flatmap(
         lambda x: st.tuples(
             st.just(math.exp(x)), st.floats(min_value=0.01, max_value=min(1.0, 100.0 / math.exp(x)))
