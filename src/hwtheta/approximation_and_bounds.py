@@ -76,12 +76,17 @@ def measure_vartheta(rho: float, t: float) -> float:
     solved here, so each cell solves it once.  Only theta is read, as a
     double, so the oracle runs one serial quadrature in this process with
     theta_direct's refusals but no self-check, its panels summed in fixed
-    point in base 2 (the oracle's module docstring) with the accumulator set
-    from the leading term, so vartheta carries 2^-64 absolute from it.  The
-    tests compare it with the mpf loop at the same bits on verify-bound's
-    grids and for rho from 10 to 1e3, t from 0.01 to 1 and rho t <= 100;
-    where the leading term is not a normal double (above rho of about 11.7
-    at t = 0.01, 40 at 0.05, 76 at 0.1), it refuses.
+    point in base 2 (the oracle's module docstring).  The leading term sets
+    its accumulator, 2^-64 of it, and each panel's Gauss order and the tail
+    stop, each from a proved bound at 2^-72 of it, so where |vartheta| <=
+    1/2 it is within about 1.02 2^-64 of the exact integral's vartheta
+    before its rounding to a double, but for the 24-point panels whose
+    own bound misses that (the oracle's module docstring).  The tests compare it with the mpf
+    loop at the same bits on verify-bound's grids and for rho from 10 to
+    1e3, t from 0.01 to 1 and rho t <= 100, and with that loop summed to
+    its last panel where the loop's own tail test stops too early; where
+    the leading term is not a normal double (above rho of about 11.7 at
+    t = 0.01, 40 at 0.05, 76 at 0.1), it refuses.
     """
     t = positive_real(t, "t")
     rho = positive_real(rho, "rho")

@@ -21,8 +21,9 @@ error_estimate reads 1.8e-19):
   locally, (-1)^k sin(pi (xi - k t)/t), so it never degrades at large xi/t;
 * the envelope decays like e^(-r cosh xi), so the panels end where
   r (cosh xi - 1) + xi^2/(2t) reaches a budget counted under the envelope's
-  floor e^-r, and the sum stops once the envelope at a panel edge is below
-  _TAIL_TOLERANCE 2^-(bits/2) of the partial sum.
+  floor e^-r, and theta_direct's sum stops once the envelope at a panel
+  edge is below _TAIL_TOLERANCE 2^-(bits/2) of the partial sum
+  (measure_vartheta's stops on a proved tail bound, below).
 
 Results surface as doubles.  A theta that is not a positive normal double is
 refused with DomainError, as is a run that would sum more than _MAX_PANELS
@@ -49,43 +50,53 @@ one sine per distinct raw offset xi - a and looks up the rest: 57 sines for
 key is the offset, not the node, whose offset's rounding can differ between
 panels by an ulp.
 
-The fixed-point loop works in base 2.  It holds, per panel, G' and C',
-G = -xi^2/(2t) and C = cosh xi times log2 e, and Q = (w sinh xi) osc at
-each node, and the edge's G, C and sinh, as the integers nearest 2^FT times
-those values, FT = bits + 40.  At each node it forms the exponent in bits,
-y = G' - r C' with r C' exact from r's 53-bit numerator, splits it into
-n = y >> FT and x, the fraction's top wp + 8 bits, wp = bits + 14, forms
-2^x at wp bits by a fixed-point 2^x inlined in the loop, which reads three
-tables of 256 powers of 2 and sums a short Taylor series (_exp_kernel), and
-adds 2^n 2^x Q to an integer accumulator whose unit is 2^-80 of the summed
-panels' estimate, formed from an estimate of theta that the caller hands
-in, and never finer than the products it sums (_fixed_scale: the cap
+The fixed-point loop works in base 2.  Each panel takes the lowest order of
+a short ladder, _LADDER, whose proved Gauss-Legendre error bound on that
+panel (_rule_bound: Trefethen's Bernstein-ellipse bound, with the
+integrand bounded on the ellipse's box) is at most 2^-72 of the estimate's
+summed panels over the panel count, or else the ladder's top, 24 points,
+as theta_direct's panels.  It holds, per panel and order, G' and
+C', G = -xi^2/(2t) and C = cosh xi times log2 e, and Q = (w sinh xi) osc at
+each node, and the right edge's G and C, as the integers nearest 2^FT
+times those values, FT = bits + 40.  At each node it forms the exponent in
+bits, y = G' - r C' with r C' exact from r's 53-bit numerator, splits it
+into n = y >> FT and x, the fraction's top wp + 8 bits, wp = bits + 14,
+forms 2^x at wp bits by a fixed-point 2^x inlined in the loop, which reads
+three tables of 256 powers of 2 and sums a short Taylor series
+(_exp_kernel), and adds +-2^n 2^x Q to one signed integer accumulator for
+the whole run, scaled by t/2 once at the end.  Its unit is 2^-80 of the
+summed panels' estimate, formed from an estimate of theta that the caller
+hands in, and never finer than the products it sums (_fixed_scale: the cap
 follows the run's largest power of 2, 2^-floor(r/ln 2)).  A run whose
 capped unit would be coarser than 2^-64 of the estimate is refused, as is
-a negative theta.
-The series stops at the degree that the product's p = sig + 4 bits need,
-the product being below 2^(sig+1) units (2^x within 1.04 units of 2^-wp,
-plus 2^-(p+4) relative), so the bits that the shift into the accumulator
-drops are not computed.  The accumulator's truncations, and the series'
-stop, come to at most 2^-64 of that estimate, the exponent's, the
-exponential's other errors and Q's to 2^-71 of theta (_fixed_terms states
-the bound); measure_vartheta hands in the leading term, so vartheta
-carries 2^-64 absolute.  Otherwise
-the run rounds as the mpf loop does.  The tail test's envelope is the mpf
-loop's, from the edge's values, exact at FT bits, but the test decides from
-a float estimate of its log, formed from the edge's integers, and forms the
-envelope only where that estimate lies within a proved margin of the
-threshold (_add_panels): it stops where the mpf loop's test stops.
+a negative theta.  The series stops at the degree that the product's
+p = sig + 4 bits need, the product being below 2^(sig+1) units (2^x within
+1.04 units of 2^-wp, plus 2^-(p+4) relative), so the bits that the shift
+into the accumulator drops are not computed.  The run stops after the
+first panel whose right edge X has e^(G - r C)/r below 2^-72 of the
+estimate, which bounds the integral of |integrand| from X on; a run that
+reaches its last panel without that is refused.  So, relative to the
+estimate's summed panels, the run is within 2^-64 from the accumulator,
+2^-72 from the panel rule, 2^-72 from the tail and 2^-71 of theta from the
+node terms, formed at bits as theta_direct forms them (_fixed_terms states
+each); measure_vartheta hands in the leading term, so vartheta carries
+about 2^-64 absolute.  The rule's part excepts the 24-point panels whose
+own bound misses the target: 61 of the default grid's 589 panels, at
+(rho, t) = (0.25, 0.05) (by up to 2^62) and (0.5, 0.05) (2^0.9), which
+carry theta_direct's rule error, no bound here states.  The bounds are
+computed in doubles with a slack that rounding cannot eat (_SLACK).
 
 The bound |vartheta| <= t/70 is checked by sweeping rho at fixed t, and
 verify-bound's grid runs six of its seven rho at each t at the same bits,
 so the process keeps a node table of the fixed-point loop's integers per
-key (t, panel points, bits): a run reads each panel's integers from its
-key's table, or computes them and stores there the list it sums.  They are
-the same integers either way, so no result depends on the tables.  At most
+key (t, bits): a run reads each panel's integers, at the order it chose,
+from its key's table, or computes them and stores there the list it sums.
+They are the same integers either way, so no result depends on the
+tables.  At most
 _NODE_TABLES tables are kept, the least recently used dropped, and as many
-exponentials' tables, per wp, and prefactors' r-free parts, per (t, bits)
-(_theta_of).  The mpf loop reads no node table.
+exponentials' tables, per wp, rule bounds, per t (_panel_order), and
+prefactors' r-free parts, per (t, bits) (_theta_of).  The mpf loop reads
+no node table.
 
 measure_vartheta's run is one serial quadrature (_theta_fixed).
 theta_direct's rerun depends only on its arguments, so it runs in a forked
@@ -352,7 +363,8 @@ def _gl_nodes(n: int, prec: int):
 #: keys of each.
 _NODE_TABLES = 8
 
-_node_tables: OrderedDict = OrderedDict()  # (t, n, bits) -> {k: panel's integers}
+_node_tables: OrderedDict = OrderedDict()  # (t, bits) -> {(k, n): panel's integers}
+_rule_bounds: OrderedDict = OrderedDict()  # t -> {(k, n): _rule_bound(t, n, k)}
 _prefactors: OrderedDict = OrderedDict()  # (t, bits) -> _prefactor_parts(t, bits)
 _tables_lock = threading.Lock()  # one caller at a time reads or moves a key of any of them
 
@@ -372,10 +384,10 @@ def _recent(cache: OrderedDict, key, make):
 
 
 def _node_table(t: float, bits: int) -> dict:
-    """The node table of a fixed-point run at (t, _PANEL_POINTS, bits), a
-    dict from panel index to the panel's integers (_fixed_terms), which the
+    """The node table of a fixed-point run at (t, bits), a dict from (panel
+    index, panel order) to the panel's integers (_fixed_terms), which the
     runs fill as they go; a new key gets an empty one."""
-    return _recent(_node_tables, (t, _PANEL_POINTS, bits), dict)
+    return _recent(_node_tables, (t, bits), dict)
 
 
 def _fixed(value: tuple, frac: int) -> int:
@@ -435,11 +447,11 @@ def _envelope_peak(r: float) -> float:
     return max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
 
 
-def _node_values(t: float, bits: int):
+def _node_values(t: float, bits: int, n: int):
     """(tt, half, nodes, values, edge_values): the r-free part of a run at
-    (t, bits), as raw libmp values at bits.
+    (t, bits) on panels of n points, as raw libmp values at bits.
 
-    tt is t, half is t/2 and nodes the [(half * x, w)] of _gl_nodes.
+    tt is t, half is t/2 and nodes the [(half * x, w)] of _gl_nodes(n, bits).
     values(k) is panel k's r-free values at each node, flat: -xi^2/(2t),
     cosh xi, sinh xi and the phase sine; edge_values(edge) the first three
     at an edge.  Each step is the libmp call, in the same order, that the
@@ -453,7 +465,7 @@ def _node_values(t: float, bits: int):
     two_t = mpf_mul_int(tt, 2, prec, _RND)
     half = mpf_div(tt, from_int(2), prec, _RND)
     # half * x does not depend on the panel
-    nodes = [(mpf_mul(half, x, prec, _RND), w) for x, w in _gl_nodes(_PANEL_POINTS, bits)]
+    nodes = [(mpf_mul(half, x, prec, _RND), w) for x, w in _gl_nodes(n, bits)]
     # sin(pi * off / tt) by the raw offset off = xi - a: the offsets repeat
     # across panels, each a rounding of one of a few values
     phase = {}
@@ -517,7 +529,7 @@ def _panel_terms(r: float, t: float, bits: int, kmax: int):
     the mpf result to the bit and depends only on (r, t, bits, k).
     """
     prec = bits
-    tt, half, nodes, values, edge_values = _node_values(t, bits)
+    tt, half, nodes, values, edge_values = _node_values(t, bits, _PANEL_POINTS)
     damped = _damping(r, bits)
     peak = _envelope_peak(r)
     for k in range(kmax):
@@ -557,6 +569,20 @@ _ACC_GUARD = 80
 _ACC_FLOOR = 64
 #: The exponential's tables' bits above wp while they are built.
 _EXP_BUILD_GUARD = 20
+#: The fixed-point run's panel orders, lowest first: a panel takes the
+#: lowest whose proved rule bound allows it (_fixed_terms).
+_LADDER = (16, 20, 24)
+#: The panel rule's and the tail's shares of the estimate's summed panels,
+#: 2^-72 each.
+_RULE_GUARD = 72
+_TAIL_GUARD = 72
+#: The rule bound's ellipse reaches at most this far off the real axis in
+#: xi, below pi/2 (_rule_bound).
+_ELLIPSE_Y = 1.2
+#: The most ellipses the rule bound tries per panel and order.
+_ELLIPSES = 4
+#: The float bounds' slack, relative and in nats (_rule_bound, _fixed_terms).
+_SLACK = 2.0**-40
 
 
 def _exp_kernel(wp: int) -> tuple:
@@ -656,65 +682,160 @@ def _fixed_scale(log_total: float, r: float, bits: int) -> int:
     )
 
 
-def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: int):
-    """The fixed-point loop's panels k < kmax, in order, yielded as
-    _panel_terms yields them, each summed in integers at `scale` fractional
-    bits (module docstring).  A panel's integers are read from `table`, the
-    node table of (t, _PANEL_POINTS, bits), where it holds them, or made
-    from _node_values' libmp values and stored there: the same integers
-    either way; _node_values runs only at a panel the table lacks.
+def _rule_bound(t: float, n: int, k: int) -> tuple:
+    """((a, b), ...): the n-point Gauss-Legendre rule on panel k,
+    [k t, (k+1) t], is within e^(a - r b) of the panel's integral at every
+    r > 0, for each pair, one pair per ellipse tried.
 
-    A node holds G' and C', G = -xi^2/(2t) and C = cosh xi times log2 e,
-    and Q, at FT fractional bits; its exponent in bits, y = G' - r C' with
+    Write xi = c + (t/2) u, c = (k + 1/2) t.  The integrand f is entire in
+    u, and where |f| <= M on the Bernstein ellipse E_p (p > 1), an n-point
+    Gauss rule on [-1, 1] is within (64/15) M p^(2-2n)/(p^2 - 1) of the
+    integral (Trefethen, SIAM Rev. 50 (2008), Thm 4.5, whose I_n has n + 1
+    points): the Chebyshev coefficients a_j are below 2 M p^-j, the rule
+    integrates T_j exactly for j < 2n and both vanish at odd j, and each
+    even j >= 2n is off by at most 2 + 2/(j^2 - 1) <= 32/15.  The panel
+    scales that by t/2.  E_p has half-axes A = (p + 1/p)/2 and
+    B = (p - 1/p)/2, so in xi it lies in the box x in [c - (t/2)A,
+    c + (t/2)A] = [xmin, xmax], |y| <= Y = (t/2)B, and with Y < pi/2 and
+    lo = max(xmin, 0), M is at most the product of e^((Y^2 - lo^2)/(2t))
+    (the Gaussian), e^(-r cosh(lo) cos Y) (the envelope: Re cosh xi =
+    cosh x cos y), cosh(xmax) (|sinh xi|^2 = sinh^2 x + sin^2 y) and
+    cosh(pi Y/t) (the phase's sine).  p runs down from 8(n - 1)/pi, the
+    best p for the sine alone, by factors of sqrt 2 (at most _ELLIPSES of
+    them, none below 2 but the first), and never so far that Y passes
+    _ELLIPSE_Y.
+
+    In doubles: A and B are taken _SLACK (relative) wider and xmin lower,
+    and a is the sum of the log factors plus _SLACK of their magnitudes
+    and _SLACK nats, b = cosh(lo) cos Y less _SLACK of it: far more than
+    the few roundings of each, so the bound is never optimistic.
+    """
+    big_b = 2.0 * _ELLIPSE_Y / t
+    widest = big_b + math.sqrt(big_b * big_b + 1.0)
+    wider = 1.0 + _SLACK
+    c = (k + 0.5) * t
+    pairs = []
+    for j in range(_ELLIPSES):
+        p = min(8.0 * (n - 1) / math.pi * 0.5 ** (0.5 * j), widest)
+        if p < 2.0 and pairs:
+            break
+        half_a = 0.25 * t * (p + 1.0 / p) * wider
+        y = 0.25 * t * (p - 1.0 / p) * wider
+        lo = max(0.0, c - half_a - _SLACK * (c + half_a))
+        hi = (c + half_a) * wider
+        phase = math.pi * y / t
+        logs = (
+            math.log(t * (32.0 / 15.0)),
+            -2.0 * (n - 1) * math.log(p) - math.log(p * p - 1.0),
+            (y * y - lo * lo) / (2.0 * t),
+            hi - _LN2 + math.log1p(math.exp(-2.0 * hi)),  # log cosh(xmax)
+            phase - _LN2 + math.log1p(math.exp(-2.0 * phase)),  # log cosh(pi Y/t)
+        )
+        a = sum(logs) + _SLACK * (sum(map(abs, logs)) + 1.0)
+        try:
+            b = math.cosh(lo) * math.cos(y) * (1.0 - _SLACK)
+        except OverflowError:
+            b = math.inf
+        pairs.append((a, b))
+        if p == widest:
+            break
+    return tuple(pairs)
+
+
+def _panel_order(r: float, t: float, k: int, target: float, bounds: dict) -> int:
+    """The lowest order of _LADDER whose rule bound (_rule_bound) on panel k
+    is at most e^target, or the ladder's last.  bounds keeps (k, n) ->
+    _rule_bound(t, n, k) for this t."""
+    for n in _LADDER[:-1]:
+        pairs = bounds.get((k, n))
+        if pairs is None:
+            pairs = bounds[k, n] = _rule_bound(t, n, k)
+        for a, b in pairs:
+            if a - r * b <= target:
+                return n
+    return _LADDER[-1]
+
+
+def _fixed_terms(
+    r: float, t: float, bits: int, kmax: int, table: dict, scale: int, log_total: float
+) -> tuple:
+    """The fixed-point run over panels k < kmax (module docstring): returns
+    (acc, orders, stopped), acc the signed sum of every node's product in
+    integers at `scale` fractional bits, to be scaled by t/2, orders the
+    order of each panel summed, in order, and stopped whether the tail
+    test stopped it.  e^log_total is the estimate's summed panels, which
+    sets the rule's and the tail's targets.
+
+    Panel k takes the lowest order of _LADDER whose proved rule bound is at
+    most 2^-_RULE_GUARD e^log_total/kmax (_panel_order).  Its integers are
+    read from `table`, the node table of (t, bits), under (k, n) where it
+    holds them, or made from _node_values' libmp values and stored there:
+    the same integers either way; _node_values runs only at a panel the
+    table lacks.  They are the right edge's G and C at FT fractional bits,
+    then per node G' and C', G = -xi^2/(2t) and C = cosh xi times log2 e,
+    and Q = (w sinh xi) osc.  A node's exponent in bits, y = G' - r C' with
     r C' formed exactly from r's 53-bit numerator and truncated, splits
     into n = y >> FT and the fraction's top P = wp + 8 bits, x, and its
-    term is 2^n E Q, E = 2^wp 2^(x 2^-P) from the inlined _exp_kernel(wp).
+    product is 2^n E Q, E = 2^wp 2^(x 2^-P) from the inlined
+    _exp_kernel(wp).  The run stops after the first panel whose right
+    edge X has e^(G - r C)/r below 2^-_TAIL_GUARD e^log_total: with
+    G <= -X^2/(2t) beyond X, the tail's integral of |f| is below
+    e^(-X^2/(2t)) Int_X^inf e^(-r cosh xi) sinh xi dxi = e^(G - r C)/r.
+    The test compares G - r C from the edge's integers, with r C exact to
+    2^-FT, with a float limit lowered by _SLACK of its terms and _SLACK
+    nats, more than the roundings of the limit, of the edge's G and C at
+    bits and at FT bits, so it never stops early.  _theta_fixed refuses a
+    run that passes its last panel without stopping (none of the 416 runs
+    that measure_vartheta made over rho from 1e-10 to 1e4 and t from 0.005
+    to 5 did).
 
-    Error, against the same panels summed exactly from the same libmp
-    values.  The exponent y is off by at most 2^-(FT+1) (1 + r) from G'
-    and C' (each the exact product with log2 e at FT + 64 bits, rounded),
-    2^-FT from r C' >> r_shift and 2^-P from x: 2^-P ln 2 (1 + 2^-18
-    (1.5 + r/2)) relative in 2^y, below 2^-(wp+7) for r < 2^17.  E is
-    within 1.04 2^-wp of 2^wp 2^(x 2^-P) >= 2^wp, plus 2^-(p+4) of it
-    (_exp_kernel).  So, that last part aside, each term moves by at most
-    1.05 2^-wp = 2^-(bits+13.9) of itself, and Q's rounding, 2^-(FT+1)
-    with Q > 2^-23 t, adds 2^-(bits+8) for t above 2^-10: in all
-    2^-(bits+7) of the summed |p_k|, which the rule sizes bits to keep
-    below 2^(bits-64) |total|: 2^-71 of theta.  A node's product E Q >>
-    shift, shift = wp + FT - scale - n >= 1 (_fixed_scale), is below
-    2^(sig+1) units of the accumulator, sig = wp + bitlen(Q) - shift, as
-    E < 2^(wp+1): at sig < 0 it would shift to 0 and is skipped, and
-    otherwise p = sig + 4, so the exponential's 2^-(p+4) moves it by less
-    than 2^-7 of a unit.  With the shift, which drops less than one unit,
-    a node is off by less than 1 + 2^-7 units of 2^-scale, and a panel's
-    sum is scaled by t/2: (t/2) (1 + 2^-7) N units over N nodes.  Where
-    _fixed_scale's cap does not bind, the unit is 2^-80 of the estimate,
-    so that is below 2^-64 of the estimate for N <= 2^15 and t <= 2,
-    however far it lies above theta.
-    Beyond these the run rounds as the mpf loop does: the r-free values at
-    bits, about 2^-bits (|y| ln 2 + 2 pi k + 8) of each term at panel k;
-    each panel and partial sum at bits; the prefactor, about
-    2^-bits (pi^2/(2t) + 8) of theta.
-
-    The edges keep G and C themselves: the tail test's log_envelope at an
-    edge is (G - r C)/2^FT + log S - FT ln 2 from the edge's integers, with
-    r C exact to 2^-FT, in floats; the envelope it stands for is the mpf
-    loop's, formed from the same integers (_fixed_envelope) when
-    _add_panels asks for it.  The test reads an edge only past peak + t,
-    and (k + 1) t rounds monotonically in k, so once an edge is past it
-    every later one is.
+    Error, relative to the estimate's summed panels, against the exact
+    integral:
+    * the accumulator: a node's product E Q >> shift, shift =
+      wp + FT - scale - n >= 1 (_fixed_scale), is below 2^(sig+1) units,
+      sig = wp + bitlen(Q) - shift, as E < 2^(wp+1): at sig < 0 it would
+      shift to 0 and is skipped, and otherwise p = sig + 4, so the
+      exponential's 2^-(p+4) moves it by less than 2^-7 of a unit.  With
+      the shift, which drops less than one unit, a node is off by less
+      than 1 + 2^-7 units, and acc is scaled by t/2: (t/2) (1 + 2^-7) N
+      units over N nodes.  Where _fixed_scale's cap does not bind, the unit
+      is 2^-80 of the estimate, so that is below 2^-64 for N <= 2^15 and
+      t <= 2, however far the estimate lies above theta;
+    * the panel rule: at most kmax panels, each within 2^-72/kmax, but a
+      panel at the ladder's top, whose own bound can lie far above that
+      (module docstring) and is not checked: it is summed as
+      theta_direct sums it;
+    * the tail: 2^-72;
+    * the node terms.  The exponent y is off by at most 2^-(FT+1) (1 + r)
+      from G' and C' (each the exact product with log2 e at FT + 64 bits,
+      rounded), 2^-FT from r C' >> r_shift and 2^-P from x: 2^-P ln 2
+      (1 + 2^-18 (1.5 + r/2)) relative in 2^y, below 2^-(wp+7) for
+      r < 2^17.  E is within 1.04 2^-wp of 2^wp 2^(x 2^-P) >= 2^wp, plus
+      the 2^-(p+4) above (_exp_kernel).  So each product moves by at most
+      1.05 2^-wp = 2^-(bits+13.9) of itself, and Q's rounding, 2^-(FT+1)
+      with Q > 2^-23 t, adds 2^-(bits+8) for t above 2^-10: in all
+      2^-(bits+7) of the summed |p_k|, which the rule sizes bits to keep
+      below 2^(bits-64) |total|: 2^-71 of theta.  The r-free values at
+      bits are off by about 2^-bits (|y| ln 2 + 2 pi k + 8) of each term at
+      panel k, and (t/2) acc and the prefactor are rounded at bits
+      (_theta_fixed), about 2^-bits (pi^2/(2t) + 8) of theta.
     """
     prec = bits
     frac = bits + _FIXED_GUARD
     wp = bits + _EXP_GUARD
-    tt = from_float(t, prec, _RND)  # tt and half as _node_values rounds them
-    half = mpf_div(tt, from_int(2), prec, _RND)
-    halves = (half, mpf_neg(half))  # the signs of even and odd panels
-    built = None  # _node_values(t, bits), at the first panel the table lacks
-    peak = _envelope_peak(r)
+    tt = from_float(t, prec, _RND)  # as _node_values rounds it
+    built = {}  # n -> _node_values(t, bits, n), at the first panel the table lacks
+    bounds = _recent(_rule_bounds, t, dict)
     r_num, r_den = r.as_integer_ratio()
     r_shift = r_den.bit_length() - 1  # r = r_num / 2^r_shift exactly
-    one = 1 << frac
+    log_r = math.log(r)
+    target = log_total - _RULE_GUARD * _LN2 - math.log(kmax)
+    target -= _SLACK * (abs(log_total) + abs(target) + 1.0)
+    # the stop: the edge's G - r C, in units of 2^-FT, below limit
+    tail = log_total - _TAIL_GUARD * _LN2 + log_r
+    tail -= _SLACK * (abs(log_total) + abs(log_r) + abs(tail) + 1.0)
+    num, den = tail.as_integer_ratio()
+    limit = (num << frac) // den
     base = wp + frac - scale  # above every exponent n (_fixed_scale)
     # the inlined kernel: x's bytes and v read from y's fraction, and
     # p = sig + 4 = bitlen(Q) + n + keep
@@ -725,20 +846,20 @@ def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: i
     low = (1 << at24) - 1
     cut = frac - top
     keep = wp + 4 - base
-    gated = False  # whether the tail test reads this panel's edge
+    acc = 0
+    orders = []
     for k in range(kmax):
-        ints = table.get(k)
-        if ints is None or not gated:
-            edge = mpf_mul_int(tt, k + 1, prec, _RND)
-            gated = to_float(edge, rnd=_RND) > peak + t
+        order = _panel_order(r, t, k, target, bounds)
+        ints = table.get((k, order))
         if ints is None:
-            if built is None:
-                built = _node_values(t, bits)
+            if not built:
                 # log2 e = 1/ln 2 at FT + 64 fractional bits
                 log2e = (1 << (2 * frac + 134)) // ln2_fixed(frac + 70)
-            _, _, nodes, values, edge_values = built
-            # the edge's G, C and S = sinh, then G', C' and Q = (w * sinh) * osc at each node
-            ints = [_fixed(v, frac) for v in edge_values(edge)]
+            if order not in built:
+                built[order] = _node_values(t, bits, order)
+            _, _, nodes, values, edge_values = built[order]
+            edge = mpf_mul_int(tt, k + 1, prec, _RND)
+            ints = [_fixed(v, frac) for v in edge_values(edge)[:2]]
             it = iter(values(k))
             for (_, w), gauss, cosh, sinh, osc in zip(nodes, it, it, it, it):
                 q = mpf_mul(mpf_mul(w, sinh, prec, _RND), osc, prec, _RND)
@@ -747,10 +868,10 @@ def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: i
                     _fixed(_times(cosh, log2e, frac + 64), frac),
                     _fixed(q, frac),
                 )
-            table[k] = ints
+            table[k, order] = ints
         it = iter(ints)
-        edge_ints = (next(it), next(it), next(it))
-        acc = 0
+        edge_g, edge_c = next(it), next(it)
+        panel = 0
         for g, c, q in zip(it, it, it):
             # 2^(g - r c) = 2^n 2^(x 2^-P), 0 <= x < 2^P
             y = g - (r_num * c >> r_shift)
@@ -763,25 +884,12 @@ def _fixed_terms(r: float, t: float, bits: int, kmax: int, table: dict, scale: i
                 for a in rest:
                     s = a + (v * s >> top)
                 e = t8[y >> at8 & 255] * t16[y >> at16 & 255] >> top
-                acc += ((e * t24[y >> at24 & 255] >> top) * s >> down) * q >> (base - n)
-        contribution = mpf_mul(halves[k & 1], from_man_exp(acc, -scale), prec, _RND)
-        log_envelope = envelope = None
-        if gated:
-            g, c, s = edge_ints
-            try:
-                y = (g - (r_num * c >> r_shift)) / one
-            except OverflowError:  # G - r C below -2^1024 nats
-                y = -math.inf
-            log_envelope = y + math.log(s) - frac * _LN2
-            envelope = partial(_fixed_envelope, r, bits, frac, edge_ints)
-        yield contribution, log_envelope, envelope
-
-
-def _fixed_envelope(r: float, bits: int, frac: int, edge_ints: tuple) -> tuple:
-    """The mpf loop's envelope at an edge, as a raw libmp value at bits,
-    from the edge's integers (gauss, cosh, sinh) at frac fractional bits."""
-    gauss, cosh, sinh = (from_man_exp(v, -frac) for v in edge_ints)
-    return mpf_mul(_damping(r, bits)(gauss, cosh), sinh, bits, _RND)
+                panel += ((e * t24[y >> at24 & 255] >> top) * s >> down) * q >> (base - n)
+        acc += -panel if k & 1 else panel
+        orders.append(order)
+        if edge_g - (r_num * edge_c >> r_shift) < limit:
+            return acc, orders, True
+    return acc, orders, False
 
 
 def _log_abs(value: tuple) -> float:
@@ -814,8 +922,8 @@ def _add_panels(terms, bits: int, panels: list) -> tuple:
     2^-49 (|L| + bits + 1000) nats of the log of the value that the exact
     test reads, which is below m/2 for bits >= 64: the float roundings of at
     most four terms, each under |L| + bits + 1000 nats there (log sinh of an
-    edge is within 745 nats of 0), the libmp roundings at bits, and G - r C
-    to 2^-FT.  So the test stops where the exact test stops.
+    edge is within 745 nats of 0), and the libmp roundings at bits.  So the
+    test stops where the exact test stops.
     """
     # mpf(2) ** -(bits // 2) * mpf(_TAIL_TOLERANCE), exact
     thresh_scale = mpf_shift(from_float(_TAIL_TOLERANCE), -(bits // 2))
@@ -972,9 +1080,12 @@ def _theta_fixed(r: float, t: float, bits: int, estimate: float) -> float:
     """theta(r, t) at `bits` as a double from one serial fixed-point run
     (_fixed_terms) over the key's node table: no rerun, no error estimate,
     and theta_direct's refusals.  `estimate`, a positive double near theta,
-    sets the accumulator (_fixed_scale); where the cap leaves its unit
+    sets the accumulator (_fixed_scale), each panel's order and the tail
+    stop (_fixed_terms); where the cap leaves the accumulator's unit
     coarser than 2^-_ACC_FLOOR of the estimate, the run is refused with
-    DomainError before any quadrature."""
+    DomainError before any quadrature, and where it sums every panel
+    without bounding the tail, after it.  The error bound, relative to the
+    summed panels that the estimate implies, is _fixed_terms'."""
     r, t, bits, kmax = _validated(r, t, bits)
     log_total = _log_total(r, t, estimate)
     scale = _fixed_scale(log_total, r, bits)
@@ -984,8 +1095,14 @@ def _theta_fixed(r: float, t: float, bits: int, estimate: float) -> float:
             f"below theta's scale that the accumulator's unit 2^-{scale} is coarser than "
             f"2^-{_ACC_FLOOR} of it"
         )
-    terms = _fixed_terms(r, t, bits, kmax, _node_table(t, bits), scale)
-    total = _add_panels(terms, bits, [])
+    acc, _, stopped = _fixed_terms(r, t, bits, kmax, _node_table(t, bits), scale, log_total)
+    if not stopped:
+        raise DomainError(
+            f"theta(r={r!r}, t={t!r}) at {bits} bits: the tail past the last panel edge, "
+            f"xi = {kmax * t:.6g}, is not bounded below 2^-{_TAIL_GUARD} of the estimate"
+        )
+    # (t/2) acc 2^-scale, rounded once: t/2 is exact
+    total = mpf_mul(mpf_shift(from_float(t), -1), from_man_exp(acc, -scale), bits, _RND)
     return _density(_theta_of(total, r, t, bits), r, t, bits)
 
 

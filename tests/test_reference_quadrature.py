@@ -15,9 +15,21 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_exp, mpf_le, mpf_neg, mpf_sub
+from mpmath.libmp import (
+    from_float,
+    from_man_exp,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_exp,
+    mpf_le,
+    mpf_mul,
+    mpf_neg,
+    mpf_shift,
+    mpf_sub,
+)
 from mpmath.libmp.libelefun import exp_basecase, ln2_fixed
 
 import hwtheta.approximation_and_bounds as ab
@@ -429,12 +441,13 @@ def test_panels_match_mpf_loop_on_readme_cells_and_config_variants(monkeypatch):
 
 def test_tail_test_where_the_envelopes_log_leaves_the_doubles():
     # at the last edge, 710, the envelope is about e^(-100 cosh 710): its
-    # binary exponent, and the fixed-point run's G - r C, lie beyond the
-    # doubles; both loops stop where the mpf loop's exact test stops
+    # binary exponent lies beyond the doubles; the mpf loop stops where its
+    # exact test stops.  The fixed-point run compares G - r C in integers,
+    # about -1e156 nats at the first edge, and stops there
     r, t, bits = 100.0, 355.0, 64
     _assert_same_panels(r, t, bits)
-    panels = _serial(r, t, bits)[1]
-    assert len(_fixed_serial(r, t, bits, 1.0)[1]) == len(panels) == 2
+    assert len(_serial(r, t, bits)[1]) == 2
+    assert len(_fixed_serial(r, t, bits, 1.0)[1][1]) == 1
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -664,18 +677,18 @@ def test_worker_and_in_process_check_agree_on_random_cells(r, t):
 
 
 def _fixed_serial(r, t, bits, estimate, kmax=None, table=None):
-    """The fixed-point run at (r, t, bits) with its accumulator set by
-    estimate, serial: every panel in this process, in one generator, over
-    kmax panels (its own count where None), reading and filling table where
-    given, else a table of its own.  Returns (theta as mpf, the raw panels
-    summed)."""
+    """The fixed-point run at (r, t, bits) with its accumulator, panel orders
+    and tail stop set by estimate, over kmax panels (its own count where
+    None), reading and filling table where given, else a table of its own.
+    Returns (theta as mpf, (acc, orders, stopped)), _fixed_terms' run, with
+    acc scaled as _theta_fixed scales it, refused or not."""
     if kmax is None:
         kmax = rq._panel_count(r, t, bits)
-    scale = rq._fixed_scale(rq._log_total(r, t, estimate), r, bits)
-    panels = []
-    terms = rq._fixed_terms(r, t, bits, kmax, {} if table is None else table, scale)
-    total = rq._add_panels(terms, bits, panels)
-    return rq._theta_of(total, r, t, bits), panels
+    log_total = rq._log_total(r, t, estimate)
+    scale = rq._fixed_scale(log_total, r, bits)
+    run = rq._fixed_terms(r, t, bits, kmax, {} if table is None else table, scale, log_total)
+    total = mpf_mul(mpf_shift(from_float(t), -1), from_man_exp(run[0], -scale), bits, _RND)
+    return rq._theta_of(total, r, t, bits), run
 
 
 def _coarse(r, t, bits, estimate):
@@ -687,14 +700,15 @@ def _coarse(r, t, bits, estimate):
 
 def _fixed_and_serial(r, t, bits, estimate, kmax=None):
     """(theta from _theta_fixed, serial theta, kmax, panels the serial run
-    summed) at (r, t, bits), both fixed-point runs with their accumulator
-    sized by estimate, over kmax panels where given.  _theta_fixed runs
-    twice, over its key's node table as it finds it and then as the first
-    run left it; the serial run reads no table.  Asserts that every run
-    reaches the same mpf theta, or that _theta_fixed refuses a serial theta
-    that is not a positive normal double (its theta None), or refuses,
-    before any quadrature, an estimate that leaves the accumulator's unit
-    too coarse (_coarse)."""
+    summed) at (r, t, bits), both fixed-point runs sized by estimate, over
+    kmax panels where given.  _theta_fixed runs twice, over its key's node
+    table as it finds it and then as the first run left it; the serial run
+    reads no table.  Asserts that every run reaches the same mpf theta, or
+    that _theta_fixed refuses a serial theta that is not a positive normal
+    double (its theta None), or refuses, before any quadrature, an estimate
+    that leaves the accumulator's unit too coarse (_coarse), or refuses a
+    tail that the last panel does not bound, where the serial run does not
+    stop (the serial theta and panel count None)."""
     thetas = []
     theta_of = rq._theta_of
 
@@ -713,15 +727,31 @@ def _fixed_and_serial(r, t, bits, estimate, kmax=None):
             except DomainError:
                 fixed.append(None)
         kmax = rq._panel_count(r, t, bits)
-        serial, panels = _fixed_serial(r, t, bits, estimate, kmax)
+        serial, (_, orders, stopped) = _fixed_serial(r, t, bits, estimate, kmax)
     coarse = _coarse(r, t, bits, estimate)
-    runs = 1 if coarse else 3
+    runs = 1 if coarse or not stopped else 3
     assert [theta._mpf_ for theta in thetas] == [serial._mpf_] * runs, (r, t, bits, kmax)
     assert fixed[0] == fixed[1]
+    if not stopped:
+        assert fixed[0] is None
+        return None, None, kmax, None
     if fixed[0] is None and not coarse:
         assert not sys.float_info.min <= float(serial) < math.inf, (r, t, bits, kmax)
     assert not (coarse and fixed[0] is not None)
-    return fixed[0], float(serial), kmax, len(panels)
+    return fixed[0], float(serial), kmax, len(orders)
+
+
+#: The panels the fixed-point run sums in test_split_run_equals_the_serial_run,
+#: by (r, t, kmax): it stops on its proved tail bound, one panel after the mpf
+#: loop at (2, 0.5) and two before it at (0.01, 1), and it refuses one or two
+#: panels of (2, 0.5), whose tail the last edge does not bound (None).
+FIXED_SUMMED = {
+    (2.0, 0.5, None): 8,
+    (2.0, 0.5, 30): 8,
+    (0.01, 1.0, None): 9,
+    (2.0, 0.5, 1): None,
+    (2.0, 0.5, 2): None,
+}
 
 
 @pytest.mark.parametrize(
@@ -736,13 +766,14 @@ def _fixed_and_serial(r, t, bits, estimate, kmax=None):
 )
 def test_split_run_equals_the_serial_run(r, t, bits, kmax, summed):
     # measure_vartheta's run over its node table, with the accumulator sized
-    # by the leading term, against the serial run without one; the tail
-    # test stops where the mpf loop's does
+    # by the leading term, against the serial run without one; `summed` is
+    # the mpf loop's panel count, the fixed-point run's is FIXED_SUMMED's
     estimate = ab.theta_leading(r * t, t)
+    given = kmax
     fixed, serial, kmax, n = _fixed_and_serial(r, t, bits, estimate, kmax)
-    assert n == summed == len(rq._integrate_panels(r, t, bits, kmax)[1])
-    # two panels of (2, 0.5) sum to a negative theta, which is refused
-    assert fixed == serial if kmax != 2 else (fixed is None and serial < 0.0)
+    assert len(rq._integrate_panels(r, t, bits, kmax)[1]) == summed
+    assert n == FIXED_SUMMED[r, t, given]
+    assert fixed == serial
     # at these explicit low bits the mpf loop itself can be an ulp off: at
     # (0.01, 1, 80) it gives ...7b29 where 300 bits round to ...7b2a, which
     # the fixed-point run gives
@@ -797,17 +828,19 @@ def _certify_grid(seed):
 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_fixed_run_gives_the_mpf_loops_result_on_certify_grids(monkeypatch, seed):
-    # at measure_vartheta's arguments the fixed-point run sums as many panels
-    # as the mpf loop and rounds to the same double; its tail test decides
-    # every edge from the float log, forming no exact envelope
-    formed = []
-    monkeypatch.setattr(rq, "_fixed_envelope", lambda *args: formed.append(args))
+    # at measure_vartheta's arguments the fixed-point run, with its own panel
+    # orders and tail stop, rounds to the mpf loop's double; its proved stop
+    # comes from 6 panels before the mpf loop's test to 1 after it, and it
+    # takes orders below 24 on some panels
+    orders = set()
     for rho, t in _certify_grid(seed):
         r, t, bits, estimate = _oracle_args(rho, t, monkeypatch)
         value, panels = _serial(r, t, bits)
-        fixed, fixed_panels = _fixed_serial(r, t, bits, estimate)
-        assert (float(fixed), len(fixed_panels)) == (float(value), len(panels)), (rho, t)
-    assert formed == []
+        fixed, (_, run, _) = _fixed_serial(r, t, bits, estimate)
+        assert float(fixed) == float(value), (rho, t)
+        assert -6 <= len(run) - len(panels) <= 1, (rho, t)
+        orders.update(run)
+    assert orders == set(rq._LADDER) == {16, 20, 24}
 
 
 # Node tables: once a key's run in the process has computed a panel, its
@@ -843,9 +876,10 @@ def _estimate(r, t, bits):
 )
 @example(r=2.0, r2=0.5, t=0.5, bits=79)
 def test_tabled_panels_match_the_cold_run_on_random_cells(r, r2, t, bits):
-    # build, hit at r, then r2 at the same (t, bits): it reads the panels r
-    # tabled and builds the ones past them
-    key = (t, rq._PANEL_POINTS, bits)
+    # build, hit at r, then r2 at the same (t, bits): it reads the panels,
+    # at their orders, that r tabled and builds the others; a panel takes
+    # n + 1 cosh_sinh calls to build at order n (n nodes and its edge)
+    key = (t, bits)
     estimates = {x: _estimate(x, t, bits) for x in (r, r2)}
     refs = {x: _fixed_serial(x, t, bits, estimates[x])[1] for x in (r, r2)}
     with pytest.MonkeyPatch.context() as m:
@@ -855,12 +889,13 @@ def test_tabled_panels_match_the_cold_run_on_random_cells(r, r2, t, bits):
             tabled = set(rq._node_tables.get(key, ()))
             del calls[:]
             table = rq._node_table(t, bits)
-            panels = _fixed_serial(x, t, bits, estimates[x], table=table)[1]
-            assert panels == refs[x], (run, x, t, bits)
+            result = _fixed_serial(x, t, bits, estimates[x], table=table)[1]
+            assert result == refs[x], (run, x, t, bits)
+            summed = set(enumerate(result[1]))
             if run == 1:
                 # a hit: every panel from the table, no cosh or sinh computed
-                assert calls == [] and tabled == set(range(len(panels)))
-        assert len(calls) == len(set(range(len(panels))) - tabled) * (rq._PANEL_POINTS + 1)
+                assert calls == [] and summed <= tabled
+            assert len(calls) == sum(n + 1 for _, n in summed - tabled), (run, x, t, bits)
 
 
 def _fixed_run_bound(r, t, bits, estimate, ref_panels):
@@ -871,11 +906,12 @@ def _fixed_run_bound(r, t, bits, estimate, ref_panels):
     Its own truncations: the exponent's and Q's, 2^-(bits+7) of the summed
     |p_k|, and 1 + 2^-7 units of the accumulator, 2^-80 of the estimated
     total, per node (the shift's unit and the exponential's 2^-(p+4) of a
-    product below 2^(p-3) units), times t/2.  The rounding it shares with
-    the mpf loop: about 2^-bits (|y| + 2 pi n + 8) of the summed |p_k|, |y|
-    at the last edge, and 2^-bits (pi^2/(2t) + 8) of theta for the
-    prefactor.  The guards are written out here, not read from the module,
-    so that a run with fewer fails."""
+    product below 2^(p-3) units), times t/2.  The rounding at bits of the
+    r-free values, about 2^-bits (|y| + 2 pi n + 8) of the summed |p_k|,
+    |y| at the last edge, the 8 taking in the one rounding of (t/2) acc,
+    and 2^-bits (pi^2/(2t) + 8) of theta for the prefactor.  The guards are
+    written out here, not read from the module, so that a run with fewer
+    fails."""
     n = len(ref_panels)
     with mp.workprec(bits + 64):
         total = abs(mp.fsum(ref_panels))
@@ -922,18 +958,22 @@ FOUND_11 = [(11.0, 0.01), (12.0, 0.02), (30.0, 0.2)]
 @example(cell=FOUND_11[1])
 @example(cell=FOUND_11[2])
 def test_fixed_run_is_within_its_error_bound_on_random_cells(cell):
-    # at measure_vartheta's arguments: theta before its rounding to a
-    # double, against the mpf loop 64 bits higher over the same panels;
-    # cells whose leading term is not a double are not measured
+    # the fixed-point arithmetic at measure_vartheta's arguments, every
+    # panel at 24 points as the mpf loop's: theta before its rounding to a
+    # double, against the mpf loop 64 bits higher over the same panels
+    # (the rule's and the tail's errors are the tests of _rule_bound and of
+    # the stop); cells whose leading term is not a double are not measured
     rho, t = cell
     with pytest.MonkeyPatch.context() as m:
         try:
             r, t, bits, estimate = _oracle_args(rho, t, m)
         except DomainError:
             assume(False)
-    value, panels = _fixed_serial(r, t, bits, estimate)
-    ref, ref_panels = rq._integrate_panels(r, t, bits + 64, len(panels))
-    assert len(ref_panels) == len(panels)
+        m.setattr(rq, "_LADDER", (24,))
+        value, (_, orders, stopped) = _fixed_serial(r, t, bits, estimate)
+    assert stopped
+    ref, ref_panels = rq._integrate_panels(r, t, bits + 64, len(orders))
+    assert len(ref_panels) == len(orders)
     bound = _fixed_run_bound(r, t, bits, estimate, ref_panels)
     with mp.workprec(bits + 64):
         error = abs(value - ref) / ref
@@ -969,6 +1009,158 @@ def _measured_or_refused(rho, t):
 def test_measure_vartheta_past_rho_10_gives_the_mpf_loops_double_or_refuses(cell):
     vartheta = _measured_or_refused(*cell)
     assert vartheta is not None or cell not in FOUND_11
+
+
+#: Cells where the mpf loop's tail test, the envelope below 0.5 2^-(bits/2)
+#: of the partial sum, stops while the panels it drops still carry about
+#: 1e-15 of theta (the third is a cell past rho 10 at t = 1), with
+#: measure_vartheta's vartheta there.
+TAIL_CELLS = [
+    (2.676733204478758, 0.49689317275998535, -0.00632127063305199),
+    (1.946, 0.3019, -0.004087317428841719),
+    (10.033834680463466, 1.0, -0.007413960427495869),
+]
+
+
+@pytest.mark.parametrize("rho, t, vartheta", TAIL_CELLS)
+def test_measure_vartheta_sums_the_tail_that_the_mpf_loops_test_drops(rho, t, vartheta):
+    # the proved stop gives the mpf loop's vartheta at the same bits summed
+    # to its last panel, with no early stop, where the loop's own test
+    # gives another double
+    r, bits = rho / t, rq._cancellation_bits(sg.saddle_data(rho), t)
+    total = fzero
+    for contribution, _, _ in rq._panel_terms(r, t, bits, rq._panel_count(r, t, bits)):
+        total = mpf_add(total, contribution, bits, _RND)
+    lead = ab.theta_leading(rho, t)
+    summed = float(rq._theta_of(total, r, t, bits)) / lead - 1.0
+    stopped = float(_serial(r, t, bits)[0]) / lead - 1.0
+    assert ab.measure_vartheta(rho, t) == summed == vartheta != stopped
+
+
+def _panel_sums(r, t, k, order, prec):
+    """((t/2) sum w f, (t/2) sum w |f / sin|): the order-point Gauss-Legendre
+    sum on panel k at prec bits, f the integrand with its phase taken
+    locally, and the same sum without the phase's sine."""
+    tt = mp.mpf(t)
+    mid, half = (k + mp.mpf(0.5)) * tt, tt / 2
+    value, size = [], []
+    for x, w in rq._gl_nodes(order, prec):
+        xi = mid + half * mp.make_mpf(x)
+        envelope = mp.make_mpf(w) * mp.exp(-xi * xi / (2 * tt) - r * mp.cosh(xi)) * mp.sinh(xi)
+        value.append(envelope * mp.sin(mp.pi * (xi - k * tt) / tt))
+        size.append(envelope)
+    return half * mp.fsum(value), half * mp.fsum(size)
+
+
+def _rule_error_and_allowance(r, t, k, n, bits):
+    """(|error|, bound, rest): the n-point Gauss-Legendre sum on panel k
+    against a 64-point one at bits + 64, the rule bound that _fixed_terms
+    reads (_rule_bound, the least of its ellipses), and what the
+    comparison adds: the 64-point sum's own rule bound and both sums'
+    roundings.  A term w e^y sinh(xi) sin(phase) at prec bits is off by
+    about 2^-prec (2 |y| + 8 (k + 1) + 2^8) of w e^y sinh(xi): y's rounding
+    goes into the exponential, the phase's, within 8 (k + 1) 2^-prec, into
+    the sine, and the other roundings, under 2^8 of them, into the
+    product; fsum adds one rounding of the sum."""
+    prec = bits + 64
+    with mp.workprec(prec):
+        value, size = _panel_sums(r, t, k, n, prec)
+        ref, ref_size = _panel_sums(r, t, k, 64, prec)
+        edge = (k + 1) * mp.mpf(t)
+        y_max = edge * edge / (2 * t) + r * mp.cosh(edge)
+
+        def bound(order):
+            return min(mp.exp(a - r * b) for a, b in rq._rule_bound(t, order, k))
+
+        rounding = (size + ref_size) * (2 * y_max + 8 * (k + 1) + 2**8) * mp.mpf(2) ** -prec
+        return abs(value - ref), bound(n), bound(64) + rounding
+
+
+def _rule_panels():
+    """(r, t, k, n, bits): rho = r t log-uniform in [1e-3, 1e2], t in
+    [0.01, 2], a panel k with k t <= 4, n from _LADDER and bits in
+    [64, 300]."""
+    return st.tuples(
+        st.floats(min_value=math.log(1e-3), max_value=math.log(1e2)),
+        st.floats(min_value=0.01, max_value=2.0),
+        st.integers(min_value=0, max_value=40),
+        st.sampled_from(rq._LADDER),
+        st.integers(min_value=64, max_value=300),
+    ).map(lambda d: (math.exp(d[0]) / d[1], d[1], min(d[2], int(4.0 / d[1])), d[3], d[4]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(panel=_rule_panels())
+@example(panel=(2.0, 0.5, 0, 16, 79))
+@example(panel=(40.0, 0.05, 3, 16, 207))
+@example(panel=(0.2, 2.0, 1, 24, 100))
+def test_rule_bound_holds_on_random_panels(panel):
+    error, bound, rest = _rule_error_and_allowance(*panel)
+    assert error <= bound + rest, (panel, float(error), float(bound), float(rest))
+
+
+def test_rule_bound_shrunk_by_2_to_the_40_fails_on_some_panel():
+    # the mutation check of the test above: among the panels its strategy
+    # draws, one fails a bound 2^40 times smaller, so the test sees a bound
+    # that is that far too small
+    def fails_shrunk(panel):
+        error, bound, rest = _rule_error_and_allowance(*panel)
+        return error > bound / 2**40 + rest
+
+    find(
+        _rule_panels(),
+        fails_shrunk,
+        settings=settings(max_examples=30, derandomize=True, deadline=None, phases=[Phase.generate]),
+    )
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    cell=st.one_of(
+        st.tuples(st.floats(min_value=0.05, max_value=10.0), st.floats(min_value=0.02, max_value=1.0)),
+        _cells(10.0),
+    )
+)
+@example(cell=TAIL_CELLS[0][:2])
+@example(cell=(4.0, 0.05))
+def test_tail_stop_is_within_its_bound_on_random_cells(cell):
+    # at measure_vartheta's arguments, the run as it stops against the same
+    # run summed to its last panel: the tail bound at the stop edge X is
+    # below 2^-72 of the estimate's summed panels, and the panels past X sum to
+    # within the tail bound e^(-X^2/(2t) - r cosh X)/r, plus those panels'
+    # rule bounds (_rule_bound at each panel's order), their node terms
+    # (2^-(bits+7) + 2^-bits (|y| + 2 pi kmax + 8) of each, as in
+    # _fixed_run_bound) and the accumulator's 1 + 2^-7 units per node
+    rho, t = cell
+    with pytest.MonkeyPatch.context() as m:
+        try:
+            r, t, bits, estimate = _oracle_args(rho, t, m)
+        except DomainError:
+            assume(False)
+        kmax = rq._panel_count(r, t, bits)
+        log_total = rq._log_total(r, t, estimate)
+        scale = rq._fixed_scale(log_total, r, bits)
+        acc, orders, stopped = rq._fixed_terms(r, t, bits, kmax, {}, scale, log_total)
+        m.setattr(rq, "_TAIL_GUARD", 10**9)
+        full, all_orders, _ = rq._fixed_terms(r, t, bits, kmax, {}, scale, log_total)
+    assert stopped and all_orders[: len(orders)] == orders and len(all_orders) == kmax
+    with mp.workprec(bits + 64):
+        unit = mp.ldexp(t, -scale - 1)  # an accumulator unit, times t/2
+        edge = len(orders) * mp.mpf(t)
+        tail = mp.exp(-edge * edge / (2 * t) - r * mp.cosh(edge)) / r
+        rule = mp.fsum(
+            min(mp.exp(a - r * b) for a, b in rq._rule_bound(t, n, k))
+            for k, n in enumerate(all_orders)
+            if k >= len(orders)
+        )
+        last = kmax * mp.mpf(t)
+        y_max = last * last / (2 * t) + r * mp.cosh(last)
+        terms = mp.mpf(2) ** -(bits + 7) + mp.mpf(2) ** -bits * (y_max + 2 * mp.pi * kmax + 8)
+        nodes = sum(all_orders[len(orders) :]) * (1 + mp.mpf(2) ** -7) * unit
+        past = abs(full - acc) * unit
+        assert past <= (tail + rule) * (1 + terms) + nodes, (cell, float(past), float(tail))
+        # the stop's own criterion, recomputed 64 bits higher
+        assert tail < mp.exp(log_total) * mp.mpf(2) ** -72, (cell, float(tail))
 
 
 def _exp2(kernel, wp, x, p):
@@ -1090,27 +1282,24 @@ def test_exp_kernel_from_p_at_P_up_is_the_one_degree_kernel(wp_x, above):
     assert _exp2(rq._exp_kernel(wp), wp, x, wp + 8 + above) == expected, (wp, x, above)
 
 
-def _recomputed_products(r, t, bits, scale):
-    """The products E q >> shift that the fixed-point run at (r, t, bits)
-    sums into an accumulator at `scale` fractional bits, with the p each
-    asks of the exponential, recomputed from the node table's integers with
-    _exp2; asserts that each panel's products sum to the run's accumulator
-    there, read where the run scales it (from_man_exp(acc, -scale))."""
-    table, panels, scaled = {}, [], []
-    kmax = rq._panel_count(r, t, bits)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(rq, "from_man_exp", lambda man, exp: scaled.append((man, exp)) or from_man_exp(man, exp))
-        rq._add_panels(rq._fixed_terms(r, t, bits, kmax, table, scale), bits, panels)
-    accs = [man for man, exp in scaled if exp == -scale]
-    assert len(accs) == len(panels)
+def _recomputed_products(r, t, bits, log_total, scale):
+    """The products E q >> shift that the fixed-point run at (r, t, bits),
+    its orders and stop set by log_total, sums into an accumulator at
+    `scale` fractional bits, with the p each asks of the exponential,
+    recomputed from the node table's integers with _exp2; asserts that
+    they sum, each panel's with its sign, to the run's accumulator."""
+    table = {}
+    acc, orders, _ = rq._fixed_terms(r, t, bits, rq._panel_count(r, t, bits), table, scale, log_total)
     frac, wp = bits + rq._FIXED_GUARD, bits + rq._EXP_GUARD
     kernel = rq._exp_kernel(wp)
     r_num, r_den = r.as_integer_ratio()
     base = wp + frac - scale
     products = []
-    for k in range(len(panels)):
-        it = iter(table[k][3:])
-        acc = 0
+    total = 0
+    for k, order in enumerate(orders):
+        ints = table[k, order]
+        assert len(ints) == 3 * order + 2
+        it = iter(ints[2:])
         for g, c, q in zip(it, it, it):
             y = g - (r_num * c >> (r_den.bit_length() - 1))
             n = y >> frac
@@ -1120,8 +1309,8 @@ def _recomputed_products(r, t, bits, scale):
                 x = (y & ((1 << frac) - 1)) >> (frac - wp - 8)
                 value = _exp2(kernel, wp, x, sig + 4) * q >> shift
                 products.append((value, sig + 4))
-                acc += value
-        assert acc == accs[k], (r, t, scale, k)
+                total += -value if k & 1 else value
+    assert total == acc, (r, t, scale)
     return products
 
 
@@ -1136,8 +1325,9 @@ def test_each_summed_product_is_below_its_sig_bound(monkeypatch, seed):
     products = []
     for rho, t in _certify_grid(seed):
         r, t, bits, estimate = _oracle_args(rho, t, monkeypatch)
-        products += _recomputed_products(r, t, bits, rq._fixed_scale(rq._log_total(r, t, estimate), r, bits))
-        _recomputed_products(r, t, bits, rq._fixed_scale(-1e6, r, bits))
+        log_total = rq._log_total(r, t, estimate)
+        products += _recomputed_products(r, t, bits, log_total, rq._fixed_scale(log_total, r, bits))
+        _recomputed_products(r, t, bits, log_total, rq._fixed_scale(-1e6, r, bits))
     assert len(products) > 10_000
     assert all(0 <= value < 1 << (p - 3) for value, p in products)
     # the test reaches the degrees below K: most products keep far fewer
@@ -1190,7 +1380,7 @@ def test_cold_warm_and_evicted_tables_give_the_same_float(monkeypatch, cold_tabl
     # build, hit, hit, then built again once the key's table has been
     # dropped: one float, the serial run's
     r, t, bits, estimate = _oracle_args(2.0, 0.2, monkeypatch)
-    key = (t, rq._PANEL_POINTS, bits)
+    key = (t, bits)
     values = []
     for run in range(3):
         values.append(ab.measure_vartheta(2.0, 0.2))
@@ -1210,16 +1400,15 @@ def test_split_runs_equal_the_serial_runs_over_three_grid_passes(
     # rho = 0.25 has a key of its own at each t, the other six share one
     cells = [_oracle_args(rho, t, monkeypatch) for rho, t in _certify_grid(0)]
     serial = [_serial(r, t, bits) for r, t, bits, _ in cells]
+    summed = [_fixed_serial(*cell)[1][1] for cell in cells]
     rq._node_tables.clear()
     for run in range(3):
         fixed = [rq._theta_fixed(*cell) for cell in cells]
         assert fixed == [float(value) for value, _ in serial], run
-        tabled = {(t, bits) for (t, _, bits) in rq._node_tables}
-        assert tabled == {(t, bits) for _, t, bits, _ in cells}
-        # each key's table holds every panel summed at it
-        for (r, t, bits, _), (_, panels) in zip(cells, serial):
-            table = rq._node_tables[(t, rq._PANEL_POINTS, bits)]
-            assert set(range(len(panels))) <= set(table), (run, r, t)
+        assert set(rq._node_tables) == {(t, bits) for _, t, bits, _ in cells}
+        # each key's table holds every panel summed at it, at its order
+        for (r, t, bits, _), orders in zip(cells, summed):
+            assert set(enumerate(orders)) <= set(rq._node_tables[t, bits]), (run, r, t)
     assert forks == []
 
 
@@ -1230,13 +1419,14 @@ def test_the_first_run_fills_the_table(cold_tables):
         rq.theta_direct(2.0, 0.5)
     assert not rq._node_tables
     # a key's first fixed-point run fills its table with the integers of
-    # every panel it summed: 7 of 10 at (2, 0.5, 79)
+    # every panel it summed, at its order: 8 of 10 at (2, 0.5, 79), each at
+    # 16 points, the edge's G and C and three integers per node
     rq._theta_fixed(2.0, 0.5, 79, ab.theta_leading(1.0, 0.5))
     rq._theta_fixed(2.0, 0.25, 79, ab.theta_leading(0.5, 0.25))
-    assert list(rq._node_tables) == [(0.5, 24, 79), (0.25, 24, 79)]
-    table = rq._node_tables[(0.5, 24, 79)]
-    assert sorted(table) == list(range(7))
-    assert all(len(ints) == 3 * rq._PANEL_POINTS + 3 for ints in table.values())
+    assert list(rq._node_tables) == [(0.5, 79), (0.25, 79)]
+    table = rq._node_tables[0.5, 79]
+    assert sorted(table) == [(k, 16) for k in range(8)]
+    assert all(len(ints) == 3 * 16 + 2 for ints in table.values())
 
 
 def test_node_tables_stay_within_the_bound(cold_tables):
@@ -1246,13 +1436,13 @@ def test_node_tables_stay_within_the_bound(cold_tables):
     ts = [0.5 + 0.01 * i for i in range(2 * bound + 3)]
     for i, t in enumerate(ts):
         _fixed_serial(2.0, t, 64, 1.0, table=rq._node_table(t, 64))
-        assert list(rq._node_tables) == [(x, 24, 64) for x in ts[max(0, i + 1 - bound) : i + 1]]
+        assert list(rq._node_tables) == [(x, 64) for x in ts[max(0, i + 1 - bound) : i + 1]]
     # a key met again is the most recently used: the next new key drops
     # the one after it
     again = ts[-bound]
     rq._node_table(again, 64)
     rq._node_table(0.4, 64)
-    assert list(rq._node_tables) == [(x, 24, 64) for x in ts[2 - bound :] + [again, 0.4]]
+    assert list(rq._node_tables) == [(x, 64) for x in ts[2 - bound :] + [again, 0.4]]
 
 
 def test_node_tables_under_concurrent_callers(cold_tables):
@@ -1280,9 +1470,13 @@ def test_node_tables_under_concurrent_callers(cold_tables):
 
 
 #: Bytes of the node tables that a pass of verify-bound's default grid
-#: leaves, by tracemalloc: 3 * 24 + 3 integers per panel over the 241 panels
-#: of its 6 keys, in one list per panel: 1,218,128 bytes.
-_DEFAULT_GRID_TABLE_BYTES = 1_300_000
+#: leaves, by tracemalloc: 3 n + 2 integers per panel at order n over the
+#: 327 (panel, order) entries of its 6 keys, 20,190 integers, in one list
+#: per entry: 1,385,360 bytes (1,155,176 of integers, 205,768 of lists,
+#: 18,312 of (k, n) keys, 11,648 of the dicts).  They hold 230 distinct
+#: panels, some at two or three orders, chosen by cells of one key at
+#: different r.
+_DEFAULT_GRID_TABLE_BYTES = 1_480_000
 
 
 def test_default_grid_node_tables_stay_within_their_measured_size(monkeypatch, cold_tables):
@@ -1301,7 +1495,7 @@ def test_default_grid_node_tables_stay_within_their_measured_size(monkeypatch, c
     for cell in cells:
         rq._theta_fixed(*cell)
     assert [len(table) for table in rq._node_tables.values()] == counts
-    assert len(counts) == 6 and sum(counts) == 241
+    assert len(counts) == 6 and sum(counts) == 327
     assert held <= _DEFAULT_GRID_TABLE_BYTES, held
 
 
@@ -1335,9 +1529,9 @@ def test_measure_vartheta_forks_nothing_and_runs_one_fixed_run(monkeypatch, cold
     calls = []
     terms = rq._fixed_terms
 
-    def logged(r, t, bits, kmax, table, scale):
+    def logged(r, t, bits, kmax, table, scale, log_total):
         calls.append((bits, kmax))
-        return terms(r, t, bits, kmax, table, scale)
+        return terms(r, t, bits, kmax, table, scale, log_total)
 
     def must_not_run(*args):
         raise AssertionError("an mpf loop in measure_vartheta")
@@ -1347,7 +1541,7 @@ def test_measure_vartheta_forks_nothing_and_runs_one_fixed_run(monkeypatch, cold
     monkeypatch.setattr(rq, "_panel_terms", must_not_run)
     ab.measure_vartheta(2.0, 0.2)
     assert forks == []
-    # 16 panels, read up to the tail test's stop
+    # 16 panels, summed up to the tail's stop
     assert calls == [(bits, 16)] and rq._panel_count(r, t, bits) == 16
 
 
