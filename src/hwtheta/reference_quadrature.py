@@ -175,9 +175,10 @@ __all__ = [
 #: precision.
 DEFAULT_BITS_CEILING = 4096
 
-#: Gauss-Legendre nodes per half-period panel.  24 holds panel truncation
-#: near the noise floor even for the sharpest envelopes exercised by the
-#: bound grids; 16 leaves ~1e-9 relative.
+#: Gauss-Legendre nodes per half-period panel of theta_direct's mpf loop,
+#: and the top of the fixed-point run's ladder (_LADDER).  24 holds panel
+#: truncation near the noise floor even for the sharpest envelopes
+#: exercised by the bound grids.
 _PANEL_POINTS = 24
 
 #: Scales the dynamic truncation threshold
@@ -571,7 +572,7 @@ _ACC_FLOOR = 64
 _EXP_BUILD_GUARD = 20
 #: The fixed-point run's panel orders, lowest first: a panel takes the
 #: lowest whose proved rule bound allows it (_fixed_terms).
-_LADDER = (16, 20, 24)
+_LADDER = (16, 20, _PANEL_POINTS)
 #: The panel rule's and the tail's shares of the estimate's summed panels,
 #: 2^-72 each.
 _RULE_GUARD = 72
