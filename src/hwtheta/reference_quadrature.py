@@ -18,7 +18,9 @@ error_estimate reads 1.8e-19):
 * sin(pi xi/t) vanishes exactly at xi = k t, so each panel [k t, (k+1) t]
   holds one sign-definite half-period and a fixed-order Gauss-Legendre rule
   per panel converges geometrically; within panel k the phase is taken
-  locally, (-1)^k sin(pi (xi - k t)/t), so it never degrades at large xi/t;
+  locally, (-1)^k sin(pi (xi - k t)/t), so it never degrades at large xi/t
+  (measure_vartheta's panels span up to 8 half-periods where a proved
+  bound allows, below);
 * the envelope decays like e^(-r cosh xi), so the panels end where
   r (cosh xi - 1) + xi^2/(2t) reaches a budget counted under the envelope's
   floor e^-r, and theta_direct's sum stops once the envelope at a panel
@@ -50,51 +52,64 @@ one sine per distinct raw offset xi - a and looks up the rest: 57 sines for
 key is the offset, not the node, whose offset's rounding can differ between
 panels by an ulp.
 
-The fixed-point loop works in base 2.  Each panel takes the lowest order of
-a short ladder, _LADDER, whose proved Gauss-Legendre error bound on that
-panel (_rule_bound: Trefethen's Bernstein-ellipse bound, with the
-integrand bounded on the ellipse's box) is at most 2^-72 of the estimate's
-summed panels over the panel count, or else the ladder's top, 24 points,
-as theta_direct's panels.  It holds, per panel and order, G' and
-C', G = -xi^2/(2t) and C = cosh xi times log2 e, and Q = (w sinh xi) osc at
-each node, and the right edge's G and C, as the integers nearest 2^FT
-times those values, FT = bits + 40.  At each node it forms the exponent in
-bits, y = G' - r C' with r C' exact from r's 53-bit numerator, splits it
-into n = y >> FT and x, the fraction's top wp + 8 bits, wp = bits + 14,
-forms 2^x at wp bits by a fixed-point 2^x inlined in the loop, which reads
-three tables of 256 powers of 2 and sums a short Taylor series
-(_exp_kernel), and adds +-2^n 2^x Q to one signed integer accumulator for
+The fixed-point loop works in base 2.  Its panel [k t, (k + m) t] spans m
+half-periods at n points, (m, n) the first shape of a short ladder,
+_SHAPES, fewest nodes per half-period first (8 half-periods at 48, 64, 80
+or 96 points, then one at 16, 20 or 24), whose proved Gauss-Legendre error
+bound on that panel (_rule_bound: Trefethen's Bernstein-ellipse bound,
+with the integrand bounded on the ellipse's box) is at most 2^-72 of the
+estimate's summed panels over the panel count kmax; m is cut to
+kmax - k at the last edge (_partition).  A run takes that partition only
+where every panel up to kmax has a proved shape.  Otherwise it keeps
+panels of width t throughout, each at the lowest order of _LADDER, (16,
+20, 24), whose bound allows it, or else 24 points, as theta_direct's
+panels.  Where those miss the target, the rule errors of consecutive
+width-t panels cancel, and a run that switched to proved panels partway
+loses that: it gave vartheta 4.4e57 at (rho, t) = (0.25, 0.01).  Every
+certify-grid cell has a proved partition.  On a scan of rho from 0.05 to
+100 and t from 0.005 to 5, the width-t panels remain where small rho
+meets small t (rho up to 1 at t = 0.005, 0.5 at t = 0.01, 0.1 at
+t = 0.02) and at large t (rho up to 4 at t = 2, every rho at t = 5), where
+the first panel misses the target at every shape.  The run holds, per
+panel and shape, G' and C', G = -xi^2/(2t) and C = cosh xi times log2 e,
+and Q = m (w sinh xi) osc at each node, and the right edge's G and C, as
+the integers nearest 2^FT times those values, FT = bits + 40.  At each
+node it forms the exponent in bits, y = G' - r C' with r C' exact from
+r's 53-bit numerator, splits it into n = y >> FT and x, the fraction's top
+wp + 8 bits, wp = bits + 14, forms 2^x at wp bits by a fixed-point 2^x
+inlined in the loop, which reads three tables of 256 powers of 2 and sums
+a short Taylor series (_exp_kernel), and adds +-2^n 2^x Q to one signed integer accumulator for
 the whole run, scaled by t/2 once at the end.  Its unit is 2^-80 of the
 summed panels' estimate, formed from an estimate of theta that the caller
 hands in, and never finer than the products it sums (_fixed_scale: the cap
 follows the run's largest power of 2, 2^-floor(r/ln 2)).  A run whose
 capped unit would be coarser than 2^-64 of the estimate is refused, as is
 a negative theta.  The series stops at the degree that the product's
-p = sig + 4 bits need, the product being below 2^(sig+1) units (2^x within
+p = sig + 4 bits need, the product being within 2^(sig+1) units (2^x within
 1.04 units of 2^-wp, plus 2^-(p+4) relative), so the bits that the shift
 into the accumulator drops are not computed.  The run stops after the
 first panel whose right edge X has e^(G - r C)/r below 2^-72 of the
 estimate, which bounds the integral of |integrand| from X on; a run that
 reaches its last panel without that is refused.  So, relative to the
 estimate's summed panels, the run is within 2^-64 from the accumulator,
-2^-72 from the panel rule, 2^-72 from the tail and 2^-71 of theta from the
-node terms, formed at bits as theta_direct forms them (_fixed_terms states
-each); measure_vartheta hands in the leading term, so vartheta carries
-about 2^-64 absolute.  The rule's part excepts the 24-point panels whose
-own bound misses the target: 61 of the default grid's 589 panels, at
-(rho, t) = (0.25, 0.05) (by up to 2^62) and (0.5, 0.05) (2^0.9), which
-carry theta_direct's rule error, no bound here states.  The bounds are
-computed in doubles with a slack that rounding cannot eat (_SLACK).
+2^-72 from the panel rule, 2^-72 from the tail and 2^-65 of theta from the
+node terms (2^-68 for t above 1/32), formed at bits as theta_direct forms
+them (_fixed_terms states each); measure_vartheta hands in the leading
+term, so vartheta carries below 2^-63 absolute.  The rule's part excepts
+a width-t run's 24-point panels whose own bound misses the target, which
+carry theta_direct's rule error, no bound here states; no certify-grid
+cell has one.  The bounds are computed in doubles with a slack that
+rounding cannot eat (_SLACK).
 
 The bound |vartheta| <= t/70 is checked by sweeping rho at fixed t, and
 verify-bound's grid runs six of its seven rho at each t at the same bits,
 so the process keeps a node table of the fixed-point loop's integers per
-key (t, bits): a run reads each panel's integers, at the order it chose,
+key (t, bits): a run reads each panel's integers, under its (k, m, n),
 from its key's table, or computes them and stores there the list it sums.
 They are the same integers either way, so no result depends on the
 tables.  At most
 _NODE_TABLES tables are kept, the least recently used dropped, and as many
-exponentials' tables, per wp, rule bounds, per t (_panel_order), and
+exponentials' tables, per wp, rule bounds, per t (_partition), and
 prefactors' r-free parts, per (t, bits) (_theta_of).  The mpf loop reads
 no node table.
 
@@ -448,25 +463,30 @@ def _envelope_peak(r: float) -> float:
     return max(1.0 / math.sqrt(r), math.asinh(1.0 / r))
 
 
-def _node_values(t: float, bits: int, n: int):
+def _node_values(t: float, bits: int, n: int, m: int = 1):
     """(tt, half, nodes, values, edge_values): the r-free part of a run at
-    (t, bits) on panels of n points, as raw libmp values at bits.
+    (t, bits) on panels of n points spanning m half-periods, m t wide, as
+    raw libmp values at bits.
 
-    tt is t, half is t/2 and nodes the [(half * x, w)] of _gl_nodes(n, bits).
-    values(k) is panel k's r-free values at each node, flat: -xi^2/(2t),
-    cosh xi, sinh xi and the phase sine; edge_values(edge) the first three
-    at an edge.  Each step is the libmp call, in the same order, that the
-    corresponding mpf expression (noted in the comments) makes under
-    mp.workprec(bits).  The sine of a phase offset xi - a that values has
-    already met is looked up, not recomputed (module docstring).
+    tt is t, half is t/2 and nodes the [(reach * x, w)] of
+    _gl_nodes(n, bits), reach = m half the panel's half-width (exact for m
+    a power of 2).  values(k) is the panel [k t, (k + m) t]'s r-free values
+    at each node, flat: -xi^2/(2t), cosh xi, sinh xi and the phase sine;
+    edge_values(edge) the first three at an edge.  Each step is the libmp
+    call, in the same order, that the corresponding mpf expression (noted
+    in the comments) makes under mp.workprec(bits); at m = 1 reach is half,
+    so every value is the mpf loop's.  The sine of a phase offset xi - a that
+    values has already met is looked up, not recomputed (module
+    docstring).
     """
     prec = bits
     tt = from_float(t, prec, _RND)
     pi = mpf_pi(prec, _RND)
     two_t = mpf_mul_int(tt, 2, prec, _RND)
     half = mpf_div(tt, from_int(2), prec, _RND)
-    # half * x does not depend on the panel
-    nodes = [(mpf_mul(half, x, prec, _RND), w) for x, w in _gl_nodes(n, bits)]
+    reach = mpf_mul_int(half, m, prec, _RND)
+    # reach * x does not depend on the panel
+    nodes = [(mpf_mul(reach, x, prec, _RND), w) for x, w in _gl_nodes(n, bits)]
     # sin(pi * off / tt) by the raw offset off = xi - a: the offsets repeat
     # across panels, each a rounding of one of a few values
     phase = {}
@@ -478,10 +498,10 @@ def _node_values(t: float, bits: int, n: int):
 
     def values(k):
         a = mpf_mul_int(tt, k, prec, _RND)
-        mid = mpf_add(a, half, prec, _RND)
+        mid = mpf_add(a, reach, prec, _RND)
         flat = []
         for hx, _ in nodes:
-            # xi = mid + half * x
+            # xi = mid + reach * x
             xi = mpf_add(mid, hx, prec, _RND)
             # sin(pi * (xi - a) / tt): local phase, exact zeros
             off = mpf_sub(xi, a, prec, _RND)
@@ -570,9 +590,13 @@ _ACC_GUARD = 80
 _ACC_FLOOR = 64
 #: The exponential's tables' bits above wp while they are built.
 _EXP_BUILD_GUARD = 20
-#: The fixed-point run's panel orders, lowest first: a panel takes the
-#: lowest whose proved rule bound allows it (_fixed_terms).
+#: The fixed-point run's panel orders on panels of width t, lowest first,
+#: where a run has no proved partition (_panel_order, _fixed_terms).
 _LADDER = (16, 20, _PANEL_POINTS)
+#: The fixed-point run's panel shapes (m, n), n points on m half-periods,
+#: fewest nodes per half-period first: a panel takes the first whose proved
+#: rule bound allows it (_partition).
+_SHAPES = ((8, 48), (8, 64), (8, 80), (8, 96), *((1, n) for n in _LADDER))
 #: The panel rule's and the tail's shares of the estimate's summed panels,
 #: 2^-72 each.
 _RULE_GUARD = 72
@@ -683,50 +707,53 @@ def _fixed_scale(log_total: float, r: float, bits: int) -> int:
     )
 
 
-def _rule_bound(t: float, n: int, k: int) -> tuple:
-    """((a, b), ...): the n-point Gauss-Legendre rule on panel k,
-    [k t, (k+1) t], is within e^(a - r b) of the panel's integral at every
-    r > 0, for each pair, one pair per ellipse tried.
+def _rule_bound(t: float, k: int, m: int, n: int) -> tuple:
+    """((a, b), ...): the n-point Gauss-Legendre rule on the panel of m
+    half-periods from k t, [k t, (k + m) t], of width w = m t, is within
+    e^(a - r b) of the panel's integral at every r > 0, for each pair, one
+    pair per ellipse tried.
 
-    Write xi = c + (t/2) u, c = (k + 1/2) t.  The integrand f is entire in
+    Write xi = c + (w/2) u, c = (k + m/2) t.  The integrand f is entire in
     u, and where |f| <= M on the Bernstein ellipse E_p (p > 1), an n-point
     Gauss rule on [-1, 1] is within (64/15) M p^(2-2n)/(p^2 - 1) of the
     integral (Trefethen, SIAM Rev. 50 (2008), Thm 4.5, whose I_n has n + 1
     points): the Chebyshev coefficients a_j are below 2 M p^-j, the rule
     integrates T_j exactly for j < 2n and both vanish at odd j, and each
     even j >= 2n is off by at most 2 + 2/(j^2 - 1) <= 32/15.  The panel
-    scales that by t/2.  E_p has half-axes A = (p + 1/p)/2 and
-    B = (p - 1/p)/2, so in xi it lies in the box x in [c - (t/2)A,
-    c + (t/2)A] = [xmin, xmax], |y| <= Y = (t/2)B, and with Y < pi/2 and
+    scales that by w/2.  E_p has half-axes A = (p + 1/p)/2 and
+    B = (p - 1/p)/2, so in xi it lies in the box x in [c - (w/2)A,
+    c + (w/2)A] = [xmin, xmax], |y| <= Y = (w/2)B, and with Y < pi/2 and
     lo = max(xmin, 0), M is at most the product of e^((Y^2 - lo^2)/(2t))
     (the Gaussian), e^(-r cosh(lo) cos Y) (the envelope: Re cosh xi =
     cosh x cos y), cosh(xmax) (|sinh xi|^2 = sinh^2 x + sin^2 y) and
-    cosh(pi Y/t) (the phase's sine).  p runs down from 8(n - 1)/pi, the
-    best p for the sine alone, by factors of sqrt 2 (at most _ELLIPSES of
-    them, none below 2 but the first), and never so far that Y passes
-    _ELLIPSE_Y.
+    cosh(pi Y/t) (the phase's sine, whatever m).  p runs down from
+    8(n - 1)/(pi m), the best p for the sine alone, by factors of sqrt 2
+    (at most _ELLIPSES of them, none below 2 but the first), and never so
+    far that Y passes _ELLIPSE_Y.
 
     In doubles: A and B are taken _SLACK (relative) wider and xmin lower,
     and a is the sum of the log factors plus _SLACK of their magnitudes
     and _SLACK nats, b = cosh(lo) cos Y less _SLACK of it: far more than
-    the few roundings of each, so the bound is never optimistic.
+    the few roundings of each, so the bound is never optimistic.  At m = 1
+    every float is the one the width-t bound formed.
     """
-    big_b = 2.0 * _ELLIPSE_Y / t
+    w = m * t
+    big_b = 2.0 * _ELLIPSE_Y / w
     widest = big_b + math.sqrt(big_b * big_b + 1.0)
     wider = 1.0 + _SLACK
-    c = (k + 0.5) * t
+    c = (k + 0.5 * m) * t
     pairs = []
     for j in range(_ELLIPSES):
-        p = min(8.0 * (n - 1) / math.pi * 0.5 ** (0.5 * j), widest)
+        p = min(8.0 * (n - 1) / (math.pi * m) * 0.5 ** (0.5 * j), widest)
         if p < 2.0 and pairs:
             break
-        half_a = 0.25 * t * (p + 1.0 / p) * wider
-        y = 0.25 * t * (p - 1.0 / p) * wider
+        half_a = 0.25 * w * (p + 1.0 / p) * wider
+        y = 0.25 * w * (p - 1.0 / p) * wider
         lo = max(0.0, c - half_a - _SLACK * (c + half_a))
         hi = (c + half_a) * wider
         phase = math.pi * y / t
         logs = (
-            math.log(t * (32.0 / 15.0)),
+            math.log(w * (32.0 / 15.0)),
             -2.0 * (n - 1) * math.log(p) - math.log(p * p - 1.0),
             (y * y - lo * lo) / (2.0 * t),
             hi - _LN2 + math.log1p(math.exp(-2.0 * hi)),  # log cosh(xmax)
@@ -743,38 +770,69 @@ def _rule_bound(t: float, n: int, k: int) -> tuple:
     return tuple(pairs)
 
 
+def _proved(r: float, t: float, k: int, m: int, n: int, target: float, bounds: dict) -> bool:
+    """Whether the rule bound (_rule_bound) of n points on m half-periods
+    from k t is at most e^target at r.  bounds keeps (k, m, n) ->
+    _rule_bound(t, k, m, n) for this t."""
+    pairs = bounds.get((k, m, n))
+    if pairs is None:
+        pairs = bounds[k, m, n] = _rule_bound(t, k, m, n)
+    for a, b in pairs:
+        if a - r * b <= target:
+            return True
+    return False
+
+
 def _panel_order(r: float, t: float, k: int, target: float, bounds: dict) -> int:
-    """The lowest order of _LADDER whose rule bound (_rule_bound) on panel k
-    is at most e^target, or the ladder's last.  bounds keeps (k, n) ->
-    _rule_bound(t, n, k) for this t."""
+    """The lowest order of _LADDER whose rule bound on the width-t panel k
+    is at most e^target (_proved), or the ladder's last, unchecked."""
     for n in _LADDER[:-1]:
-        pairs = bounds.get((k, n))
-        if pairs is None:
-            pairs = bounds[k, n] = _rule_bound(t, n, k)
-        for a, b in pairs:
-            if a - r * b <= target:
-                return n
+        if _proved(r, t, k, 1, n, target, bounds):
+            return n
     return _LADDER[-1]
+
+
+def _partition(r: float, t: float, kmax: int, target: float, bounds: dict):
+    """The proved partition of [0, kmax t]: a list of panels (k, m, n), each
+    the first shape of _SHAPES, its m clamped to k + m <= kmax, whose rule
+    bound at r is at most e^target (_proved), from k = 0 on; or None where
+    some k has no such shape."""
+    panels = []
+    k = 0
+    while k < kmax:
+        for m, n in _SHAPES:
+            m = min(m, kmax - k)
+            if _proved(r, t, k, m, n, target, bounds):
+                break
+        else:
+            return None
+        panels.append((k, m, n))
+        k += m
+    return panels
 
 
 def _fixed_terms(
     r: float, t: float, bits: int, kmax: int, table: dict, scale: int, log_total: float
 ) -> tuple:
-    """The fixed-point run over panels k < kmax (module docstring): returns
-    (acc, orders, stopped), acc the signed sum of every node's product in
-    integers at `scale` fractional bits, to be scaled by t/2, orders the
-    order of each panel summed, in order, and stopped whether the tail
+    """The fixed-point run over [0, kmax t] (module docstring): returns
+    (acc, panels, stopped), acc the signed sum of every node's product in
+    integers at `scale` fractional bits, to be scaled by t/2, panels the
+    (k, m, n) of each panel summed, in order, and stopped whether the tail
     test stopped it.  e^log_total is the estimate's summed panels, which
     sets the rule's and the tail's targets.
 
-    Panel k takes the lowest order of _LADDER whose proved rule bound is at
-    most 2^-_RULE_GUARD e^log_total/kmax (_panel_order).  Its integers are
-    read from `table`, the node table of (t, bits), under (k, n) where it
-    holds them, or made from _node_values' libmp values and stored there:
-    the same integers either way; _node_values runs only at a panel the
-    table lacks.  They are the right edge's G and C at FT fractional bits,
-    then per node G' and C', G = -xi^2/(2t) and C = cosh xi times log2 e,
-    and Q = (w sinh xi) osc.  A node's exponent in bits, y = G' - r C' with
+    The panels are the proved partition (_partition), each rule bound at
+    most 2^-_RULE_GUARD e^log_total/kmax, where every panel up to kmax has
+    a proved shape, and else the width-t panels k < kmax, each at the
+    lowest order of _LADDER whose bound allows it (_panel_order).  A
+    panel's integers are read from `table`, the node table of (t, bits),
+    under (k, m, n) where it holds them, or made from _node_values' libmp
+    values and stored there: the same integers either way; _node_values
+    runs only at a panel the table lacks.  They are the right edge's G and
+    C at FT fractional bits, then per node G' and C', G = -xi^2/(2t) and
+    C = cosh xi times log2 e, and Q = m (w sinh xi) osc: the panel's
+    integral is (m t/2) sum w f, and the integer factor m leaves t/2 to be
+    applied once.  A node's exponent in bits, y = G' - r C' with
     r C' formed exactly from r's 53-bit numerator and truncated, splits
     into n = y >> FT and the fraction's top P = wp + 8 bits, x, and its
     product is 2^n E Q, E = 2^wp 2^(x 2^-P) from the inlined
@@ -793,17 +851,21 @@ def _fixed_terms(
     Error, relative to the estimate's summed panels, against the exact
     integral:
     * the accumulator: a node's product E Q >> shift, shift =
-      wp + FT - scale - n >= 1 (_fixed_scale), is below 2^(sig+1) units,
-      sig = wp + bitlen(Q) - shift, as E < 2^(wp+1): at sig < 0 it would
+      wp + FT - scale - n >= 1 (_fixed_scale), is within 2^(sig+1) units,
+      sig = wp + bitlen(Q) - shift, as E < 2^(wp+1) (Q, and the product,
+      are negative where a wide panel's phase is): at sig < 0 it would
       shift to 0 and is skipped, and otherwise p = sig + 4, so the
       exponential's 2^-(p+4) moves it by less than 2^-7 of a unit.  With
       the shift, which drops less than one unit, a node is off by less
       than 1 + 2^-7 units, and acc is scaled by t/2: (t/2) (1 + 2^-7) N
       units over N nodes.  Where _fixed_scale's cap does not bind, the unit
-      is 2^-80 of the estimate, so that is below 2^-64 for N <= 2^15 and
-      t <= 2, however far the estimate lies above theta;
+      is 2^-80 of the estimate, so that is below 2^-64 for (t/2) N <= 2^15,
+      however far the estimate lies above theta.  A run sums at most 24
+      nodes per half-period, but for a last panel cut at kmax of up to 96,
+      so N <= 24 kmax + 96, and kmax t <= _X_MAX (_validated): (t/2) N is
+      below 2^14 for t <= 2 (a certify-grid run sums at most 560 nodes);
     * the panel rule: at most kmax panels, each within 2^-72/kmax, but a
-      panel at the ladder's top, whose own bound can lie far above that
+      width-t run's 24-point panel, whose own bound can lie far above that
       (module docstring) and is not checked: it is summed as
       theta_direct sums it;
     * the tail: 2^-72;
@@ -813,19 +875,25 @@ def _fixed_terms(
       (1 + 2^-18 (1.5 + r/2)) relative in 2^y, below 2^-(wp+7) for
       r < 2^17.  E is within 1.04 2^-wp of 2^wp 2^(x 2^-P) >= 2^wp, plus
       the 2^-(p+4) above (_exp_kernel).  So each product moves by at most
-      1.05 2^-wp = 2^-(bits+13.9) of itself, and Q's rounding, 2^-(FT+1)
-      with Q > 2^-23 t, adds 2^-(bits+8) for t above 2^-10: in all
-      2^-(bits+7) of the summed |p_k|, which the rule sizes bits to keep
-      below 2^(bits-64) |total|: 2^-71 of theta.  The r-free values at
-      bits are off by about 2^-bits (|y| ln 2 + 2 pi k + 8) of each term at
-      panel k, and (t/2) acc and the prefactor are rounded at bits
-      (_theta_fixed), about 2^-bits (pi^2/(2t) + 8) of theta.
+      1.05 2^-wp = 2^-(bits+13.9) of itself.  Q's rounding, 2^-(FT+1),
+      adds 2^-(bits+10)/t of it: with sinh xi >= xi, |Q| > 2^-31 t at every
+      node of every shape that the ladder and the cut at kmax form.  The
+      least is (2, 96) at k = 0, a run of two half-periods (_panel_count
+      gives kmax >= 2, so a panel cut at k = 0 spans two); every uncut
+      shape has |Q| > 2^-25 t, (8, 96) the least, and 24 points on width
+      t 2^-22 t.  For t above 2^-10 that is at most 2^-bits, in all below
+      2^-(bits-1) of the summed |p_k|, which the rule sizes bits to keep
+      below 2^(bits-64) |total|: 2^-65 of theta (2^-68 for t above 1/32).
+      The r-free values at bits are off by about 2^-bits (|y| ln 2 +
+      2 pi K + 8) of each term of a panel ending at K t, and (t/2) acc and
+      the prefactor are rounded at bits (_theta_fixed), about
+      2^-bits (pi^2/(2t) + 8) of theta.
     """
     prec = bits
     frac = bits + _FIXED_GUARD
     wp = bits + _EXP_GUARD
     tt = from_float(t, prec, _RND)  # as _node_values rounds it
-    built = {}  # n -> _node_values(t, bits, n), at the first panel the table lacks
+    built = {}  # (m, n) -> _node_values(t, bits, n, m), at the first panel the table lacks
     bounds = _recent(_rule_bounds, t, dict)
     r_num, r_den = r.as_integer_ratio()
     r_shift = r_den.bit_length() - 1  # r = r_num / 2^r_shift exactly
@@ -847,19 +915,21 @@ def _fixed_terms(
     low = (1 << at24) - 1
     cut = frac - top
     keep = wp + 4 - base
+    plan = _partition(r, t, kmax, target, bounds)
+    if plan is None:
+        plan = ((k, 1, _panel_order(r, t, k, target, bounds)) for k in range(kmax))
     acc = 0
-    orders = []
-    for k in range(kmax):
-        order = _panel_order(r, t, k, target, bounds)
-        ints = table.get((k, order))
+    panels = []
+    for k, m, order in plan:
+        ints = table.get((k, m, order))
         if ints is None:
             if not built:
                 # log2 e = 1/ln 2 at FT + 64 fractional bits
                 log2e = (1 << (2 * frac + 134)) // ln2_fixed(frac + 70)
-            if order not in built:
-                built[order] = _node_values(t, bits, order)
-            _, _, nodes, values, edge_values = built[order]
-            edge = mpf_mul_int(tt, k + 1, prec, _RND)
+            if (m, order) not in built:
+                built[m, order] = _node_values(t, bits, order, m)
+            _, _, nodes, values, edge_values = built[m, order]
+            edge = mpf_mul_int(tt, k + m, prec, _RND)
             ints = [_fixed(v, frac) for v in edge_values(edge)[:2]]
             it = iter(values(k))
             for (_, w), gauss, cosh, sinh, osc in zip(nodes, it, it, it, it):
@@ -867,9 +937,9 @@ def _fixed_terms(
                 ints += (
                     _fixed(_times(gauss, log2e, frac + 64), frac),
                     _fixed(_times(cosh, log2e, frac + 64), frac),
-                    _fixed(q, frac),
+                    _fixed(_times(q, m, 0), frac),
                 )
-            table[k, order] = ints
+            table[k, m, order] = ints
         it = iter(ints)
         edge_g, edge_c = next(it), next(it)
         panel = 0
@@ -887,10 +957,10 @@ def _fixed_terms(
                 e = t8[y >> at8 & 255] * t16[y >> at16 & 255] >> top
                 panel += ((e * t24[y >> at24 & 255] >> top) * s >> down) * q >> (base - n)
         acc += -panel if k & 1 else panel
-        orders.append(order)
+        panels.append((k, m, order))
         if edge_g - (r_num * edge_c >> r_shift) < limit:
-            return acc, orders, True
-    return acc, orders, False
+            return acc, panels, True
+    return acc, panels, False
 
 
 def _log_abs(value: tuple) -> float:
@@ -1081,7 +1151,7 @@ def _theta_fixed(r: float, t: float, bits: int, estimate: float) -> float:
     """theta(r, t) at `bits` as a double from one serial fixed-point run
     (_fixed_terms) over the key's node table: no rerun, no error estimate,
     and theta_direct's refusals.  `estimate`, a positive double near theta,
-    sets the accumulator (_fixed_scale), each panel's order and the tail
+    sets the accumulator (_fixed_scale), the panels' shapes and the tail
     stop (_fixed_terms); where the cap leaves the accumulator's unit
     coarser than 2^-_ACC_FLOOR of the estimate, the run is refused with
     DomainError before any quadrature, and where it sums every panel

@@ -677,11 +677,12 @@ def test_worker_and_in_process_check_agree_on_random_cells(r, t):
 
 
 def _fixed_serial(r, t, bits, estimate, kmax=None, table=None):
-    """The fixed-point run at (r, t, bits) with its accumulator, panel orders
+    """The fixed-point run at (r, t, bits) with its accumulator, panel shapes
     and tail stop set by estimate, over kmax panels (its own count where
     None), reading and filling table where given, else a table of its own.
-    Returns (theta as mpf, (acc, orders, stopped)), _fixed_terms' run, with
-    acc scaled as _theta_fixed scales it, refused or not."""
+    Returns (theta as mpf, (acc, panels, stopped)), _fixed_terms' run, its
+    panels the (k, m, n) it summed, with acc scaled as _theta_fixed scales
+    it, refused or not."""
     if kmax is None:
         kmax = rq._panel_count(r, t, bits)
     log_total = rq._log_total(r, t, estimate)
@@ -698,9 +699,16 @@ def _coarse(r, t, bits, estimate):
     return rq._fixed_scale(log_total, r, bits) < 64 - math.floor(log_total / math.log(2.0))
 
 
+def _half_periods(panels):
+    """The half-periods [0, K t] that a fixed-point run's panels (k, m, n)
+    cover, K."""
+    k, m, _ = panels[-1]
+    return k + m
+
+
 def _fixed_and_serial(r, t, bits, estimate, kmax=None):
-    """(theta from _theta_fixed, serial theta, kmax, panels the serial run
-    summed) at (r, t, bits), both fixed-point runs sized by estimate, over
+    """(theta from _theta_fixed, serial theta, kmax, half-periods the serial
+    run summed) at (r, t, bits), both fixed-point runs sized by estimate, over
     kmax panels where given.  _theta_fixed runs twice, over its key's node
     table as it finds it and then as the first run left it; the serial run
     reads no table.  Asserts that every run reaches the same mpf theta, or
@@ -727,7 +735,7 @@ def _fixed_and_serial(r, t, bits, estimate, kmax=None):
             except DomainError:
                 fixed.append(None)
         kmax = rq._panel_count(r, t, bits)
-        serial, (_, orders, stopped) = _fixed_serial(r, t, bits, estimate, kmax)
+        serial, (_, panels, stopped) = _fixed_serial(r, t, bits, estimate, kmax)
     coarse = _coarse(r, t, bits, estimate)
     runs = 1 if coarse or not stopped else 3
     assert [theta._mpf_ for theta in thetas] == [serial._mpf_] * runs, (r, t, bits, kmax)
@@ -738,13 +746,15 @@ def _fixed_and_serial(r, t, bits, estimate, kmax=None):
     if fixed[0] is None and not coarse:
         assert not sys.float_info.min <= float(serial) < math.inf, (r, t, bits, kmax)
     assert not (coarse and fixed[0] is not None)
-    return fixed[0], float(serial), kmax, len(orders)
+    return fixed[0], float(serial), kmax, _half_periods(panels)
 
 
-#: The panels the fixed-point run sums in test_split_run_equals_the_serial_run,
-#: by (r, t, kmax): it stops on its proved tail bound, one panel after the mpf
-#: loop at (2, 0.5) and two before it at (0.01, 1), and it refuses one or two
-#: panels of (2, 0.5), whose tail the last edge does not bound (None).
+#: The half-periods the fixed-point run sums in
+#: test_split_run_equals_the_serial_run, by (r, t, kmax): it stops on its
+#: proved tail bound, one half-period after the mpf loop at (2, 0.5) (one
+#: panel of 8) and two before it at (0.01, 1) (9 panels of width t: the cell
+#: has no proved partition), and it refuses one or two half-periods of
+#: (2, 0.5), whose tail the last edge does not bound (None).
 FIXED_SUMMED = {
     (2.0, 0.5, None): 8,
     (2.0, 0.5, 30): 8,
@@ -829,24 +839,26 @@ def _certify_grid(seed):
 @pytest.mark.parametrize("seed", [0, 5])
 def test_fixed_run_gives_the_mpf_loops_result_on_certify_grids(monkeypatch, seed):
     # at measure_vartheta's arguments the fixed-point run, with its own panel
-    # orders and tail stop, rounds to the mpf loop's double; its proved stop
-    # comes from 6 panels before the mpf loop's test to 1 after it, and it
-    # takes orders below 24 on some panels
-    orders = set()
+    # shapes and tail stop, rounds to the mpf loop's double; its proved stop
+    # comes from 4 half-periods before the mpf loop's test to 6 after it (a
+    # panel of 8 half-periods ends past it), and it takes panels of 8
+    # half-periods at 48 and 64 points, and shorter ones at 48 where a
+    # panel reaches the run's last edge
+    shapes = set()
     for rho, t in _certify_grid(seed):
         r, t, bits, estimate = _oracle_args(rho, t, monkeypatch)
         value, panels = _serial(r, t, bits)
         fixed, (_, run, _) = _fixed_serial(r, t, bits, estimate)
         assert float(fixed) == float(value), (rho, t)
-        assert -6 <= len(run) - len(panels) <= 1, (rho, t)
-        orders.update(run)
-    assert orders == set(rq._LADDER) == {16, 20, 24}
+        assert -4 <= _half_periods(run) - len(panels) <= 6, (rho, t)
+        shapes.update((m, n) for _, m, n in run)
+    assert {(8, 48), (8, 64)} <= shapes <= {(8, 48), (8, 64)} | {(m, 48) for m in range(1, 8)}
 
 
 # Node tables: once a key's run in the process has computed a panel, its
-# integers (_fixed_terms) come from a table keyed by (t, panel points, bits)
-# and only the r-dependent rest is computed.  Every panel must stay the one
-# the run without a table sums.
+# integers (_fixed_terms) come from a table keyed by (t, bits), under the
+# panel's (k, m, n), and only the r-dependent rest is computed.  Every
+# panel must stay the one the run without a table sums.
 def _cosh_sinh_calls(monkeypatch):
     """The list that every later mpf_cosh_sinh call in this process appends to."""
     calls = []
@@ -877,7 +889,7 @@ def _estimate(r, t, bits):
 @example(r=2.0, r2=0.5, t=0.5, bits=79)
 def test_tabled_panels_match_the_cold_run_on_random_cells(r, r2, t, bits):
     # build, hit at r, then r2 at the same (t, bits): it reads the panels,
-    # at their orders, that r tabled and builds the others; a panel takes
+    # at their shapes, that r tabled and builds the others; a panel takes
     # n + 1 cosh_sinh calls to build at order n (n nodes and its edge)
     key = (t, bits)
     estimates = {x: _estimate(x, t, bits) for x in (r, r2)}
@@ -891,17 +903,18 @@ def test_tabled_panels_match_the_cold_run_on_random_cells(r, r2, t, bits):
             table = rq._node_table(t, bits)
             result = _fixed_serial(x, t, bits, estimates[x], table=table)[1]
             assert result == refs[x], (run, x, t, bits)
-            summed = set(enumerate(result[1]))
+            summed = set(result[1])
             if run == 1:
                 # a hit: every panel from the table, no cosh or sinh computed
                 assert calls == [] and summed <= tabled
-            assert len(calls) == sum(n + 1 for _, n in summed - tabled), (run, x, t, bits)
+            assert len(calls) == sum(n + 1 for _, _, n in summed - tabled), (run, x, t, bits)
 
 
-def _fixed_run_bound(r, t, bits, estimate, ref_panels):
+def _fixed_run_bound(r, t, bits, estimate, panels, ref_panels):
     """The fixed-point run's error bound (_fixed_terms' docstring) relative
     to theta, at (r, t, bits) with its accumulator set by estimate, over the
-    n panels that ref_panels, the same panels summed far above bits, hold.
+    panels (k, m, n) that ref_panels, the same panels summed far above bits,
+    hold: N nodes on n half-periods.
 
     Its own truncations: the exponent's and Q's, 2^-(bits+7) of the summed
     |p_k|, and 1 + 2^-7 units of the accumulator, 2^-80 of the estimated
@@ -912,7 +925,8 @@ def _fixed_run_bound(r, t, bits, estimate, ref_panels):
     and 2^-bits (pi^2/(2t) + 8) of theta for the prefactor.  The guards are
     written out here, not read from the module, so that a run with fewer
     fails."""
-    n = len(ref_panels)
+    n = _half_periods(panels)
+    nodes = sum(order for _, _, order in panels)
     with mp.workprec(bits + 64):
         total = abs(mp.fsum(ref_panels))
         kappa = mp.fsum(abs(p) for p in ref_panels) / total
@@ -920,7 +934,7 @@ def _fixed_run_bound(r, t, bits, estimate, ref_panels):
         y_max = edge * edge / (2 * t) + r * mp.cosh(edge)
         resolution = mp.mpf(2) ** (math.floor(rq._log_total(r, t, estimate) / math.log(2)) - 80)
         per_node = (1 + mp.mpf(2) ** -7) * resolution
-        own = kappa * mp.mpf(2) ** -(bits + 7) + rq._PANEL_POINTS * n * per_node * t / 2 / total
+        own = kappa * mp.mpf(2) ** -(bits + 7) + nodes * per_node * t / 2 / total
         shared = mp.mpf(2) ** -bits * (
             (y_max + 2 * mp.pi * n + 8) * kappa + mp.pi**2 / (2 * t) + 8
         )
@@ -958,32 +972,36 @@ FOUND_11 = [(11.0, 0.01), (12.0, 0.02), (30.0, 0.2)]
 @example(cell=FOUND_11[1])
 @example(cell=FOUND_11[2])
 def test_fixed_run_is_within_its_error_bound_on_random_cells(cell):
-    # the fixed-point arithmetic at measure_vartheta's arguments, every
-    # panel at 24 points as the mpf loop's: theta before its rounding to a
-    # double, against the mpf loop 64 bits higher over the same panels
-    # (the rule's and the tail's errors are the tests of _rule_bound and of
-    # the stop); cells whose leading term is not a double are not measured
+    # the fixed-point arithmetic at measure_vartheta's arguments, on the
+    # panels its run takes: theta before its rounding to a double, against
+    # the same Gauss-Legendre panels summed by mpmath 64 bits higher (the
+    # rule's and the tail's errors are the tests of _rule_bound and of the
+    # stop); cells whose leading term is not a double are not measured
     rho, t = cell
     with pytest.MonkeyPatch.context() as m:
         try:
             r, t, bits, estimate = _oracle_args(rho, t, m)
         except DomainError:
             assume(False)
-        m.setattr(rq, "_LADDER", (24,))
-        value, (_, orders, stopped) = _fixed_serial(r, t, bits, estimate)
+    value, (_, panels, stopped) = _fixed_serial(r, t, bits, estimate)
     assert stopped
-    ref, ref_panels = rq._integrate_panels(r, t, bits + 64, len(orders))
-    assert len(ref_panels) == len(orders)
-    bound = _fixed_run_bound(r, t, bits, estimate, ref_panels)
-    with mp.workprec(bits + 64):
+    prec = bits + 64
+    with mp.workprec(prec):
+        ref_panels = [(-1) ** k * _panel_sums(r, t, k, m, n, prec)[0] for k, m, n in panels]
+        ref = rq._theta_of(mp.fsum(ref_panels)._mpf_, r, t, prec)
+        bound = _fixed_run_bound(r, t, bits, estimate, panels, ref_panels)
         error = abs(value - ref) / ref
     assert error <= bound, (rho, t, bits, float(error), float(bound))
 
 
 def _measured_or_refused(rho, t):
-    """Asserts that measure_vartheta(rho, t) is the mpf loop's vartheta at
-    the same bits, or refuses where the leading term or the mpf loop's
-    theta is not a positive normal double; returns the vartheta, or None."""
+    """Asserts that measure_vartheta(rho, t) is the vartheta of the mpf loop
+    at the same bits with 64 points per half-period, or refuses where the
+    leading term or that loop's theta is not a positive normal double;
+    returns the vartheta, or None.  The loop's own 24 points are 1.3e-15
+    off theta at (115.58428452718766, 0.75), t sqrt(r) = 9.3 (ROADMAP
+    Found 12), where 48 and 64 points and measure_vartheta's proved panels
+    agree."""
     sd = sg.saddle_data(rho)
     try:
         lead = ab.theta_leading(rho, t)
@@ -991,7 +1009,9 @@ def _measured_or_refused(rho, t):
         with pytest.raises(DomainError):
             ab.measure_vartheta(rho, t)
         return None
-    theta = float(_serial(rho / t, t, rq._cancellation_bits(sd, t))[0])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rq, "_PANEL_POINTS", 64)
+        theta = float(_serial(rho / t, t, rq._cancellation_bits(sd, t))[0])
     try:
         vartheta = ab.measure_vartheta(rho, t)
     except DomainError:
@@ -1037,12 +1057,85 @@ def test_measure_vartheta_sums_the_tail_that_the_mpf_loops_test_drops(rho, t, va
     assert ab.measure_vartheta(rho, t) == summed == vartheta != stopped
 
 
-def _panel_sums(r, t, k, order, prec):
-    """((t/2) sum w f, (t/2) sum w |f / sin|): the order-point Gauss-Legendre
-    sum on panel k at prec bits, f the integrand with its phase taken
-    locally, and the same sum without the phase's sine."""
+def _recorded_partitions(monkeypatch):
+    """The list to which every later _partition call appends (r, t, kmax,
+    target, its partition or None)."""
+    plans = []
+    partition = rq._partition
+
+    def recorded(r, t, kmax, target, bounds):
+        plans.append((r, t, kmax, target, partition(r, t, kmax, target, bounds)))
+        return plans[-1][-1]
+
+    monkeypatch.setattr(rq, "_partition", recorded)
+    return plans
+
+
+def test_every_certify_grid_panel_takes_a_proved_shape(monkeypatch, cold_tables):
+    # the 105 cells of seeds 0, 1, 3, 5 and 7 (93 distinct): each run has a
+    # proved partition of [0, kmax t], every panel of it a shape of the
+    # ladder (its m cut to the last edge) whose rule bound, recomputed,
+    # meets the run's target, and the run sums a prefix of it
+    plans = _recorded_partitions(monkeypatch)
+    summed = []
+    terms = rq._fixed_terms
+
+    def logged(*args):
+        run = terms(*args)
+        summed.append(run[1])
+        return run
+
+    monkeypatch.setattr(rq, "_fixed_terms", logged)
+    for seed in (0, 1, 3, 5, 7):
+        for rho, t in _certify_grid(seed):
+            ab.measure_vartheta(rho, t)
+    assert len(plans) == len(summed) == 105
+    for (r, t, kmax, target, plan), panels in zip(plans, summed):
+        assert plan is not None and plan[0][0] == 0 and _half_periods(plan) == kmax, (r, t)
+        assert all(j + m == k for (j, m, _), (k, _, _) in zip(plan, plan[1:])), (r, t)
+        assert panels == plan[: len(panels)], (r, t)
+        for k, m, n in plan:
+            assert any(m == min(width, kmax - k) and n == order for width, order in rq._SHAPES)
+            assert min(a - r * b for a, b in rq._rule_bound(t, k, m, n)) <= target, (r, t, k, m, n)
+
+
+#: Cells near t = 0.01, with measure_vartheta's double before panels spanned
+#: more than one half-period (float hex), and perfbench/reference.py's
+#: vartheta_path there, which traces the descent path in mpmath with no code
+#: of the package.  Width-t panels of 24 points miss the rule target here:
+#: at (0.5, 0.02) each is off by e^-180 to e^-263 against e^-309, and the sum
+#: is within 6.6e-15 of the path only because the rule errors of consecutive
+#: panels cancel.  The first three have a proved partition into panels of 8
+#: half-periods at 80 or 96 points; the last three have none and keep the
+#: width-t panels throughout.  A run that switched from width-t panels to
+#: proved ones partway gave 4.4e57 at (0.25, 0.01) and refused (0.5, 0.01).
+PARTITION_CELLS = [
+    (0.5, 0.02, True, "-0x1.22a984f8f0000p-12", -0.0002771970608149197),
+    (1.0, 0.01, True, "-0x1.2b75b3dadd000p-13", -0.0001427935484020203),
+    (0.25, 0.02, True, "-0x1.0fd0897211800p-12", -0.00025922260022097143),
+    (0.25, 0.01, False, "-0x1.0fe62f45d0000p-13", -0.00012965162220485778),
+    (0.5, 0.01, False, "-0x1.22c5c22cd3000p-13", -0.00013865112976987225),
+    (0.05, 0.02, False, "-0x1.be896347b0000p-13", -0.0002129252772896703),
+]
+
+
+@pytest.mark.parametrize("rho, t, proved, double, path", PARTITION_CELLS)
+def test_a_run_never_switches_partitions_partway(monkeypatch, rho, t, proved, double, path):
+    plans = _recorded_partitions(monkeypatch)
+    vartheta = ab.measure_vartheta(rho, t)
+    ((*_, plan),) = plans
+    assert (plan is not None) == proved
+    assert vartheta.hex() == double
+    assert abs(vartheta - path) <= 1e-13
+
+
+def _panel_sums(r, t, k, m, order, prec):
+    """((w/2) sum w_j f, (w/2) sum w_j |f / sin|): the order-point
+    Gauss-Legendre sum on the panel of m half-periods from k t, of width
+    w = m t, at prec bits, f the integrand with its phase taken from k t,
+    and the same sum without the phase's sine."""
     tt = mp.mpf(t)
-    mid, half = (k + mp.mpf(0.5)) * tt, tt / 2
+    mid, half = (k + mp.mpf(m) / 2) * tt, m * tt / 2
     value, size = [], []
     for x, w in rq._gl_nodes(order, prec):
         xi = mid + half * mp.make_mpf(x)
@@ -1052,48 +1145,55 @@ def _panel_sums(r, t, k, order, prec):
     return half * mp.fsum(value), half * mp.fsum(size)
 
 
-def _rule_error_and_allowance(r, t, k, n, bits):
-    """(|error|, bound, rest): the n-point Gauss-Legendre sum on panel k
-    against a 64-point one at bits + 64, the rule bound that _fixed_terms
-    reads (_rule_bound, the least of its ellipses), and what the
-    comparison adds: the 64-point sum's own rule bound and both sums'
-    roundings.  A term w e^y sinh(xi) sin(phase) at prec bits is off by
-    about 2^-prec (2 |y| + 8 (k + 1) + 2^8) of w e^y sinh(xi): y's rounding
-    goes into the exponential, the phase's, within 8 (k + 1) 2^-prec, into
-    the sine, and the other roundings, under 2^8 of them, into the
-    product; fsum adds one rounding of the sum."""
+def _rule_error_and_allowance(r, t, k, m, n, bits):
+    """(|error|, bound, rest): the n-point Gauss-Legendre sum on the panel of
+    m half-periods from k t against its m width-t subpanels at 64 points
+    each, at bits + 64, the rule bound that _fixed_terms reads
+    (_rule_bound, the least of its ellipses), and what the comparison
+    adds: the subpanels' own rule bounds and both sums' roundings.  A term
+    w e^y sinh(xi) sin(phase) at prec bits is off by about
+    2^-prec (2 |y| + 8 (k + m) + 2^8) of w e^y sinh(xi): y's rounding goes
+    into the exponential, the phase's, within 8 (k + m) 2^-prec, into the
+    sine, and the other roundings, under 2^8 of them, into the product;
+    fsum adds one rounding of the sum."""
     prec = bits + 64
     with mp.workprec(prec):
-        value, size = _panel_sums(r, t, k, n, prec)
-        ref, ref_size = _panel_sums(r, t, k, 64, prec)
-        edge = (k + 1) * mp.mpf(t)
+        value, size = _panel_sums(r, t, k, m, n, prec)
+        # subpanel j's phase, taken from j t, is (-1)^(j-k) the panel's
+        subpanels = [_panel_sums(r, t, j, 1, 64, prec) for j in range(k, k + m)]
+        ref = mp.fsum((-1) ** i * sub for i, (sub, _) in enumerate(subpanels))
+        ref_size = mp.fsum(sub_size for _, sub_size in subpanels)
+        edge = (k + m) * mp.mpf(t)
         y_max = edge * edge / (2 * t) + r * mp.cosh(edge)
 
-        def bound(order):
-            return min(mp.exp(a - r * b) for a, b in rq._rule_bound(t, order, k))
+        def bound(j, width, order):
+            return min(mp.exp(a - r * b) for a, b in rq._rule_bound(t, j, width, order))
 
-        rounding = (size + ref_size) * (2 * y_max + 8 * (k + 1) + 2**8) * mp.mpf(2) ** -prec
-        return abs(value - ref), bound(n), bound(64) + rounding
+        rounding = (size + ref_size) * (2 * y_max + 8 * (k + m) + 2**8) * mp.mpf(2) ** -prec
+        ref_bound = mp.fsum(bound(j, 1, 64) for j in range(k, k + m))
+        return abs(value - ref), bound(k, m, n), ref_bound + rounding
 
 
 def _rule_panels():
-    """(r, t, k, n, bits): rho = r t log-uniform in [1e-3, 1e2], t in
-    [0.01, 2], a panel k with k t <= 4, n from _LADDER and bits in
-    [64, 300]."""
+    """(r, t, k, m, n, bits): rho = r t log-uniform in [1e-3, 1e2], t in
+    [0.01, 2], a panel from k t with k t <= 4, (m, n) from _SHAPES and bits
+    in [64, 300]."""
     return st.tuples(
         st.floats(min_value=math.log(1e-3), max_value=math.log(1e2)),
         st.floats(min_value=0.01, max_value=2.0),
         st.integers(min_value=0, max_value=40),
-        st.sampled_from(rq._LADDER),
+        st.sampled_from(rq._SHAPES),
         st.integers(min_value=64, max_value=300),
-    ).map(lambda d: (math.exp(d[0]) / d[1], d[1], min(d[2], int(4.0 / d[1])), d[3], d[4]))
+    ).map(lambda d: (math.exp(d[0]) / d[1], d[1], min(d[2], int(4.0 / d[1])), *d[3], d[4]))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(panel=_rule_panels())
-@example(panel=(2.0, 0.5, 0, 16, 79))
-@example(panel=(40.0, 0.05, 3, 16, 207))
-@example(panel=(0.2, 2.0, 1, 24, 100))
+@example(panel=(2.0, 0.5, 0, 1, 16, 79))
+@example(panel=(2.0, 0.5, 0, 8, 80, 79))
+@example(panel=(5.0, 0.05, 0, 8, 64, 259))
+@example(panel=(40.0, 0.05, 3, 1, 16, 207))
+@example(panel=(0.2, 2.0, 1, 1, 24, 100))
 def test_rule_bound_holds_on_random_panels(panel):
     error, bound, rest = _rule_error_and_allowance(*panel)
     assert error <= bound + rest, (panel, float(error), float(bound), float(rest))
@@ -1128,7 +1228,7 @@ def test_tail_stop_is_within_its_bound_on_random_cells(cell):
     # run summed to its last panel: the tail bound at the stop edge X is
     # below 2^-72 of the estimate's summed panels, and the panels past X sum to
     # within the tail bound e^(-X^2/(2t) - r cosh X)/r, plus those panels'
-    # rule bounds (_rule_bound at each panel's order), their node terms
+    # rule bounds (_rule_bound at each panel's shape), their node terms
     # (2^-(bits+7) + 2^-bits (|y| + 2 pi kmax + 8) of each, as in
     # _fixed_run_bound) and the accumulator's 1 + 2^-7 units per node
     rho, t = cell
@@ -1140,23 +1240,23 @@ def test_tail_stop_is_within_its_bound_on_random_cells(cell):
         kmax = rq._panel_count(r, t, bits)
         log_total = rq._log_total(r, t, estimate)
         scale = rq._fixed_scale(log_total, r, bits)
-        acc, orders, stopped = rq._fixed_terms(r, t, bits, kmax, {}, scale, log_total)
+        acc, panels, stopped = rq._fixed_terms(r, t, bits, kmax, {}, scale, log_total)
         m.setattr(rq, "_TAIL_GUARD", 10**9)
-        full, all_orders, _ = rq._fixed_terms(r, t, bits, kmax, {}, scale, log_total)
-    assert stopped and all_orders[: len(orders)] == orders and len(all_orders) == kmax
+        full, all_panels, _ = rq._fixed_terms(r, t, bits, kmax, {}, scale, log_total)
+    past_panels = all_panels[len(panels) :]
+    assert stopped and all_panels[: len(panels)] == panels and _half_periods(all_panels) == kmax
     with mp.workprec(bits + 64):
         unit = mp.ldexp(t, -scale - 1)  # an accumulator unit, times t/2
-        edge = len(orders) * mp.mpf(t)
+        edge = _half_periods(panels) * mp.mpf(t)
         tail = mp.exp(-edge * edge / (2 * t) - r * mp.cosh(edge)) / r
         rule = mp.fsum(
-            min(mp.exp(a - r * b) for a, b in rq._rule_bound(t, n, k))
-            for k, n in enumerate(all_orders)
-            if k >= len(orders)
+            min(mp.exp(a - r * b) for a, b in rq._rule_bound(t, k, m, n))
+            for k, m, n in past_panels
         )
         last = kmax * mp.mpf(t)
         y_max = last * last / (2 * t) + r * mp.cosh(last)
         terms = mp.mpf(2) ** -(bits + 7) + mp.mpf(2) ** -bits * (y_max + 2 * mp.pi * kmax + 8)
-        nodes = sum(all_orders[len(orders) :]) * (1 + mp.mpf(2) ** -7) * unit
+        nodes = sum(n for _, _, n in past_panels) * (1 + mp.mpf(2) ** -7) * unit
         past = abs(full - acc) * unit
         assert past <= (tail + rule) * (1 + terms) + nodes, (cell, float(past), float(tail))
         # the stop's own criterion, recomputed 64 bits higher
@@ -1284,20 +1384,21 @@ def test_exp_kernel_from_p_at_P_up_is_the_one_degree_kernel(wp_x, above):
 
 def _recomputed_products(r, t, bits, log_total, scale):
     """The products E q >> shift that the fixed-point run at (r, t, bits),
-    its orders and stop set by log_total, sums into an accumulator at
+    its panels and stop set by log_total, sums into an accumulator at
     `scale` fractional bits, with the p each asks of the exponential,
     recomputed from the node table's integers with _exp2; asserts that
     they sum, each panel's with its sign, to the run's accumulator."""
     table = {}
-    acc, orders, _ = rq._fixed_terms(r, t, bits, rq._panel_count(r, t, bits), table, scale, log_total)
+    kmax = rq._panel_count(r, t, bits)
+    acc, panels, _ = rq._fixed_terms(r, t, bits, kmax, table, scale, log_total)
     frac, wp = bits + rq._FIXED_GUARD, bits + rq._EXP_GUARD
     kernel = rq._exp_kernel(wp)
     r_num, r_den = r.as_integer_ratio()
     base = wp + frac - scale
     products = []
     total = 0
-    for k, order in enumerate(orders):
-        ints = table[k, order]
+    for k, m, order in panels:
+        ints = table[k, m, order]
         assert len(ints) == 3 * order + 2
         it = iter(ints[2:])
         for g, c, q in zip(it, it, it):
@@ -1328,8 +1429,10 @@ def test_each_summed_product_is_below_its_sig_bound(monkeypatch, seed):
         log_total = rq._log_total(r, t, estimate)
         products += _recomputed_products(r, t, bits, log_total, rq._fixed_scale(log_total, r, bits))
         _recomputed_products(r, t, bits, log_total, rq._fixed_scale(-1e6, r, bits))
-    assert len(products) > 10_000
-    assert all(0 <= value < 1 << (p - 3) for value, p in products)
+    assert len(products) > 3_500
+    # a wide panel's phase changes sign within it, and so do Q and the
+    # product, whose shift rounds toward -inf
+    assert all(-(1 << (p - 3)) <= value < 1 << (p - 3) for value, p in products)
     # the test reaches the degrees below K: most products keep far fewer
     # bits than wp
     assert sorted(p for _, p in products)[len(products) // 2] < 150
@@ -1406,9 +1509,9 @@ def test_split_runs_equal_the_serial_runs_over_three_grid_passes(
         fixed = [rq._theta_fixed(*cell) for cell in cells]
         assert fixed == [float(value) for value, _ in serial], run
         assert set(rq._node_tables) == {(t, bits) for _, t, bits, _ in cells}
-        # each key's table holds every panel summed at it, at its order
-        for (r, t, bits, _), orders in zip(cells, summed):
-            assert set(enumerate(orders)) <= set(rq._node_tables[t, bits]), (run, r, t)
+        # each key's table holds every panel summed at it, at its shape
+        for (r, t, bits, _), panels in zip(cells, summed):
+            assert set(panels) <= set(rq._node_tables[t, bits]), (run, r, t)
     assert forks == []
 
 
@@ -1419,14 +1522,14 @@ def test_the_first_run_fills_the_table(cold_tables):
         rq.theta_direct(2.0, 0.5)
     assert not rq._node_tables
     # a key's first fixed-point run fills its table with the integers of
-    # every panel it summed, at its order: 8 of 10 at (2, 0.5, 79), each at
-    # 16 points, the edge's G and C and three integers per node
+    # every panel it summed, at its shape: at (2, 0.5, 79) one panel of 8 of
+    # the 10 half-periods, at 80 points, the edge's G and C and three
+    # integers per node
     rq._theta_fixed(2.0, 0.5, 79, ab.theta_leading(1.0, 0.5))
     rq._theta_fixed(2.0, 0.25, 79, ab.theta_leading(0.5, 0.25))
     assert list(rq._node_tables) == [(0.5, 79), (0.25, 79)]
-    table = rq._node_tables[0.5, 79]
-    assert sorted(table) == [(k, 16) for k in range(8)]
-    assert all(len(ints) == 3 * 16 + 2 for ints in table.values())
+    (ints,) = rq._node_tables[0.5, 79].values()
+    assert list(rq._node_tables[0.5, 79]) == [(0, 8, 80)] and len(ints) == 3 * 80 + 2
 
 
 def test_node_tables_stay_within_the_bound(cold_tables):
@@ -1471,12 +1574,11 @@ def test_node_tables_under_concurrent_callers(cold_tables):
 
 #: Bytes of the node tables that a pass of verify-bound's default grid
 #: leaves, by tracemalloc: 3 n + 2 integers per panel at order n over the
-#: 327 (panel, order) entries of its 6 keys, 20,190 integers, in one list
-#: per entry: 1,385,360 bytes (1,155,176 of integers, 205,768 of lists,
-#: 18,312 of (k, n) keys, 11,648 of the dicts).  They hold 230 distinct
-#: panels, some at two or three orders, chosen by cells of one key at
-#: different r.
-_DEFAULT_GRID_TABLE_BYTES = 1_480_000
+#: 37 (k, m, n) entries of its 6 keys, 5,978 integers, in one list per
+#: entry: 394,816 bytes (340,452 of integers, 54,488 of lists, 2,368 of
+#: keys, 1,880 of the dicts).  They hold 33 distinct panels (k, m), 4 of
+#: them at two orders, chosen by cells of one key at different r.
+_DEFAULT_GRID_TABLE_BYTES = 430_000
 
 
 def test_default_grid_node_tables_stay_within_their_measured_size(monkeypatch, cold_tables):
@@ -1495,7 +1597,7 @@ def test_default_grid_node_tables_stay_within_their_measured_size(monkeypatch, c
     for cell in cells:
         rq._theta_fixed(*cell)
     assert [len(table) for table in rq._node_tables.values()] == counts
-    assert len(counts) == 6 and sum(counts) == 327
+    assert len(counts) == 6 and sum(counts) == 37
     assert held <= _DEFAULT_GRID_TABLE_BYTES, held
 
 
@@ -1541,7 +1643,7 @@ def test_measure_vartheta_forks_nothing_and_runs_one_fixed_run(monkeypatch, cold
     monkeypatch.setattr(rq, "_panel_terms", must_not_run)
     ab.measure_vartheta(2.0, 0.2)
     assert forks == []
-    # 16 panels, summed up to the tail's stop
+    # kmax = 16 half-periods, summed up to the tail's stop
     assert calls == [(bits, 16)] and rq._panel_count(r, t, bits) == 16
 
 
