@@ -35,13 +35,15 @@ measures rounding only, not the panel rule's error nor a tail the loop
 stopped short of.
 
 Two loops sum the panels.  theta_direct's runs take the mpf loop
-(_panel_terms): each step is the libmp call that the equivalent mpf
+(_integrate_panels): each step is the libmp call that the equivalent mpf
 expression makes under mp.workprec, with the same precision, rounding and
 order, so every panel is the mpf result to the bit, as error_estimate, in
 the rerun's last bits, needs (at (r, t) = (2, 0.5) mp.exp in place of
 mp.e ** y moves it from 7.138e-19 to 1.357e-18, folding sin into the weights
-to 2.850e-19).  measure_vartheta reads theta only as a double, and its run
-takes the fixed-point loop (_fixed_terms) below.
+to 2.850e-19).  It forms the envelope at each panel edge past the peak and
+compares it with the threshold at bits, exactly.  measure_vartheta reads
+theta only as a double, and its run takes the fixed-point loop
+(_fixed_terms) below.
 
 Both loops take a node's r-free values, -xi^2/(2t), cosh xi and sinh xi (one
 mpf_cosh_sinh) and the phase sine, from _node_values; they depend only on
@@ -60,17 +62,17 @@ bound on that panel (_rule_bound: Trefethen's Bernstein-ellipse bound,
 with the integrand bounded on the ellipse's box) is at most 2^-72 of the
 estimate's summed panels over the panel count kmax; m is cut to
 kmax - k at the last edge (_partition).  A run takes that partition only
-where every panel up to kmax has a proved shape.  Otherwise it keeps
-panels of width t throughout, each at the lowest order of _LADDER, (16,
-20, 24), whose bound allows it, or else 24 points, as theta_direct's
-panels.  Where those miss the target, the rule errors of consecutive
-width-t panels cancel, and a run that switched to proved panels partway
-loses that: it gave vartheta 4.4e57 at (rho, t) = (0.25, 0.01).  Every
-certify-grid cell has a proved partition.  On a scan of rho from 0.05 to
-100 and t from 0.005 to 5, the width-t panels remain where small rho
-meets small t (rho up to 1 at t = 0.005, 0.5 at t = 0.01, 0.1 at
-t = 0.02) and at large t (rho up to 4 at t = 2, every rho at t = 5), where
-the first panel misses the target at every shape.  The run holds, per
+where every panel up to kmax has a proved shape.  Otherwise it sums
+theta_direct's panels throughout, width t at _PANEL_POINTS points, whose
+rule bound it does not check.  Where those miss the target, the rule
+errors of consecutive width-t panels cancel, and a run that switched to
+proved panels partway loses that: it gave vartheta 4.4e57 at
+(rho, t) = (0.25, 0.01).  Every certify-grid cell has a proved
+partition.  On a scan of rho from 0.05 to 100 and t from 0.005 to 5, the
+width-t panels remain where small rho meets small t (rho up to 1 at
+t = 0.005, 0.5 at t = 0.01, 0.1 at t = 0.02) and at large t (rho up to 4
+at t = 2, every rho at t = 5), where the first panel misses the target at
+every shape.  The run holds, per
 panel and shape, G' and C', G = -xi^2/(2t) and C = cosh xi times log2 e,
 and Q = m (w sinh xi) osc at each node, and the right edge's G and C, as
 the integers nearest 2^FT times those values, FT = bits + 40.  At each
@@ -96,10 +98,10 @@ estimate's summed panels, the run is within 2^-64 from the accumulator,
 node terms (2^-68 for t above 1/32), formed at bits as theta_direct forms
 them (_fixed_terms states each); measure_vartheta hands in the leading
 term, so vartheta carries below 2^-63 absolute.  The rule's part excepts
-a width-t run's 24-point panels whose own bound misses the target, which
-carry theta_direct's rule error, no bound here states; no certify-grid
-cell has one.  The bounds are computed in doubles with a slack that
-rounding cannot eat (_SLACK).
+a run with no proved partition, whose panels carry theta_direct's rule
+error, no bound here states; no certify-grid cell is such a run.  The
+bounds are computed in doubles with a slack that rounding cannot eat
+(_SLACK).
 
 The bound |vartheta| <= t/70 is checked by sweeping rho at fixed t, and
 verify-bound's grid runs six of its seven rho at each t at the same bits,
@@ -191,18 +193,14 @@ __all__ = [
 DEFAULT_BITS_CEILING = 4096
 
 #: Gauss-Legendre nodes per half-period panel of theta_direct's mpf loop,
-#: and the top of the fixed-point run's ladder (_LADDER).  24 holds panel
-#: truncation near the noise floor even for the sharpest envelopes
-#: exercised by the bound grids.
+#: and of the fixed-point run's panels where it has no proved partition.
+#: 24 holds panel truncation near the noise floor even for the sharpest
+#: envelopes exercised by the bound grids.
 _PANEL_POINTS = 24
 
 #: Scales the dynamic truncation threshold
 #: _TAIL_TOLERANCE * |partial sum| * 2^(-bits/2).
 _TAIL_TOLERANCE = 0.5
-
-#: The tail test decides from float logs where they lie more than
-#: _SCREEN_SLACK (|log threshold| + bits) nats apart (_add_panels).
-_SCREEN_SLACK = 2.0**-30
 
 _LN2 = math.log(2.0)
 
@@ -379,8 +377,8 @@ def _gl_nodes(n: int, prec: int):
 #: keys of each.
 _NODE_TABLES = 8
 
-_node_tables: OrderedDict = OrderedDict()  # (t, bits) -> {(k, n): panel's integers}
-_rule_bounds: OrderedDict = OrderedDict()  # t -> {(k, n): _rule_bound(t, n, k)}
+_node_tables: OrderedDict = OrderedDict()  # (t, bits) -> {(k, m, n): panel's integers}
+_rule_bounds: OrderedDict = OrderedDict()  # t -> {(k, m, n): _rule_bound(t, k, m, n)}
 _prefactors: OrderedDict = OrderedDict()  # (t, bits) -> _prefactor_parts(t, bits)
 _tables_lock = threading.Lock()  # one caller at a time reads or moves a key of any of them
 
@@ -400,9 +398,10 @@ def _recent(cache: OrderedDict, key, make):
 
 
 def _node_table(t: float, bits: int) -> dict:
-    """The node table of a fixed-point run at (t, bits), a dict from (panel
-    index, panel order) to the panel's integers (_fixed_terms), which the
-    runs fill as they go; a new key gets an empty one."""
+    """The node table of a fixed-point run at (t, bits), a dict from a
+    panel's shape (k, m, n), n points on [k t, (k + m) t], to its integers
+    (_fixed_terms), which the runs fill as they go; a new key gets an empty
+    one."""
     return _recent(_node_tables, (t, bits), dict)
 
 
@@ -518,66 +517,6 @@ def _node_values(t: float, bits: int, n: int, m: int = 1):
     return tt, half, nodes, values, edge_values
 
 
-def _damping(r: float, bits: int):
-    """The function taking (gauss, cosh) at a node or edge to
-    mp.e ** (gauss - rr * cosh) as the mpf loop forms it at bits."""
-    prec = bits
-    rr = from_float(r, prec, _RND)
-    e = mpf_e(prec, _RND)
-    # mp.e ** y is mpf_pow, i.e. exp(y * log(e)) with log(e) at prec + 10 bits;
-    # that log is the same for every y, so it is taken once here
-    log_e = mpf_log(e, prec + 10, _RND)
-
-    def damped(gauss, cosh):
-        y = mpf_sub(gauss, mpf_mul(rr, cosh, prec, _RND), prec, _RND)
-        if y[2] >= -1:  # integer or half-integer y: mpf_pow's exact-power route
-            return mpf_pow(e, y, prec, _RND)
-        return mpf_exp(mpf_mul(y, log_e), prec, _RND)
-
-    return damped
-
-
-def _panel_terms(r: float, t: float, bits: int, kmax: int):
-    """The mpf loop's panels k < kmax, in order: yields each panel's signed
-    contribution, a raw libmp value at `bits`, with the log of the envelope
-    at its right edge (k + 1) t and a function returning that envelope, as
-    _add_panels reads them.
-
-    The envelope bounds the tail only past the envelope's peak, so for an
-    edge not beyond peak + t both are None and stop no sum.  Each step is the
-    libmp call, in the same order, that the corresponding mpf expression
-    (noted in the comments) makes under mp.workprec(bits), so every value is
-    the mpf result to the bit and depends only on (r, t, bits, k).
-    """
-    prec = bits
-    tt, half, nodes, values, edge_values = _node_values(t, bits, _PANEL_POINTS)
-    damped = _damping(r, bits)
-    peak = _envelope_peak(r)
-    for k in range(kmax):
-        it = iter(values(k))
-        acc = fzero
-        for (_, w), gauss, cosh, sinh, osc in zip(nodes, it, it, it, it):
-            # acc += w * mp.e ** (-xi * xi / (2 * tt) - rr * cosh(xi)) * sinh(xi) * osc
-            term = mpf_mul(
-                mpf_mul(mpf_mul(w, damped(gauss, cosh), prec, _RND), sinh, prec, _RND),
-                osc,
-                prec,
-                _RND,
-            )
-            acc = mpf_add(acc, term, prec, _RND)
-        sign = -1 if (k % 2) else 1
-        # sign * half * acc
-        contribution = mpf_mul(mpf_mul_int(half, sign, prec, _RND), acc, prec, _RND)
-        edge = mpf_mul_int(tt, k + 1, prec, _RND)
-        log_envelope = envelope = None
-        if to_float(edge, rnd=_RND) > peak + t:
-            # envelope = mp.e ** (...) * mp.sinh(edge), as at the nodes
-            gauss, cosh, sinh = edge_values(edge)
-            value = mpf_mul(damped(gauss, cosh), sinh, prec, _RND)
-            log_envelope, envelope = _log_abs(value), (lambda value=value: value)
-        yield contribution, log_envelope, envelope
-
-
 #: The fixed-point run's fractional bits above the run's bits, FT = bits + 40
 #: (_fixed_terms).
 _FIXED_GUARD = 40
@@ -590,13 +529,10 @@ _ACC_GUARD = 80
 _ACC_FLOOR = 64
 #: The exponential's tables' bits above wp while they are built.
 _EXP_BUILD_GUARD = 20
-#: The fixed-point run's panel orders on panels of width t, lowest first,
-#: where a run has no proved partition (_panel_order, _fixed_terms).
-_LADDER = (16, 20, _PANEL_POINTS)
 #: The fixed-point run's panel shapes (m, n), n points on m half-periods,
 #: fewest nodes per half-period first: a panel takes the first whose proved
 #: rule bound allows it (_partition).
-_SHAPES = ((8, 48), (8, 64), (8, 80), (8, 96), *((1, n) for n in _LADDER))
+_SHAPES = ((8, 48), (8, 64), (8, 80), (8, 96), (1, 16), (1, 20), (1, 24))
 #: The panel rule's and the tail's shares of the estimate's summed panels,
 #: 2^-72 each.
 _RULE_GUARD = 72
@@ -783,15 +719,6 @@ def _proved(r: float, t: float, k: int, m: int, n: int, target: float, bounds: d
     return False
 
 
-def _panel_order(r: float, t: float, k: int, target: float, bounds: dict) -> int:
-    """The lowest order of _LADDER whose rule bound on the width-t panel k
-    is at most e^target (_proved), or the ladder's last, unchecked."""
-    for n in _LADDER[:-1]:
-        if _proved(r, t, k, 1, n, target, bounds):
-            return n
-    return _LADDER[-1]
-
-
 def _partition(r: float, t: float, kmax: int, target: float, bounds: dict):
     """The proved partition of [0, kmax t]: a list of panels (k, m, n), each
     the first shape of _SHAPES, its m clamped to k + m <= kmax, whose rule
@@ -823,8 +750,8 @@ def _fixed_terms(
 
     The panels are the proved partition (_partition), each rule bound at
     most 2^-_RULE_GUARD e^log_total/kmax, where every panel up to kmax has
-    a proved shape, and else the width-t panels k < kmax, each at the
-    lowest order of _LADDER whose bound allows it (_panel_order).  A
+    a proved shape, and else theta_direct's panels, the width-t panels
+    k < kmax at _PANEL_POINTS points, whose bounds are not checked.  A
     panel's integers are read from `table`, the node table of (t, bits),
     under (k, m, n) where it holds them, or made from _node_values' libmp
     values and stored there: the same integers either way; _node_values
@@ -862,12 +789,12 @@ def _fixed_terms(
       is 2^-80 of the estimate, so that is below 2^-64 for (t/2) N <= 2^15,
       however far the estimate lies above theta.  A run sums at most 24
       nodes per half-period, but for a last panel cut at kmax of up to 96,
-      so N <= 24 kmax + 96, and kmax t <= _X_MAX (_validated): (t/2) N is
+      so N <= 24 kmax + 96, and kmax t <= sg._X_MAX (_validated): (t/2) N is
       below 2^14 for t <= 2 (a certify-grid run sums at most 560 nodes);
-    * the panel rule: at most kmax panels, each within 2^-72/kmax, but a
-      width-t run's 24-point panel, whose own bound can lie far above that
-      (module docstring) and is not checked: it is summed as
-      theta_direct sums it;
+    * the panel rule: at most kmax panels, each within 2^-72/kmax, but in
+      a run with no proved partition, whose panels' own bounds can lie far
+      above that (module docstring) and are not checked: they are summed
+      as theta_direct sums them;
     * the tail: 2^-72;
     * the node terms.  The exponent y is off by at most 2^-(FT+1) (1 + r)
       from G' and C' (each the exact product with log2 e at FT + 64 bits,
@@ -877,7 +804,7 @@ def _fixed_terms(
       the 2^-(p+4) above (_exp_kernel).  So each product moves by at most
       1.05 2^-wp = 2^-(bits+13.9) of itself.  Q's rounding, 2^-(FT+1),
       adds 2^-(bits+10)/t of it: with sinh xi >= xi, |Q| > 2^-31 t at every
-      node of every shape that the ladder and the cut at kmax form.  The
+      node of every shape that _SHAPES and the cut at kmax form.  The
       least is (2, 96) at k = 0, a run of two half-periods (_panel_count
       gives kmax >= 2, so a panel cut at k = 0 spans two); every uncut
       shape has |Q| > 2^-25 t, (8, 96) the least, and 24 points on width
@@ -917,7 +844,7 @@ def _fixed_terms(
     keep = wp + 4 - base
     plan = _partition(r, t, kmax, target, bounds)
     if plan is None:
-        plan = ((k, 1, _panel_order(r, t, k, target, bounds)) for k in range(kmax))
+        plan = ((k, 1, _PANEL_POINTS) for k in range(kmax))
     acc = 0
     panels = []
     for k, m, order in plan:
@@ -963,60 +890,6 @@ def _fixed_terms(
     return acc, panels, False
 
 
-def _log_abs(value: tuple) -> float:
-    """log |value| for a raw libmp value, as a float: -inf at 0, and +-inf
-    where its binary exponent lies beyond the doubles."""
-    _, man, exp, _ = value
-    if not man:
-        return -math.inf
-    try:
-        return math.log(man) + exp * _LN2
-    except OverflowError:
-        return math.inf if exp > 0 else -math.inf
-
-
-def _add_panels(terms, bits: int, panels: list) -> tuple:
-    """The sum of the contributions of terms, in order, at `bits`, appending
-    each to panels, until the tail test stops it: an envelope below
-    _TAIL_TOLERANCE * 2^-(bits/2) of |total|.  Where terms is a generator,
-    no panel past the stop is computed.
-
-    terms yield (contribution, log_envelope, envelope): envelope() is the
-    exact envelope at the panel's right edge, a raw libmp value, and
-    log_envelope a float estimate of its log; both are None at an edge the
-    test does not read.  The test compares log_envelope with L, the float log
-    of the threshold, and forms envelope() and the threshold at bits, as the
-    mpf loop always compared them, only where the two logs lie within
-    m = _SCREEN_SLACK (|L| + bits) nats, or where L is infinite (a zero
-    total) or both logs are; an envelope whose log is -inf, below -2^1023
-    nats, stops the sum where L is finite.  Within m each float is within
-    2^-49 (|L| + bits + 1000) nats of the log of the value that the exact
-    test reads, which is below m/2 for bits >= 64: the float roundings of at
-    most four terms, each under |L| + bits + 1000 nats there (log sinh of an
-    edge is within 745 nats of 0), and the libmp roundings at bits.  So the
-    test stops where the exact test stops.
-    """
-    # mpf(2) ** -(bits // 2) * mpf(_TAIL_TOLERANCE), exact
-    thresh_scale = mpf_shift(from_float(_TAIL_TOLERANCE), -(bits // 2))
-    log_scale = math.log(_TAIL_TOLERANCE) - (bits // 2) * _LN2
-    total = fzero
-    for contribution, log_envelope, envelope in terms:
-        panels.append(contribution)
-        total = mpf_add(total, contribution, bits, _RND)
-        if envelope is None:
-            continue
-        log_bound = log_scale + _log_abs(total)
-        margin = _SCREEN_SLACK * (abs(log_bound) + bits)
-        gap = log_envelope - log_bound
-        if gap > margin:
-            continue
-        # where L, or both logs, are infinite, gap or margin is nan or
-        # infinite: the exact test decides
-        if gap < -margin or mpf_lt(envelope(), mpf_mul(thresh_scale, mpf_abs(total), bits, _RND)):
-            break
-    return total
-
-
 def _log_total(r: float, t: float, estimate: float) -> float:
     """log |total|: the summed panels that a theta of `estimate`, a positive
     double, implies, with theta's prefactor r/sqrt(2 pi^3 t) e^(pi^2/(2t))
@@ -1051,12 +924,61 @@ def _integrate_panels(r: float, t: float, bits: int, kmax: int):
     """theta_direct's serial run: the mpf loop over at most kmax panels, in
     this process; returns (theta as mpf, signed panel list).
 
+    Each step is the libmp call, in the same order, that the corresponding
+    mpf expression (noted in the comments) makes under mp.workprec(bits), so
+    every panel is the mpf result to the bit and depends only on
+    (r, t, bits, k).  The sum stops after the first panel whose right edge
+    lies beyond the envelope's peak + t (below it the envelope bounds no
+    tail) and has an envelope below _TAIL_TOLERANCE 2^-(bits/2) of the
+    partial sum, both at bits.
+
     Exposed separately so tests can inspect the alternation of consecutive
     half-period contributions.
     """
+    prec = bits
+    tt, half, nodes, values, edge_values = _node_values(t, bits, _PANEL_POINTS)
+    rr = from_float(r, prec, _RND)
+    e = mpf_e(prec, _RND)
+    # mp.e ** y is mpf_pow, i.e. exp(y * log(e)) with log(e) at prec + 10 bits;
+    # that log is the same for every y, so it is taken once here
+    log_e = mpf_log(e, prec + 10, _RND)
+
+    def damped(gauss, cosh):
+        # mp.e ** (gauss - rr * cosh)
+        y = mpf_sub(gauss, mpf_mul(rr, cosh, prec, _RND), prec, _RND)
+        if y[2] >= -1:  # integer or half-integer y: mpf_pow's exact-power route
+            return mpf_pow(e, y, prec, _RND)
+        return mpf_exp(mpf_mul(y, log_e), prec, _RND)
+
+    peak = _envelope_peak(r)
+    # mpf(2) ** -(bits // 2) * mpf(_TAIL_TOLERANCE), exact
+    thresh_scale = mpf_shift(from_float(_TAIL_TOLERANCE), -(bits // 2))
+    total = fzero
     panels = []
-    terms = _panel_terms(r, t, bits, kmax)
-    total = _add_panels(terms, bits, panels)
+    for k in range(kmax):
+        it = iter(values(k))
+        acc = fzero
+        for (_, w), gauss, cosh, sinh, osc in zip(nodes, it, it, it, it):
+            # acc += w * mp.e ** (-xi * xi / (2 * tt) - rr * cosh(xi)) * sinh(xi) * osc
+            term = mpf_mul(
+                mpf_mul(mpf_mul(w, damped(gauss, cosh), prec, _RND), sinh, prec, _RND),
+                osc,
+                prec,
+                _RND,
+            )
+            acc = mpf_add(acc, term, prec, _RND)
+        # sign * half * acc
+        sign = -1 if (k % 2) else 1
+        contribution = mpf_mul(mpf_mul_int(half, sign, prec, _RND), acc, prec, _RND)
+        panels.append(contribution)
+        total = mpf_add(total, contribution, prec, _RND)
+        edge = mpf_mul_int(tt, k + 1, prec, _RND)
+        if to_float(edge, rnd=_RND) > peak + t:
+            # mp.e ** (...) * mp.sinh(edge) < thresh_scale * abs(total), as at the nodes
+            gauss, cosh, sinh = edge_values(edge)
+            envelope = mpf_mul(damped(gauss, cosh), sinh, prec, _RND)
+            if mpf_lt(envelope, mpf_mul(thresh_scale, mpf_abs(total), prec, _RND)):
+                break
     return _theta_of(total, r, t, bits), [mp.make_mpf(p) for p in panels]
 
 

@@ -22,7 +22,6 @@ from mpmath.libmp import (
     from_man_exp,
     fzero,
     mpf_abs,
-    mpf_add,
     mpf_exp,
     mpf_le,
     mpf_mul,
@@ -450,12 +449,21 @@ def test_tail_test_where_the_envelopes_log_leaves_the_doubles():
     assert len(_fixed_serial(r, t, bits, 1.0)[1][1]) == 1
 
 
+def _default_bits(r, t):
+    """theta_direct's bits at (r, t) when it sizes its own."""
+    return rq._cancellation_bits(sg.saddle_data(r * t), t)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     r=st.floats(min_value=0.1, max_value=200.0),
     t=st.floats(min_value=0.1, max_value=1.0),
     bits=st.integers(min_value=64, max_value=300),
 )
+# point-eval's lowest t, at rho = 0.05, 1 and 10, at theta_direct's own bits
+@example(r=1.0, t=0.05, bits=_default_bits(1.0, 0.05))
+@example(r=20.0, t=0.05, bits=_default_bits(20.0, 0.05))
+@example(r=200.0, t=0.05, bits=_default_bits(200.0, 0.05))
 def test_panels_match_mpf_loop_on_random_cells(r, t, bits):
     _assert_same_panels(r, t, bits)
 
@@ -1043,17 +1051,20 @@ TAIL_CELLS = [
 
 
 @pytest.mark.parametrize("rho, t, vartheta", TAIL_CELLS)
-def test_measure_vartheta_sums_the_tail_that_the_mpf_loops_test_drops(rho, t, vartheta):
+def test_measure_vartheta_sums_the_tail_that_the_mpf_loops_test_drops(
+    monkeypatch, rho, t, vartheta
+):
     # the proved stop gives the mpf loop's vartheta at the same bits summed
-    # to its last panel, with no early stop, where the loop's own test
-    # gives another double
+    # to its last panel, with no early stop (a zero tolerance stops no
+    # sum), where the loop's own test gives another double
     r, bits = rho / t, rq._cancellation_bits(sg.saddle_data(rho), t)
-    total = fzero
-    for contribution, _, _ in rq._panel_terms(r, t, bits, rq._panel_count(r, t, bits)):
-        total = mpf_add(total, contribution, bits, _RND)
     lead = ab.theta_leading(rho, t)
-    summed = float(rq._theta_of(total, r, t, bits)) / lead - 1.0
     stopped = float(_serial(r, t, bits)[0]) / lead - 1.0
+    with monkeypatch.context() as m:
+        m.setattr(rq, "_TAIL_TOLERANCE", 0.0)
+        theta, panels = _serial(r, t, bits)
+    assert len(panels) == rq._panel_count(r, t, bits)
+    summed = float(theta) / lead - 1.0
     assert ab.measure_vartheta(rho, t) == summed == vartheta != stopped
 
 
@@ -1071,12 +1082,9 @@ def _recorded_partitions(monkeypatch):
     return plans
 
 
-def test_every_certify_grid_panel_takes_a_proved_shape(monkeypatch, cold_tables):
-    # the 105 cells of seeds 0, 1, 3, 5 and 7 (93 distinct): each run has a
-    # proved partition of [0, kmax t], every panel of it a shape of the
-    # ladder (its m cut to the last edge) whose rule bound, recomputed,
-    # meets the run's target, and the run sums a prefix of it
-    plans = _recorded_partitions(monkeypatch)
+def _recorded_panels(monkeypatch):
+    """The list to which every later _fixed_terms run appends the panels
+    (k, m, n) it summed."""
     summed = []
     terms = rq._fixed_terms
 
@@ -1086,6 +1094,16 @@ def test_every_certify_grid_panel_takes_a_proved_shape(monkeypatch, cold_tables)
         return run
 
     monkeypatch.setattr(rq, "_fixed_terms", logged)
+    return summed
+
+
+def test_every_certify_grid_panel_takes_a_proved_shape(monkeypatch, cold_tables):
+    # the 105 cells of seeds 0, 1, 3, 5 and 7 (93 distinct): each run has a
+    # proved partition of [0, kmax t], every panel of it a shape of the
+    # ladder (its m cut to the last edge) whose rule bound, recomputed,
+    # meets the run's target, and the run sums a prefix of it
+    plans = _recorded_partitions(monkeypatch)
+    summed = _recorded_panels(monkeypatch)
     for seed in (0, 1, 3, 5, 7):
         for rho, t in _certify_grid(seed):
             ab.measure_vartheta(rho, t)
@@ -1106,9 +1124,10 @@ def test_every_certify_grid_panel_takes_a_proved_shape(monkeypatch, cold_tables)
 #: at (0.5, 0.02) each is off by e^-180 to e^-263 against e^-309, and the sum
 #: is within 6.6e-15 of the path only because the rule errors of consecutive
 #: panels cancel.  The first three have a proved partition into panels of 8
-#: half-periods at 80 or 96 points; the last three have none and keep the
-#: width-t panels throughout.  A run that switched from width-t panels to
-#: proved ones partway gave 4.4e57 at (0.25, 0.01) and refused (0.5, 0.01).
+#: half-periods at 80 or 96 points; the last three have none and sum
+#: theta_direct's panels throughout, width t at 24 points.  A run that
+#: switched from width-t panels to proved ones partway gave 4.4e57 at
+#: (0.25, 0.01) and refused (0.5, 0.01).
 PARTITION_CELLS = [
     (0.5, 0.02, True, "-0x1.22a984f8f0000p-12", -0.0002771970608149197),
     (1.0, 0.01, True, "-0x1.2b75b3dadd000p-13", -0.0001427935484020203),
@@ -1122,9 +1141,13 @@ PARTITION_CELLS = [
 @pytest.mark.parametrize("rho, t, proved, double, path", PARTITION_CELLS)
 def test_a_run_never_switches_partitions_partway(monkeypatch, rho, t, proved, double, path):
     plans = _recorded_partitions(monkeypatch)
+    summed = _recorded_panels(monkeypatch)
     vartheta = ab.measure_vartheta(rho, t)
     ((*_, plan),) = plans
+    (panels,) = summed
     assert (plan is not None) == proved
+    if not proved:
+        assert panels == [(k, 1, rq._PANEL_POINTS) for k in range(len(panels))]
     assert vartheta.hex() == double
     assert abs(vartheta - path) <= 1e-13
 
@@ -1438,47 +1461,6 @@ def test_each_summed_product_is_below_its_sig_bound(monkeypatch, seed):
     assert sorted(p for _, p in products)[len(products) // 2] < 150
 
 
-def _screened_stop(bits, envelopes):
-    """(panels summed, envelopes formed) when _add_panels reads a first panel
-    of 1 with an edge it does not test, then panels of 0 with the given
-    (offset of log_envelope from the float log of the threshold, in units
-    of the margin; exact envelope) at their edges; the last panel must not
-    be read."""
-    formed = []
-
-    def terms():
-        yield from_man_exp(1, 0), None, None
-        for offset, value in envelopes:
-
-            def envelope(value=value):
-                formed.append(value)
-                return value
-
-            yield fzero, log_bound + offset * margin, envelope
-        raise AssertionError("a panel past the stop was read")
-
-    log_bound = math.log(rq._TAIL_TOLERANCE) - (bits // 2) * math.log(2.0)
-    margin = rq._SCREEN_SLACK * (abs(log_bound) + bits)
-    panels = []
-    rq._add_panels(terms(), bits, panels)
-    return len(panels), len(formed)
-
-
-def test_screened_tail_test_stops_where_the_exact_test_stops():
-    # the threshold is 0.5 * 2^-(bits/2) of the total, 1; within the margin
-    # the exact envelope decides, whichever side the float log lies on
-    bits = 100
-    thresh = from_man_exp(1, -(bits // 2) - 1)
-    below = mpf_sub(thresh, from_man_exp(1, -(bits // 2) - 1 - bits), bits)
-    assert mpf_le(below, thresh) and below != thresh
-    # at the threshold: the exact test goes on; just below it: it stops
-    assert _screened_stop(bits, [(0.0, thresh), (0.0, below)]) == (3, 2)
-    assert _screened_stop(bits, [(-0.99, thresh), (0.99, below)]) == (3, 2)
-    assert _screened_stop(bits, [(0.99, thresh), (-0.99, thresh), (0.999, below)]) == (4, 3)
-    # outside the margin the float log decides, and no envelope is formed
-    assert _screened_stop(bits, [(1.01, below), (-1.01, thresh)]) == (3, 0)
-
-
 def test_cold_warm_and_evicted_tables_give_the_same_float(monkeypatch, cold_tables):
     # build, hit, hit, then built again once the key's table has been
     # dropped: one float, the serial run's
@@ -1625,8 +1607,8 @@ def test_default_grid_exp_tables_stay_within_their_measured_size(monkeypatch, co
 
 
 def test_measure_vartheta_forks_nothing_and_runs_one_fixed_run(monkeypatch, cold_tables, forks):
-    # every panel generator: one fixed-point one over every panel, at the
-    # measured bits, and no mpf loop, serial run or check
+    # one fixed-point run over every panel, at the measured bits, and no
+    # mpf loop, serial run or check
     r, t, bits, _ = _oracle_args(2.0, 0.2, monkeypatch)
     calls = []
     terms = rq._fixed_terms
@@ -1640,7 +1622,6 @@ def test_measure_vartheta_forks_nothing_and_runs_one_fixed_run(monkeypatch, cold
 
     monkeypatch.setattr(rq, "_fixed_terms", logged)
     monkeypatch.setattr(rq, "_integrate_panels", must_not_run)
-    monkeypatch.setattr(rq, "_panel_terms", must_not_run)
     ab.measure_vartheta(2.0, 0.2)
     assert forks == []
     # kmax = 16 half-periods, summed up to the tail's stop
@@ -1794,7 +1775,7 @@ def test_check_runs_in_process(monkeypatch, condition):
 
 def test_one_panel_loop_and_one_fork():
     # every run's r-free values come from _node_values; theta_direct's runs
-    # sum their panels in _panel_terms, measure_vartheta's run in
+    # sum their panels in _integrate_panels, measure_vartheta's run in
     # _fixed_terms, whose exponential is the one kernel _exp_kernel builds;
     # the one child comes from _in_child
     source = inspect.getsource(rq)
